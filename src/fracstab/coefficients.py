@@ -61,11 +61,23 @@ class LipschitzReport:
     witness: tuple = field(default=())
 
 
+def _apply_matrix(mat, x):
+    """x @ mat.T over the last axis of x, summed in a fixed order.
+
+    BLAS picks its kernel (and with it the rounding) by the number of rows,
+    which would make a path's value depend on the batch it is evaluated in.
+    """
+    out = x[..., :1] * mat[:, 0]
+    for k in range(1, mat.shape[1]):
+        out = out + x[..., k:k + 1] * mat[:, k]
+    return out
+
+
 def _matmap(mat):
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
 
     def f(t, x):
-        return np.asarray(x) @ mat.T
+        return _apply_matrix(mat, np.asarray(x))
 
     return f
 

@@ -29,8 +29,19 @@ under refinement and are exactly zero for vanishing coefficient families.
 The state at t = 0 exists only in weighted coordinates,
 t^(1-a) X(t) -> rho / Gamma(a); ``values`` holds NaN there.
 
-Paths are independent given their increments; all reductions here are
-per-path, so results do not depend on how paths are chunked or scheduled.
+The marches take each history integral as a discrete convolution over the
+lags.  Lags inside a base block of 64 nodes are summed directly at every
+step; the rest is added block by block with zero-padded real FFTs
+(Hairer, Lubich & Schlichte 1985), so a march costs O(N log^2 N) per path
+instead of O(N^2).  In the mild form A commutes with E_{a,a}(t^a A), so
+the neutral memory and the drift share one convolution of b - A g; in the
+integral form the memory term shares the drift weight.  Each march thus
+keeps two history sums.
+
+Paths are independent given their increments.  All reductions are per path
+(direct sums in a fixed order, per-path transforms, and fixed-order matrix
+products instead of BLAS), so results do not depend on how paths are
+chunked or scheduled.
 """
 
 from __future__ import annotations
@@ -39,9 +50,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.special import betainc
 
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, _apply_matrix
 from .errors import ConvergenceError, SimulationNumericError
 from .fraccalc import DEFAULT_POLICY, FractionalOrder, MLEvalPolicy, beta_fn, gamma_fn, ml_matrix, ml_scalar
 from .spectral import eigen_decomposition
@@ -162,61 +174,126 @@ def brownian_increments(grid: TimeGrid, n_paths: int, master_seed: int) -> Brown
     return BrownianEnsemble(increments=out, master_seed=int(master_seed), n_paths=int(n_paths))
 
 
-class _KernelTable:
-    """Grid kernels E_{a,a}((m dt)^a A) and the shared quadrature weights.
+def _cell_weights(alpha, grid):
+    """Quadrature weights of the cells, indexed by lag - 1.
 
     d[m-1]     exact integral of (t_n - s)^(a-1) over the cell with lag m,
-    kappa[m-1] variance-matched stochastic weight for the same cell,
-    homog[n]   t_n^(a-1) E_{a,a}(t_n^a A) rho.
+    kappa[m-1] variance-matched stochastic weight for the same cell.
+    """
+    m = np.arange(grid.N + 1, dtype=float)
+    d = grid.dt**alpha * np.diff(m**alpha) / alpha
+    kappa = grid.dt ** (alpha - 1.0) * np.sqrt(
+        np.diff(m ** (2.0 * alpha - 1.0)) / (2.0 * alpha - 1.0)
+    )
+    return d, kappa
 
-    ``scalar`` is True for one-dimensional systems, where kernels are kept
-    as plain floats and the convolutions reduce to BLAS dot products.
+
+class _KernelTable:
+    """Grid kernels of the variation-of-constants form.
+
+    E[m]       E_{a,a}((m dt)^a A), shape (N+1, dim, dim),
+    homog[n]   t_n^(a-1) E[n] rho, shape (N+1, dim),
+    d, kappa   the cell weights of :func:`_cell_weights`.
+
+    One-dimensional kernels come from the scalar evaluator, others from the
+    matrix function (per eigenvalue when the eigenbasis is well conditioned).
     """
 
     def __init__(self, system: SystemSpec, grid: TimeGrid, policy: MLEvalPolicy):
         alpha = system.order.alpha
-        n_steps = grid.N
-        dt = grid.dt
-        dim = system.n
-        self.scalar = dim == 1
-        m = np.arange(n_steps + 1, dtype=float)
-        self.d = dt**alpha * np.diff(m**alpha) / alpha
-        self.kappa = dt ** (alpha - 1.0) * np.sqrt(
-            np.diff(m ** (2.0 * alpha - 1.0)) / (2.0 * alpha - 1.0)
-        )
+        n_steps, dim = grid.N, system.n
+        self.d, self.kappa = _cell_weights(alpha, grid)
         times = grid.nodes
-        if self.scalar:
+        self.E = np.empty((n_steps + 1, dim, dim))
+        if dim == 1:
             a_val = float(system.A[0, 0])
-            self.E = np.empty(n_steps + 1)
             for k in range(n_steps + 1):
                 self.E[k] = ml_scalar(alpha, alpha, (times[k] ** alpha) * a_val, policy)
-            self.homog = np.zeros(n_steps + 1)
-            self.homog[1:] = times[1:] ** (alpha - 1.0) * self.E[1:] * system.rho[0]
         else:
             decomp = eigen_decomposition(system.A)
-            self.E = np.empty((n_steps + 1, dim, dim))
             for k in range(n_steps + 1):
                 dec = None
                 if decomp is not None:
                     dec = ((times[k] ** alpha) * decomp[0], decomp[1])
                 self.E[k] = ml_matrix(alpha, alpha, (times[k] ** alpha) * system.A,
                                       policy, decomposition=dec)
-            self.homog = np.zeros((n_steps + 1, dim))
-            self.homog[1:] = times[1:, None] ** (alpha - 1.0) * np.einsum(
-                "nij,j->ni", self.E[1:], system.rho
-            )
+        self.homog = np.zeros((n_steps + 1, dim))
+        self.homog[1:] = times[1:, None] ** (alpha - 1.0) * np.einsum(
+            "nij,j->ni", self.E[1:], system.rho
+        )
 
 
-def _convolve_step(weights, history, n, scalar):
-    """sum_{j=0}^{n-1} weights[n-j] history[j]  (weights indexed by lag-1).
+# History and target nodes inside one aligned block of this many nodes are
+# summed directly at each step; a power of two, so every full far-field
+# transform has power-of-two length.
+_BASE_BLOCK = 64
+# Real elements (components x paths x transform length) per batched far-field
+# transform; bounds the FFT scratch memory whatever the ensemble size.
+_FFT_BATCH = 1 << 14
 
-    einsum without BLAS: its reduction order depends only on the lag length,
-    so results are bit-identical no matter how paths are chunked.
+
+def _kernel_entries(w):
+    """The (i, k, w[:, i, k]) columns of a lag-indexed kernel w of shape
+    (N, dim, dim) that are not identically zero."""
+    dim = w.shape[1]
+    return [(i, k, np.ascontiguousarray(w[:, i, k]))
+            for i in range(dim) for k in range(dim) if np.any(w[:, i, k])]
+
+
+def _direct_sum(entries, hist, lo, hi, n, out):
+    """out[:, i] += sum_{j=lo}^{hi-1} w_ik[n-j] hist[j, :, k] over the entries.
+
+    einsum without BLAS: the reduction order depends only on the lag range,
+    so every path gets the same sum whatever the batch it is marched in.
     """
-    w = weights[:n][::-1]
-    if scalar:
-        return np.einsum("m,mp->p", w, history[:n])
-    return np.einsum("mik,mpk->pi", w, history[:n])
+    for i, k, w in entries:
+        out[:, i] += np.einsum("m,mp->p", w[n - hi:n - lo][::-1], hist[lo:hi, :, k])
+
+
+def _far_field(kernels, hists, acc, c, spectra):
+    """Add the finished history block [c - L, c) to the nodes [c, c + L) of
+    acc, shaped (P, N+1, dim).
+
+    Blocked convolution (Hairer, Lubich & Schlichte 1985, in its
+    divide-and-conquer form): L is the largest base-block multiple such that
+    [c - L, c) is the left half of an aligned dyadic block of length 2L, so
+    every pair (history j, target n) in different base blocks is added
+    exactly once, by the left half that closes first.  The lags of one block
+    span 1 .. 2L - 1; with zero-padded transforms of length M >= L + R (R
+    targets) the circular product is exact on the target rows.  The drift
+    and noise products are summed in the frequency domain and share one
+    inverse transform.  Transforms are per path, so batching paths cannot
+    change the result.  ``spectra`` holds the kernel transforms of this
+    march by length.
+    """
+    L = _BASE_BLOCK
+    while c % (2 * L) == 0:
+        L *= 2
+    hi = min(c + L, acc.shape[1])
+    n_targets = hi - c
+    M = sp_fft.next_fast_len(L + n_targets, real=True)
+    if n_targets * L <= M * math.log2(M):
+        # a short tail at the end of the grid: cheaper as a direct sum
+        for n in range(c, hi):
+            for entries, hist in zip(kernels, hists):
+                _direct_sum(entries, hist, c - L, c, n, acc[:, n])
+        return
+    if M not in spectra:
+        spectra[M] = [[(i, k, sp_fft.rfft(np.concatenate(([0.0], w[:M - 1])), M))
+                       for i, k, w in entries] for entries in kernels]
+    n_paths, dim = acc.shape[0], acc.shape[2]
+    batch = max(1, _FFT_BATCH // (dim * M))
+    for p0 in range(0, n_paths, batch):
+        p1 = min(p0 + batch, n_paths)
+        total = np.zeros((dim, p1 - p0, M // 2 + 1), dtype=complex)
+        for hats, hist in zip(spectra[M], hists):
+            # path-major contiguous block (dim, paths, L), zero-padded to M
+            block = np.ascontiguousarray(hist[c - L:c, p0:p1].transpose(2, 1, 0))
+            h_hat = sp_fft.rfft(block, M, axis=-1)
+            for i, k, w_hat in hats:
+                total[i] += w_hat * h_hat[k]
+        out = sp_fft.irfft(total, M, axis=-1)[:, :, L:L + n_targets]
+        acc[p0:p1, c:hi] += out.transpose(1, 2, 0)
 
 
 def _solve_neutral(rhs, g_fn, t, L_g, tol, max_iter):
@@ -227,26 +304,23 @@ def _solve_neutral(rhs, g_fn, t, L_g, tol, max_iter):
     identical under any batching of the ensemble.
     """
     x = rhs.copy()
-    scalar = x.ndim == 1
     active = np.arange(x.shape[0])
+    xa = ra = rhs
     # non-finite states propagate deliberately; the finiteness check after
     # this solve reports them per path
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(max_iter):
-            xa = x[active]
-            x_new = rhs[active] - g_fn(t, xa)
-            if scalar:
-                step = np.abs(x_new - xa)
-                size = np.abs(x_new)
-            else:
-                step = np.max(np.abs(x_new - xa), axis=-1)
-                size = np.max(np.abs(x_new), axis=-1)
+            x_new = ra - g_fn(t, xa)
+            step = np.abs(x_new - xa).max(axis=-1)
+            size = np.abs(x_new).max(axis=-1)
             x[active] = x_new
-            done = step <= tol * (1.0 + size)
-            done |= ~np.isfinite(size)
-            active = active[~done]
-            if active.size == 0:
+            going = ~(step <= tol * (1.0 + size)) & np.isfinite(size)
+            if going.all():
+                xa = x_new
+                continue
+            if not going.any():
                 return x
+            active, xa, ra = active[going], x_new[going], ra[going]
     raise ConvergenceError(
         "neutral-term fixed point did not converge "
         f"(L_g={L_g}; requires L_g < 1 and finite states)"
@@ -256,10 +330,7 @@ def _solve_neutral(rhs, g_fn, t, L_g, tol, max_iter):
 def _check_finite(x, n, scheme):
     if np.all(np.isfinite(x)):
         return
-    if x.ndim == 1:
-        bad = np.nonzero(~np.isfinite(x))[0]
-    else:
-        bad = np.nonzero(~np.all(np.isfinite(x), axis=-1))[0]
+    bad = np.nonzero(~np.all(np.isfinite(x), axis=-1))[0]
     raise SimulationNumericError(
         f"{scheme}: non-finite state at node {n} for paths {bad[:8].tolist()}",
         path_indices=bad.tolist(),
@@ -267,11 +338,10 @@ def _check_finite(x, n, scheme):
     )
 
 
-def _package(x_hist, system, grid, tag, master_seed, n_paths):
-    """Assemble a PathEnsemble from time-major states (N+1, P, dim)."""
+def _package(values, system, grid, tag, master_seed, n_paths):
+    """Assemble a PathEnsemble from the states (P, N+1, dim), taken over."""
     alpha = system.order.alpha
     times = grid.nodes
-    values = np.transpose(x_hist, (1, 0, 2)).copy()
     values[:, 0, :] = np.nan
     weighted = np.empty_like(values)
     weighted[:, 0, :] = system.rho / gamma_fn(alpha)
@@ -280,132 +350,67 @@ def _package(x_hist, system, grid, tag, master_seed, n_paths):
                         master_seed=master_seed, n_paths=n_paths)
 
 
-def _march(system, grid, increments, table, *, integral_form, as_printed=False,
-           fp_tol=1e-12, fp_max_iter=100, scheme_tag="mild"):
-    """Shared time-marching core for the mild and integral-form schemes."""
-    alpha = system.order.alpha
+def _march(system, grid, increments, scheme, fp_tol, fp_max_iter, scheme_tag):
+    """Shared time-marching core of the mild and integral-form schemes:
+
+        x_n = free[n] + sum_{j<n} w_f[n-j] f_j + sum_{j<n} w_s[n-j] s_j - g(t_n, x_n),
+
+    f_j = drift(t_j, x_j), s_j = sigma(t_j, x_j) dW_j, with X_0 := 0 at node 0.
+    Lags inside a base block are summed directly at each step; every other
+    part of the two history sums is added ahead of time by
+    :func:`_far_field`, into the nodes of the state array not yet marched.
+    Returns the states (P, N+1, dim); histories are kept time-major.
+    """
+    free, w_f, w_s, drift = scheme
     coeffs = system.coeffs
-    n_steps, dt, dim = grid.N, grid.dt, system.n
+    n_steps, dim = grid.N, system.n
     n_paths = increments.shape[0]
     times = grid.nodes
-    scalar = table.scalar
-    inv_gamma = 1.0 / gamma_fn(alpha)
+    kernels = (_kernel_entries(w_f), _kernel_entries(w_s))
+    hists = (np.empty((n_steps, n_paths, dim)), np.empty((n_steps, n_paths, dim)))
+    states = np.zeros((n_paths, n_steps + 1, dim))
+    spectra = {}
 
-    if integral_form:
-        # constant kernel 1/Gamma(a); memory term A X (or A g as printed)
-        if scalar:
-            w_mem = inv_gamma * table.d
-            w_b = inv_gamma * table.d
-            w_s = inv_gamma * table.kappa
-        else:
-            eye = np.eye(dim)
-            w_mem = inv_gamma * table.d[:, None, None] * eye
-            w_b = w_mem
-            w_s = inv_gamma * table.kappa[:, None, None] * eye
-    else:
-        if scalar:
-            a_val = float(system.A[0, 0])
-            w_g = -table.d * a_val * table.E[1:]
-            w_b = table.d * table.E[1:]
-            w_s = table.kappa * table.E[1:]
-        else:
-            w_g = -table.d[:, None, None] * (system.A @ table.E[1:])
-            w_b = table.d[:, None, None] * table.E[1:]
-            w_s = table.kappa[:, None, None] * table.E[1:]
+    def record(j, x):
+        hists[0][j] = drift(times[j], x)
+        hists[1][j] = coeffs.sigma(times[j], x) * increments[:, j, None]
 
-    shape = (n_steps + 1, n_paths) if scalar else (n_steps + 1, n_paths, dim)
-    x_hist = np.zeros(shape)
-    mem_hist = np.zeros(shape)      # g-values (mild) or A X / A g values (integral)
-    b_hist = np.zeros(shape)
-    s_dw_hist = np.zeros(shape)
-
-    def coeff(fn, t, x):
-        val = fn(t, x if not scalar else x[:, None])
-        return np.asarray(val)[:, 0] if scalar else np.asarray(val)
-
-    # node-0 convention X_0 := 0 for coefficient evaluation
-    zero_state = np.zeros((n_paths,) if scalar else (n_paths, dim))
-    if not integral_form:
-        mem_hist[0] = coeff(coeffs.g, 0.0, zero_state)
-    elif as_printed:
-        mem_hist[0] = coeff(coeffs.g, 0.0, zero_state)
-        if not scalar:
-            mem_hist[0] = mem_hist[0] @ system.A.T
-        else:
-            mem_hist[0] = mem_hist[0] * float(system.A[0, 0])
-    b_hist[0] = coeff(coeffs.b, 0.0, zero_state)
-    sig0 = coeff(coeffs.sigma, 0.0, zero_state)
-    s_dw_hist[0] = sig0 * (increments[:, 0] if scalar else increments[:, 0, None])
-
-    # exact first-cell weight for the singular memory cell of the integral
-    # form: int_0^dt s^(a-1) (t_n - s)^(a-1) ds, applied to A rho / Gamma(a)
-    rho_w = system.rho / gamma_fn(alpha)
-    a_rho_w = (system.A @ rho_w)
-    b_aa = beta_fn(alpha, alpha)
-
-    homog = table.homog
-    g_fn = coeffs.g if not scalar else (lambda t, x: coeff(coeffs.g, t, x))
-
+    record(0, np.zeros((n_paths, dim)))
     for n in range(1, n_steps + 1):
-        t_n = times[n]
-        if integral_form:
-            rhs = t_n ** (alpha - 1.0) * inv_gamma * (system.rho[0] if scalar else system.rho)
-            rhs = rhs + _convolve_step(w_mem, mem_hist, n, scalar)
-            rhs = rhs + _convolve_step(w_b, b_hist, n, scalar)
-            rhs = rhs + _convolve_step(w_s, s_dw_hist, n, scalar)
-            if not as_printed:
-                cell0 = b_aa * betainc(alpha, alpha, dt / t_n) * t_n ** (2.0 * alpha - 1.0)
-                rhs = rhs + inv_gamma * cell0 * (a_rho_w[0] if scalar else a_rho_w)
-        else:
-            rhs = homog[n] + _convolve_step(w_g, mem_hist, n, scalar)
-            rhs = rhs + _convolve_step(w_b, b_hist, n, scalar)
-            rhs = rhs + _convolve_step(w_s, s_dw_hist, n, scalar)
-
-        x = _solve_neutral(rhs, g_fn, t_n, coeffs.L_g, fp_tol, fp_max_iter)
+        rhs = free[n] + states[:, n]
+        lo = n - n % _BASE_BLOCK
+        for entries, hist in zip(kernels, hists):
+            _direct_sum(entries, hist, lo, n, n, rhs)
+        x = _solve_neutral(rhs, coeffs.g, times[n], coeffs.L_g, fp_tol, fp_max_iter)
         _check_finite(x, n, scheme_tag)
-        x_hist[n] = x
-
-        if integral_form:
-            if as_printed:
-                gval = coeff(coeffs.g, t_n, x)
-                mem_hist[n] = gval * float(system.A[0, 0]) if scalar else gval @ system.A.T
-            else:
-                mem_hist[n] = x * float(system.A[0, 0]) if scalar else x @ system.A.T
-        else:
-            mem_hist[n] = coeff(coeffs.g, t_n, x)
-        b_hist[n] = coeff(coeffs.b, t_n, x)
+        states[:, n] = x
         if n < n_steps:
-            sig = coeff(coeffs.sigma, t_n, x)
-            s_dw_hist[n] = sig * (increments[:, n] if scalar else increments[:, n, None])
-
-    if scalar:
-        x_hist = x_hist[:, :, None]
-    return x_hist
+            record(n, x)
+            if (n + 1) % _BASE_BLOCK == 0:
+                _far_field(kernels, hists, states, n + 1, spectra)
+    return states
 
 
-def _run_chunked(system, grid, ensemble, tag, chunk_size, march_kwargs):
+def _check_inputs(system, grid, ensemble):
     if system.coeffs.L_g >= 1.0:
         raise ValueError(
             f"the neutral fixed point requires L_g < 1, got L_g={system.coeffs.L_g}"
         )
-    table = _KernelTable(system, grid, march_kwargs.pop("policy"))
-    inc = ensemble.increments
-    if inc.shape[1] != grid.N:
+    if ensemble.increments.shape[1] != grid.N:
         raise ValueError(
-            f"ensemble has {inc.shape[1]} increments per path, grid expects {grid.N}"
+            f"ensemble has {ensemble.increments.shape[1]} increments per path, "
+            f"grid expects {grid.N}"
         )
+
+
+def _run_chunked(system, grid, ensemble, tag, chunk_size, scheme, fp_tol, fp_max_iter):
+    inc = ensemble.increments
     n_paths = inc.shape[0]
-    if not chunk_size or chunk_size >= n_paths:
-        x_hist = _march(system, grid, inc, table, scheme_tag=tag, **march_kwargs)
-    else:
-        parts = []
-        for lo in range(0, n_paths, chunk_size):
-            parts.append(
-                _march(system, grid, inc[lo:lo + chunk_size], table,
-                       scheme_tag=tag, **march_kwargs)
-            )
-        x_hist = np.concatenate(parts, axis=1)
-    return _package(x_hist, system, grid, tag, ensemble.master_seed, n_paths)
+    step = chunk_size if chunk_size and chunk_size < n_paths else n_paths
+    parts = [_march(system, grid, inc[lo:lo + step], scheme, fp_tol, fp_max_iter, tag)
+             for lo in range(0, n_paths, step)]
+    states = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return _package(states, system, grid, tag, ensemble.master_seed, n_paths)
 
 
 def simulate_mild(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble,
@@ -416,9 +421,18 @@ def simulate_mild(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble
     Kernel matrices E_{a,a}((m dt)^a A) are precomputed once and shared;
     ``chunk_size`` only batches paths (results are identical for any value).
     """
-    return _run_chunked(system, grid, ensemble, "mild", chunk_size,
-                        dict(integral_form=False, policy=policy,
-                             fp_tol=fp_tol, fp_max_iter=fp_max_iter))
+    _check_inputs(system, grid, ensemble)
+    table = _KernelTable(system, grid, policy)
+    g, b = system.coeffs.g, system.coeffs.b
+
+    def drift(t, x):
+        # A commutes with E(A): the neutral memory -A E g shares the weight d E with b
+        return b(t, x) - _apply_matrix(system.A, np.asarray(g(t, x)))
+
+    scheme = (table.homog, table.d[:, None, None] * table.E[1:],
+              table.kappa[:, None, None] * table.E[1:], drift)
+    return _run_chunked(system, grid, ensemble, "mild", chunk_size, scheme,
+                        fp_tol, fp_max_iter)
 
 
 def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble,
@@ -427,12 +441,35 @@ def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: Brownia
     """March the second-kind Volterra scheme (memory term A X).
 
     ``as_printed=True`` switches the memory term to + A g(s, X(s)) for
-    side-by-side comparison with the self-consistent form.
+    side-by-side comparison with the self-consistent form.  The constant
+    kernel (t-s)^(a-1)/Gamma(a) needs no Mittag-Leffler evaluation, so
+    ``policy`` is not used.
     """
+    _check_inputs(system, grid, ensemble)
+    alpha = system.order.alpha
+    inv_gamma = 1.0 / gamma_fn(alpha)
+    d, kappa = _cell_weights(alpha, grid)
+    t = grid.nodes[1:]
+    free = np.zeros((grid.N + 1, system.n))
+    free[1:] = (t ** (alpha - 1.0) * inv_gamma)[:, None] * system.rho
+    if not as_printed:
+        # exact first-cell weight for the singular memory cell:
+        # int_0^dt s^(a-1) (t_n - s)^(a-1) ds, applied to A rho / Gamma(a)
+        cell0 = (beta_fn(alpha, alpha) * betainc(alpha, alpha, grid.dt / t)
+                 * t ** (2.0 * alpha - 1.0))
+        free[1:] += (inv_gamma * cell0)[:, None] * (system.A @ (system.rho / gamma_fn(alpha)))
+    memory = system.coeffs.g if as_printed else (lambda t, x: x)
+    b = system.coeffs.b
+
+    def drift(t, x):
+        # the memory term shares the weight d / Gamma(a) with b
+        return b(t, x) + _apply_matrix(system.A, np.asarray(memory(t, x)))
+
+    eye = np.eye(system.n)
+    scheme = (free, (inv_gamma * d)[:, None, None] * eye,
+              (inv_gamma * kappa)[:, None, None] * eye, drift)
     tag = "integral_form_as_printed" if as_printed else "integral_form"
-    return _run_chunked(system, grid, ensemble, tag, chunk_size,
-                        dict(integral_form=True, as_printed=as_printed, policy=policy,
-                             fp_tol=fp_tol, fp_max_iter=fp_max_iter))
+    return _run_chunked(system, grid, ensemble, tag, chunk_size, scheme, fp_tol, fp_max_iter)
 
 
 def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
@@ -457,61 +494,43 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
     coeffs = system.coeffs
     n_steps, dim = grid.N, system.n
     times = grid.nodes
-    w_time = times[1:] ** (1.0 - alpha)
+    w_time = times[1:, None] ** (1.0 - alpha)
+    kernels = (_kernel_entries(table.d[:, None, None] * table.E[1:]),
+               _kernel_entries(table.kappa[:, None, None] * table.E[1:]))
 
-    if table.scalar:
-        a_val = float(system.A[0, 0])
-        w_g = -table.d * a_val * table.E[1:]
-        w_b = table.d * table.E[1:]
-        w_s = table.kappa * table.E[1:]
-    else:
-        w_g = -table.d[:, None, None] * (system.A @ table.E[1:])
-        w_b = table.d[:, None, None] * table.E[1:]
-        w_s = table.kappa[:, None, None] * table.E[1:]
-    homog = table.homog
-
-    def conv_full(weights, hist):
-        """(weights * hist)[n] = sum_{m=1..n} weights[m] hist[n-m], all n."""
-        if table.scalar:
-            w_full = np.concatenate(([0.0], weights))
-            return np.convolve(w_full, hist)[: n_steps + 1]
+    def conv_full(entries, hist):
+        """(w * hist)[n] = sum_{m=1..n} w[m] hist[n-m], all n."""
         out = np.zeros((n_steps + 1, dim))
-        for i in range(dim):
-            for k in range(dim):
-                w_full = np.concatenate(([0.0], weights[:, i, k]))
-                out[:, i] += np.convolve(w_full, hist[:, k])[: n_steps + 1]
+        for i, k, w in entries:
+            out[:, i] += np.convolve(np.concatenate(([0.0], w)), hist[:, k])[: n_steps + 1]
         return out
 
-    def coeff_history(fn, states, with_increments=False):
+    def coeff_history(fn, states):
         """Left-point coefficient values node by node (X_0 := 0)."""
-        out = np.zeros_like(states)
-        for j in range(n_steps + 1):
-            state = states[j : j + 1]  # shape (1,) scalar mode, (1, dim) otherwise
-            if j == 0:
-                state = np.zeros_like(state)
-            val = np.asarray(fn(times[j], state))
-            out[j] = float(np.ravel(val)[0]) if table.scalar else val[0]
-            if with_increments:
-                out[j] = out[j] * (inc[j] if j < n_steps else 0.0)
+        out = np.empty_like(states)
+        out[0] = np.asarray(fn(times[0], np.zeros((1, dim))))[0]
+        for j in range(1, n_steps + 1):
+            out[j] = np.asarray(fn(times[j], states[j:j + 1]))[0]
         return out
 
-    x = np.zeros((n_steps + 1,) if table.scalar else (n_steps + 1, dim))
+    x = np.zeros((n_steps + 1, dim))
     prev_change = None
     ratio = math.nan
     iterations = 0
     for iterations in range(1, max_iter + 1):
         g_hist = coeff_history(coeffs.g, x)
         b_hist = coeff_history(coeffs.b, x)
-        s_dw = coeff_history(coeffs.sigma, x, with_increments=True)
+        s_dw = coeff_history(coeffs.sigma, x)
+        s_dw[:-1] *= inc[:, None]
+        s_dw[-1] = 0.0
 
-        x_new = homog + conv_full(w_g, g_hist) + conv_full(w_b, b_hist) + conv_full(w_s, s_dw)
+        # A commutes with E(A): the neutral memory shares the weight d E with b
+        x_new = (table.homog + conv_full(kernels[0], b_hist - _apply_matrix(system.A, g_hist))
+                 + conv_full(kernels[1], s_dw))
         x_new = x_new - g_hist  # neutral term at the previous iterate
         x_new[0] = 0.0
 
-        diff = x_new[1:] - x[1:]
-        change = np.max(np.abs(w_time * diff)) if table.scalar else np.max(
-            np.abs(w_time[:, None] * diff)
-        )
+        change = np.max(np.abs(w_time * (x_new[1:] - x[1:])))
         if prev_change is not None and prev_change > 0:
             ratio = change / prev_change
         prev_change = change
@@ -524,8 +543,7 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
             f"last contraction ratio estimate {ratio:.4g}"
         )
 
-    x_hist = x[:, None, None] if table.scalar else x[:, None, :]
-    ens = _package(x_hist, system, grid, "picard", 0, 1)
+    ens = _package(x[None], system, grid, "picard", 0, 1)
     return PicardResult(values=ens.values[0], weighted=ens.weighted[0], grid=grid,
                         iterations=iterations, contraction_ratio=float(ratio))
 

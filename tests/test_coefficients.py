@@ -36,6 +36,18 @@ def test_linear_family_is_linear():
     np.testing.assert_allclose(cs.g(0.0, x), g_mat @ x, rtol=1e-15)
 
 
+def test_linear_family_is_batch_invariant():
+    # a path's coefficient value must not depend on the batch it is evaluated in
+    rng = np.random.default_rng(1)
+    g_mat = rng.normal(size=(3, 3))
+    cs = make_linear(g_mat, g_mat, g_mat)
+    x = rng.normal(size=(50, 3))
+    whole = cs.g(0.0, x)
+    rows = np.concatenate([cs.g(0.0, x[i:i + 1]) for i in range(50)])
+    np.testing.assert_array_equal(whole, rows)
+    np.testing.assert_allclose(whole, x @ g_mat.T, rtol=0.0, atol=1e-14)
+
+
 def test_linear_shape_mismatch():
     with pytest.raises(ValueError):
         make_linear(np.eye(2), np.eye(3), np.eye(2))

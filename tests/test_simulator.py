@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from fracstab import (
     CoefficientSet,
@@ -17,6 +18,8 @@ from fracstab import (
     make_additive_noise,
     make_bounded_smooth,
     make_linear,
+    ml_matrix,
+    ml_scalar,
     picard_path_solve,
     simulate_integral_form,
     simulate_mild,
@@ -109,16 +112,110 @@ def test_weighted_initialisation_and_consistency():
         )
 
 
-def test_scheme_determinism_and_chunk_independence():
-    system = scalar_system(coeffs=make_bounded_smooth(0.2, 0.1, 0.1))
-    grid = TimeGrid(T=1.0, N=128)
+SCHEMES = {
+    "mild": simulate_mild,
+    "integral_form": simulate_integral_form,
+    "as_printed": lambda *args, **kw: simulate_integral_form(*args, as_printed=True, **kw),
+}
+
+
+def planar_system(coeffs):
+    a_mat = np.array([[-1.0, 0.3], [-0.2, -2.0]])
+    return SystemSpec(A=a_mat, rho=np.array([1.0, -0.5]), coeffs=coeffs, order=ORDER)
+
+
+def direct_sum_march(system, grid, ens, scheme):
+    """O(N^2) reference march: the three history sums of the unfused scheme
+    (neutral memory, drift, noise) taken directly over the whole history at
+    every step, with the same quadrature and fixed point as the package."""
+    alpha, dim, n_steps = ORDER.alpha, system.n, grid.N
+    coeffs, a_mat, rho = system.coeffs, system.A, system.rho
+    times = grid.nodes
+    m = np.arange(n_steps + 1, dtype=float)
+    d = grid.dt**alpha * np.diff(m**alpha) / alpha
+    kappa = grid.dt ** (alpha - 1.0) * np.sqrt(np.diff(m ** (2 * alpha - 1)) / (2 * alpha - 1))
+    inv_gamma = 1.0 / gamma_fn(alpha)
+    if scheme == "mild":
+        w, v = np.linalg.eig(a_mat)
+
+        def kernel(t):
+            if dim == 1:
+                return ml_scalar(alpha, alpha, t**alpha * a_mat[0, 0]) * np.eye(1)
+            return ml_matrix(alpha, alpha, t**alpha * a_mat, decomposition=(t**alpha * w, v))
+
+        E = np.array([kernel(t) for t in times])
+        w_mem = -d[:, None, None] * (a_mat @ E[1:])
+        w_b = d[:, None, None] * E[1:]
+        w_s = kappa[:, None, None] * E[1:]
+        free = np.zeros((n_steps + 1, dim))
+        free[1:] = times[1:, None] ** (alpha - 1) * (E[1:] @ rho)
+        memory = coeffs.g
+    else:
+        w_mem = w_b = inv_gamma * d[:, None, None] * np.eye(dim)
+        w_s = inv_gamma * kappa[:, None, None] * np.eye(dim)
+        t = times[1:]
+        free = np.zeros((n_steps + 1, dim))
+        free[1:] = (t ** (alpha - 1) * inv_gamma)[:, None] * rho
+        if scheme == "as_printed":
+            memory = lambda t, x: coeffs.g(t, x) @ a_mat.T
+        else:
+            memory = lambda t, x: x @ a_mat.T
+            cell0 = (math.gamma(alpha) ** 2 / math.gamma(2 * alpha)
+                     * betainc(alpha, alpha, grid.dt / t) * t ** (2 * alpha - 1))
+            free[1:] += (inv_gamma * cell0)[:, None] * (a_mat @ rho) * inv_gamma
+    n_paths = ens.n_paths
+    x_hist = np.zeros((n_steps + 1, n_paths, dim))
+    mem, b, s = (np.zeros((n_steps, n_paths, dim)) for _ in range(3))
+    x = np.zeros((n_paths, dim))
+    for n in range(n_steps + 1):
+        if n:
+            rhs = free[n] + sum(np.einsum("mik,mpk->pi", wt[:n][::-1], h[:n])
+                                for wt, h in ((w_mem, mem), (w_b, b), (w_s, s)))
+            # each path stops at its own convergence point, as in the package
+            x = rhs.copy()
+            active = np.ones(n_paths, dtype=bool)
+            while active.any():
+                x_new = rhs - coeffs.g(times[n], x)
+                step = np.max(np.abs(x_new - x), axis=1)
+                x = np.where(active[:, None], x_new, x)
+                active &= step > 1e-12 * (1 + np.max(np.abs(x_new), axis=1))
+            x_hist[n] = x
+        if n < n_steps:
+            mem[n] = memory(times[n], x)
+            b[n] = coeffs.b(times[n], x)
+            s[n] = coeffs.sigma(times[n], x) * ens.increments[:, n, None]
+    return x_hist.transpose(1, 0, 2)
+
+
+# N = 256 and 300 run the far field at two and three block levels (base
+# block 64); 300 also ends on a partial block
+@pytest.mark.parametrize("dim,n_steps", [(1, 256), (2, 300)])
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_scheme_determinism_and_chunk_independence(scheme, dim, n_steps):
+    coeffs = make_bounded_smooth(0.2, 0.1, 0.1)
+    system = scalar_system(coeffs=coeffs) if dim == 1 else planar_system(coeffs)
+    simulate = SCHEMES[scheme]
+    grid = TimeGrid(T=1.0, N=n_steps)
     ens = brownian_increments(grid, 40, 123)
-    base = simulate_mild(system, grid, ens)
-    again = simulate_mild(system, grid, ens)
+    base = simulate(system, grid, ens)
+    again = simulate(system, grid, ens)
     np.testing.assert_array_equal(np.nan_to_num(base.values), np.nan_to_num(again.values))
     for chunk in (1, 7, 39):
-        chunked = simulate_mild(system, grid, ens, chunk_size=chunk)
+        chunked = simulate(system, grid, ens, chunk_size=chunk)
         np.testing.assert_array_equal(np.nan_to_num(base.values), np.nan_to_num(chunked.values))
+
+
+@pytest.mark.parametrize("dim,n_steps", [(1, 256), (1, 300), (2, 300)])
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_march_matches_direct_sum_reference(scheme, dim, n_steps):
+    coeffs = make_bounded_smooth(0.2, 0.3, 0.3)
+    system = scalar_system(coeffs=coeffs) if dim == 1 else planar_system(coeffs)
+    grid = TimeGrid(T=4.0, N=n_steps)
+    ens = brownian_increments(grid, 8, 31)
+    out = SCHEMES[scheme](system, grid, ens)
+    ref = direct_sum_march(system, grid, ens, scheme)
+    gap = np.max(np.abs(out.values[:, 1:] - ref[:, 1:]), axis=(1, 2))
+    assert np.all(gap <= 1e-12 * np.max(np.abs(ref[:, 1:]), axis=(1, 2)))
 
 
 def test_affine_scaling_in_initial_datum_and_noise():
