@@ -33,10 +33,13 @@ The marches take each history integral as a discrete convolution over the
 lags.  Lags inside a base block of 64 nodes are summed directly at every
 step; the rest is added block by block with zero-padded real FFTs
 (Hairer, Lubich & Schlichte 1985), so a march costs O(N log^2 N) per path
-instead of O(N^2).  In the mild form A commutes with E_{a,a}(t^a A), so
-the neutral memory and the drift share one convolution of b - A g; in the
-integral form the memory term shares the drift weight.  Each march thus
-keeps two history sums.
+instead of O(N^2).  A kernel that grows across a block (A outside the
+stability sector) is balanced by its growth rate before the transform, so
+the far field keeps the node-wise relative accuracy of a direct sum.  In
+the mild form A commutes with E_{a,a}(t^a A), so the neutral memory and
+the drift share one convolution of b - A g; in the integral form the
+memory term shares the drift weight.  Each march thus keeps two history
+sums.
 
 Paths are independent given their increments.  All reductions are per path
 (direct sums in a fixed order, per-path transforms, and fixed-order matrix
@@ -250,6 +253,24 @@ def _direct_sum(entries, hist, lo, hi, n, out):
         out[:, i] += np.einsum("m,mp->p", w[n - hi:n - lo][::-1], hist[lo:hi, :, k])
 
 
+def _block_spectra(kernels, L, n_targets, M):
+    """Kernel transforms of one far-field block shape, grouped by balancing
+    rate: a list of (mu, [(history index, i, k, rfft of the balanced
+    e^(-mu m) w_ik[m] over the lags m = 1 .. L + n_targets - 1)])."""
+    groups = {}
+    n_lags = L + n_targets - 1
+    lags = np.arange(1.0, n_lags + 1)
+    for h, entries in enumerate(kernels):
+        for i, k, w in entries:
+            early = np.abs(w[:L - 1]).max()
+            late = np.abs(w[L - 1:n_lags]).max()
+            # growth per node from the lags [1, L) to [L, L + n_targets)
+            mu = math.log(late / early) / n_targets if late > early > 0 else 0.0
+            w_hat = sp_fft.rfft(np.concatenate(([0.0], w[:n_lags] * np.exp(-mu * lags))), M)
+            groups.setdefault(mu, []).append((h, i, k, w_hat))
+    return sorted(groups.items())
+
+
 def _far_field(kernels, hists, acc, c, spectra):
     """Add the finished history block [c - L, c) to the nodes [c, c + L) of
     acc, shaped (P, N+1, dim).
@@ -260,11 +281,19 @@ def _far_field(kernels, hists, acc, c, spectra):
     every pair (history j, target n) in different base blocks is added
     exactly once, by the left half that closes first.  The lags of one block
     span 1 .. 2L - 1; with zero-padded transforms of length M >= L + R (R
-    targets) the circular product is exact on the target rows.  The drift
-    and noise products are summed in the frequency domain and share one
-    inverse transform.  Transforms are per path, so batching paths cannot
-    change the result.  ``spectra`` holds the kernel transforms of this
-    march by length.
+    targets) the circular product is exact on the target rows.
+
+    A transform's roundoff is bounded by the norms of the whole block, so a
+    kernel that grows across the block (a matrix outside the stability
+    sector) is balanced first: w[m] h[j] = e^(mu n) (e^(-mu m) w[m])
+    (e^(-mu j) h[j]), with block-local j, n and the entry's own growth rate
+    mu >= 0 over the block's lags, so each target keeps the relative
+    accuracy of a direct sum.  Decaying kernels have mu = 0.  Entries that
+    share mu share their history transforms and one inverse transform per
+    component, so the drift and noise products of a decaying kernel are
+    summed in the frequency domain.  Transforms are per path, so batching
+    paths cannot change the result.  ``spectra`` holds the kernel
+    transforms of this march by block shape.
     """
     L = _BASE_BLOCK
     while c % (2 * L) == 0:
@@ -272,28 +301,25 @@ def _far_field(kernels, hists, acc, c, spectra):
     hi = min(c + L, acc.shape[1])
     n_targets = hi - c
     M = sp_fft.next_fast_len(L + n_targets, real=True)
-    if n_targets * L <= M * math.log2(M):
-        # a short tail at the end of the grid: cheaper as a direct sum
-        for n in range(c, hi):
-            for entries, hist in zip(kernels, hists):
-                _direct_sum(entries, hist, c - L, c, n, acc[:, n])
-        return
-    if M not in spectra:
-        spectra[M] = [[(i, k, sp_fft.rfft(np.concatenate(([0.0], w[:M - 1])), M))
-                       for i, k, w in entries] for entries in kernels]
+    if (L, n_targets) not in spectra:
+        spectra[L, n_targets] = _block_spectra(kernels, L, n_targets, M)
     n_paths, dim = acc.shape[0], acc.shape[2]
+    src = np.arange(L)
+    dst = np.arange(L, L + n_targets)
     batch = max(1, _FFT_BATCH // (dim * M))
     for p0 in range(0, n_paths, batch):
         p1 = min(p0 + batch, n_paths)
-        total = np.zeros((dim, p1 - p0, M // 2 + 1), dtype=complex)
-        for hats, hist in zip(spectra[M], hists):
-            # path-major contiguous block (dim, paths, L), zero-padded to M
-            block = np.ascontiguousarray(hist[c - L:c, p0:p1].transpose(2, 1, 0))
-            h_hat = sp_fft.rfft(block, M, axis=-1)
-            for i, k, w_hat in hats:
-                total[i] += w_hat * h_hat[k]
-        out = sp_fft.irfft(total, M, axis=-1)[:, :, L:L + n_targets]
-        acc[p0:p1, c:hi] += out.transpose(1, 2, 0)
+        # path-major contiguous blocks (dim, paths, L), zero-padded to M
+        blocks = [np.ascontiguousarray(hist[c - L:c, p0:p1].transpose(2, 1, 0))
+                  for hist in hists]
+        for mu, terms in spectra[L, n_targets]:
+            h_hats = {h: sp_fft.rfft(blocks[h] * np.exp(-mu * src), M, axis=-1)
+                      for h in {term[0] for term in terms}}
+            total = np.zeros((dim, p1 - p0, M // 2 + 1), dtype=complex)
+            for h, i, k, w_hat in terms:
+                total[i] += w_hat * h_hats[h][k]
+            out = sp_fft.irfft(total, M, axis=-1)[:, :, L:L + n_targets] * np.exp(mu * dst)
+            acc[p0:p1, c:hi] += out.transpose(1, 2, 0)
 
 
 def _solve_neutral(rhs, g_fn, t, L_g, tol, max_iter):
