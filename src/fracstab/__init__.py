@@ -41,6 +41,7 @@ from .fraccalc import (
     MLEvalPolicy,
     beta_fn,
     gamma_fn,
+    ml_kernel,
     ml_matrix,
     ml_scalar,
     rl_derivative_grid,

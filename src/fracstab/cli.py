@@ -214,7 +214,6 @@ def cmd_simulate(args) -> int:
         ("delta_hypothesis_met", hypothesis_met),
         ("weighted_sup", float(np.max(curve_w.m))),
         ("unweighted_sup_from_node1", float(np.max(curve_u.m))),
-        ("weighted_moment_sup", float(np.max(curve_w.m))),
         ("stable_p", verdict.stable_p),
         ("asymptotically_stable_p", verdict.asymptotically_stable_p),
         ("tail_slope", verdict.slope),

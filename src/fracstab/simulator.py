@@ -58,8 +58,7 @@ from scipy.special import betainc
 
 from .coefficients import CoefficientSet, _apply_matrix
 from .errors import ConvergenceError, SimulationNumericError
-from .fraccalc import DEFAULT_POLICY, FractionalOrder, MLEvalPolicy, beta_fn, gamma_fn, ml_matrix, ml_scalar
-from .spectral import eigen_decomposition
+from .fraccalc import DEFAULT_POLICY, FractionalOrder, MLEvalPolicy, beta_fn, gamma_fn, ml_kernel
 
 __all__ = [
     "TimeGrid",
@@ -198,29 +197,17 @@ class _KernelTable:
     homog[n]   t_n^(a-1) E[n] rho, shape (N+1, dim),
     d, kappa   the cell weights of :func:`_cell_weights`.
 
-    One-dimensional kernels come from the scalar evaluator, others from the
-    matrix function (per eigenvalue when the eigenbasis is well conditioned).
+    E comes from one :func:`~fracstab.fraccalc.ml_kernel` call for the whole
+    grid (per eigenvalue when the eigenbasis of A is well conditioned), so
+    building the table is cheap enough to repeat on every call.
     """
 
     def __init__(self, system: SystemSpec, grid: TimeGrid, policy: MLEvalPolicy):
         alpha = system.order.alpha
-        n_steps, dim = grid.N, system.n
         self.d, self.kappa = _cell_weights(alpha, grid)
         times = grid.nodes
-        self.E = np.empty((n_steps + 1, dim, dim))
-        if dim == 1:
-            a_val = float(system.A[0, 0])
-            for k in range(n_steps + 1):
-                self.E[k] = ml_scalar(alpha, alpha, (times[k] ** alpha) * a_val, policy)
-        else:
-            decomp = eigen_decomposition(system.A)
-            for k in range(n_steps + 1):
-                dec = None
-                if decomp is not None:
-                    dec = ((times[k] ** alpha) * decomp[0], decomp[1])
-                self.E[k] = ml_matrix(alpha, alpha, (times[k] ** alpha) * system.A,
-                                      policy, decomposition=dec)
-        self.homog = np.zeros((n_steps + 1, dim))
+        self.E = ml_kernel(alpha, alpha, system.A, times, policy)
+        self.homog = np.zeros((grid.N + 1, system.n))
         self.homog[1:] = times[1:, None] ** (alpha - 1.0) * np.einsum(
             "nij,j->ni", self.E[1:], system.rho
         )
@@ -462,14 +449,13 @@ def simulate_mild(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble
 
 
 def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble,
-                           policy: MLEvalPolicy = DEFAULT_POLICY, as_printed=False,
-                           fp_tol=1e-12, fp_max_iter=100, chunk_size=None) -> PathEnsemble:
+                           as_printed=False, fp_tol=1e-12, fp_max_iter=100,
+                           chunk_size=None) -> PathEnsemble:
     """March the second-kind Volterra scheme (memory term A X).
 
     ``as_printed=True`` switches the memory term to + A g(s, X(s)) for
     side-by-side comparison with the self-consistent form.  The constant
-    kernel (t-s)^(a-1)/Gamma(a) needs no Mittag-Leffler evaluation, so
-    ``policy`` is not used.
+    kernel (t-s)^(a-1)/Gamma(a) needs no Mittag-Leffler evaluation.
     """
     _check_inputs(system, grid, ensemble)
     alpha = system.order.alpha
@@ -584,25 +570,11 @@ def closed_form_homogeneous(a_mat, rho, alpha, grid: TimeGrid,
     a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     dim = a_mat.shape[0]
-    times = grid.nodes
+    times = grid.nodes[1:]
     vals = np.full((1, grid.N + 1, dim), np.nan)
     weighted = np.empty((1, grid.N + 1, dim))
     weighted[0, 0] = rho / gamma_fn(alpha)
-    if dim == 1:
-        a_val = float(a_mat[0, 0])
-        for n in range(1, grid.N + 1):
-            e = ml_scalar(alpha, alpha, (times[n] ** alpha) * a_val, policy)
-            vals[0, n, 0] = times[n] ** (alpha - 1.0) * e * rho[0]
-            weighted[0, n, 0] = e * rho[0]
-    else:
-        decomp = eigen_decomposition(a_mat)
-        for n in range(1, grid.N + 1):
-            dec = None
-            if decomp is not None:
-                dec = ((times[n] ** alpha) * decomp[0], decomp[1])
-            e = ml_matrix(alpha, alpha, (times[n] ** alpha) * a_mat, policy,
-                          decomposition=dec)
-            weighted[0, n] = e @ rho
-            vals[0, n] = times[n] ** (alpha - 1.0) * weighted[0, n]
+    weighted[0, 1:] = np.einsum("nij,j->ni", ml_kernel(alpha, alpha, a_mat, times, policy), rho)
+    vals[0, 1:] = times[:, None] ** (alpha - 1.0) * weighted[0, 1:]
     return PathEnsemble(values=vals, weighted=weighted, grid=grid,
                         scheme_tag="closed_form", master_seed=0, n_paths=1)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import ProfileDivergenceError
-from .fraccalc import DEFAULT_POLICY, MLEvalPolicy, beta_fn, ml_matrix
+from .fraccalc import DEFAULT_POLICY, MLEvalPolicy, beta_fn, ml_kernel
 
 __all__ = [
     "Spectrum",
@@ -112,8 +112,9 @@ def eigenvalues(mat) -> Spectrum:
 def eigen_decomposition(mat, cond_limit=1e8):
     """Eigen pair ``(w, V)`` of ``mat`` if V is well conditioned, else None.
 
-    Used to decide whether Mittag-Leffler evaluations may take the
-    per-eigenvalue fast path (essential far out on the negative axis).
+    The pair can be handed to :func:`fracstab.fraccalc.ml_matrix` for its
+    per-eigenvalue fast path (essential far out on the negative axis);
+    :func:`fracstab.fraccalc.ml_kernel` makes the same test itself.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     try:
@@ -144,17 +145,11 @@ def sector_check(spectrum: Spectrum, alpha: float) -> SectorVerdict:
 
 
 def _ml_norm_table(a_mat, alpha, times, policy):
-    """||E_{a,a}(t^a A)|| on an array of times, fast path when available."""
-    a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
-    decomp = eigen_decomposition(a_mat)
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        scaled = (t**alpha) * a_mat
-        dec = None
-        if decomp is not None:
-            dec = ((t**alpha) * decomp[0], decomp[1])
-        out[i] = matrix_norm(ml_matrix(alpha, alpha, scaled, policy, decomposition=dec))
-    return out
+    """||E_{a,a}(t^a A)|| (max row sum) on an array of times, from one
+    :func:`~fracstab.fraccalc.ml_kernel` call: per eigenvalue when the
+    eigenbasis of A is well conditioned, else the matrix series."""
+    kernel = ml_kernel(alpha, alpha, np.atleast_2d(a_mat), times, policy)
+    return np.abs(kernel).sum(axis=2).max(axis=1)
 
 
 def ml_norm_sup(a_mat, alpha, T, n_nodes=256, policy: MLEvalPolicy = DEFAULT_POLICY):
@@ -199,7 +194,7 @@ def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000,
     times = np.arange(n_nodes + 1) * h
     with warnings.catch_warnings():
         # large in-sector spectra are routed through the scalar branches by
-        # the decomposition fast path; series fallbacks may still warn once
+        # the eigen path; a series fallback may still warn, once per table
         warnings.simplefilter("default")
         psi = _ml_norm_table(a_mat, alpha, times, policy)
 

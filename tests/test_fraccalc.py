@@ -1,15 +1,19 @@
 """Special functions and discrete fractional operators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracstab import (
     FractionalOrder,
     MLEvalPolicy,
     beta_fn,
     gamma_fn,
+    ml_kernel,
     ml_matrix,
     ml_scalar,
     rl_derivative_grid,
@@ -27,7 +31,13 @@ from oracle_fixtures import (
     ML_A075_B075_ZM30,
     ML_A075_B15_ZM12,
     ML_A075_B1_ZM25,
+    ML_A095_B095_ZM7,
+    ML_A095_B095_ZM25,
+    ML_A095_B1_ZM3,
+    ML_A099_B099_ZM25,
     ML_A09_B09_ZM10,
+    ML_A09_B09_ZM201,
+    ML_A09_B15_ZM5,
     RECIP_GAMMA_0_75,
     RL_INT_T_A075_AT1,
 )
@@ -102,6 +112,18 @@ def test_ml_against_frozen_oracle():
     ]
     for alpha, beta, z, expected in cases:
         assert ml_scalar(alpha, beta, z) == pytest.approx(expected, rel=2e-8), (alpha, beta, z)
+    # the near-pole peak of the spectral integral, of width x sin(a pi), sits
+    # at r = x |cos(a pi)|; a fixed rule not split there misses it as a -> 1
+    peaks = [
+        (0.9, 0.9, -2.01, ML_A09_B09_ZM201),
+        (0.95, 0.95, -2.5, ML_A095_B095_ZM25),
+        (0.95, 0.95, -7.0, ML_A095_B095_ZM7),
+        (0.99, 0.99, -2.5, ML_A099_B099_ZM25),
+        (0.95, 1.0, -3.0, ML_A095_B1_ZM3),
+        (0.9, 1.5, -5.0, ML_A09_B15_ZM5),
+    ]
+    for alpha, beta, z, expected in peaks:
+        assert ml_scalar(alpha, beta, z) == pytest.approx(expected, rel=1e-12), (alpha, beta, z)
 
 
 def test_ml_recurrence_identity():
@@ -136,21 +158,21 @@ def test_ml_branch_continuity():
 def _series_only(alpha, beta, z):
     from fracstab.fraccalc import _ml_series
 
-    value, _, converged = _ml_series(alpha, beta, complex(z), 1e-14, 600)
-    assert converged
-    return value.real
+    value, _, converged = _ml_series(alpha, beta, np.array([complex(z)]), 1e-14, 600)
+    assert converged[0]
+    return value[0].real
 
 
 def _integral_only(alpha, beta, z):
     from fracstab.fraccalc import _ml_neg_real_integral
 
-    return _ml_neg_real_integral(alpha, beta, -z)
+    return _ml_neg_real_integral(alpha, beta, np.array([-z]))[0]
 
 
 def _asymptotic_only(alpha, beta, z, n_terms):
     from fracstab.fraccalc import _ml_asymptotic_neg
 
-    return _ml_asymptotic_neg(alpha, beta, z, n_terms)
+    return _ml_asymptotic_neg(alpha, beta, np.array([z]), n_terms)[0]
 
 
 def test_ml_complex_input_returns_complex():
@@ -246,6 +268,86 @@ def test_ml_matrix_input_validation():
         ml_matrix(0.75, 1.0, np.ones((2, 3)))
     with pytest.raises(ValueError):
         ml_matrix(0.75, 1.0, np.array([[np.inf]]))
+
+
+# --------------------------------------------------- one evaluator, any batch
+
+# real arguments reach all three scalar branches; complex ones stay small
+# enough for the series to converge without cancelling
+_ARGS = st.one_of(st.floats(-40.0, 8.0).map(complex),
+                  st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.sampled_from((0.6, 0.75, 0.9, 0.99)), beta=st.sampled_from(("a", 1.0, 1.5)),
+       args=st.lists(_ARGS, min_size=1, max_size=40), size=st.integers(1, 300),
+       cut=st.integers(0, 300))
+def test_ml_values_are_batch_invariant(alpha, beta, args, size, cut):
+    # a value's bits depend on its argument alone, whatever block boundaries
+    # (of the spectral integral's argument blocks or of the caller's split)
+    # fall inside the array
+    from fracstab.fraccalc import _ml_values
+
+    beta = alpha if beta == "a" else beta
+    policy = MLEvalPolicy()
+
+    def values(z):
+        return _ml_values(alpha, beta, z, policy)[0]
+
+    z = np.resize(np.array(args, dtype=complex), size)
+    whole = values(z)
+    split = np.concatenate((values(z[:cut]), values(z[cut:])))
+    single = np.concatenate([values(z[i:i + 1]) for i in range(len(z))])
+    assert whole.tobytes() == split.tobytes() == single.tobytes()
+    x = z.real[z.imag == 0.0]
+    real_whole = values(x)
+    assert real_whole.tobytes() == np.array([ml_scalar(alpha, beta, float(v)) for v in x]).tobytes()
+
+
+@pytest.mark.parametrize("mat, t_max", [
+    (np.array([[-1.0, 0.7, 0.2], [0.0, -2.0, -0.4], [0.0, 0.0, -3.0]]), 50.0),  # eigen path
+    (np.array([[-1.0, 3.0], [-3.0, -1.0]]), 0.5),  # complex eigenvalues
+    (np.array([[-1.0, 1.0], [0.0, -1.0]]), 5.0),  # defective: matrix series
+])
+def test_ml_kernel_nodes_match_ml_matrix(mat, t_max):
+    times = np.linspace(0.0, t_max, 301)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = ml_kernel(0.75, 0.75, mat, times)
+        w, v = np.linalg.eig(mat)
+        scale = times**0.75
+        for k in range(len(times)):
+            node = ml_matrix(0.75, 0.75, scale[k] * mat, decomposition=(scale[k] * w, v))
+            assert table[k].tobytes() == node.tobytes(), k
+    assert table.shape == (len(times),) + mat.shape
+    np.testing.assert_allclose(table[1], ml_matrix(0.75, 0.75, scale[1] * mat), rtol=1e-12)
+
+
+def test_ml_kernel_warns_once_per_call():
+    jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ml_kernel(0.75, 0.75, jordan, np.linspace(0.0, 50.0, 257))
+    kinds = [w.category for w in caught]
+    assert kinds.count(ConditioningWarning) == 1
+    assert kinds.count(AccuracyWarning) == 1
+    rotation = np.array([[-1.0, 3.0], [-3.0, -1.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ml_kernel(0.75, 0.75, rotation, np.linspace(0.0, 8.0, 257))
+    assert [w.category for w in caught] == [AccuracyWarning]
+    assert " at (" in str(caught[0].message) and "of 514 arguments" in str(caught[0].message)
+    with pytest.raises(ConvergenceError):
+        ml_kernel(0.75, 0.75, rotation, np.linspace(0.0, 100.0, 257))
+
+
+def test_ml_kernel_input_validation():
+    with pytest.raises(ValueError):
+        ml_kernel(0.75, 0.75, np.ones((2, 3)), [0.0, 1.0])
+    with pytest.raises(ValueError):
+        ml_kernel(0.75, 0.75, -np.eye(2), [0.0, -1.0])
+    with pytest.raises(ValueError):
+        ml_kernel(0.0, 0.75, -np.eye(2), [0.0, 1.0])
 
 
 # ------------------------------------------------------- grid operators

@@ -17,6 +17,13 @@ ML_POINTS = [
     ("ML_A06_B075_ZM40", 0.6, 0.75, -40.0),
     ("ML_A075_B1_ZM25", 0.75, 1.0, -2.5),
     ("ML_A075_B15_ZM12", 0.75, 1.5, -12.0),
+    # near-pole peaks of the spectral integral (width x sin(a pi)) as a -> 1
+    ("ML_A09_B09_ZM201", 0.9, 0.9, -2.01),
+    ("ML_A095_B095_ZM25", 0.95, 0.95, -2.5),
+    ("ML_A095_B095_ZM7", 0.95, 0.95, -7.0),
+    ("ML_A099_B099_ZM25", 0.99, 0.99, -2.5),
+    ("ML_A095_B1_ZM3", 0.95, 1.0, -3.0),
+    ("ML_A09_B15_ZM5", 0.9, 1.5, -5.0),
 ]
 
 
