@@ -59,7 +59,7 @@ def _fmt(x) -> str:
 
 
 def _write_kv(path: Path, pairs) -> None:
-    lines = [f"{k} = {_fmt(v)}\n" for k, v in pairs]
+    lines = [f"{k} = {v if isinstance(v, str) else _fmt(v)}\n" for k, v in pairs]
     path.write_text("".join(lines), encoding="utf-8", newline="\n")
 
 
@@ -116,8 +116,7 @@ def cmd_check(args) -> int:
         ("assumption_note", cert.assumption_note),
         ("ml_series_tol", DEFAULT_POLICY.series_tol),
     ]
-    lines = [f"{k} = {v}\n" if isinstance(v, str) else f"{k} = {_fmt(v)}\n" for k, v in pairs]
-    (out / "certificate.txt").write_text("".join(lines), encoding="utf-8", newline="\n")
+    _write_kv(out / "certificate.txt", pairs)
     if not cert.verdict_existence:
         if cert.neutral_gate >= 1.0:
             print("neutral term too strong", file=sys.stderr)
@@ -166,8 +165,7 @@ def _write_meta(path: Path, cfg: RunConfig, scheme: str, as_printed: bool) -> No
         ("ml_asymptotic_terms", DEFAULT_POLICY.asymptotic_terms),
         ("suprema_note", "all suprema are over the simulated horizon [0,T]"),
     ]
-    lines = [f"{k} = {v}\n" if isinstance(v, str) else f"{k} = {_fmt(v)}\n" for k, v in pairs]
-    path.write_text("".join(lines), encoding="utf-8", newline="\n")
+    _write_kv(path, pairs)
 
 
 def cmd_simulate(args) -> int:
@@ -227,8 +225,7 @@ def cmd_simulate(args) -> int:
         ("sector_in", cert.sector.in_sector),
         ("k_stab", cert.k_stab),
     ]
-    lines = [f"{k} = {v}\n" if isinstance(v, str) else f"{k} = {_fmt(v)}\n" for k, v in pairs]
-    (out / "verdict.txt").write_text("".join(lines), encoding="utf-8", newline="\n")
+    _write_kv(out / "verdict.txt", pairs)
 
     if cfg.emit_paths:
         dim = ensemble.values.shape[2]

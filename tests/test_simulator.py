@@ -1,6 +1,9 @@
 """Path schemes: determinism, degenerate collapse, variance, coincidence."""
 
+import collections
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from fracstab import (
     simulate_mild,
 )
 from fracstab.errors import ConvergenceError, SimulationNumericError
+from fracstab.simulator import _solve_neutral
 
 ORDER = FractionalOrder(0.75, 2)
 
@@ -124,6 +128,14 @@ def planar_system(coeffs):
     return SystemSpec(A=a_mat, rho=np.array([1.0, -0.5]), coeffs=coeffs, order=ORDER)
 
 
+def unchecked_sweeps(L_g, tol=1e-12):
+    """Sweeps after which the a-priori contraction bound L^k (1+L)/(1-L)
+    meets tol (g vanishing at 0, L_g-Lipschitz in the max norm)."""
+    if L_g == 0:
+        return 1
+    return max(1, math.ceil(math.log(tol * (1 - L_g) / (1 + L_g)) / math.log(L_g)))
+
+
 def direct_sum_march(system, grid, ens, scheme):
     """O(N^2) reference march: the three history sums of the unfused scheme
     (neutral memory, drift, noise) taken directly over the whole history at
@@ -171,8 +183,11 @@ def direct_sum_march(system, grid, ens, scheme):
         if n:
             rhs = free[n] + sum(np.einsum("mik,mpk->pi", wt[:n][::-1], h[:n])
                                 for wt, h in ((w_mem, mem), (w_b, b), (w_s, s)))
-            # each path stops at its own convergence point, as in the package
+            # the sweeps the contraction bound guarantees, then each path
+            # stops at its own convergence point, as in the package
             x = rhs.copy()
+            for _ in range(unchecked_sweeps(coeffs.L_g) - 1):
+                x = rhs - coeffs.g(times[n], x)
             active = np.ones(n_paths, dtype=bool)
             while active.any():
                 x_new = rhs - coeffs.g(times[n], x)
@@ -234,6 +249,76 @@ def test_march_matches_direct_sum_reference(scheme, a_mat, T, n_steps):
     gap = np.max(np.abs(out.values[:, 1:] - ref[:, 1:]), axis=2)
     scale = np.maximum.accumulate(np.max(np.abs(ref[:, 1:]), axis=2), axis=1)
     assert np.all(gap <= 1e-12 * scale), np.max(gap / scale)
+
+
+# ------------------------------------------------------ neutral fixed point
+
+@pytest.mark.parametrize("coeffs,n_free", [
+    pytest.param(make_linear(0.05 * np.eye(2), 0.05 * np.eye(2), 0.05 * np.eye(2)), 10,
+                 id="linear"),
+    pytest.param(make_bounded_smooth(0.2, 0.1, 0.1), 18, id="bounded_smooth"),
+])
+def test_builtin_families_pass_the_first_convergence_test(coeffs, n_free):
+    calls = collections.Counter()
+
+    def g(t, x):
+        calls[float(t)] += 1
+        return coeffs.g(t, x)
+
+    system = planar_system(dataclasses.replace(coeffs, g=g))
+    grid = TimeGrid(T=4.0, N=100)
+    simulate_mild(system, grid, brownian_increments(grid, 20, 6))
+    assert unchecked_sweeps(coeffs.L_g) == n_free
+    # per marched step: n_free sweeps, the last one tested, plus the drift
+    # b - A g recorded for the history (none at the last node)
+    assert calls.pop(0.0) == 1
+    assert calls.pop(grid.T) == n_free
+    assert set(calls.values()) == {n_free + 1}
+
+
+def affine_neutral_coeffs(slope, shift, L_g):
+    """g = slope x + shift with declared constant L_g, linear b and sigma."""
+    lin = make_linear(0.1 * np.eye(2), 0.1 * np.eye(2), 0.1 * np.eye(2))
+    return CoefficientSet(g=lambda t, x: slope * np.asarray(x) + shift, b=lin.b,
+                          sigma=lin.sigma, L_g=L_g, L_b=lin.L_b, L_sigma=lin.L_sigma)
+
+
+# a declared L_g below the true rate, and g that does not vanish at 0:
+# the a-priori sweep count no longer holds, the tested sweeps take over
+@pytest.mark.parametrize("slope,shift,L_g", [
+    pytest.param(0.1, 0.0, 0.01, id="understated-L_g"),
+    pytest.param(0.1, 0.3, 0.1, id="not-vanishing"),
+])
+def test_neutral_solve_falls_back_to_tested_sweeps(slope, shift, L_g):
+    coeffs = affine_neutral_coeffs(slope, shift, L_g)
+    tol = 1e-12
+    rhs = np.random.default_rng(5).normal(scale=3.0, size=(64, 2))
+    x = _solve_neutral(rhs, coeffs.g, 0.5, L_g, tol, 100)
+    ref = rhs.copy()
+    for _ in range(200):
+        ref = rhs - coeffs.g(0.5, ref)
+    assert np.all(np.abs(x - ref).max(axis=1) <= tol * (1 + np.abs(ref).max(axis=1)))
+
+    system = planar_system(coeffs)
+    grid = TimeGrid(T=1.0, N=130)
+    ens = brownian_increments(grid, 14, 3)
+    base = np.nan_to_num(simulate_mild(system, grid, ens).values)
+    for chunk in (1, 7):
+        chunked = simulate_mild(system, grid, ens, chunk_size=chunk)
+        np.testing.assert_array_equal(base, np.nan_to_num(chunked.values))
+
+
+def test_expanding_neutral_term_raises_convergence_error():
+    system = planar_system(affine_neutral_coeffs(1.5, 0.0, 0.5))
+    grid = TimeGrid(T=1.0, N=16)
+    with pytest.raises(ConvergenceError) as info:
+        simulate_mild(system, grid, brownian_increments(grid, 4, 0))
+    message = str(info.value)
+    # the first node, every path, and how far from tolerance the worst one is
+    assert "at t=0.0625:" in message
+    assert "4 of 4 paths" in message
+    worst = re.search(r"largest step/\(1\+\|x\|\) = (\S+) ", message)
+    assert worst is not None and float(worst.group(1)) > 1.0
 
 
 def test_affine_scaling_in_initial_datum_and_noise():
@@ -390,6 +475,8 @@ def test_strong_neutral_coefficient_rejected():
     ens = brownian_increments(grid, 1, 0)
     with pytest.raises(ValueError):
         simulate_mild(system, grid, ens)
+    with pytest.raises(ValueError):
+        simulate_mild(scalar_system(), grid, ens, fp_max_iter=0)
 
 
 def test_self_convergence_toward_fine_reference():
