@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .criteria import certify, delta_for_epsilon
-from .errors import ConfigError, CriterionError, FracstabError, SimulationNumericError
+from .errors import (ConfigError, ConvergenceError, CriterionError, FracstabError,
+                     SimulationNumericError)
 from .fraccalc import DEFAULT_POLICY, ml_scalar
 from .moments import pth_moment_curve, stability_verdict
 from .simulator import (
@@ -177,7 +178,7 @@ def cmd_simulate(args) -> int:
 
     try:
         ensemble = _run_scheme(cfg, scheme, args.as_printed)
-    except SimulationNumericError as exc:
+    except (SimulationNumericError, ConvergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
@@ -299,7 +300,7 @@ def cmd_convergence(args) -> int:
             rows.append([n_steps, err, order])
             prev_err = err
         _write_csv(out / "convergence.csv", ("N", "weighted_sup_error", "observed_order"), rows)
-    except SimulationNumericError as exc:
+    except (SimulationNumericError, ConvergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -13,8 +13,14 @@ condition; they are provided for variance benchmarks and are flagged
 checked.
 
 Callables must be pure, re-entrant, and vectorised over leading axes:
-``f(t, x)`` with ``x`` of shape (..., n) returns the same shape.  The
-simulator calls them on whole path batches.
+``f(t, x)`` with ``x`` of shape (..., n) returns the same shape.  ``t`` is a
+float or an array that broadcasts against the leading axes of ``x``: the
+marches call with one time and a batch of paths, a Picard sweep calls once
+with the column ``times[:, None]`` and the whole path of shape (N+1, n).
+Callables must therefore not branch on a scalar ``t`` (``if t > 1``); use
+array operations such as ``np.where``.  The built-in families ignore ``t``
+and act row by row, so a whole-path call gives the node-by-node values bit
+for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ __all__ = [
     "verify_vanishing",
 ]
 
-CoefficientFn = Callable[[float, np.ndarray], np.ndarray]
+CoefficientFn = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ discretised:
   integral is available behind ``as_printed=True`` for comparison).
 * ``picard_path_solve``  iterates the whole-path solution operator to its
   fixed point on one path; the marching schemes are its triangular solve.
+  A sweep calls each coefficient once on the whole path and takes both
+  history integrals with one zero-padded FFT convolution, O(N log N).
 
 Quadrature conventions (shared): on each cell the singular scalar factor
 (t_n - s)^(a-1) is integrated exactly and multiplies the left-point values
@@ -68,7 +70,8 @@ from scipy.special import betainc
 
 from .coefficients import CoefficientSet, _apply_matrix
 from .errors import ConvergenceError, SimulationNumericError
-from .fraccalc import DEFAULT_POLICY, FractionalOrder, MLEvalPolicy, beta_fn, gamma_fn, ml_kernel
+from .fraccalc import (DEFAULT_POLICY, FractionalOrder, MLEvalPolicy, _causal_convolution,
+                       beta_fn, gamma_fn, ml_kernel)
 
 __all__ = [
     "TimeGrid",
@@ -251,9 +254,10 @@ def _direct_sum(entries, hist, lo, hi, n, out):
 
 
 def _block_spectra(kernels, L, n_targets, M):
-    """Kernel transforms of one far-field block shape, grouped by balancing
-    rate: a list of (mu, [(history index, i, k, rfft of the balanced
-    e^(-mu m) w_ik[m] over the lags m = 1 .. L + n_targets - 1)])."""
+    """Kernel transforms of one far-field block shape (or of a whole path,
+    split in two for the rates), grouped by balancing rate: a list of
+    (mu, [(history index, i, k, rfft of the balanced e^(-mu m) w_ik[m] over
+    the lags m = 1 .. L + n_targets - 1)])."""
     groups = {}
     n_lags = L + n_targets - 1
     lags = np.arange(1.0, n_lags + 1)
@@ -531,10 +535,12 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
 
     Starts from the zero path and applies the full right-hand side of the
     variation-of-constants form with all state evaluations held at the
-    previous iterate.  Stops when the weighted sup-norm change drops below
-    ``tol``; raises :class:`ConvergenceError` with the last contraction-ratio
-    estimate otherwise.  The fixed point coincides with the time-marching
-    solution of the same discrete system.
+    previous iterate: one call of each coefficient on the whole path and
+    one FFT convolution per sweep, with each kernel entry balanced by its
+    growth rate over the path as in the far field.  Stops when the weighted
+    sup-norm change drops below ``tol``; raises :class:`ConvergenceError`
+    with the last contraction-ratio estimate otherwise.  The fixed point
+    coincides with the time-marching solution of the same discrete system.
     """
     if system.coeffs.L_g >= 1.0:
         raise ValueError("picard_path_solve requires L_g < 1")
@@ -542,44 +548,30 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
     if inc.ndim != 1 or inc.shape[0] != grid.N:
         raise ValueError(f"path_increments must have shape ({grid.N},)")
     table = _KernelTable(system, grid, policy)
-    alpha = system.order.alpha
     coeffs = system.coeffs
-    n_steps, dim = grid.N, system.n
-    times = grid.nodes
-    w_time = times[1:, None] ** (1.0 - alpha)
+    n_nodes = grid.N + 1
+    times = grid.nodes[:, None]
+    w_time = times[1:] ** (1.0 - system.order.alpha)
+    dw = np.append(inc, 0.0)[:, None]  # no increment after the last node
     kernels = (_kernel_entries(table.d[:, None, None] * table.E[1:]),
                _kernel_entries(table.kappa[:, None, None] * table.E[1:]))
+    # the whole path is one block, its growth rates taken between the halves
+    M = sp_fft.next_fast_len(2 * n_nodes, real=True)
+    half = (n_nodes + 1) // 2
+    spectra = _block_spectra(kernels, half, n_nodes - half, M)
 
-    def conv_full(entries, hist):
-        """(w * hist)[n] = sum_{m=1..n} w[m] hist[n-m], all n."""
-        out = np.zeros((n_steps + 1, dim))
-        for i, k, w in entries:
-            out[:, i] += np.convolve(np.concatenate(([0.0], w)), hist[:, k])[: n_steps + 1]
-        return out
-
-    def coeff_history(fn, states):
-        """Left-point coefficient values node by node (X_0 := 0)."""
-        out = np.empty_like(states)
-        out[0] = np.asarray(fn(times[0], np.zeros((1, dim))))[0]
-        for j in range(1, n_steps + 1):
-            out[j] = np.asarray(fn(times[j], states[j:j + 1]))[0]
-        return out
-
-    x = np.zeros((n_steps + 1, dim))
+    x = np.zeros((n_nodes, system.n))
     prev_change = None
     ratio = math.nan
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        g_hist = coeff_history(coeffs.g, x)
-        b_hist = coeff_history(coeffs.b, x)
-        s_dw = coeff_history(coeffs.sigma, x)
-        s_dw[:-1] *= inc[:, None]
-        s_dw[-1] = 0.0
-
-        # A commutes with E(A): the neutral memory shares the weight d E with b
-        x_new = (table.homog + conv_full(kernels[0], b_hist - _apply_matrix(system.A, g_hist))
-                 + conv_full(kernels[1], s_dw))
-        x_new = x_new - g_hist  # neutral term at the previous iterate
+        # left-point coefficient values on the whole path; x[0] = 0 is X_0 := 0
+        g_hist = np.asarray(coeffs.g(times, x))
+        drift = np.asarray(coeffs.b(times, x)) - _apply_matrix(system.A, g_hist)
+        noise = np.asarray(coeffs.sigma(times, x)) * dw
+        # A commutes with E(A): the neutral memory shares the weight d E with b;
+        # the neutral term itself is taken at the previous iterate
+        x_new = table.homog + _causal_convolution(spectra, (drift, noise), M) - g_hist
         x_new[0] = 0.0
 
         change = np.max(np.abs(w_time * (x_new[1:] - x[1:])))

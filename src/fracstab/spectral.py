@@ -34,7 +34,6 @@ __all__ = [
     "KernelBoundsReport",
     "matrix_norm",
     "eigenvalues",
-    "eigen_decomposition",
     "sector_check",
     "ml_norm_sup",
     "kernel_bounds_profile",
@@ -107,23 +106,6 @@ def eigenvalues(mat) -> Spectrum:
     norms = np.linalg.norm(v, axis=0)
     resid = np.linalg.norm(mat @ v - v * w[None, :], axis=0) / norms
     return Spectrum(eigenvalues=w, residual=float(np.max(resid)))
-
-
-def eigen_decomposition(mat, cond_limit=1e8):
-    """Eigen pair ``(w, V)`` of ``mat`` if V is well conditioned, else None.
-
-    The pair can be handed to :func:`fracstab.fraccalc.ml_matrix` for its
-    per-eigenvalue fast path (essential far out on the negative axis);
-    :func:`fracstab.fraccalc.ml_kernel` makes the same test itself.
-    """
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    try:
-        w, v = np.linalg.eig(mat)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(v)) or np.linalg.cond(v) > cond_limit:
-        return None
-    return w, v
 
 
 def sector_check(spectrum: Spectrum, alpha: float) -> SectorVerdict:

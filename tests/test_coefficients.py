@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fracstab import (
     make_additive_noise,
@@ -120,3 +123,29 @@ def test_negative_declared_constant_rejected():
     with pytest.raises(ValueError):
         CoefficientSet(g=lambda t, x: x, b=lambda t, x: x, sigma=lambda t, x: x,
                        L_g=-1.0, L_b=0.0, L_sigma=0.0)
+
+
+_FAMILIES = {
+    "linear": lambda rng, n: make_linear(*(rng.normal(size=(3, n, n)))),
+    "bounded_smooth": lambda rng, n: make_bounded_smooth(*rng.normal(size=3)),
+    "additive_noise": lambda rng, n: make_additive_noise(rng.normal(size=n), dim=n),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(_FAMILIES)), seed=st.integers(0, 2**32 - 1),
+       x=st.integers(1, 3).flatmap(lambda n: hnp.arrays(
+           float, st.tuples(st.integers(1, 40), st.just(n)),
+           elements=st.floats(-1e3, 1e3, allow_nan=False))))
+def test_whole_path_call_matches_node_calls(family, seed, x):
+    # the simulator calls a coefficient once per Picard sweep on the whole
+    # path with a column of times; the built-in families ignore t and act
+    # row by row, so that call is the node-by-node calls bit for bit
+    rng = np.random.default_rng(seed)
+    cs = _FAMILIES[family](rng, x.shape[1])
+    times = np.sort(rng.uniform(0.0, 10.0, size=x.shape[0]))
+    for fn in (cs.g, cs.b, cs.sigma):
+        whole = np.asarray(fn(times[:, None], x))
+        rows = np.concatenate([np.asarray(fn(float(t), x[j:j + 1])) for j, t in enumerate(times)])
+        assert whole.shape == x.shape
+        assert whole.tobytes() == rows.tobytes()

@@ -239,6 +239,21 @@ def test_simulate_picard_scheme_matches_mild(tmp_path):
     np.testing.assert_allclose(p[:, 1], m[:, 1], rtol=1e-6, atol=1e-12)
 
 
+# G = 0.95 needs more than 400 sweeps: the neutral solve stops at its 100
+# sweep cap, Picard at its 200
+@pytest.mark.parametrize("argv", [["simulate", "--scheme", "mild"],
+                                  ["simulate", "--scheme", "picard"],
+                                  ["convergence", "--scheme", "mild"]])
+def test_convergence_failure_is_a_numeric_failure(tmp_path, capsys, argv):
+    doc = benchmark_doc()
+    doc["system"]["coefficients"]["G"] = [[0.95]]
+    doc["grid"]["N"] = 16
+    doc["monte_carlo"]["n_paths"] = 2
+    path = write_doc(tmp_path, doc)
+    assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure:")
+
+
 def test_convergence_zero_coefficients_saturates(tmp_path):
     doc = benchmark_doc()
     doc["system"]["coefficients"] = {"family": "zero"}

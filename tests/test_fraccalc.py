@@ -373,6 +373,33 @@ def test_rl_integral_zero_and_linear():
     assert abs(finer[-1] - RL_INT_T_A075_AT1) < abs(out[-1] - RL_INT_T_A075_AT1)
 
 
+def rl_integral_loop(f, alpha, dt):
+    """O(N^2) reference: the product-integration sum node by node."""
+    f = np.asarray(f, dtype=float)
+    m = np.arange(f.shape[0], dtype=float)
+    coeff = m[1:] ** alpha - m[:-1] ** alpha
+    out = np.zeros_like(f)
+    for n in range(1, f.shape[0]):
+        out[n] = dt**alpha / gamma_fn(alpha + 1.0) * (coeff[:n][::-1] @ f[:n])
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.75, 1.0])
+@pytest.mark.parametrize("n_nodes", [2, 3, 257, 1000])
+def test_rl_integral_matches_loop_reference(alpha, n_nodes):
+    # the FFT convolution reorders the sums, so the bits may differ; its
+    # roundoff is bounded by the largest output value
+    dt = 1.0 / n_nodes
+    t = np.arange(n_nodes) * dt
+    samples = np.column_stack((np.ones(n_nodes), np.exp(3.0 * t),
+                               np.random.default_rng(n_nodes).normal(size=n_nodes)))
+    out = rl_integral_grid(samples, alpha, dt)
+    ref = rl_integral_loop(samples, alpha, dt)
+    assert out[0].tolist() == [0.0, 0.0, 0.0]
+    np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+    np.testing.assert_array_equal(rl_integral_grid(samples[:, 1], alpha, dt), out[:, 1])
+
+
 def test_rl_derivative_of_integral_recovers_f():
     n_steps = 512
     dt = 1.0 / n_steps

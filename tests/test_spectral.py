@@ -15,7 +15,6 @@ from fracstab import (
     sector_check,
 )
 from fracstab.errors import ProfileDivergenceError
-from fracstab.spectral import eigen_decomposition
 
 from oracle_fixtures import RECIP_GAMMA_0_75
 
@@ -147,12 +146,3 @@ def test_kernel_bounds_profile_out_of_sector_reports_divergence():
 def test_kernel_bounds_profile_validation():
     with pytest.raises(ValueError):
         kernel_bounds_profile(np.array([[-1.0]]), 0.75, t_max=5.0)
-
-
-def test_eigen_decomposition_helper():
-    ok = eigen_decomposition(np.array([[-1.0, 0.3], [0.1, -2.0]]))
-    assert ok is not None
-    w, v = ok
-    assert w.shape == (2,) and v.shape == (2, 2)
-    defective = eigen_decomposition(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    assert defective is None
