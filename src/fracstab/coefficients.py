@@ -21,14 +21,28 @@ Callables must therefore not branch on a scalar ``t`` (``if t > 1``); use
 array operations such as ``np.where``.  The built-in families ignore ``t``
 and act row by row, so a whole-path call gives the node-by-node values bit
 for bit.
+
+The marches must solve the neutral equation x + g(t, x) = rhs at every node.
+The ``g`` of each built-in family carries its own solve, found through
+:func:`_neutral_solver`: the linear family applies (I + G)^(-1), the sine
+family runs Newton's method with a step count fixed in advance by the
+Kantorovich bound.  Any other ``g`` is solved by fixed-point sweeps whose
+count comes from the declared L_g.  The solve is looked up on the callable
+itself, so a ``functools.wraps`` wrapper of a built-in ``g`` (which declares
+it as ``__wrapped__`` and must compute the same values) keeps the exact
+solve, and any other callable gets the sweeps.
 """
 
 from __future__ import annotations
 
+import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .errors import ConvergenceError
 
 __all__ = [
     "CoefficientSet",
@@ -92,6 +106,166 @@ def _row_sum_norm(mat):
     return float(np.max(np.sum(np.abs(np.atleast_2d(mat)), axis=1)))
 
 
+# ------------------------------------------------------------ neutral solves
+
+def _unchecked_sweeps(L_g, tol):
+    """Sweeps of x <- rhs - g(t, x) that need no convergence test.
+
+    If g vanishes at 0 and is L_g-Lipschitz in the max norm, the a-priori
+    estimate of the contraction principle bounds the step of sweep k from
+    x_0 = rhs by L_g^k (1 + L_g) / (1 - L_g) |x_k|, so sweep k passes the
+    test step <= tol (1 + |x_k|) once that factor is below tol.  Without a
+    usable bound (L_g = 0, tol <= 0) every sweep is tested.
+    """
+    if not (0.0 < L_g < 1.0 and tol > 0.0):
+        return 1
+    return max(1, math.ceil(math.log(tol * (1.0 - L_g) / (1.0 + L_g)) / math.log(L_g)))
+
+
+def _default_max_iter(L_g, tol):
+    """Iteration cap of a neutral solve: twice the a-priori sweep count, so
+    a true contraction rate up to the square root of the declared L_g still
+    converges, and never below 100."""
+    return max(100, 2 * _unchecked_sweeps(L_g, tol))
+
+
+def _settle(update, x, rhs, n_free, t, tol, max_iter, note):
+    """Iterate x <- update(rhs, x) per path (row) and return the limit.
+
+    The first n_free - 1 updates are untested.  From update n_free on every
+    update is tested, and each path is frozen the moment its own step falls
+    to tol (1 + |x|) in the max norm.  A path still moving after
+    ``max_iter`` updates in all raises ConvergenceError, whose message ends
+    with ``note`` on the assumptions of the updates.  The schedule does not
+    depend on the data and each path stops on its own values, so results are
+    identical under any batching of the paths.
+    """
+    out = np.empty_like(rhs)
+    active = np.arange(rhs.shape[0])
+    xa, ra = x, rhs
+    # non-finite states propagate deliberately; the march's finiteness check
+    # reports them per path
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(n_free - 1):
+            xa = update(ra, xa)
+        for _ in range(n_free, max_iter + 1):
+            x_new = update(ra, xa)
+            step = np.abs(x_new - xa).max(axis=-1)
+            size = np.abs(x_new).max(axis=-1)
+            going = ~(step <= tol * (1.0 + size)) & np.isfinite(size)
+            if going.all():
+                xa = x_new
+                continue
+            out[active] = x_new
+            if not going.any():
+                return out
+            active, xa, ra = active[going], x_new[going], ra[going]
+    worst = np.max(step[going] / (1.0 + size[going]))
+    raise ConvergenceError(
+        f"neutral-term fixed point did not converge at t={float(t)!r}: "
+        f"{going.sum()} of {rhs.shape[0]} paths in the batch still move after "
+        f"{max_iter} steps, largest step/(1+|x|) = {worst:.3g} against tol={tol:.3g} "
+        f"({note})"
+    )
+
+
+def _solve_neutral(rhs, g_fn, t, L_g, tol, max_iter):
+    """Fixed point x = rhs - g(t, x) by sweeps; linear convergence at rate L_g < 1.
+
+    The number of untested sweeps comes from :func:`_unchecked_sweeps` (L_g
+    and tol alone).  When g vanishes at 0 and contracts at the declared L_g
+    every path passes the first test; when either assumption fails, a path
+    keeps sweeping with a test on every sweep (see :func:`_settle`).
+    """
+    return _settle(lambda r, x: r - g_fn(t, x), rhs, rhs,
+                   min(max_iter, _unchecked_sweeps(L_g, tol)), t, tol, max_iter,
+                   f"declared L_g={L_g:.6g}; the sweeps contract only if g is "
+                   "L_g-Lipschitz with L_g < 1 and the states stay finite")
+
+
+def _linear_solver(G):
+    """Exact neutral solve of g = G x: x = (I + G)^(-1) rhs, one fixed-order
+    product per node.  I + G is invertible since ||G||_inf = L_g < 1."""
+    def solver(tol, max_iter):
+        inverse = np.linalg.inv(np.eye(G.shape[0]) + G)
+
+        def solve(t, rhs):
+            with np.errstate(invalid="ignore", over="ignore"):
+                return _apply_matrix(inverse, rhs)
+
+        return solve
+
+    return solver
+
+
+def _newton_schedule(a, tol):
+    """(bisections, Newton steps of which all but the last run untested) for
+    x + c sin x = rhs with |c| = a < 1.
+
+    f(x) = x + c sin x - rhs has f' >= 1 - a and |f''| <= a, and its root
+    lies within a of rhs.  b bisections of [rhs - a, rhs + a] start Newton
+    within r = a 2^-b of the root; from there the errors obey
+    K e_{k+1} <= (K e_k)^2 with K = a / (2 (1 - a)), so K e_k <= q^(2^k)
+    with q = K r.  b is the least with q <= 1/2, which holds for every
+    a < 1 (Kantorovich gives nothing without bisections from a ~ 0.73 on).
+    Newton step k + 1 moves by at most e_k + e_{k+1} <= 2 e_k, so step n
+    passes the test step <= tol (1 + |x|) once 2 q^(2^(n-1)) / K <= tol.
+    Without a usable bound (a = 0, tol <= 0) every step is tested.
+    """
+    if not (a > 0.0 and tol > 0.0):
+        return 0, 1
+    K = a / (2.0 * (1.0 - a))
+    q, n_bisect = K * a, 0
+    while q > 0.5:
+        q, n_bisect = q / 2.0, n_bisect + 1
+    n = 1
+    while 2.0 * q ** 2.0 ** (n - 1) / K > tol:
+        n += 1
+    return n_bisect, n
+
+
+def _sine_solver(c):
+    """Exact neutral solve of g = c sin x componentwise, by Newton's method
+    with the schedule of :func:`_newton_schedule`."""
+    a = abs(c)
+
+    def newton(rhs, x):
+        return x - (x + c * np.sin(x) - rhs) / (1.0 + c * np.cos(x))
+
+    def solver(tol, max_iter):
+        n_bisect, n_free = _newton_schedule(a, tol)
+        note = ("Newton's method for x + c sin x = rhs, |c| < 1, stalls only on "
+                "non-finite states or a tol below the rounding of the states")
+
+        def solve(t, rhs):
+            x = rhs
+            # each bisection halves a bracket around the root and keeps x at its middle
+            with np.errstate(invalid="ignore", over="ignore"):
+                for k in range(1, n_bisect + 1):
+                    x = x - np.sign(x + c * np.sin(x) - rhs) * (a * 0.5**k)
+            return _settle(newton, x, rhs, min(max_iter, n_free), t, tol, max_iter, note)
+
+        return solve
+
+    return solver
+
+
+def _neutral_solver(coeffs, tol, max_iter=None):
+    """``solve(t, rhs)`` returning x with x + g(t, x) = rhs for each row of rhs.
+
+    The exact solve of a built-in family is kept on its ``g`` callable and
+    found through ``functools.wraps`` wrappers; any other ``g`` is solved by
+    :func:`_solve_neutral`.  ``max_iter`` defaults to
+    :func:`_default_max_iter`.  Requires L_g < 1.
+    """
+    if max_iter is None:
+        max_iter = _default_max_iter(coeffs.L_g, tol)
+    exact = getattr(inspect.unwrap(coeffs.g), "neutral_solver", None)
+    if exact is not None:
+        return exact(tol, max_iter)
+    return lambda t, rhs: _solve_neutral(rhs, coeffs.g, t, coeffs.L_g, tol, max_iter)
+
+
 def make_linear(G, B, S) -> CoefficientSet:
     """Linear family g = Gx, b = Bx, sigma = Sx with declared constants equal
     to the max-row-sum norms.  All-zero matrices are tagged as the zero family."""
@@ -101,8 +275,10 @@ def make_linear(G, B, S) -> CoefficientSet:
     if not (G.shape == B.shape == S.shape) or G.shape[0] != G.shape[1]:
         raise ValueError(f"matrix shapes must agree and be square, got {G.shape}, {B.shape}, {S.shape}")
     tag = "zero" if not (G.any() or B.any() or S.any()) else "linear"
+    g = _matmap(G)
+    g.neutral_solver = _linear_solver(G)
     return CoefficientSet(
-        g=_matmap(G),
+        g=g,
         b=_matmap(B),
         sigma=_matmap(S),
         L_g=_row_sum_norm(G),
@@ -126,8 +302,10 @@ def make_bounded_smooth(c_g, c_b, c_s) -> CoefficientSet:
 
         return f
 
+    g = scaled_sine(c_g)
+    g.neutral_solver = _sine_solver(c_g)
     return CoefficientSet(
-        g=scaled_sine(c_g),
+        g=g,
         b=scaled_sine(c_b),
         sigma=scaled_sine(c_s),
         L_g=abs(c_g),

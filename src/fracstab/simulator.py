@@ -43,15 +43,19 @@ the drift share one convolution of b - A g; in the integral form the
 memory term shares the drift weight.  Each march thus keeps two history
 sums.
 
-At each node the neutral term leaves the fixed point x = rhs - g(t_n, x),
-solved by sweeps x <- rhs - g(t_n, x).  If g vanishes at 0 and is
+At each node the neutral term leaves the equation x + g(t_n, x) = rhs.  The
+built-in families solve it exactly (:mod:`fracstab.coefficients`): the
+linear family by one fixed-order product with (I + G)^(-1), the sine family
+by Newton's method with a step count fixed by the Kantorovich bound.  Any
+other g is solved by sweeps x <- rhs - g(t_n, x): if g vanishes at 0 and is
 L_g-Lipschitz in the max norm, Banach's a-priori estimate bounds the step
-after k sweeps by L_g^k (1 + L_g)/(1 - L_g) |x_k|, so the sweep count that
-meets the tolerance follows from L_g and the tolerance alone; those sweeps
-run without a convergence test, and only the last one is tested.  A path
-that fails that test (g not vanishing at 0, or a declared L_g below the
-true contraction rate) keeps sweeping with a test on every sweep until it
-converges or the sweep cap raises ConvergenceError.
+after k sweeps by L_g^k (1 + L_g)/(1 - L_g) |x_k|, so the sweep count
+follows from L_g and the tolerance alone.  Either count of steps runs
+without a convergence test and only the last step is tested, per path.  A
+path that fails that test (g not vanishing at 0, or a declared L_g below the
+true contraction rate) keeps iterating with a test on every step until it
+converges or ``fp_max_iter`` (by default twice the sweep count, at least
+100) raises ConvergenceError.
 
 Paths are independent given their increments.  All reductions are per path
 (direct sums in a fixed order, per-path transforms, and fixed-order matrix
@@ -68,7 +72,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.special import betainc
 
-from .coefficients import CoefficientSet, _apply_matrix
+from .coefficients import CoefficientSet, _apply_matrix, _neutral_solver
 from .errors import ConvergenceError, SimulationNumericError
 from .fraccalc import (DEFAULT_POLICY, FractionalOrder, MLEvalPolicy, _causal_convolution,
                        beta_fn, gamma_fn, ml_kernel)
@@ -323,65 +327,6 @@ def _far_field(kernels, hists, acc, c, spectra):
             acc[p0:p1, c:hi] += out.transpose(1, 2, 0)
 
 
-def _unchecked_sweeps(L_g, tol, max_iter):
-    """Sweeps of x <- rhs - g(t, x) that need no convergence test.
-
-    If g vanishes at 0 and is L_g-Lipschitz in the max norm, the a-priori
-    estimate of the contraction principle bounds the step of sweep k from
-    x_0 = rhs by L_g^k (1 + L_g) / (1 - L_g) |x_k|, so sweep k passes the
-    test step <= tol (1 + |x_k|) once that factor is below tol.  Without a
-    usable bound (L_g = 0, tol <= 0) every sweep is tested.
-    """
-    if not (0.0 < L_g < 1.0 and tol > 0.0):
-        return 1
-    n = math.ceil(math.log(tol * (1.0 - L_g) / (1.0 + L_g)) / math.log(L_g))
-    return min(max_iter, max(1, n))
-
-
-def _solve_neutral(rhs, g_fn, t, L_g, tol, max_iter):
-    """Fixed point x = rhs - g(t, x); linear convergence at rate L_g < 1.
-
-    The first n - 1 sweeps are untested, with n from :func:`_unchecked_sweeps`
-    (L_g and tol alone).  From sweep n on every sweep is tested, and each
-    path is frozen the moment its own update falls below tolerance.  When g
-    vanishes at 0 and contracts at the declared L_g (the built-in families)
-    every path passes the first test.  When either assumption fails, a path
-    may fail it; such a path keeps sweeping with a test on every sweep, and
-    ConvergenceError is raised after ``max_iter`` sweeps in all.  The
-    schedule does not depend on the data and each path stops on its own
-    values, so results are identical under any batching of the ensemble.
-    """
-    x = np.empty_like(rhs)
-    active = np.arange(x.shape[0])
-    xa = ra = rhs
-    n_free = _unchecked_sweeps(L_g, tol, max_iter)
-    # non-finite states propagate deliberately; the finiteness check after
-    # this solve reports them per path
-    with np.errstate(invalid="ignore", over="ignore"):
-        for _ in range(n_free - 1):
-            xa = ra - g_fn(t, xa)
-        for _ in range(n_free, max_iter + 1):
-            x_new = ra - g_fn(t, xa)
-            step = np.abs(x_new - xa).max(axis=-1)
-            size = np.abs(x_new).max(axis=-1)
-            going = ~(step <= tol * (1.0 + size)) & np.isfinite(size)
-            if going.all():
-                xa = x_new
-                continue
-            x[active] = x_new
-            if not going.any():
-                return x
-            active, xa, ra = active[going], x_new[going], ra[going]
-    worst = np.max(step[going] / (1.0 + size[going]))
-    raise ConvergenceError(
-        f"neutral-term fixed point did not converge at t={float(t)!r}: "
-        f"{going.sum()} of {x.shape[0]} paths in the batch still move after "
-        f"{max_iter} sweeps, largest step/(1+|x|) = {worst:.3g} against tol={tol:.3g} "
-        f"(declared L_g={L_g:.6g}; the sweeps contract only if g is L_g-Lipschitz "
-        "with L_g < 1 and the states stay finite)"
-    )
-
-
 def _check_finite(x, n, scheme):
     if np.all(np.isfinite(x)):
         return
@@ -405,7 +350,7 @@ def _package(values, system, grid, tag, master_seed, n_paths):
                         master_seed=master_seed, n_paths=n_paths)
 
 
-def _march(system, grid, increments, scheme, fp_tol, fp_max_iter, scheme_tag):
+def _march(system, grid, increments, scheme, solve, scheme_tag):
     """Shared time-marching core of the mild and integral-form schemes:
 
         x_n = free[n] + sum_{j<n} w_f[n-j] f_j + sum_{j<n} w_s[n-j] s_j - g(t_n, x_n),
@@ -436,7 +381,7 @@ def _march(system, grid, increments, scheme, fp_tol, fp_max_iter, scheme_tag):
         lo = n - n % _BASE_BLOCK
         for entries, hist in zip(kernels, hists):
             _direct_sum(entries, hist, lo, n, n, rhs)
-        x = _solve_neutral(rhs, coeffs.g, times[n], coeffs.L_g, fp_tol, fp_max_iter)
+        x = solve(times[n], rhs)
         _check_finite(x, n, scheme_tag)
         states[:, n] = x
         if n < n_steps:
@@ -447,7 +392,7 @@ def _march(system, grid, increments, scheme, fp_tol, fp_max_iter, scheme_tag):
 
 
 def _check_inputs(system, grid, ensemble, fp_max_iter):
-    if fp_max_iter < 1:
+    if fp_max_iter is not None and fp_max_iter < 1:
         raise ValueError(f"fp_max_iter must be >= 1, got {fp_max_iter}")
     if system.coeffs.L_g >= 1.0:
         raise ValueError(
@@ -464,7 +409,8 @@ def _run_chunked(system, grid, ensemble, tag, chunk_size, scheme, fp_tol, fp_max
     inc = ensemble.increments
     n_paths = inc.shape[0]
     step = chunk_size if chunk_size and chunk_size < n_paths else n_paths
-    parts = [_march(system, grid, inc[lo:lo + step], scheme, fp_tol, fp_max_iter, tag)
+    solve = _neutral_solver(system.coeffs, fp_tol, fp_max_iter)
+    parts = [_march(system, grid, inc[lo:lo + step], scheme, solve, tag)
              for lo in range(0, n_paths, step)]
     states = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return _package(states, system, grid, tag, ensemble.master_seed, n_paths)
@@ -472,7 +418,7 @@ def _run_chunked(system, grid, ensemble, tag, chunk_size, scheme, fp_tol, fp_max
 
 def simulate_mild(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble,
                   policy: MLEvalPolicy = DEFAULT_POLICY, fp_tol=1e-12,
-                  fp_max_iter=100, chunk_size=None) -> PathEnsemble:
+                  fp_max_iter=None, chunk_size=None) -> PathEnsemble:
     """March the variation-of-constants scheme over the ensemble.
 
     Kernel matrices E_{a,a}((m dt)^a A) are precomputed once and shared;
@@ -493,7 +439,7 @@ def simulate_mild(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble
 
 
 def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble,
-                           as_printed=False, fp_tol=1e-12, fp_max_iter=100,
+                           as_printed=False, fp_tol=1e-12, fp_max_iter=None,
                            chunk_size=None) -> PathEnsemble:
     """March the second-kind Volterra scheme (memory term A X).
 
@@ -538,8 +484,9 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
     previous iterate: one call of each coefficient on the whole path and
     one FFT convolution per sweep, with each kernel entry balanced by its
     growth rate over the path as in the far field.  Stops when the weighted
-    sup-norm change drops below ``tol``; raises :class:`ConvergenceError`
-    with the last contraction-ratio estimate otherwise.  The fixed point
+    sup-norm change drops to ``tol`` (1 + the weighted sup norm of the
+    iterate); raises :class:`ConvergenceError` with the last
+    contraction-ratio estimate otherwise.  The fixed point
     coincides with the time-marching solution of the same discrete system.
     """
     if system.coeffs.L_g >= 1.0:
@@ -579,11 +526,11 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
             ratio = change / prev_change
         prev_change = change
         x = x_new
-        if change <= tol:
+        if change <= tol * (1.0 + np.max(np.abs(w_time * x[1:]))):
             break
     else:
         raise ConvergenceError(
-            f"Picard iteration did not reach tol={tol} in {max_iter} sweeps; "
+            f"Picard iteration did not reach tol={tol} (relative) in {max_iter} sweeps; "
             f"last contraction ratio estimate {ratio:.4g}"
         )
 

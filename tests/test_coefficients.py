@@ -1,4 +1,7 @@
-"""Coefficient families and their empirical verifiers."""
+"""Coefficient families, their exact neutral solves and their empirical verifiers."""
+
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from fracstab import (
     verify_lipschitz,
     verify_vanishing,
 )
+from fracstab.coefficients import _default_max_iter, _neutral_solver, _solve_neutral
 
 
 def test_linear_family_constants():
@@ -149,3 +153,72 @@ def test_whole_path_call_matches_node_calls(family, seed, x):
         rows = np.concatenate([np.asarray(fn(float(t), x[j:j + 1])) for j, t in enumerate(times)])
         assert whole.shape == x.shape
         assert whole.tobytes() == rows.tobytes()
+
+
+# ------------------------------------------------------------ neutral solves
+
+NEUTRAL_TOL = 1e-12
+NON_NORMAL_G = [[0.1, 0.8], [0.0, 0.1]]  # declared L_g 0.9, spectral radius 0.1
+
+
+@st.composite
+def neutral_cases(draw):
+    """(coefficients, rhs): the non-normal G, a random G with ||G||_inf up to
+    0.99, or the sine family with |c| < 0.99, and a batch of right-hand sides."""
+    kind = draw(st.sampled_from(["non_normal", "linear", "sine"]))
+    n = 2 if kind == "non_normal" else draw(st.integers(1, 3))
+    zero = np.zeros((n, n))
+    if kind == "non_normal":
+        coeffs = make_linear(NON_NORMAL_G, zero, zero)
+    elif kind == "linear":
+        g = draw(hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+        scale = draw(st.floats(0.0, 0.99)) / max(np.max(np.sum(np.abs(g), axis=1)), 1.0)
+        coeffs = make_linear(scale * g, zero, zero)
+    else:
+        coeffs = make_bounded_smooth(draw(st.floats(-0.99, 0.99)), 0.1, 0.1)
+    rhs = draw(hnp.arrays(float, st.tuples(st.integers(1, 30), st.just(n)),
+                          elements=st.floats(-1e3, 1e3)))
+    return coeffs, rhs
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=neutral_cases(), cut=st.integers(1, 29))
+def test_exact_neutral_solve_residual_and_batching(case, cut):
+    coeffs, rhs = case
+    solve = _neutral_solver(coeffs, NEUTRAL_TOL)
+    x = solve(0.5, rhs)
+    residual = np.abs(x + coeffs.g(0.5, x) - rhs).max(axis=-1)
+    assert np.all(residual <= NEUTRAL_TOL * (1.0 + np.abs(x).max(axis=-1)))
+    # each path's solution depends on its own row alone
+    split = np.concatenate([solve(0.5, part) for part in (rhs[:cut], rhs[cut:]) if len(part)])
+    rows = np.concatenate([solve(0.5, rhs[j:j + 1]) for j in range(rhs.shape[0])])
+    assert split.tobytes() == x.tobytes()
+    assert rows.tobytes() == x.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=neutral_cases())
+def test_exact_neutral_solve_stays_with_g(case):
+    coeffs, rhs = case
+    exact = _neutral_solver(coeffs, NEUTRAL_TOL)(0.5, rhs)
+    calls = []
+
+    # a functools.wraps wrapper (a tracer, say) keeps the exact solve
+    @functools.wraps(coeffs.g)
+    def traced(t, x):
+        calls.append(t)
+        return coeffs.g(t, x)
+
+    wrapped = _neutral_solver(dataclasses.replace(coeffs, g=traced), NEUTRAL_TOL)(0.5, rhs)
+    assert wrapped.tobytes() == exact.tobytes()
+    assert not calls
+
+    # an unrelated callable falls back to the sweeps, which call it
+    def other(t, x):
+        calls.append(t)
+        return coeffs.g(t, x)
+
+    swept = _neutral_solver(dataclasses.replace(coeffs, g=other), NEUTRAL_TOL)(0.5, rhs)
+    assert calls
+    assert swept.tobytes() == _solve_neutral(rhs, other, 0.5, coeffs.L_g, NEUTRAL_TOL,
+                                             _default_max_iter(coeffs.L_g, NEUTRAL_TOL)).tobytes()

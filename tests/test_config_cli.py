@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from fracstab import closed_form_homogeneous, gamma_fn
+from fracstab import closed_form_homogeneous, gamma_fn, simulator
 from fracstab.cli import main
 from fracstab.config import dump_config, load_config, parse_config
-from fracstab.errors import ConfigError
+from fracstab.errors import ConfigError, ConvergenceError
 from fracstab.simulator import TimeGrid
 
 
@@ -239,17 +239,34 @@ def test_simulate_picard_scheme_matches_mild(tmp_path):
     np.testing.assert_allclose(p[:, 1], m[:, 1], rtol=1e-6, atol=1e-12)
 
 
-# G = 0.95 needs more than 400 sweeps: the neutral solve stops at its 100
-# sweep cap, Picard at its 200
-@pytest.mark.parametrize("argv", [["simulate", "--scheme", "mild"],
-                                  ["simulate", "--scheme", "picard"],
-                                  ["convergence", "--scheme", "mild"]])
-def test_convergence_failure_is_a_numeric_failure(tmp_path, capsys, argv):
+def strong_neutral_doc(tmp_path):
     doc = benchmark_doc()
     doc["system"]["coefficients"]["G"] = [[0.95]]
     doc["grid"]["N"] = 16
     doc["monte_carlo"]["n_paths"] = 2
-    path = write_doc(tmp_path, doc)
+    return write_doc(tmp_path, doc)
+
+
+# G = 0.95 is admissible: the marches solve the linear neutral term exactly
+@pytest.mark.parametrize("argv", [["simulate", "--scheme", "mild"],
+                                  ["convergence", "--scheme", "mild"]])
+def test_strong_neutral_term_runs(tmp_path, argv):
+    path = strong_neutral_doc(tmp_path)
+    assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+# Picard contracts at about 0.95 per sweep and stops at its 200 sweep cap; a
+# march that fails to converge is forced, since the exact solves always do
+@pytest.mark.parametrize("argv", [["simulate", "--scheme", "mild"],
+                                  ["simulate", "--scheme", "picard"],
+                                  ["convergence", "--scheme", "mild"]])
+def test_convergence_failure_is_a_numeric_failure(tmp_path, capsys, monkeypatch, argv):
+    def stalled_march(*args, **kwargs):
+        raise ConvergenceError("neutral-term fixed point did not converge")
+
+    if "picard" not in argv:
+        monkeypatch.setattr(simulator, "_march", stalled_march)
+    path = strong_neutral_doc(tmp_path)
     assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith("numeric failure:")
 
