@@ -36,9 +36,7 @@ from .criteria import (
     theta,
 )
 from .fraccalc import (
-    DEFAULT_POLICY,
     FractionalOrder,
-    MLEvalPolicy,
     beta_fn,
     gamma_fn,
     ml_kernel,

@@ -4,7 +4,7 @@ Mittag-Leffler evaluation, and self-convergence studies.
 Commands
     check        validate a config and write certificate.txt
     simulate     run an ensemble, write moment curves / verdict / metadata
-    ml           print E_{a,b}(z) to 15 significant digits
+    ml           print E_{a,b}(z) to 15 significant digits (complex z: both parts)
     convergence  N, 2N, 4N against a 16N reference on shared noise
 
 Exit codes: 0 ok / verdict passed, 1 configuration error, 2 criterion
@@ -31,7 +31,7 @@ from .config import RunConfig, load_config
 from .criteria import certify, delta_for_epsilon
 from .errors import (ConfigError, ConvergenceError, CriterionError, FracstabError,
                      SimulationNumericError)
-from .fraccalc import DEFAULT_POLICY, ml_scalar
+from .fraccalc import ML_TOL, ml_scalar
 from .moments import pth_moment_curve, stability_verdict
 from .simulator import (
     BrownianEnsemble,
@@ -115,7 +115,7 @@ def cmd_check(args) -> int:
         ("verdict_existence", cert.verdict_existence),
         ("verdict_stability", cert.verdict_stability),
         ("assumption_note", cert.assumption_note),
-        ("ml_series_tol", DEFAULT_POLICY.series_tol),
+        ("ml_tol", ML_TOL),
     ]
     _write_kv(out / "certificate.txt", pairs)
     if not cert.verdict_existence:
@@ -160,10 +160,7 @@ def _write_meta(path: Path, cfg: RunConfig, scheme: str, as_printed: bool) -> No
         ("p", cfg.p),
         ("coefficient_family", cfg.family),
         ("system_digest", cfg.system_digest()),
-        ("ml_series_tol", DEFAULT_POLICY.series_tol),
-        ("ml_series_max_terms", DEFAULT_POLICY.series_max_terms),
-        ("ml_asymptotic_switch_radius", DEFAULT_POLICY.asymptotic_switch_radius),
-        ("ml_asymptotic_terms", DEFAULT_POLICY.asymptotic_terms),
+        ("ml_tol", ML_TOL),
         ("suprema_note", "all suprema are over the simulated horizon [0,T]"),
     ]
     _write_kv(path, pairs)
@@ -247,8 +244,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_ml(args) -> int:
     value = ml_scalar(args.alpha, args.beta, args.z)
-    print(format(float(np.real(value)), ".15g"))
+    if isinstance(value, complex):
+        print(f"{value.real:.15g}{value.imag:+.15g}j")
+    else:
+        print(format(value, ".15g"))
     return EXIT_OK
+
+
+def _real_or_complex(text):
+    """A real number, else a complex one in Python's notation (-30+30j)."""
+    try:
+        return float(text)
+    except ValueError:
+        return complex(text)
 
 
 def cmd_convergence(args) -> int:
@@ -334,7 +342,8 @@ def _build_parser() -> _Parser:
     p_ml = sub.add_parser("ml", help="evaluate E_{a,b}(z)")
     p_ml.add_argument("alpha", type=float)
     p_ml.add_argument("beta", type=float)
-    p_ml.add_argument("z", type=float)
+    p_ml.add_argument("z", type=_real_or_complex,
+                      help="real or complex argument, e.g. -- -30+30j")
     add_common(sub.add_parser("convergence", help="self-convergence study"),
                seed=True, scheme=True)
     return parser

@@ -150,7 +150,13 @@ def _settle(update, x, rhs, n_free, t, tol, max_iter, note):
             xa = update(ra, xa)
         for _ in range(n_free, max_iter + 1):
             x_new = update(ra, xa)
-            step = np.abs(x_new - xa).max(axis=-1)
+            moved = np.abs(x_new - xa)
+            if moved.size and moved.max() <= tol:
+                # every path passes its own test (a NaN fails this one and
+                # falls through to the per-path test)
+                out[active] = x_new
+                return out
+            step = moved.max(axis=-1)
             size = np.abs(x_new).max(axis=-1)
             going = ~(step <= tol * (1.0 + size)) & np.isfinite(size)
             if going.all():
@@ -210,11 +216,12 @@ def _newton_schedule(a, tol):
     a < 1 (Kantorovich gives nothing without bisections from a ~ 0.73 on).
     Newton step k + 1 moves by at most e_k + e_{k+1} <= 2 e_k, so step n
     passes the test step <= tol (1 + |x|) once 2 q^(2^(n-1)) / K <= tol.
-    Without a usable bound (a = 0, tol <= 0) every step is tested.
+    Without a usable bound (K = 0, also for a subnormal a; tol <= 0) every
+    step is tested.
     """
-    if not (a > 0.0 and tol > 0.0):
-        return 0, 1
     K = a / (2.0 * (1.0 - a))
+    if not (K > 0.0 and tol > 0.0):
+        return 0, 1
     q, n_bisect = K * a, 0
     while q > 0.5:
         q, n_bisect = q / 2.0, n_bisect + 1

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .coefficients import CoefficientSet
 from .errors import CriterionError, NeutralTermError
-from .fraccalc import DEFAULT_POLICY, FractionalOrder, MLEvalPolicy, beta_fn
+from .fraccalc import FractionalOrder, beta_fn
 from .spectral import SectorVerdict, eigenvalues, matrix_norm, ml_norm_sup, sector_check
 
 __all__ = [
@@ -184,8 +184,7 @@ def caputo_ms_criterion(inputs: CriterionInputs) -> float:
 
 
 def certify(a_mat, coeffs: CoefficientSet, order: FractionalOrder, T: float,
-            m_override: float | None = None, n_norm_nodes=256,
-            policy: MLEvalPolicy = DEFAULT_POLICY) -> Certificate:
+            m_override: float | None = None, n_norm_nodes=256) -> Certificate:
     """Compose sector check, kernel bound and all constants into a Certificate.
 
     ``m_override`` substitutes a caller-supplied kernel bound M for the grid
@@ -193,7 +192,7 @@ def certify(a_mat, coeffs: CoefficientSet, order: FractionalOrder, T: float,
     """
     sector = sector_check(eigenvalues(a_mat), order.alpha)
     m_val = float(m_override) if m_override is not None else ml_norm_sup(
-        a_mat, order.alpha, T, n_norm_nodes, policy
+        a_mat, order.alpha, T, n_norm_nodes
     )
     inputs = CriterionInputs(
         order=order,

@@ -52,9 +52,4 @@ class ConfigError(FracstabError, ValueError):
 
 class AccuracyWarning(UserWarning):
     """A special-function evaluation is returned with reduced accuracy
-    (e.g. series cancellation outside the stable branches)."""
-
-
-class ConditioningWarning(UserWarning):
-    """A requested eigenvector-based fast path was refused or degraded
-    because the eigenvector basis is ill-conditioned."""
+    (its roundoff estimate exceeds the relative tolerance)."""

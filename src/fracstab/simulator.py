@@ -74,8 +74,7 @@ from scipy.special import betainc
 
 from .coefficients import CoefficientSet, _apply_matrix, _neutral_solver
 from .errors import ConvergenceError, SimulationNumericError
-from .fraccalc import (DEFAULT_POLICY, FractionalOrder, MLEvalPolicy, _causal_convolution,
-                       beta_fn, gamma_fn, ml_kernel)
+from .fraccalc import FractionalOrder, _causal_convolution, beta_fn, gamma_fn, ml_kernel
 
 __all__ = [
     "TimeGrid",
@@ -219,11 +218,11 @@ class _KernelTable:
     building the table is cheap enough to repeat on every call.
     """
 
-    def __init__(self, system: SystemSpec, grid: TimeGrid, policy: MLEvalPolicy):
+    def __init__(self, system: SystemSpec, grid: TimeGrid):
         alpha = system.order.alpha
         self.d, self.kappa = _cell_weights(alpha, grid)
         times = grid.nodes
-        self.E = ml_kernel(alpha, alpha, system.A, times, policy)
+        self.E = ml_kernel(alpha, alpha, system.A, times)
         self.homog = np.zeros((grid.N + 1, system.n))
         self.homog[1:] = times[1:, None] ** (alpha - 1.0) * np.einsum(
             "nij,j->ni", self.E[1:], system.rho
@@ -417,15 +416,14 @@ def _run_chunked(system, grid, ensemble, tag, chunk_size, scheme, fp_tol, fp_max
 
 
 def simulate_mild(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble,
-                  policy: MLEvalPolicy = DEFAULT_POLICY, fp_tol=1e-12,
-                  fp_max_iter=None, chunk_size=None) -> PathEnsemble:
+                  fp_tol=1e-12, fp_max_iter=None, chunk_size=None) -> PathEnsemble:
     """March the variation-of-constants scheme over the ensemble.
 
     Kernel matrices E_{a,a}((m dt)^a A) are precomputed once and shared;
     ``chunk_size`` only batches paths (results are identical for any value).
     """
     _check_inputs(system, grid, ensemble, fp_max_iter)
-    table = _KernelTable(system, grid, policy)
+    table = _KernelTable(system, grid)
     g, b = system.coeffs.g, system.coeffs.b
 
     def drift(t, x):
@@ -475,8 +473,7 @@ def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: Brownia
 
 
 def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
-                      max_iter=200, tol=1e-10,
-                      policy: MLEvalPolicy = DEFAULT_POLICY) -> PicardResult:
+                      max_iter=200, tol=1e-10) -> PicardResult:
     """Whole-path fixed-point iteration of the solution operator on one path.
 
     Starts from the zero path and applies the full right-hand side of the
@@ -494,7 +491,7 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
     inc = np.atleast_1d(np.asarray(path_increments, dtype=float))
     if inc.ndim != 1 or inc.shape[0] != grid.N:
         raise ValueError(f"path_increments must have shape ({grid.N},)")
-    table = _KernelTable(system, grid, policy)
+    table = _KernelTable(system, grid)
     coeffs = system.coeffs
     n_nodes = grid.N + 1
     times = grid.nodes[:, None]
@@ -539,8 +536,7 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
                         iterations=iterations, contraction_ratio=float(ratio))
 
 
-def closed_form_homogeneous(a_mat, rho, alpha, grid: TimeGrid,
-                            policy: MLEvalPolicy = DEFAULT_POLICY) -> PathEnsemble:
+def closed_form_homogeneous(a_mat, rho, alpha, grid: TimeGrid) -> PathEnsemble:
     """Exact homogeneous solution X(t) = t^(a-1) E_{a,a}(t^a A) rho.
 
     Returned as a single deterministic path (NaN value at node 0; weighted
@@ -553,7 +549,7 @@ def closed_form_homogeneous(a_mat, rho, alpha, grid: TimeGrid,
     vals = np.full((1, grid.N + 1, dim), np.nan)
     weighted = np.empty((1, grid.N + 1, dim))
     weighted[0, 0] = rho / gamma_fn(alpha)
-    weighted[0, 1:] = np.einsum("nij,j->ni", ml_kernel(alpha, alpha, a_mat, times, policy), rho)
+    weighted[0, 1:] = np.einsum("nij,j->ni", ml_kernel(alpha, alpha, a_mat, times), rho)
     vals[0, 1:] = times[:, None] ** (alpha - 1.0) * weighted[0, 1:]
     return PathEnsemble(values=vals, weighted=weighted, grid=grid,
                         scheme_tag="closed_form", master_seed=0, n_paths=1)

@@ -19,14 +19,13 @@ the maximum absolute row sum throughout.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
 
 from .errors import ProfileDivergenceError
-from .fraccalc import DEFAULT_POLICY, MLEvalPolicy, beta_fn, ml_kernel
+from .fraccalc import beta_fn, ml_kernel
 
 __all__ = [
     "Spectrum",
@@ -126,15 +125,15 @@ def sector_check(spectrum: Spectrum, alpha: float) -> SectorVerdict:
     return SectorVerdict(True, margin, None)
 
 
-def _ml_norm_table(a_mat, alpha, times, policy):
+def _ml_norm_table(a_mat, alpha, times):
     """||E_{a,a}(t^a A)|| (max row sum) on an array of times, from one
     :func:`~fracstab.fraccalc.ml_kernel` call: per eigenvalue when the
-    eigenbasis of A is well conditioned, else the matrix series."""
-    kernel = ml_kernel(alpha, alpha, np.atleast_2d(a_mat), times, policy)
+    eigenbasis of A is well conditioned, else by resolvents."""
+    kernel = ml_kernel(alpha, alpha, np.atleast_2d(a_mat), times)
     return np.abs(kernel).sum(axis=2).max(axis=1)
 
 
-def ml_norm_sup(a_mat, alpha, T, n_nodes=256, policy: MLEvalPolicy = DEFAULT_POLICY):
+def ml_norm_sup(a_mat, alpha, T, n_nodes=256):
     """Grid estimate of M = sup_{t in [0,T]} ||E_{a,a}(t^a A)|| (max row sum).
 
     The grid is uniform and includes both endpoints.
@@ -144,11 +143,10 @@ def ml_norm_sup(a_mat, alpha, T, n_nodes=256, policy: MLEvalPolicy = DEFAULT_POL
     if n_nodes < 16:
         raise ValueError("ml_norm_sup requires n_nodes >= 16")
     times = np.linspace(0.0, T, n_nodes + 1)
-    return float(np.max(_ml_norm_table(a_mat, alpha, times, policy)))
+    return float(np.max(_ml_norm_table(a_mat, alpha, times)))
 
 
-def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000,
-                    policy: MLEvalPolicy = DEFAULT_POLICY) -> KernelBoundsReport:
+def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoundsReport:
     """Profile the two long-horizon kernel bounds on [0, t_max].
 
     Requires sector membership (checked); raises
@@ -174,11 +172,7 @@ def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000,
 
     h = t_max / n_nodes
     times = np.arange(n_nodes + 1) * h
-    with warnings.catch_warnings():
-        # large in-sector spectra are routed through the scalar branches by
-        # the eigen path; a series fallback may still warn, once per table
-        warnings.simplefilter("default")
-        psi = _ml_norm_table(a_mat, alpha, times, policy)
+    psi = _ml_norm_table(a_mat, alpha, times)
 
     kernel_sup = float(np.max(psi))
 
@@ -196,13 +190,16 @@ def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000,
     t0 = float(times[i0])
     tail_coefficient = float(np.max(phi[i0:]))
 
-    # weighted singular convolution C(t) = t^(1-a) * Q(t)
+    # weighted singular convolution C(t) = t^(1-a) * Q(t); the weight
+    # s^(a-1)(t-s)^(a-1) is symmetric about t/2, so cell j of node n equals
+    # cell n-1-j and only the first half takes incomplete beta calls
     b_aa = beta_fn(alpha, alpha)
     conv = np.zeros(n_nodes + 1)
     for n in range(1, n_nodes + 1):
         t = times[n]
-        cdf = betainc(alpha, alpha, times[: n + 1] / t)
-        cell = np.diff(cdf) * b_aa * t ** (2.0 * alpha - 1.0)
+        half = (n + 1) // 2
+        low = np.diff(betainc(alpha, alpha, times[: half + 1] / t))
+        cell = np.concatenate((low, low[: n - half][::-1])) * b_aa * t ** (2.0 * alpha - 1.0)
         smooth = psi[n::-1]
         q = float(cell @ (0.5 * (smooth[:-1] + smooth[1:])))
         conv[n] = t ** (1.0 - alpha) * q

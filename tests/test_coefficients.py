@@ -16,7 +16,8 @@ from fracstab import (
     verify_lipschitz,
     verify_vanishing,
 )
-from fracstab.coefficients import _default_max_iter, _neutral_solver, _solve_neutral
+from fracstab.coefficients import (_default_max_iter, _neutral_solver, _newton_schedule,
+                                   _solve_neutral)
 
 
 def test_linear_family_constants():
@@ -194,6 +195,14 @@ def test_exact_neutral_solve_residual_and_batching(case, cut):
     rows = np.concatenate([solve(0.5, rhs[j:j + 1]) for j in range(rhs.shape[0])])
     assert split.tobytes() == x.tobytes()
     assert rows.tobytes() == x.tobytes()
+
+
+def test_newton_schedule_with_a_subnormal_coefficient():
+    # a / (2 (1 - a)) underflows to 0 for the smallest subnormal a, which
+    # left the step count dividing by zero; every step is tested instead
+    assert _newton_schedule(5e-324, 1e-12) == (0, 1)
+    solve = _neutral_solver(make_bounded_smooth(5e-324, 0.1, 0.1), NEUTRAL_TOL)
+    np.testing.assert_array_equal(solve(0.5, np.array([[0.0], [2.0]])), [[0.0], [2.0]])
 
 
 @settings(max_examples=30, deadline=None)

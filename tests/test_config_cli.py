@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from fracstab import closed_form_homogeneous, gamma_fn, simulator
+from fracstab import closed_form_homogeneous, gamma_fn, ml_scalar, simulator
 from fracstab.cli import main
 from fracstab.config import dump_config, load_config, parse_config
 from fracstab.errors import ConfigError, ConvergenceError
 from fracstab.simulator import TimeGrid
+
+from oracle_fixtures import ML_A075_B075_ZM30P30J
 
 
 def benchmark_doc(**over):
@@ -146,6 +148,15 @@ def test_ml_command_prints_15_digits(capsys):
     assert main(["ml", "0.75", "0.75", "0"]) == 0
     out = capsys.readouterr().out.strip()
     assert float(out) == pytest.approx(1.0 / gamma_fn(0.75), rel=1e-14)
+
+
+def test_ml_command_takes_complex_z(capsys):
+    assert main(["ml", "0.75", "0.75", "--", "-30+30j"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out.endswith("j") and complex(out) == pytest.approx(ML_A075_B075_ZM30P30J, rel=1e-13)
+    assert main(["ml", "0.75", "0.75", "-1"]) == 0
+    assert capsys.readouterr().out.strip() == format(ml_scalar(0.75, 0.75, -1.0), ".15g")
+    assert main(["ml", "0.75", "0.75", "z"]) == 1
 
 
 def test_ml_command_domain_error(capsys):

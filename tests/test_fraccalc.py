@@ -10,33 +10,55 @@ from hypothesis import strategies as st
 
 from fracstab import (
     FractionalOrder,
-    MLEvalPolicy,
     beta_fn,
     gamma_fn,
     ml_kernel,
     ml_matrix,
+    ml_norm_sup,
     ml_scalar,
     rl_derivative_grid,
     rl_integral_grid,
 )
-from fracstab.errors import AccuracyWarning, ConditioningWarning, ConvergenceError
+from fracstab.errors import AccuracyWarning
 
 from oracle_fixtures import (
     BETA_0625_0625,
     GAMMA_0_75,
+    JORDAN_A06_T5,
+    JORDAN_A06_T05,
+    JORDAN_A06_T50,
+    JORDAN_A075_T5,
+    JORDAN_A075_T05,
+    JORDAN_A075_T50,
+    JORDAN_A09_T5,
+    JORDAN_A09_T05,
+    JORDAN_A09_T50,
+    M_JORDAN_A075_T50,
+    M_ROTATION_A075_T50,
+    ML_A06_B06_ZM10P30J,
+    ML_A06_B15_ZM3P4J,
     ML_A06_B075_ZM40,
     ML_A06_B1_ZM8,
+    ML_A075_B075_ROTATION_T50,
+    ML_A075_B075_Z725P1864J,
     ML_A075_B075_ZM1,
     ML_A075_B075_ZM15,
     ML_A075_B075_ZM30,
+    ML_A075_B075_ZM30P30J,
+    ML_A075_B075_ZM100P50J,
+    ML_A075_B075_ZM277P831J,
+    ML_A075_B1_ZM6P15J,
     ML_A075_B15_ZM12,
     ML_A075_B1_ZM25,
     ML_A095_B095_ZM7,
     ML_A095_B095_ZM25,
     ML_A095_B1_ZM3,
     ML_A099_B099_ZM25,
+    ML_A099_B099_ZM40P30J,
     ML_A09_B09_ZM10,
     ML_A09_B09_ZM201,
+    ML_A09_B09_ZM25P1J,
+    ML_A09_B09_ZM277P831J,
     ML_A09_B15_ZM5,
     RECIP_GAMMA_0_75,
     RL_INT_T_A075_AT1,
@@ -108,12 +130,11 @@ def test_ml_against_frozen_oracle():
         (0.9, 0.9, -10.0, ML_A09_B09_ZM10),
         (0.6, 0.75, -40.0, ML_A06_B075_ZM40),
         (0.75, 1.0, -2.5, ML_A075_B1_ZM25),
-        (0.75, 1.5, -12.0, ML_A075_B15_ZM12),  # exercises the beta reduction
+        (0.75, 1.5, -12.0, ML_A075_B15_ZM12),
     ]
     for alpha, beta, z, expected in cases:
         assert ml_scalar(alpha, beta, z) == pytest.approx(expected, rel=2e-8), (alpha, beta, z)
-    # the near-pole peak of the spectral integral, of width x sin(a pi), sits
-    # at r = x |cos(a pi)|; a fixed rule not split there misses it as a -> 1
+    # a -> 1, at a tighter tolerance
     peaks = [
         (0.9, 0.9, -2.01, ML_A09_B09_ZM201),
         (0.95, 0.95, -2.5, ML_A095_B095_ZM25),
@@ -137,72 +158,12 @@ def test_ml_recurrence_identity():
                 assert abs(left - right) <= 1e-9 * (1.0 + abs(left)), (alpha, beta, z)
 
 
-def test_ml_branch_continuity():
-    # adjacent branches agree to 1e-6 relative across both hand-off radii
-    policy = MLEvalPolicy()
-    for alpha in (0.6, 0.75, 0.9):
-        for beta in (0.75, 1.0, alpha):
-            # series vs integral around the series safety radius
-            for z in (-1.8, -1.99, -2.01, -2.4):
-                via_series = _series_only(alpha, beta, z)
-                via_integral = _integral_only(alpha, beta, z)
-                assert via_integral == pytest.approx(via_series, rel=1e-6), (alpha, beta, z)
-            # integral vs asymptotic around the switch radius
-            r = policy.asymptotic_switch_radius
-            for z in (-r * 0.9, -r, -r * 1.1):
-                via_integral = _integral_only(alpha, beta, z)
-                via_asymptotic = _asymptotic_only(alpha, beta, z, policy.asymptotic_terms)
-                assert via_asymptotic == pytest.approx(via_integral, rel=1e-6), (alpha, beta, z)
-
-
-def _series_only(alpha, beta, z):
-    from fracstab.fraccalc import _ml_series
-
-    value, _, converged = _ml_series(alpha, beta, np.array([complex(z)]), 1e-14, 600)
-    assert converged[0]
-    return value[0].real
-
-
-def _integral_only(alpha, beta, z):
-    from fracstab.fraccalc import _ml_neg_real_integral
-
-    return _ml_neg_real_integral(alpha, beta, np.array([-z]))[0]
-
-
-def _asymptotic_only(alpha, beta, z, n_terms):
-    from fracstab.fraccalc import _ml_asymptotic_neg
-
-    return _ml_asymptotic_neg(alpha, beta, np.array([z]), n_terms)[0]
-
-
 def test_ml_complex_input_returns_complex():
     val = ml_scalar(0.75, 1.0, 0.3 + 0.2j)
     assert isinstance(val, complex)
     # conjugate symmetry for real coefficients
     conj = ml_scalar(0.75, 1.0, 0.3 - 0.2j)
     assert conj == pytest.approx(val.conjugate(), rel=1e-12)
-
-
-def test_ml_series_cap_raises():
-    policy = MLEvalPolicy(series_max_terms=50)
-    with pytest.raises(ConvergenceError):
-        ml_scalar(0.75, 1.0, 20.0, policy)
-
-
-def test_ml_warns_on_cancelling_complex_argument():
-    with pytest.warns(AccuracyWarning):
-        ml_scalar(0.75, 1.0, complex(-18.0, 0.5))
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        MLEvalPolicy(series_tol=0.0)
-    with pytest.raises(ValueError):
-        MLEvalPolicy(series_max_terms=10)
-    with pytest.raises(ValueError):
-        MLEvalPolicy(asymptotic_switch_radius=-1.0)
-    with pytest.raises(ValueError):
-        MLEvalPolicy(asymptotic_terms=1)
 
 
 def test_fractional_order_validation():
@@ -247,22 +208,6 @@ def test_ml_matrix_similarity_invariance():
     assert np.max(np.sum(np.abs(lhs - rhs), axis=1)) <= 1e-7 * norm
 
 
-def test_ml_matrix_fast_path_matches_series():
-    m = np.array([[-1.0, 0.4], [0.2, -2.0]])
-    w, v = np.linalg.eig(m)
-    fast = ml_matrix(0.75, 0.75, m, decomposition=(w, v))
-    series = ml_matrix(0.75, 0.75, m)
-    np.testing.assert_allclose(fast, series, rtol=1e-10, atol=1e-13)
-
-
-def test_ml_matrix_conditioning_warning():
-    m = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-13]])  # nearly defective
-    w, v = np.linalg.eig(m)
-    with pytest.warns(ConditioningWarning):
-        out = ml_matrix(0.75, 1.0, m, decomposition=(w, v))
-    np.testing.assert_allclose(out, ml_matrix(0.75, 1.0, m), rtol=1e-12)
-
-
 def test_ml_matrix_input_validation():
     with pytest.raises(ValueError):
         ml_matrix(0.75, 1.0, np.ones((2, 3)))
@@ -272,10 +217,21 @@ def test_ml_matrix_input_validation():
 
 # --------------------------------------------------- one evaluator, any batch
 
-# real arguments reach all three scalar branches; complex ones stay small
-# enough for the series to converge without cancelling
-_ARGS = st.one_of(st.floats(-40.0, 8.0).map(complex),
-                  st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+# real arguments across the negative axis and past the poles of small
+# positive ones, small complex ones, and ("sector", r, y): |z| = r and
+# |arg z| from a pi/2 (y = 0) to pi (|y| = 1), with the sign of y, where the
+# poles s* = z^(1/a) sweep across both contours
+_ARGS = st.one_of(st.floats(-40.0, 8.0).map(lambda x: ("z", x, 0.0)),
+                  st.tuples(st.just("z"), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                  st.tuples(st.just("sector"), st.floats(0.0, 60.0), st.floats(-1.0, 1.0)))
+
+
+def _argument(alpha, kind, x, y):
+    if kind == "z":
+        return complex(x, y)
+    half = alpha * math.pi / 2.0
+    angle = math.copysign(half + abs(y) * (math.pi - half), y)
+    return x * complex(math.cos(angle), math.sin(angle))
 
 
 @settings(max_examples=30, deadline=None)
@@ -284,61 +240,125 @@ _ARGS = st.one_of(st.floats(-40.0, 8.0).map(complex),
        cut=st.integers(0, 300))
 def test_ml_values_are_batch_invariant(alpha, beta, args, size, cut):
     # a value's bits depend on its argument alone, whatever block boundaries
-    # (of the spectral integral's argument blocks or of the caller's split)
-    # fall inside the array
+    # (of the row sums' argument blocks or of the caller's split) and
+    # whichever contours the other arguments take
     from fracstab.fraccalc import _ml_values
 
     beta = alpha if beta == "a" else beta
-    policy = MLEvalPolicy()
 
     def values(z):
-        return _ml_values(alpha, beta, z, policy)[0]
+        return _ml_values(alpha, beta, z)[0]
 
-    z = np.resize(np.array(args, dtype=complex), size)
+    z = np.resize(np.array([_argument(alpha, *a) for a in args], dtype=complex), size)
     whole = values(z)
     split = np.concatenate((values(z[:cut]), values(z[cut:])))
     single = np.concatenate([values(z[i:i + 1]) for i in range(len(z))])
     assert whole.tobytes() == split.tobytes() == single.tobytes()
     x = z.real[z.imag == 0.0]
-    real_whole = values(x)
+    real_whole = values(x.astype(complex)).real
     assert real_whole.tobytes() == np.array([ml_scalar(alpha, beta, float(v)) for v in x]).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.sampled_from((0.6, 0.75, 0.9, 0.99)), beta=st.sampled_from(("a", 1.0, 1.5)),
+       r=st.floats(0.0, 60.0), y=st.floats(-1.0, 1.0))
+def test_ml_identities_across_the_sector(alpha, beta, r, y):
+    # E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z), and E(conj z) = conj E(z),
+    # on |arg z| in [a pi/2, pi], |z| <= 60
+    beta = alpha if beta == "a" else beta
+    z = _argument(alpha, "sector", r, y)
+    left = ml_scalar(alpha, beta, z)
+    shifted = z * ml_scalar(alpha, alpha + beta, z)
+    scale = abs(left) + abs(shifted) + 1.0 / gamma_fn(beta)
+    assert abs(left - (1.0 / gamma_fn(beta) + shifted)) <= 1e-11 * scale, (alpha, beta, z)
+    assert abs(ml_scalar(alpha, beta, z.conjugate()) - left.conjugate()) <= 1e-12 * abs(left)
+
+
+def test_ml_against_complex_oracle():
+    cases = [
+        (0.75, 0.75, -30 + 30j, ML_A075_B075_ZM30P30J),
+        (0.75, 0.75, -100 + 50j, ML_A075_B075_ZM100P50J),
+        (0.6, 0.6, -10 + 30j, ML_A06_B06_ZM10P30J),
+        (0.75, 0.75, -2.77 + 8.31j, ML_A075_B075_ZM277P831J),
+        (0.9, 0.9, -2.77 + 8.31j, ML_A09_B09_ZM277P831J),
+        (0.75, 0.75, 7.25 + 18.64j, ML_A075_B075_Z725P1864J),
+        (0.75, 1.0, -6 + 15j, ML_A075_B1_ZM6P15J),
+        (0.9, 0.9, -25 + 1j, ML_A09_B09_ZM25P1J),
+        (0.6, 1.5, -3 + 4j, ML_A06_B15_ZM3P4J),
+        (0.99, 0.99, -40 + 30j, ML_A099_B099_ZM40P30J),
+        (0.75, 0.75, complex(-(50.0**0.75), 3.0 * 50.0**0.75), ML_A075_B075_ROTATION_T50),
+    ]
+    for alpha, beta, z, expected in cases:
+        value = ml_scalar(alpha, beta, z)
+        assert abs(value - expected) <= 1e-12 * abs(expected), (alpha, beta, z)
+
+
+def test_ml_kernel_of_the_jordan_block_and_the_rotation():
+    # E(t^a J) = [[E, t^a E'], [0, E]] for J = [[-1, 1], [0, -1]], whose
+    # eigenbasis is defective (resolvent path); the rotation takes the eigen
+    # path with complex eigenvalues
+    jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
+    fixtures = {(0.6, 0.5): JORDAN_A06_T05, (0.6, 5.0): JORDAN_A06_T5, (0.6, 50.0): JORDAN_A06_T50,
+                (0.75, 0.5): JORDAN_A075_T05, (0.75, 5.0): JORDAN_A075_T5,
+                (0.75, 50.0): JORDAN_A075_T50, (0.9, 0.5): JORDAN_A09_T05,
+                (0.9, 5.0): JORDAN_A09_T5, (0.9, 50.0): JORDAN_A09_T50}
+    for (alpha, t), (e, de) in fixtures.items():
+        tau = t**alpha
+        expect = np.array([[e, tau * de], [0.0, e]])
+        got = ml_kernel(alpha, alpha, jordan, [t])[0]
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0, err_msg=str((alpha, t)))
+    assert ml_norm_sup(jordan, 0.75, 50.0) == pytest.approx(M_JORDAN_A075_T50, rel=1e-12)
+    rotation = np.array([[-1.0, 3.0], [-3.0, -1.0]])
+    assert ml_norm_sup(rotation, 0.75, 50.0) == pytest.approx(M_ROTATION_A075_T50, rel=1e-12)
+    e = ML_A075_B075_ROTATION_T50
+    np.testing.assert_allclose(ml_kernel(0.75, 0.75, rotation, [50.0])[0],
+                               [[e.real, e.imag], [-e.imag, e.real]], rtol=1e-12)
+
+
+_TRIANGULAR = np.array([[-1.0, 0.7, 0.2], [0.0, -2.0, -0.4], [0.0, 0.0, -3.0]])
+_ROTATION = np.array([[-1.0, 3.0], [-3.0, -1.0]])
+_JORDAN = np.array([[-1.0, 1.0], [0.0, -1.0]])
+
+
 @pytest.mark.parametrize("mat, t_max", [
-    (np.array([[-1.0, 0.7, 0.2], [0.0, -2.0, -0.4], [0.0, 0.0, -3.0]]), 50.0),  # eigen path
-    (np.array([[-1.0, 3.0], [-3.0, -1.0]]), 0.5),  # complex eigenvalues
-    (np.array([[-1.0, 1.0], [0.0, -1.0]]), 5.0),  # defective: matrix series
+    (_TRIANGULAR, 50.0),  # eigen path
+    (_ROTATION, 0.5),  # complex eigenvalues
+    (_JORDAN, 5.0),  # defective: resolvent path
+    (_ROTATION, 50.0),  # poles crossing both contours
+    (_JORDAN, 50.0),
 ])
 def test_ml_kernel_nodes_match_ml_matrix(mat, t_max):
+    # a node's matrix is the same bits in any grid, on both paths, and
+    # agrees with ml_matrix of t^a A (its own eigendecomposition)
     times = np.linspace(0.0, t_max, 301)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        table = ml_kernel(0.75, 0.75, mat, times)
-        w, v = np.linalg.eig(mat)
-        scale = times**0.75
-        for k in range(len(times)):
-            node = ml_matrix(0.75, 0.75, scale[k] * mat, decomposition=(scale[k] * w, v))
-            assert table[k].tobytes() == node.tobytes(), k
+    table = ml_kernel(0.75, 0.75, mat, times)
     assert table.shape == (len(times),) + mat.shape
-    np.testing.assert_allclose(table[1], ml_matrix(0.75, 0.75, scale[1] * mat), rtol=1e-12)
+    for k in range(len(times)):
+        assert table[k].tobytes() == ml_kernel(0.75, 0.75, mat, times[k:k + 1])[0].tobytes(), k
+    for k in (1, 150, 300):
+        np.testing.assert_allclose(table[k], ml_matrix(0.75, 0.75, times[k] ** 0.75 * mat),
+                                   rtol=1e-12, atol=1e-15)
+
+
+def test_ml_kernel_refuses_poles_outside_the_resolvent_contour():
+    # a defective block whose pole lies outside the contour would need a
+    # derivative residue
+    with pytest.raises(ValueError, match="not supported"):
+        ml_kernel(0.75, 0.75, np.array([[1.0, 1.0], [0.0, 1.0]]), [0.0, 1.0])
 
 
 def test_ml_kernel_warns_once_per_call():
-    jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
+    # deep on the negative axis the row sum loses digits like |z| eps against
+    # values of size |z|^-2; one warning names the worst argument
+    times = np.linspace(0.0, 50.0, 65)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ml_kernel(0.75, 0.75, jordan, np.linspace(0.0, 50.0, 257))
-    kinds = [w.category for w in caught]
-    assert kinds.count(ConditioningWarning) == 1
-    assert kinds.count(AccuracyWarning) == 1
-    rotation = np.array([[-1.0, 3.0], [-3.0, -1.0]])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ml_kernel(0.75, 0.75, rotation, np.linspace(0.0, 8.0, 257))
+        ml_kernel(0.99, 0.99, np.array([[-3000.0]]), times)
     assert [w.category for w in caught] == [AccuracyWarning]
-    assert " at (" in str(caught[0].message) and "of 514 arguments" in str(caught[0].message)
-    with pytest.raises(ConvergenceError):
-        ml_kernel(0.75, 0.75, rotation, np.linspace(0.0, 100.0, 257))
+    assert "of 65 arguments" in str(caught[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ml_kernel(0.75, 0.75, np.array([[-10.0]]), times)
 
 
 def test_ml_kernel_input_validation():

@@ -146,12 +146,12 @@ def direct_sum_march(system, grid, ens, scheme, c_g):
     kappa = grid.dt ** (alpha - 1.0) * np.sqrt(np.diff(m ** (2 * alpha - 1)) / (2 * alpha - 1))
     inv_gamma = 1.0 / gamma_fn(alpha)
     if scheme == "mild":
-        w, v = np.linalg.eig(a_mat)
 
         def kernel(t):
             if dim == 1:
                 return ml_scalar(alpha, alpha, t**alpha * a_mat[0, 0]) * np.eye(1)
-            return ml_matrix(alpha, alpha, t**alpha * a_mat, decomposition=(t**alpha * w, v))
+            # its own eigendecomposition of t^a A at every node
+            return ml_matrix(alpha, alpha, t**alpha * a_mat)
 
         E = np.array([kernel(t) for t in times])
         w_mem = -d[:, None, None] * (a_mat @ E[1:])
