@@ -12,15 +12,13 @@ failed, 3 numeric failure during simulation.
 
 All emitted files use '.' decimals, LF line endings and 17 significant
 digits, so identical configs produce byte-identical outputs on the same
-build.  The FRACSTAB_WORKERS environment variable only changes how paths
-are batched; it never changes results.
+build.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -71,17 +69,6 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("".join(out), encoding="utf-8", newline="\n")
 
 
-def _chunk_size(n_paths: int) -> int | None:
-    workers = os.environ.get("FRACSTAB_WORKERS")
-    if not workers:
-        return None
-    try:
-        w = max(1, int(workers))
-    except ValueError:
-        return None
-    return math.ceil(n_paths / w)
-
-
 def _out_dir(args, cfg: RunConfig) -> Path:
     out = Path(args.out) if args.out else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -125,16 +112,19 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _run_march(system, grid, ens, scheme: str, as_printed: bool):
+    """One marching scheme, ``mild`` or ``integral_form``, over the ensemble."""
+    if scheme == "mild":
+        return simulate_mild(system, grid, ens)
+    return simulate_integral_form(system, grid, ens, as_printed=as_printed)
+
+
 def _run_scheme(cfg: RunConfig, scheme: str, as_printed: bool):
     system = cfg.system()
     grid = cfg.grid()
     ens = brownian_increments(grid, cfg.n_paths, cfg.master_seed)
-    chunk = _chunk_size(cfg.n_paths)
-    if scheme == "mild":
-        return simulate_mild(system, grid, ens, chunk_size=chunk)
-    if scheme == "integral_form":
-        return simulate_integral_form(system, grid, ens, as_printed=as_printed,
-                                      chunk_size=chunk)
+    if scheme != "picard":
+        return _run_march(system, grid, ens, scheme, as_printed)
     # picard: per-path whole-path solves stitched into one ensemble
     vals = np.empty((cfg.n_paths, grid.N + 1, system.n))
     wgt = np.empty_like(vals)
@@ -272,16 +262,9 @@ def cmd_convergence(args) -> int:
     fine_n = 16 * base_n
     fine_grid = TimeGrid(T=cfg.T, N=fine_n)
     fine = brownian_increments(fine_grid, cfg.n_paths, cfg.master_seed)
-    chunk = _chunk_size(cfg.n_paths)
-
-    def run(grid, ens):
-        if scheme == "mild":
-            return simulate_mild(system, grid, ens, chunk_size=chunk)
-        return simulate_integral_form(system, grid, ens, as_printed=args.as_printed,
-                                      chunk_size=chunk)
 
     try:
-        ref = run(fine_grid, fine)
+        ref = _run_march(system, fine_grid, fine, scheme, args.as_printed)
         scale = float(np.nanmax(np.abs(ref.weighted)))
         floor = 1e-11 * max(scale, 1.0)
         rows = []
@@ -294,7 +277,7 @@ def cmd_convergence(args) -> int:
                 master_seed=cfg.master_seed,
                 n_paths=cfg.n_paths,
             )
-            ens = run(grid, coarse)
+            ens = _run_march(system, grid, coarse, scheme, args.as_printed)
             ref_nodes = ref.weighted[:, ::factor, :]
             err = float(np.mean(np.max(np.abs(ens.weighted - ref_nodes), axis=(1, 2))))
             if err <= floor:

@@ -22,12 +22,14 @@ array operations such as ``np.where``.  The built-in families ignore ``t``
 and act row by row, so a whole-path call gives the node-by-node values bit
 for bit.
 
-The marches must solve the neutral equation x + g(t, x) = rhs at every node.
-The ``g`` of each built-in family carries its own solve, found through
-:func:`_neutral_solver`: the linear family applies (I + G)^(-1), the sine
-family runs Newton's method with a step count fixed in advance by the
-Kantorovich bound.  Any other ``g`` is solved by fixed-point sweeps whose
-count comes from the declared L_g.  The solve is looked up on the callable
+The marches must solve the neutral equation x + g(t, x) = rhs at every node,
+each path to the one tolerance ``NEUTRAL_TOL`` relative to 1 + its max norm.
+The ``g`` of each built-in family with L_g < 1 carries its finished solve
+``solve(t, rhs)``, found through :func:`_neutral_solver`: the linear family
+applies (I + G)^(-1), the sine family runs Newton's method with a step
+count fixed in advance by the Kantorovich bound.  Any other ``g`` is solved
+by fixed-point sweeps whose count comes from the declared L_g, capped at
+twice that count (at least 100).  The solve is looked up on the callable
 itself, so a ``functools.wraps`` wrapper of a built-in ``g`` (which declares
 it as ``__wrapped__`` and must compute the same values) keeps the exact
 solve, and any other callable gets the sweeps.
@@ -108,6 +110,11 @@ def _row_sum_norm(mat):
 
 # ------------------------------------------------------------ neutral solves
 
+# Tolerance of every neutral solve: a path's last step is at most this
+# times 1 + the max norm of its state.
+NEUTRAL_TOL = 1e-12
+
+
 def _unchecked_sweeps(L_g, tol):
     """Sweeps of x <- rhs - g(t, x) that need no convergence test.
 
@@ -129,12 +136,12 @@ def _default_max_iter(L_g, tol):
     return max(100, 2 * _unchecked_sweeps(L_g, tol))
 
 
-def _settle(update, x, rhs, n_free, t, tol, max_iter, note):
+def _settle(update, x, rhs, n_free, t, max_iter, note):
     """Iterate x <- update(rhs, x) per path (row) and return the limit.
 
     The first n_free - 1 updates are untested.  From update n_free on every
     update is tested, and each path is frozen the moment its own step falls
-    to tol (1 + |x|) in the max norm.  A path still moving after
+    to NEUTRAL_TOL (1 + |x|) in the max norm.  A path still moving after
     ``max_iter`` updates in all raises ConvergenceError, whose message ends
     with ``note`` on the assumptions of the updates.  The schedule does not
     depend on the data and each path stops on its own values, so results are
@@ -151,14 +158,14 @@ def _settle(update, x, rhs, n_free, t, tol, max_iter, note):
         for _ in range(n_free, max_iter + 1):
             x_new = update(ra, xa)
             moved = np.abs(x_new - xa)
-            if moved.size and moved.max() <= tol:
+            if moved.size and moved.max() <= NEUTRAL_TOL:
                 # every path passes its own test (a NaN fails this one and
                 # falls through to the per-path test)
                 out[active] = x_new
                 return out
             step = moved.max(axis=-1)
             size = np.abs(x_new).max(axis=-1)
-            going = ~(step <= tol * (1.0 + size)) & np.isfinite(size)
+            going = ~(step <= NEUTRAL_TOL * (1.0 + size)) & np.isfinite(size)
             if going.all():
                 xa = x_new
                 continue
@@ -170,21 +177,23 @@ def _settle(update, x, rhs, n_free, t, tol, max_iter, note):
     raise ConvergenceError(
         f"neutral-term fixed point did not converge at t={float(t)!r}: "
         f"{going.sum()} of {rhs.shape[0]} paths in the batch still move after "
-        f"{max_iter} steps, largest step/(1+|x|) = {worst:.3g} against tol={tol:.3g} "
+        f"{max_iter} steps, largest step/(1+|x|) = {worst:.3g} against tol={NEUTRAL_TOL:.3g} "
         f"({note})"
     )
 
 
-def _solve_neutral(rhs, g_fn, t, L_g, tol, max_iter):
+def _solve_neutral(rhs, g_fn, t, L_g):
     """Fixed point x = rhs - g(t, x) by sweeps; linear convergence at rate L_g < 1.
 
     The number of untested sweeps comes from :func:`_unchecked_sweeps` (L_g
-    and tol alone).  When g vanishes at 0 and contracts at the declared L_g
-    every path passes the first test; when either assumption fails, a path
-    keeps sweeping with a test on every sweep (see :func:`_settle`).
+    and the tolerance alone).  When g vanishes at 0 and contracts at the
+    declared L_g every path passes the first test; when either assumption
+    fails, a path keeps sweeping with a test on every sweep, up to the cap
+    of :func:`_default_max_iter` (see :func:`_settle`).
     """
     return _settle(lambda r, x: r - g_fn(t, x), rhs, rhs,
-                   min(max_iter, _unchecked_sweeps(L_g, tol)), t, tol, max_iter,
+                   _unchecked_sweeps(L_g, NEUTRAL_TOL), t,
+                   _default_max_iter(L_g, NEUTRAL_TOL),
                    f"declared L_g={L_g:.6g}; the sweeps contract only if g is "
                    "L_g-Lipschitz with L_g < 1 and the states stay finite")
 
@@ -192,16 +201,13 @@ def _solve_neutral(rhs, g_fn, t, L_g, tol, max_iter):
 def _linear_solver(G):
     """Exact neutral solve of g = G x: x = (I + G)^(-1) rhs, one fixed-order
     product per node.  I + G is invertible since ||G||_inf = L_g < 1."""
-    def solver(tol, max_iter):
-        inverse = np.linalg.inv(np.eye(G.shape[0]) + G)
+    inverse = np.linalg.inv(np.eye(G.shape[0]) + G)
 
-        def solve(t, rhs):
-            with np.errstate(invalid="ignore", over="ignore"):
-                return _apply_matrix(inverse, rhs)
+    def solve(t, rhs):
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _apply_matrix(inverse, rhs)
 
-        return solve
-
-    return solver
+    return solve
 
 
 def _newton_schedule(a, tol):
@@ -232,45 +238,38 @@ def _newton_schedule(a, tol):
 
 
 def _sine_solver(c):
-    """Exact neutral solve of g = c sin x componentwise, by Newton's method
-    with the schedule of :func:`_newton_schedule`."""
+    """Exact neutral solve of g = c sin x componentwise, |c| < 1, by Newton's
+    method with the schedule of :func:`_newton_schedule`."""
     a = abs(c)
+    n_bisect, n_free = _newton_schedule(a, NEUTRAL_TOL)
+    max_iter = _default_max_iter(a, NEUTRAL_TOL)
+    note = "Newton's method for x + c sin x = rhs, |c| < 1, stalls only on non-finite states"
 
     def newton(rhs, x):
         return x - (x + c * np.sin(x) - rhs) / (1.0 + c * np.cos(x))
 
-    def solver(tol, max_iter):
-        n_bisect, n_free = _newton_schedule(a, tol)
-        note = ("Newton's method for x + c sin x = rhs, |c| < 1, stalls only on "
-                "non-finite states or a tol below the rounding of the states")
+    def solve(t, rhs):
+        x = rhs
+        # each bisection halves a bracket around the root and keeps x at its middle
+        with np.errstate(invalid="ignore", over="ignore"):
+            for k in range(1, n_bisect + 1):
+                x = x - np.sign(x + c * np.sin(x) - rhs) * (a * 0.5**k)
+        return _settle(newton, x, rhs, n_free, t, max_iter, note)
 
-        def solve(t, rhs):
-            x = rhs
-            # each bisection halves a bracket around the root and keeps x at its middle
-            with np.errstate(invalid="ignore", over="ignore"):
-                for k in range(1, n_bisect + 1):
-                    x = x - np.sign(x + c * np.sin(x) - rhs) * (a * 0.5**k)
-            return _settle(newton, x, rhs, min(max_iter, n_free), t, tol, max_iter, note)
-
-        return solve
-
-    return solver
+    return solve
 
 
-def _neutral_solver(coeffs, tol, max_iter=None):
+def _neutral_solver(coeffs):
     """``solve(t, rhs)`` returning x with x + g(t, x) = rhs for each row of rhs.
 
     The exact solve of a built-in family is kept on its ``g`` callable and
     found through ``functools.wraps`` wrappers; any other ``g`` is solved by
-    :func:`_solve_neutral`.  ``max_iter`` defaults to
-    :func:`_default_max_iter`.  Requires L_g < 1.
+    :func:`_solve_neutral`.  Requires L_g < 1.
     """
-    if max_iter is None:
-        max_iter = _default_max_iter(coeffs.L_g, tol)
-    exact = getattr(inspect.unwrap(coeffs.g), "neutral_solver", None)
+    exact = getattr(inspect.unwrap(coeffs.g), "neutral_solve", None)
     if exact is not None:
-        return exact(tol, max_iter)
-    return lambda t, rhs: _solve_neutral(rhs, coeffs.g, t, coeffs.L_g, tol, max_iter)
+        return exact
+    return lambda t, rhs: _solve_neutral(rhs, coeffs.g, t, coeffs.L_g)
 
 
 def make_linear(G, B, S) -> CoefficientSet:
@@ -281,14 +280,19 @@ def make_linear(G, B, S) -> CoefficientSet:
     S = np.atleast_2d(np.asarray(S, dtype=float))
     if not (G.shape == B.shape == S.shape) or G.shape[0] != G.shape[1]:
         raise ValueError(f"matrix shapes must agree and be square, got {G.shape}, {B.shape}, {S.shape}")
+    if not all(np.all(np.isfinite(m)) for m in (G, B, S)):
+        raise ValueError("coefficient matrices must be finite")
     tag = "zero" if not (G.any() or B.any() or S.any()) else "linear"
+    L_g = _row_sum_norm(G)
     g = _matmap(G)
-    g.neutral_solver = _linear_solver(G)
+    if L_g < 1.0:
+        # the marches refuse L_g >= 1, where I + G may be singular
+        g.neutral_solve = _linear_solver(G)
     return CoefficientSet(
         g=g,
         b=_matmap(B),
         sigma=_matmap(S),
-        L_g=_row_sum_norm(G),
+        L_g=L_g,
         L_b=_row_sum_norm(B),
         L_sigma=_row_sum_norm(S),
         family_tag=tag,
@@ -310,7 +314,9 @@ def make_bounded_smooth(c_g, c_b, c_s) -> CoefficientSet:
         return f
 
     g = scaled_sine(c_g)
-    g.neutral_solver = _sine_solver(c_g)
+    if abs(c_g) < 1.0:
+        # the marches refuse L_g >= 1, where Newton's schedule has no bound
+        g.neutral_solve = _sine_solver(c_g)
     return CoefficientSet(
         g=g,
         b=scaled_sine(c_b),

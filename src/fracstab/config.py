@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,8 @@ def _get(block, key, path, required=True, default=None):
 def _number(value, path, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(path, f"must be finite, got {value!r}")
     if positive and value <= 0:
         raise ConfigError(path, f"must be positive, got {value}")
     return float(value)

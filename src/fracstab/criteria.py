@@ -157,15 +157,15 @@ def stability_constant(inputs: CriterionInputs) -> float:
 def delta_for_epsilon(inputs: CriterionInputs, epsilon: float) -> float:
     """Largest admissible delta (times 0.99) for a given epsilon.
 
-    Raises :class:`CriterionError` when the stability constant reaches 1, in
-    which case no delta exists by this sufficient condition.  Always returns
-    delta <= epsilon.
+    Raises :class:`CriterionError` unless the stability constant is below 1
+    (a NaN constant included), in which case no delta exists by this
+    sufficient condition.  Always returns delta <= epsilon.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     k = stability_constant(inputs)
-    if k >= 1.0:
-        raise CriterionError(f"criterion fails: stability constant {k:.6g} >= 1")
+    if not k < 1.0:  # also a NaN k
+        raise CriterionError(f"criterion fails: stability constant {k:.6g} is not below 1")
     alpha, p = inputs.order.alpha, inputs.order.p
     denom = 6.0 ** (p - 1) * inputs.M**p * inputs.T ** (p * (alpha - 1.0))
     return 0.99 * min(epsilon, (1.0 - k) * epsilon / denom)

@@ -287,14 +287,16 @@ def _ml_resolvent(alpha, beta, mat, scale):
 
 def _ml_stack(alpha, beta, mat, scale):
     """E_{a,b}(s_k M) for every s_k of the 1-D array ``scale``, shape
-    (len(scale), n, n): per eigenvalue when the eigenvector basis V of M has
-    condition estimate <= 1e8, else by resolvents.  Called directly by the
-    public functions, whose caller the warning points at."""
+    (len(scale), n, n): per eigenvalue when the eigenvector basis V of M is
+    well conditioned, else by resolvents.  V diag(e) V^-1 loses about
+    cond(V) eps relative to the matrix, so the eigen path serves only
+    cond(V) eps <= ``ML_TOL``.  Called directly by the public functions,
+    whose caller the warning points at."""
     n = mat.shape[0]
     w, v = np.linalg.eig(mat)
     cond = np.linalg.cond(v) if np.all(np.isfinite(v)) else math.inf
     what = f"E_{{{alpha},{beta}}}"
-    if cond <= 1e8:
+    if cond * _EPS <= ML_TOL:
         args = (scale[:, None] * w[None, :]).ravel().astype(complex)
         values, err = _ml_values(alpha, beta, args)
         _warn_inaccurate(what, args, err, np.abs(values), 3)
@@ -335,9 +337,10 @@ def ml_kernel(alpha, beta, mat, times):
     (len(times), n, n), from one eigendecomposition of A.
 
     Eigen path: when the eigenvector basis V of A has condition estimate
-    <= 1e8, the scalar function is evaluated on the whole (nodes x
-    eigenvalues) argument array t_k^a lambda_j at once and each node's matrix
-    is V diag(E(t_k^a lambda)) V^-1, summed in a fixed order.  Resolvent
+    cond(V) <= ``ML_TOL`` / eps (about 4.5e5), the scalar function is
+    evaluated on the whole (nodes x eigenvalues) argument array
+    t_k^a lambda_j at once and each node's matrix is V diag(E(t_k^a lambda))
+    V^-1, summed in a fixed order; it loses about cond(V) eps.  Resolvent
     path (ill-conditioned or defective V): each node's matrix is
     sum_j c_j (sigma_j I - t_k^a A)^(-1) on the first contour's nodes, which
     needs no eigenvectors and no derivatives; it raises ``ValueError`` if a
@@ -359,34 +362,39 @@ def ml_kernel(alpha, beta, mat, times):
     return _ml_stack(alpha, beta, mat, times**alpha)
 
 
-def _causal_convolution(spectra, hists, M):
-    """Causal convolutions over a whole grid by zero-padded real FFTs:
-    out[n, i] = sum over the terms (h, i, k) of sum_{m=1..n} w_ik[m] hists[h][n-m, k]
-    for n = 0 .. N, with every history of shape (N+1, dim).
+def _causal_convolution(spectra, hists, M, lo, out):
+    """Add causal convolutions, taken by zero-padded real FFTs, into ``out``:
+    out[i, ..., n - lo] += sum over the terms (h, i, k) of
+    sum_m w_ik[m] hists[h][k, ..., n - m] for the rows n = lo .. lo + R - 1,
+    with time-last histories of shape (dim, ..., length) and ``out`` of
+    shape (dim, ..., R).
 
     ``spectra`` lists (mu, [(h, i, k, w_hat)]) with w_hat the length-M rfft of
-    the balanced kernel e^(-mu m) w_ik[m] over the lags m = 0 .. N (w_ik[0] = 0);
-    M >= 2(N+1), so no product wraps onto the nodes 0 .. N.  Per rate mu each
-    history is balanced to e^(-mu j) h[j] and transformed once over all its
-    components, the products are summed in the frequency domain, and one
-    inverse transform is scaled back by e^(mu n).
+    the balanced kernel e^(-mu m) w_ik[m] over K lags m = 0 .. K - 1
+    (w_ik[0] = 0).  With histories of length H, M >= lo + R and
+    M >= H + K - 1 - lo keep the circular products exact on the output
+    rows.  Per rate mu each history is balanced to e^(-mu j) h[j] and
+    transformed once over all its components, the products are summed in
+    the frequency domain, and one inverse transform is scaled back by
+    e^(mu n) and added into ``out``.  Transforms run along the last axis
+    alone, so each row of the middle axes gets the same result whatever
+    else shares the call.
     """
     # imported on use: a module-level import here loads scipy.fft earlier in
     # the package import than the simulator does, which was measured to raise
     # the peak RSS of the process by about 0.6 MB
     from scipy import fft as sp_fft
 
-    n_nodes, dim = hists[0].shape
-    nodes = np.arange(n_nodes)[:, None]
-    out = np.zeros((n_nodes, dim))
+    hi = lo + out.shape[-1]
+    src = np.arange(hists[0].shape[-1])
+    dst = np.arange(lo, hi)
     for mu, terms in spectra:
-        h_hats = {h: sp_fft.rfft(hists[h] * np.exp(-mu * nodes), M, axis=0)
+        h_hats = {h: sp_fft.rfft(hists[h] * np.exp(-mu * src), M, axis=-1)
                   for h in {term[0] for term in terms}}
-        total = np.zeros((M // 2 + 1, dim), dtype=complex)
+        total = np.zeros(out.shape[:-1] + (M // 2 + 1,), dtype=complex)
         for h, i, k, w_hat in terms:
-            total[:, i] += w_hat * h_hats[h][:, k]
-        out += sp_fft.irfft(total, M, axis=0)[:n_nodes] * np.exp(mu * nodes)
-    return out
+            total[i] += w_hat * h_hats[h][k]
+        out += sp_fft.irfft(total, M, axis=-1)[..., lo:hi] * np.exp(mu * dst)
 
 
 def rl_integral_grid(samples, alpha, dt):
@@ -414,7 +422,9 @@ def rl_integral_grid(samples, alpha, dt):
     coeff = np.concatenate(([0.0], m[1:] ** alpha - m[:-1] ** alpha))
     M = sp_fft.next_fast_len(max(2 * n_nodes, 1), real=True)
     w_hat = sp_fft.rfft(coeff, M)
-    out = _causal_convolution([(0.0, [(0, k, k, w_hat) for k in range(f.shape[1])])], (f,), M)
+    out = np.zeros(f.shape)
+    _causal_convolution([(0.0, [(0, k, k, w_hat) for k in range(f.shape[1])])], (f.T,), M,
+                        0, out.T)
     out *= dt**alpha / gamma_fn(alpha + 1.0)
     out[:1] = 0.0
     return out[:, 0] if squeeze else out

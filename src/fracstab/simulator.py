@@ -54,13 +54,13 @@ follows from L_g and the tolerance alone.  Either count of steps runs
 without a convergence test and only the last step is tested, per path.  A
 path that fails that test (g not vanishing at 0, or a declared L_g below the
 true contraction rate) keeps iterating with a test on every step until it
-converges or ``fp_max_iter`` (by default twice the sweep count, at least
-100) raises ConvergenceError.
+converges or the cap (twice the sweep count, at least 100) raises
+ConvergenceError.  The tolerance is ``coefficients.NEUTRAL_TOL``.
 
 Paths are independent given their increments.  All reductions are per path
 (direct sums in a fixed order, per-path transforms, and fixed-order matrix
-products instead of BLAS), so results do not depend on how paths are
-chunked or scheduled.
+products instead of BLAS), so a path's states do not depend on which other
+paths share its ensemble.
 """
 
 from __future__ import annotations
@@ -291,13 +291,13 @@ def _far_field(kernels, hists, acc, c, spectra):
     kernel that grows across the block (a matrix outside the stability
     sector) is balanced first: w[m] h[j] = e^(mu n) (e^(-mu m) w[m])
     (e^(-mu j) h[j]), with block-local j, n and the entry's own growth rate
-    mu >= 0 over the block's lags, so each target keeps the relative
-    accuracy of a direct sum.  Decaying kernels have mu = 0.  Entries that
-    share mu share their history transforms and one inverse transform per
-    component, so the drift and noise products of a decaying kernel are
-    summed in the frequency domain.  Transforms are per path, so batching
-    paths cannot change the result.  ``spectra`` holds the kernel
-    transforms of this march by block shape.
+    mu >= 0 over the block's lags (:func:`_block_spectra`), so each target
+    keeps the relative accuracy of a direct sum.  Decaying kernels have
+    mu = 0, so the drift and noise products of a decaying kernel are summed
+    in the frequency domain by
+    :func:`~fracstab.fraccalc._causal_convolution`.  Transforms are per
+    path, so batching paths cannot change the result.  ``spectra`` holds
+    the kernel transforms of this march by block shape.
     """
     L = _BASE_BLOCK
     while c % (2 * L) == 0:
@@ -308,22 +308,14 @@ def _far_field(kernels, hists, acc, c, spectra):
     if (L, n_targets) not in spectra:
         spectra[L, n_targets] = _block_spectra(kernels, L, n_targets, M)
     n_paths, dim = acc.shape[0], acc.shape[2]
-    src = np.arange(L)
-    dst = np.arange(L, L + n_targets)
     batch = max(1, _FFT_BATCH // (dim * M))
     for p0 in range(0, n_paths, batch):
         p1 = min(p0 + batch, n_paths)
-        # path-major contiguous blocks (dim, paths, L), zero-padded to M
+        # path-major contiguous blocks (dim, paths, L)
         blocks = [np.ascontiguousarray(hist[c - L:c, p0:p1].transpose(2, 1, 0))
                   for hist in hists]
-        for mu, terms in spectra[L, n_targets]:
-            h_hats = {h: sp_fft.rfft(blocks[h] * np.exp(-mu * src), M, axis=-1)
-                      for h in {term[0] for term in terms}}
-            total = np.zeros((dim, p1 - p0, M // 2 + 1), dtype=complex)
-            for h, i, k, w_hat in terms:
-                total[i] += w_hat * h_hats[h][k]
-            out = sp_fft.irfft(total, M, axis=-1)[:, :, L:L + n_targets] * np.exp(mu * dst)
-            acc[p0:p1, c:hi] += out.transpose(1, 2, 0)
+        _causal_convolution(spectra[L, n_targets], blocks, M, L,
+                            acc[p0:p1, c:hi].transpose(2, 0, 1))
 
 
 def _check_finite(x, n, scheme):
@@ -337,7 +329,7 @@ def _check_finite(x, n, scheme):
     )
 
 
-def _package(values, system, grid, tag, master_seed, n_paths):
+def _package(values, system, grid, tag, master_seed):
     """Assemble a PathEnsemble from the states (P, N+1, dim), taken over."""
     alpha = system.order.alpha
     times = grid.nodes
@@ -346,10 +338,10 @@ def _package(values, system, grid, tag, master_seed, n_paths):
     weighted[:, 0, :] = system.rho / gamma_fn(alpha)
     weighted[:, 1:, :] = times[None, 1:, None] ** (1.0 - alpha) * values[:, 1:, :]
     return PathEnsemble(values=values, weighted=weighted, grid=grid, scheme_tag=tag,
-                        master_seed=master_seed, n_paths=n_paths)
+                        master_seed=master_seed, n_paths=values.shape[0])
 
 
-def _march(system, grid, increments, scheme, solve, scheme_tag):
+def _march(system, grid, ensemble, scheme, scheme_tag):
     """Shared time-marching core of the mild and integral-form schemes:
 
         x_n = free[n] + sum_{j<n} w_f[n-j] f_j + sum_{j<n} w_s[n-j] s_j - g(t_n, x_n),
@@ -358,10 +350,15 @@ def _march(system, grid, increments, scheme, solve, scheme_tag):
     Lags inside a base block are summed directly at each step; every other
     part of the two history sums is added ahead of time by
     :func:`_far_field`, into the nodes of the state array not yet marched.
-    Returns the states (P, N+1, dim); histories are kept time-major.
+    All paths of the ensemble are marched together.  Returns the states
+    (P, N+1, dim); histories are kept time-major and freed on return, before
+    the caller packages the states.
     """
+    _check_inputs(system, grid, ensemble)
     free, w_f, w_s, drift = scheme
     coeffs = system.coeffs
+    solve = _neutral_solver(coeffs)
+    increments = ensemble.increments
     n_steps, dim = grid.N, system.n
     n_paths = increments.shape[0]
     times = grid.nodes
@@ -390,9 +387,7 @@ def _march(system, grid, increments, scheme, solve, scheme_tag):
     return states
 
 
-def _check_inputs(system, grid, ensemble, fp_max_iter):
-    if fp_max_iter is not None and fp_max_iter < 1:
-        raise ValueError(f"fp_max_iter must be >= 1, got {fp_max_iter}")
+def _check_inputs(system, grid, ensemble):
     if system.coeffs.L_g >= 1.0:
         raise ValueError(
             f"the neutral fixed point requires L_g < 1, got L_g={system.coeffs.L_g}"
@@ -404,25 +399,13 @@ def _check_inputs(system, grid, ensemble, fp_max_iter):
         )
 
 
-def _run_chunked(system, grid, ensemble, tag, chunk_size, scheme, fp_tol, fp_max_iter):
-    inc = ensemble.increments
-    n_paths = inc.shape[0]
-    step = chunk_size if chunk_size and chunk_size < n_paths else n_paths
-    solve = _neutral_solver(system.coeffs, fp_tol, fp_max_iter)
-    parts = [_march(system, grid, inc[lo:lo + step], scheme, solve, tag)
-             for lo in range(0, n_paths, step)]
-    states = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return _package(states, system, grid, tag, ensemble.master_seed, n_paths)
-
-
-def simulate_mild(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble,
-                  fp_tol=1e-12, fp_max_iter=None, chunk_size=None) -> PathEnsemble:
+def simulate_mild(system: SystemSpec, grid: TimeGrid,
+                  ensemble: BrownianEnsemble) -> PathEnsemble:
     """March the variation-of-constants scheme over the ensemble.
 
-    Kernel matrices E_{a,a}((m dt)^a A) are precomputed once and shared;
-    ``chunk_size`` only batches paths (results are identical for any value).
+    Kernel matrices E_{a,a}((m dt)^a A) are precomputed once and shared by
+    all paths, which are marched together.
     """
-    _check_inputs(system, grid, ensemble, fp_max_iter)
     table = _KernelTable(system, grid)
     g, b = system.coeffs.g, system.coeffs.b
 
@@ -432,20 +415,18 @@ def simulate_mild(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble
 
     scheme = (table.homog, table.d[:, None, None] * table.E[1:],
               table.kappa[:, None, None] * table.E[1:], drift)
-    return _run_chunked(system, grid, ensemble, "mild", chunk_size, scheme,
-                        fp_tol, fp_max_iter)
+    states = _march(system, grid, ensemble, scheme, "mild")
+    return _package(states, system, grid, "mild", ensemble.master_seed)
 
 
 def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble,
-                           as_printed=False, fp_tol=1e-12, fp_max_iter=None,
-                           chunk_size=None) -> PathEnsemble:
+                           as_printed=False) -> PathEnsemble:
     """March the second-kind Volterra scheme (memory term A X).
 
     ``as_printed=True`` switches the memory term to + A g(s, X(s)) for
     side-by-side comparison with the self-consistent form.  The constant
     kernel (t-s)^(a-1)/Gamma(a) needs no Mittag-Leffler evaluation.
     """
-    _check_inputs(system, grid, ensemble, fp_max_iter)
     alpha = system.order.alpha
     inv_gamma = 1.0 / gamma_fn(alpha)
     d, kappa = _cell_weights(alpha, grid)
@@ -469,7 +450,8 @@ def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: Brownia
     scheme = (free, (inv_gamma * d)[:, None, None] * eye,
               (inv_gamma * kappa)[:, None, None] * eye, drift)
     tag = "integral_form_as_printed" if as_printed else "integral_form"
-    return _run_chunked(system, grid, ensemble, tag, chunk_size, scheme, fp_tol, fp_max_iter)
+    states = _march(system, grid, ensemble, scheme, tag)
+    return _package(states, system, grid, tag, ensemble.master_seed)
 
 
 def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
@@ -515,7 +497,9 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
         noise = np.asarray(coeffs.sigma(times, x)) * dw
         # A commutes with E(A): the neutral memory shares the weight d E with b;
         # the neutral term itself is taken at the previous iterate
-        x_new = table.homog + _causal_convolution(spectra, (drift, noise), M) - g_hist
+        history = np.zeros((n_nodes, system.n))
+        _causal_convolution(spectra, (drift.T, noise.T), M, 0, history.T)
+        x_new = table.homog + history - g_hist
         x_new[0] = 0.0
 
         change = np.max(np.abs(w_time * (x_new[1:] - x[1:])))
@@ -531,7 +515,7 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
             f"last contraction ratio estimate {ratio:.4g}"
         )
 
-    ens = _package(x[None], system, grid, "picard", 0, 1)
+    ens = _package(x[None], system, grid, "picard", 0)
     return PicardResult(values=ens.values[0], weighted=ens.weighted[0], grid=grid,
                         iterations=iterations, contraction_ratio=float(ratio))
 

@@ -16,7 +16,7 @@ from fracstab import (
     verify_lipschitz,
     verify_vanishing,
 )
-from fracstab.coefficients import (_default_max_iter, _neutral_solver, _newton_schedule,
+from fracstab.coefficients import (NEUTRAL_TOL, _neutral_solver, _newton_schedule,
                                    _solve_neutral)
 
 
@@ -158,7 +158,6 @@ def test_whole_path_call_matches_node_calls(family, seed, x):
 
 # ------------------------------------------------------------ neutral solves
 
-NEUTRAL_TOL = 1e-12
 NON_NORMAL_G = [[0.1, 0.8], [0.0, 0.1]]  # declared L_g 0.9, spectral radius 0.1
 
 
@@ -186,7 +185,7 @@ def neutral_cases(draw):
 @given(case=neutral_cases(), cut=st.integers(1, 29))
 def test_exact_neutral_solve_residual_and_batching(case, cut):
     coeffs, rhs = case
-    solve = _neutral_solver(coeffs, NEUTRAL_TOL)
+    solve = _neutral_solver(coeffs)
     x = solve(0.5, rhs)
     residual = np.abs(x + coeffs.g(0.5, x) - rhs).max(axis=-1)
     assert np.all(residual <= NEUTRAL_TOL * (1.0 + np.abs(x).max(axis=-1)))
@@ -201,7 +200,7 @@ def test_newton_schedule_with_a_subnormal_coefficient():
     # a / (2 (1 - a)) underflows to 0 for the smallest subnormal a, which
     # left the step count dividing by zero; every step is tested instead
     assert _newton_schedule(5e-324, 1e-12) == (0, 1)
-    solve = _neutral_solver(make_bounded_smooth(5e-324, 0.1, 0.1), NEUTRAL_TOL)
+    solve = _neutral_solver(make_bounded_smooth(5e-324, 0.1, 0.1))
     np.testing.assert_array_equal(solve(0.5, np.array([[0.0], [2.0]])), [[0.0], [2.0]])
 
 
@@ -209,7 +208,7 @@ def test_newton_schedule_with_a_subnormal_coefficient():
 @given(case=neutral_cases())
 def test_exact_neutral_solve_stays_with_g(case):
     coeffs, rhs = case
-    exact = _neutral_solver(coeffs, NEUTRAL_TOL)(0.5, rhs)
+    exact = _neutral_solver(coeffs)(0.5, rhs)
     calls = []
 
     # a functools.wraps wrapper (a tracer, say) keeps the exact solve
@@ -218,7 +217,7 @@ def test_exact_neutral_solve_stays_with_g(case):
         calls.append(t)
         return coeffs.g(t, x)
 
-    wrapped = _neutral_solver(dataclasses.replace(coeffs, g=traced), NEUTRAL_TOL)(0.5, rhs)
+    wrapped = _neutral_solver(dataclasses.replace(coeffs, g=traced))(0.5, rhs)
     assert wrapped.tobytes() == exact.tobytes()
     assert not calls
 
@@ -227,7 +226,6 @@ def test_exact_neutral_solve_stays_with_g(case):
         calls.append(t)
         return coeffs.g(t, x)
 
-    swept = _neutral_solver(dataclasses.replace(coeffs, g=other), NEUTRAL_TOL)(0.5, rhs)
+    swept = _neutral_solver(dataclasses.replace(coeffs, g=other))(0.5, rhs)
     assert calls
-    assert swept.tobytes() == _solve_neutral(rhs, other, 0.5, coeffs.L_g, NEUTRAL_TOL,
-                                             _default_max_iter(coeffs.L_g, NEUTRAL_TOL)).tobytes()
+    assert swept.tobytes() == _solve_neutral(rhs, other, 0.5, coeffs.L_g).tobytes()

@@ -140,6 +140,26 @@ def test_check_malformed_config_exits_1(tmp_path, capsys):
     assert "system.matrix" in capsys.readouterr().err
 
 
+# json.load reads NaN and Infinity; each is refused with the field it sits in
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("keys,value,field", [
+    pytest.param(("criteria", "epsilon"), math.nan, "criteria.epsilon", id="epsilon"),
+    pytest.param(("criteria", "tail_tol"), math.nan, "criteria.tail_tol", id="tail_tol"),
+    pytest.param(("criteria", "m_override"), math.inf, "criteria.m_override", id="m_override"),
+    pytest.param(("system", "coefficients", "G"), [[math.nan]], "system.coefficients.G[0][0]",
+                 id="G"),
+])
+def test_non_finite_numbers_exit_1(tmp_path, capsys, command, keys, value, field):
+    doc = benchmark_doc()
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    path = write_doc(tmp_path, doc)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_ml_command_prints_15_digits(capsys):
     assert main(["ml", "1", "1", "1"]) == 0
     assert capsys.readouterr().out.strip() == "2.71828182845905"
@@ -164,7 +184,7 @@ def test_ml_command_domain_error(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
-def test_simulate_outputs_and_determinism(tmp_path, monkeypatch):
+def test_simulate_outputs_and_determinism(tmp_path):
     path = write_doc(tmp_path, benchmark_doc())
     names = ["moments.csv", "moments_weighted.csv", "verdict.txt", "meta.txt"]
 
@@ -173,11 +193,6 @@ def test_simulate_outputs_and_determinism(tmp_path, monkeypatch):
     out2 = tmp_path / "run2"
     assert main(["simulate", "--config", path, "--out", str(out2)]) == 0
     assert digests(out1, names) == digests(out2, names)
-
-    monkeypatch.setenv("FRACSTAB_WORKERS", "5")
-    out3 = tmp_path / "run3"
-    assert main(["simulate", "--config", path, "--out", str(out3)]) == 0
-    assert digests(out1, names) == digests(out3, names)
 
     # seed override changes the byte stream
     out4 = tmp_path / "run4"

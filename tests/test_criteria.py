@@ -163,6 +163,15 @@ def test_delta_requires_subunit_stability_constant():
         delta_for_epsilon(inputs, 1.0)
 
 
+def test_non_finite_inputs_are_refused():
+    # a NaN stability constant is not below 1, so it admits no delta
+    with pytest.raises(CriterionError):
+        delta_for_epsilon(bench_inputs(M=math.nan), 1.0)
+    for g in ([[math.nan]], [[math.inf]]):
+        with pytest.raises(ValueError, match="finite"):
+            make_linear(g, [[0.0]], [[0.0]])
+
+
 def test_delta_never_exceeds_epsilon():
     rng = np.random.default_rng(2)
     for _ in range(50):

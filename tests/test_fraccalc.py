@@ -35,6 +35,7 @@ from oracle_fixtures import (
     JORDAN_A09_T50,
     M_JORDAN_A075_T50,
     M_ROTATION_A075_T50,
+    NEAR_DEFECTIVE_A075,
     ML_A06_B06_ZM10P30J,
     ML_A06_B15_ZM3P4J,
     ML_A06_B075_ZM40,
@@ -313,6 +314,26 @@ def test_ml_kernel_of_the_jordan_block_and_the_rotation():
     e = ML_A075_B075_ROTATION_T50
     np.testing.assert_allclose(ml_kernel(0.75, 0.75, rotation, [50.0])[0],
                                [[e.real, e.imag], [-e.imag, e.real]], rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 10, 11])
+def test_ml_kernel_of_a_near_defective_matrix(seed):
+    # P diag(J2(-1), J2(-3)) P^-1 rounds to a diagonalisable matrix with
+    # cond(V) near 9e7, where V diag(E) V^-1 would lose about cond(V) eps;
+    # compared with the similarity transform of the Jordan closed form
+    p = np.random.default_rng(seed).uniform(-1.0, 1.0, (4, 4))
+    jordan = np.diag([-1.0, -1.0, -3.0, -3.0]) + np.diag([1.0, 0.0, 1.0], 1)
+    mat = p @ jordan @ np.linalg.inv(p)
+    times = [0.5, 5.0, 20.0]
+    table = ml_kernel(0.75, 0.75, mat, times)
+    for k, t in enumerate(times):
+        blocks = np.zeros((4, 4))
+        for i, lam in ((0, -1.0), (2, -3.0)):
+            e, de = NEAR_DEFECTIVE_A075[lam, t]
+            blocks[i:i + 2, i:i + 2] = [[e, t**0.75 * de], [0.0, e]]
+        expect = p @ blocks @ np.linalg.inv(p)
+        err = np.abs(table[k] - expect).sum(axis=1).max() / np.abs(expect).sum(axis=1).max()
+        assert err <= 1e-12, (t, err)
 
 
 _TRIANGULAR = np.array([[-1.0, 0.7, 0.2], [0.0, -2.0, -0.4], [0.0, 0.0, -3.0]])

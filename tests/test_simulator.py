@@ -31,7 +31,7 @@ from fracstab import (
     simulate_mild,
 )
 from fracstab import simulator
-from fracstab.coefficients import _solve_neutral
+from fracstab.coefficients import NEUTRAL_TOL, _solve_neutral
 from fracstab.errors import ConvergenceError, SimulationNumericError
 
 ORDER = FractionalOrder(0.75, 2)
@@ -123,8 +123,14 @@ def test_weighted_initialisation_and_consistency():
 SCHEMES = {
     "mild": simulate_mild,
     "integral_form": simulate_integral_form,
-    "as_printed": lambda *args, **kw: simulate_integral_form(*args, as_printed=True, **kw),
+    "as_printed": lambda *args: simulate_integral_form(*args, as_printed=True),
 }
+
+
+def row_slice(ens, lo, hi):
+    """The paths lo .. hi - 1 of an ensemble, as an ensemble of their own."""
+    return BrownianEnsemble(increments=ens.increments[lo:hi], master_seed=ens.master_seed,
+                            n_paths=hi - lo)
 
 
 def planar_system(coeffs):
@@ -209,9 +215,11 @@ def test_scheme_determinism_and_chunk_independence(scheme, dim, n_steps):
     base = simulate(system, grid, ens)
     again = simulate(system, grid, ens)
     np.testing.assert_array_equal(np.nan_to_num(base.values), np.nan_to_num(again.values))
-    for chunk in (1, 7, 39):
-        chunked = simulate(system, grid, ens, chunk_size=chunk)
-        np.testing.assert_array_equal(np.nan_to_num(base.values), np.nan_to_num(chunked.values))
+    # a path's states do not depend on the other paths marched with it
+    for lo, hi in ((3, 4), (10, 17), (1, 40)):
+        part = simulate(system, grid, row_slice(ens, lo, hi))
+        np.testing.assert_array_equal(np.nan_to_num(base.values[lo:hi]),
+                                      np.nan_to_num(part.values))
 
 
 # Decaying kernels at N = 256 and 300 (two and three block levels, the
@@ -289,9 +297,9 @@ def affine_neutral_coeffs(slope, shift, L_g):
 ])
 def test_neutral_solve_falls_back_to_tested_sweeps(slope, shift, L_g):
     coeffs = affine_neutral_coeffs(slope, shift, L_g)
-    tol = 1e-12
+    tol = NEUTRAL_TOL
     rhs = np.random.default_rng(5).normal(scale=3.0, size=(64, 2))
-    x = _solve_neutral(rhs, coeffs.g, 0.5, L_g, tol, 100)
+    x = _solve_neutral(rhs, coeffs.g, 0.5, L_g)
     ref = rhs.copy()
     for _ in range(200):
         ref = rhs - coeffs.g(0.5, ref)
@@ -301,9 +309,9 @@ def test_neutral_solve_falls_back_to_tested_sweeps(slope, shift, L_g):
     grid = TimeGrid(T=1.0, N=130)
     ens = brownian_increments(grid, 14, 3)
     base = np.nan_to_num(simulate_mild(system, grid, ens).values)
-    for chunk in (1, 7):
-        chunked = simulate_mild(system, grid, ens, chunk_size=chunk)
-        np.testing.assert_array_equal(base, np.nan_to_num(chunked.values))
+    for lo, hi in ((5, 6), (2, 9)):
+        part = simulate_mild(system, grid, row_slice(ens, lo, hi))
+        np.testing.assert_array_equal(base[lo:hi], np.nan_to_num(part.values))
 
 
 def test_custom_neutral_term_near_one_converges_with_defaults():
@@ -602,8 +610,6 @@ def test_strong_neutral_coefficient_rejected():
     ens = brownian_increments(grid, 1, 0)
     with pytest.raises(ValueError):
         simulate_mild(system, grid, ens)
-    with pytest.raises(ValueError):
-        simulate_mild(scalar_system(), grid, ens, fp_max_iter=0)
 
 
 def test_self_convergence_toward_fine_reference():

@@ -54,6 +54,10 @@ ML_COMPLEX_POINTS = [
 # for the Jordan block J = [[-1, 1], [0, -1]]
 JORDAN_POINTS = [(alpha, t) for alpha in (0.6, 0.75, 0.9) for t in (0.5, 5.0, 50.0)]
 
+# (E, E') of E_{0.75,0.75} at z = t^a lambda for the Jordan blocks J2(-1) and
+# J2(-3) behind the near-defective matrices P diag(J2(-1), J2(-3)) P^-1
+NEAR_DEFECTIVE_POINTS = [(lam, t) for lam in (-1.0, -3.0) for t in (0.5, 5.0, 20.0)]
+
 # grid suprema M = max_k ||E_{a,a}(t_k^a A)||_inf over np.linspace(0, T, 257),
 # the default grid of spectral.ml_norm_sup
 NORM_SUP_ALPHA, NORM_SUP_T = 0.75, 50.0
@@ -112,6 +116,13 @@ def main():
         mp.mp.dps = 40
         name = f"JORDAN_A{alpha:g}_T{t:g}".replace(".", "")
         print(f"{name} = ({mp.nstr(e, 22)}, {mp.nstr(de, 22)})")
+    print("NEAR_DEFECTIVE_A075 = {")
+    for lam, t in NEAR_DEFECTIVE_POINTS:
+        z = lam * t**0.75
+        e, de = ml_reference(0.75, 0.75, z), ml_reference(0.75, 0.75, z, 1)
+        mp.mp.dps = 40
+        print(f"    ({lam!r}, {t!r}): ({mp.nstr(e, 22)}, {mp.nstr(de, 22)}),")
+    print("}")
     jordan, rotation = norm_sups()
     mp.mp.dps = 40
     print("M_JORDAN_A075_T50 =", mp.nstr(jordan, 22))
