@@ -18,6 +18,7 @@ build.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -75,17 +76,34 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_check(args) -> int:
+def _run_config(args):
+    """(config with the ``--seed`` override, scheme, output directory) of
+    ``simulate`` and ``convergence``; a convergence study of the Picard
+    scheme is refused before the directory is made."""
     cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
+    scheme = args.scheme or cfg.scheme
+    if scheme == "picard" and args.command == "convergence":
+        raise ConfigError("monte_carlo.scheme", "convergence studies use the marching schemes")
+    return cfg, scheme, _out_dir(args, cfg)
+
+
+def _certificate(cfg: RunConfig):
+    """The certificate of a config and its delta(epsilon), None when the
+    criterion admits no delta."""
     cert = certify(np.asarray(cfg.matrix), cfg.coefficients(), cfg.order(), cfg.T,
                    m_override=cfg.m_override)
     try:
-        delta = delta_for_epsilon(cert.inputs, cfg.epsilon)
-        delta_note = "ok"
+        return cert, delta_for_epsilon(cert.inputs, cfg.epsilon)
     except CriterionError:
-        delta = None
-        delta_note = "criterion fails: no admissible delta"
+        return cert, None
+
+
+def cmd_check(args) -> int:
+    cfg = load_config(args.config)
+    out = _out_dir(args, cfg)
+    cert, delta = _certificate(cfg)
     pairs = [
         ("theta", cert.theta),
         ("contraction", cert.contraction),
@@ -96,7 +114,7 @@ def cmd_check(args) -> int:
         ("a_norm", cert.inputs.A_norm),
         ("epsilon", cfg.epsilon),
         ("delta", delta),
-        ("delta_note", delta_note),
+        ("delta_note", "ok" if delta is not None else "criterion fails: no admissible delta"),
         ("sector_margin", cert.sector.margin),
         ("sector_in", cert.sector.in_sector),
         ("verdict_existence", cert.verdict_existence),
@@ -157,18 +175,8 @@ def _write_meta(path: Path, cfg: RunConfig, scheme: str, as_printed: bool) -> No
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = RunConfig(**{**cfg.__dict__, "master_seed": args.seed})
-    scheme = args.scheme or cfg.scheme
-    out = _out_dir(args, cfg)
-
-    try:
-        ensemble = _run_scheme(cfg, scheme, args.as_printed)
-    except (SimulationNumericError, ConvergenceError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-
+    cfg, scheme, out = _run_config(args)
+    ensemble = _run_scheme(cfg, scheme, args.as_printed)
     p = cfg.p
     rho_norm = float(np.linalg.norm(cfg.rho))
     curve_w = pth_moment_curve(ensemble, p, weighted=True, rho_norm=rho_norm)
@@ -178,12 +186,7 @@ def cmd_simulate(args) -> int:
     _write_csv(out / "moments_weighted.csv", ("t", "m", "ci_half_width"),
                zip(curve_w.nodes, curve_w.m, curve_w.half_width))
 
-    cert = certify(np.asarray(cfg.matrix), cfg.coefficients(), cfg.order(), cfg.T,
-                   m_override=cfg.m_override)
-    try:
-        delta = delta_for_epsilon(cert.inputs, cfg.epsilon)
-    except CriterionError:
-        delta = None
+    cert, delta = _certificate(cfg)
     hypothesis_met = delta is not None and rho_norm < delta
     # empirical flags are computed on the weighted (H-norm) curve; the
     # unweighted moment diverges at t -> 0+ for any rho != 0
@@ -250,50 +253,39 @@ def _real_or_complex(text):
 
 
 def cmd_convergence(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = RunConfig(**{**cfg.__dict__, "master_seed": args.seed})
-    scheme = args.scheme or cfg.scheme
-    if scheme == "picard":
-        raise ConfigError("monte_carlo.scheme", "convergence studies use the marching schemes")
-    out = _out_dir(args, cfg)
+    cfg, scheme, out = _run_config(args)
     system = cfg.system()
     base_n = cfg.N
     fine_n = 16 * base_n
     fine_grid = TimeGrid(T=cfg.T, N=fine_n)
     fine = brownian_increments(fine_grid, cfg.n_paths, cfg.master_seed)
-
-    try:
-        ref = _run_march(system, fine_grid, fine, scheme, args.as_printed)
-        scale = float(np.nanmax(np.abs(ref.weighted)))
-        floor = 1e-11 * max(scale, 1.0)
-        rows = []
-        prev_err = None
-        for n_steps in (base_n, 2 * base_n, 4 * base_n):
-            factor = fine_n // n_steps
-            grid = TimeGrid(T=cfg.T, N=n_steps)
-            coarse = BrownianEnsemble(
-                increments=fine.increments.reshape(cfg.n_paths, n_steps, factor).sum(axis=2),
-                master_seed=cfg.master_seed,
-                n_paths=cfg.n_paths,
-            )
-            ens = _run_march(system, grid, coarse, scheme, args.as_printed)
-            ref_nodes = ref.weighted[:, ::factor, :]
-            err = float(np.mean(np.max(np.abs(ens.weighted - ref_nodes), axis=(1, 2))))
-            if err <= floor:
-                order = "saturated"
-            elif prev_err is None:
-                order = ""
-            elif prev_err <= floor:
-                order = "saturated"
-            else:
-                order = math.log2(prev_err / err)
-            rows.append([n_steps, err, order])
-            prev_err = err
-        _write_csv(out / "convergence.csv", ("N", "weighted_sup_error", "observed_order"), rows)
-    except (SimulationNumericError, ConvergenceError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    ref = _run_march(system, fine_grid, fine, scheme, args.as_printed)
+    scale = float(np.nanmax(np.abs(ref.weighted)))
+    floor = 1e-11 * max(scale, 1.0)
+    rows = []
+    prev_err = None
+    for n_steps in (base_n, 2 * base_n, 4 * base_n):
+        factor = fine_n // n_steps
+        grid = TimeGrid(T=cfg.T, N=n_steps)
+        coarse = BrownianEnsemble(
+            increments=fine.increments.reshape(cfg.n_paths, n_steps, factor).sum(axis=2),
+            master_seed=cfg.master_seed,
+            n_paths=cfg.n_paths,
+        )
+        ens = _run_march(system, grid, coarse, scheme, args.as_printed)
+        ref_nodes = ref.weighted[:, ::factor, :]
+        err = float(np.mean(np.max(np.abs(ens.weighted - ref_nodes), axis=(1, 2))))
+        if err <= floor:
+            order = "saturated"
+        elif prev_err is None:
+            order = ""
+        elif prev_err <= floor:
+            order = "saturated"
+        else:
+            order = math.log2(prev_err / err)
+        rows.append([n_steps, err, order])
+        prev_err = err
+    _write_csv(out / "convergence.csv", ("N", "weighted_sup_error", "observed_order"), rows)
     return EXIT_OK
 
 
@@ -346,10 +338,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FracstabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (SimulationNumericError, ConvergenceError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (FracstabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

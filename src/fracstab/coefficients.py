@@ -45,6 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError
+from .spectral import matrix_norm
 
 __all__ = [
     "CoefficientSet",
@@ -72,7 +73,7 @@ class CoefficientSet:
 
     def __post_init__(self):
         for name, val in (("L_g", self.L_g), ("L_b", self.L_b), ("L_sigma", self.L_sigma)):
-            if val < 0:
+            if not val >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {val}")
 
 
@@ -104,10 +105,6 @@ def _matmap(mat):
     return f
 
 
-def _row_sum_norm(mat):
-    return float(np.max(np.sum(np.abs(np.atleast_2d(mat)), axis=1)))
-
-
 # ------------------------------------------------------------ neutral solves
 
 # Tolerance of every neutral solve: a path's last step is at most this
@@ -115,25 +112,25 @@ def _row_sum_norm(mat):
 NEUTRAL_TOL = 1e-12
 
 
-def _unchecked_sweeps(L_g, tol):
+def _unchecked_sweeps(L_g):
     """Sweeps of x <- rhs - g(t, x) that need no convergence test.
 
     If g vanishes at 0 and is L_g-Lipschitz in the max norm, the a-priori
     estimate of the contraction principle bounds the step of sweep k from
     x_0 = rhs by L_g^k (1 + L_g) / (1 - L_g) |x_k|, so sweep k passes the
-    test step <= tol (1 + |x_k|) once that factor is below tol.  Without a
-    usable bound (L_g = 0, tol <= 0) every sweep is tested.
+    test step <= NEUTRAL_TOL (1 + |x_k|) once that factor is below the
+    tolerance.  Without a usable bound (L_g = 0) every sweep is tested.
     """
-    if not (0.0 < L_g < 1.0 and tol > 0.0):
+    if not 0.0 < L_g < 1.0:
         return 1
-    return max(1, math.ceil(math.log(tol * (1.0 - L_g) / (1.0 + L_g)) / math.log(L_g)))
+    return max(1, math.ceil(math.log(NEUTRAL_TOL * (1.0 - L_g) / (1.0 + L_g)) / math.log(L_g)))
 
 
-def _default_max_iter(L_g, tol):
+def _default_max_iter(L_g):
     """Iteration cap of a neutral solve: twice the a-priori sweep count, so
     a true contraction rate up to the square root of the declared L_g still
     converges, and never below 100."""
-    return max(100, 2 * _unchecked_sweeps(L_g, tol))
+    return max(100, 2 * _unchecked_sweeps(L_g))
 
 
 def _settle(update, x, rhs, n_free, t, max_iter, note):
@@ -192,8 +189,7 @@ def _solve_neutral(rhs, g_fn, t, L_g):
     of :func:`_default_max_iter` (see :func:`_settle`).
     """
     return _settle(lambda r, x: r - g_fn(t, x), rhs, rhs,
-                   _unchecked_sweeps(L_g, NEUTRAL_TOL), t,
-                   _default_max_iter(L_g, NEUTRAL_TOL),
+                   _unchecked_sweeps(L_g), t, _default_max_iter(L_g),
                    f"declared L_g={L_g:.6g}; the sweeps contract only if g is "
                    "L_g-Lipschitz with L_g < 1 and the states stay finite")
 
@@ -210,7 +206,7 @@ def _linear_solver(G):
     return solve
 
 
-def _newton_schedule(a, tol):
+def _newton_schedule(a):
     """(bisections, Newton steps of which all but the last run untested) for
     x + c sin x = rhs with |c| = a < 1.
 
@@ -221,18 +217,18 @@ def _newton_schedule(a, tol):
     with q = K r.  b is the least with q <= 1/2, which holds for every
     a < 1 (Kantorovich gives nothing without bisections from a ~ 0.73 on).
     Newton step k + 1 moves by at most e_k + e_{k+1} <= 2 e_k, so step n
-    passes the test step <= tol (1 + |x|) once 2 q^(2^(n-1)) / K <= tol.
-    Without a usable bound (K = 0, also for a subnormal a; tol <= 0) every
-    step is tested.
+    passes the test step <= NEUTRAL_TOL (1 + |x|) once
+    2 q^(2^(n-1)) / K <= NEUTRAL_TOL.  Without a usable bound (K = 0, also
+    for a subnormal a) every step is tested.
     """
     K = a / (2.0 * (1.0 - a))
-    if not (K > 0.0 and tol > 0.0):
+    if not K > 0.0:
         return 0, 1
     q, n_bisect = K * a, 0
     while q > 0.5:
         q, n_bisect = q / 2.0, n_bisect + 1
     n = 1
-    while 2.0 * q ** 2.0 ** (n - 1) / K > tol:
+    while 2.0 * q ** 2.0 ** (n - 1) / K > NEUTRAL_TOL:
         n += 1
     return n_bisect, n
 
@@ -241,8 +237,8 @@ def _sine_solver(c):
     """Exact neutral solve of g = c sin x componentwise, |c| < 1, by Newton's
     method with the schedule of :func:`_newton_schedule`."""
     a = abs(c)
-    n_bisect, n_free = _newton_schedule(a, NEUTRAL_TOL)
-    max_iter = _default_max_iter(a, NEUTRAL_TOL)
+    n_bisect, n_free = _newton_schedule(a)
+    max_iter = _default_max_iter(a)
     note = "Newton's method for x + c sin x = rhs, |c| < 1, stalls only on non-finite states"
 
     def newton(rhs, x):
@@ -283,7 +279,7 @@ def make_linear(G, B, S) -> CoefficientSet:
     if not all(np.all(np.isfinite(m)) for m in (G, B, S)):
         raise ValueError("coefficient matrices must be finite")
     tag = "zero" if not (G.any() or B.any() or S.any()) else "linear"
-    L_g = _row_sum_norm(G)
+    L_g = matrix_norm(G)
     g = _matmap(G)
     if L_g < 1.0:
         # the marches refuse L_g >= 1, where I + G may be singular
@@ -293,8 +289,8 @@ def make_linear(G, B, S) -> CoefficientSet:
         b=_matmap(B),
         sigma=_matmap(S),
         L_g=L_g,
-        L_b=_row_sum_norm(B),
-        L_sigma=_row_sum_norm(S),
+        L_b=matrix_norm(B),
+        L_sigma=matrix_norm(S),
         family_tag=tag,
         assumptions_verified=True,
     )

@@ -2,9 +2,8 @@
 
 Every module precondition that can be checked statically is checked here,
 with dotted field paths in error messages so a malformed file points at the
-offending entry.  Parsing and emission round-trip exactly (floats are kept
-as parsed; emission uses repr-faithful formatting), which is what makes
-byte-identical reruns possible.
+offending entry.  Numbers are kept exactly as parsed, so a rerun of the
+same file reproduces its outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .errors import ConfigError
 from .fraccalc import FractionalOrder
 from .simulator import SystemSpec, TimeGrid
 
-__all__ = ["RunConfig", "load_config", "parse_config", "dump_config"]
+__all__ = ["RunConfig", "load_config", "parse_config"]
 
 _SCHEMES = ("mild", "integral_form", "picard")
 _FAMILIES = ("zero", "linear", "bounded_smooth", "additive")
@@ -220,33 +219,3 @@ def load_config(path) -> RunConfig:
         raise ConfigError("<file>", f"invalid JSON at line {exc.lineno}: {exc.msg}")
     return parse_config(doc)
 
-
-def dump_config(cfg: RunConfig) -> dict:
-    """Inverse of :func:`parse_config`; parse(dump(cfg)) == cfg."""
-    coeff: dict = {"family": cfg.family, **cfg.coeff_params}
-    if cfg.family == "additive":
-        coeff["allow_nonvanishing"] = True
-    doc = {
-        "system": {
-            "matrix": cfg.matrix,
-            "rho": cfg.rho,
-            "alpha": cfg.alpha,
-            "p": cfg.p,
-            "coefficients": coeff,
-        },
-        "grid": {"T": cfg.T, "N": cfg.N},
-        "monte_carlo": {
-            "n_paths": cfg.n_paths,
-            "master_seed": cfg.master_seed,
-            "scheme": cfg.scheme,
-        },
-        "criteria": {
-            "epsilon": cfg.epsilon,
-            "window_fraction": cfg.window_fraction,
-            "tail_tol": cfg.tail_tol,
-        },
-        "output": {"directory": cfg.out_dir, "emit_paths": cfg.emit_paths},
-    }
-    if cfg.m_override is not None:
-        doc["criteria"]["m_override"] = cfg.m_override
-    return doc

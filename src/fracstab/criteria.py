@@ -57,13 +57,13 @@ class CriterionInputs:
     M: float
 
     def __post_init__(self):
-        if self.T <= 0:
+        if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
         for name, val in (("L_g", self.L_g), ("L_b", self.L_b), ("L_sigma", self.L_sigma)):
-            if val < 0:
+            if not val >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {val}")
-        if self.A_norm < 0 or self.M <= 0:
-            raise ValueError("A_norm must be >= 0 and M > 0")
+        if not (self.A_norm >= 0 and self.M > 0):
+            raise ValueError(f"A_norm must be >= 0 and M > 0, got {self.A_norm} and {self.M}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def delta_for_epsilon(inputs: CriterionInputs, epsilon: float) -> float:
     (a NaN constant included), in which case no delta exists by this
     sufficient condition.  Always returns delta <= epsilon.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     k = stability_constant(inputs)
     if not k < 1.0:  # also a NaN k

@@ -119,7 +119,7 @@ def gamma_fn(x: float) -> float:
 
 def beta_fn(a: float, b: float) -> float:
     """Euler beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), a, b > 0."""
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise ValueError(f"beta_fn requires positive arguments, got ({a}, {b})")
     return float(math.exp(_gammaln(a) + _gammaln(b) - _gammaln(a + b)))
 
@@ -408,7 +408,7 @@ def rl_integral_grid(samples, alpha, dt):
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"rl_integral_grid requires alpha in (0, 1], got {alpha}")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("grid step must be positive")
     from scipy import fft as sp_fft  # on use, as in _causal_convolution
 

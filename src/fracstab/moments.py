@@ -154,7 +154,7 @@ def stability_verdict(curves, epsilon: float, delta: float, tail_tol: float,
     slope CI entirely below zero.  The reported slope is the worst (largest
     CI upper end) among the curves.
     """
-    if epsilon <= 0 or delta <= 0:
+    if not (epsilon > 0 and delta > 0):
         raise ValueError("epsilon and delta must be positive")
     curves = list(curves)
     if not curves:

@@ -16,10 +16,12 @@ discretised:
   constant kernel (t-s)^(a-1)/Gamma(a) and the linear memory term A X(s)
   (the self-consistent form; a literal variant with A g(s, X(s)) under the
   integral is available behind ``as_printed=True`` for comparison).
-* ``picard_path_solve``  iterates the whole-path solution operator to its
-  fixed point on one path; the marching schemes are its triangular solve.
-  A sweep calls each coefficient once on the whole path and takes both
-  history integrals with one zero-padded FFT convolution, O(N log N).
+* ``picard_path_solve``  iterates the whole-path solution operator of the
+  discrete mild system to its fixed point on one path; the mild march is
+  its triangular solve, and both read the system from one builder,
+  ``_mild_scheme``.  A sweep calls each coefficient once on the whole path
+  and takes both history integrals with one zero-padded FFT convolution,
+  O(N log N).
 
 Quadrature conventions (shared): on each cell the singular scalar factor
 (t_n - s)^(a-1) is integrated exactly and multiplies the left-point values
@@ -98,7 +100,7 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if self.T <= 0:
+        if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
@@ -206,27 +208,31 @@ def _cell_weights(alpha, grid):
     return d, kappa
 
 
-class _KernelTable:
-    """Grid kernels of the variation-of-constants form.
+def _mild_scheme(system: SystemSpec, grid: TimeGrid):
+    """The discrete variation-of-constants system as the (free, w_f, w_s,
+    drift) of :func:`_march`, with E[m] = E_{a,a}((m dt)^a A):
 
-    E[m]       E_{a,a}((m dt)^a A), shape (N+1, dim, dim),
-    homog[n]   t_n^(a-1) E[n] rho, shape (N+1, dim),
-    d, kappa   the cell weights of :func:`_cell_weights`.
+        free[n] = t_n^(a-1) E[n] rho,   w_f = d E[1:],   w_s = kappa E[1:],
+        drift = b - A g,
 
-    E comes from one :func:`~fracstab.fraccalc.ml_kernel` call for the whole
-    grid (per eigenvalue when the eigenbasis of A is well conditioned), so
-    building the table is cheap enough to repeat on every call.
+    d, kappa the cell weights of :func:`_cell_weights`.  The march solves
+    this system node by node and :func:`picard_path_solve` iterates it on the
+    whole path.  E comes from one :func:`~fracstab.fraccalc.ml_kernel` call
+    for the whole grid, cheap enough to repeat on every call.
     """
+    alpha = system.order.alpha
+    d, kappa = _cell_weights(alpha, grid)
+    times = grid.nodes
+    E = ml_kernel(alpha, alpha, system.A, times)
+    free = np.zeros((grid.N + 1, system.n))
+    free[1:] = times[1:, None] ** (alpha - 1.0) * np.einsum("nij,j->ni", E[1:], system.rho)
+    g, b = system.coeffs.g, system.coeffs.b
 
-    def __init__(self, system: SystemSpec, grid: TimeGrid):
-        alpha = system.order.alpha
-        self.d, self.kappa = _cell_weights(alpha, grid)
-        times = grid.nodes
-        self.E = ml_kernel(alpha, alpha, system.A, times)
-        self.homog = np.zeros((grid.N + 1, system.n))
-        self.homog[1:] = times[1:, None] ** (alpha - 1.0) * np.einsum(
-            "nij,j->ni", self.E[1:], system.rho
-        )
+    def drift(t, x):
+        # A commutes with E(A): the neutral memory -A E g shares the weight d E with b
+        return b(t, x) - _apply_matrix(system.A, np.asarray(g(t, x)))
+
+    return free, d[:, None, None] * E[1:], kappa[:, None, None] * E[1:], drift
 
 
 # History and target nodes inside one aligned block of this many nodes are
@@ -403,19 +409,10 @@ def simulate_mild(system: SystemSpec, grid: TimeGrid,
                   ensemble: BrownianEnsemble) -> PathEnsemble:
     """March the variation-of-constants scheme over the ensemble.
 
-    Kernel matrices E_{a,a}((m dt)^a A) are precomputed once and shared by
+    Kernel matrices E_{a,a}((m dt)^a A) are computed once and shared by
     all paths, which are marched together.
     """
-    table = _KernelTable(system, grid)
-    g, b = system.coeffs.g, system.coeffs.b
-
-    def drift(t, x):
-        # A commutes with E(A): the neutral memory -A E g shares the weight d E with b
-        return b(t, x) - _apply_matrix(system.A, np.asarray(g(t, x)))
-
-    scheme = (table.homog, table.d[:, None, None] * table.E[1:],
-              table.kappa[:, None, None] * table.E[1:], drift)
-    states = _march(system, grid, ensemble, scheme, "mild")
+    states = _march(system, grid, ensemble, _mild_scheme(system, grid), "mild")
     return _package(states, system, grid, "mild", ensemble.master_seed)
 
 
@@ -465,22 +462,22 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
     growth rate over the path as in the far field.  Stops when the weighted
     sup-norm change drops to ``tol`` (1 + the weighted sup norm of the
     iterate); raises :class:`ConvergenceError` with the last
-    contraction-ratio estimate otherwise.  The fixed point
-    coincides with the time-marching solution of the same discrete system.
+    contraction-ratio estimate otherwise.  The fixed point coincides with
+    the time-marching solution of the same discrete system
+    (:func:`_mild_scheme`).
     """
     if system.coeffs.L_g >= 1.0:
         raise ValueError("picard_path_solve requires L_g < 1")
     inc = np.atleast_1d(np.asarray(path_increments, dtype=float))
     if inc.ndim != 1 or inc.shape[0] != grid.N:
         raise ValueError(f"path_increments must have shape ({grid.N},)")
-    table = _KernelTable(system, grid)
+    free, w_f, w_s, _ = _mild_scheme(system, grid)
     coeffs = system.coeffs
     n_nodes = grid.N + 1
     times = grid.nodes[:, None]
     w_time = times[1:] ** (1.0 - system.order.alpha)
     dw = np.append(inc, 0.0)[:, None]  # no increment after the last node
-    kernels = (_kernel_entries(table.d[:, None, None] * table.E[1:]),
-               _kernel_entries(table.kappa[:, None, None] * table.E[1:]))
+    kernels = (_kernel_entries(w_f), _kernel_entries(w_s))
     # the whole path is one block, its growth rates taken between the halves
     M = sp_fft.next_fast_len(2 * n_nodes, real=True)
     half = (n_nodes + 1) // 2
@@ -495,11 +492,11 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
         g_hist = np.asarray(coeffs.g(times, x))
         drift = np.asarray(coeffs.b(times, x)) - _apply_matrix(system.A, g_hist)
         noise = np.asarray(coeffs.sigma(times, x)) * dw
-        # A commutes with E(A): the neutral memory shares the weight d E with b;
-        # the neutral term itself is taken at the previous iterate
+        # the scheme's drift b - A g from this sweep's one g call; the neutral
+        # term itself is taken at the previous iterate
         history = np.zeros((n_nodes, system.n))
         _causal_convolution(spectra, (drift.T, noise.T), M, 0, history.T)
-        x_new = table.homog + history - g_hist
+        x_new = free + history - g_hist
         x_new[0] = 0.0
 
         change = np.max(np.abs(w_time * (x_new[1:] - x[1:])))

@@ -39,10 +39,11 @@ __all__ = [
 ]
 
 
-def matrix_norm(mat) -> float:
-    """Maximum absolute row sum of a matrix."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    return float(np.max(np.sum(np.abs(mat), axis=1)))
+def matrix_norm(mat):
+    """Maximum absolute row sum of a matrix (a float), or of each matrix of
+    a stack (..., n, n) (an array)."""
+    norms = np.abs(np.atleast_2d(np.asarray(mat, dtype=float))).sum(axis=-1).max(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 @dataclass(frozen=True)
@@ -125,14 +126,6 @@ def sector_check(spectrum: Spectrum, alpha: float) -> SectorVerdict:
     return SectorVerdict(True, margin, None)
 
 
-def _ml_norm_table(a_mat, alpha, times):
-    """||E_{a,a}(t^a A)|| (max row sum) on an array of times, from one
-    :func:`~fracstab.fraccalc.ml_kernel` call: per eigenvalue when the
-    eigenbasis of A is well conditioned, else by resolvents."""
-    kernel = ml_kernel(alpha, alpha, np.atleast_2d(a_mat), times)
-    return np.abs(kernel).sum(axis=2).max(axis=1)
-
-
 def ml_norm_sup(a_mat, alpha, T, n_nodes=256):
     """Grid estimate of M = sup_{t in [0,T]} ||E_{a,a}(t^a A)|| (max row sum).
 
@@ -143,7 +136,7 @@ def ml_norm_sup(a_mat, alpha, T, n_nodes=256):
     if n_nodes < 16:
         raise ValueError("ml_norm_sup requires n_nodes >= 16")
     times = np.linspace(0.0, T, n_nodes + 1)
-    return float(np.max(_ml_norm_table(a_mat, alpha, times)))
+    return float(np.max(matrix_norm(ml_kernel(alpha, alpha, np.atleast_2d(a_mat), times))))
 
 
 def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoundsReport:
@@ -172,7 +165,7 @@ def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoun
 
     h = t_max / n_nodes
     times = np.arange(n_nodes + 1) * h
-    psi = _ml_norm_table(a_mat, alpha, times)
+    psi = matrix_norm(ml_kernel(alpha, alpha, a_mat, times))
 
     kernel_sup = float(np.max(psi))
 

@@ -199,7 +199,7 @@ def test_exact_neutral_solve_residual_and_batching(case, cut):
 def test_newton_schedule_with_a_subnormal_coefficient():
     # a / (2 (1 - a)) underflows to 0 for the smallest subnormal a, which
     # left the step count dividing by zero; every step is tested instead
-    assert _newton_schedule(5e-324, 1e-12) == (0, 1)
+    assert _newton_schedule(5e-324) == (0, 1)
     solve = _neutral_solver(make_bounded_smooth(5e-324, 0.1, 0.1))
     np.testing.assert_array_equal(solve(0.5, np.array([[0.0], [2.0]])), [[0.0], [2.0]])
 

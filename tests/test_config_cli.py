@@ -9,7 +9,7 @@ import pytest
 
 from fracstab import closed_form_homogeneous, gamma_fn, ml_scalar, simulator
 from fracstab.cli import main
-from fracstab.config import dump_config, load_config, parse_config
+from fracstab.config import load_config, parse_config
 from fracstab.errors import ConfigError, ConvergenceError
 from fracstab.simulator import TimeGrid
 
@@ -48,25 +48,6 @@ def digests(out_dir, names):
 
 
 # ------------------------------------------------------------------- config
-
-def test_config_round_trip(tmp_path):
-    cfg = parse_config(benchmark_doc())
-    again = parse_config(dump_config(cfg))
-    assert again == cfg
-
-
-def test_config_round_trip_other_families():
-    doc = benchmark_doc()
-    doc["system"]["coefficients"] = {"family": "bounded_smooth", "c_g": 0.1,
-                                     "c_b": 0.2, "c_s": 0.3}
-    cfg = parse_config(doc)
-    assert parse_config(dump_config(cfg)) == cfg
-    doc["system"]["coefficients"] = {"family": "additive", "sigma": 0.3,
-                                     "allow_nonvanishing": True}
-    doc["criteria"]["m_override"] = 1.0
-    cfg = parse_config(doc)
-    assert parse_config(dump_config(cfg)) == cfg
-
 
 def test_config_field_paths_in_errors():
     doc = benchmark_doc()

@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 
 from fracstab import (
+    CoefficientSet,
     CriterionInputs,
     FractionalOrder,
+    TimeGrid,
+    beta_fn,
     caputo_ms_criterion,
     certify,
+    closed_form_homogeneous,
     contraction_constant,
     delta_for_epsilon,
     make_linear,
+    pth_moment_curve,
+    rl_integral_grid,
     stability_constant,
+    stability_verdict,
     theta,
 )
 from fracstab.criteria import c_p, neutral_gate
@@ -164,12 +171,50 @@ def test_delta_requires_subunit_stability_constant():
 
 
 def test_non_finite_inputs_are_refused():
-    # a NaN stability constant is not below 1, so it admits no delta
+    # a NaN stability constant (0 * inf in the noise term) is not below 1, so
+    # it admits no delta
     with pytest.raises(CriterionError):
-        delta_for_epsilon(bench_inputs(M=math.nan), 1.0)
+        delta_for_epsilon(bench_inputs(M=math.inf, L_sigma=0.0), 1.0)
     for g in ([[math.nan]], [[math.inf]]):
         with pytest.raises(ValueError, match="finite"):
             make_linear(g, [[0.0]], [[0.0]])
+
+
+def _tagged_curve():
+    grid = TimeGrid(T=1.0, N=64)
+    single = closed_form_homogeneous(np.array([[-1.0]]), np.array([1.0]), 0.75, grid)
+    return pth_moment_curve(single, 2, weighted=True, rho_norm=1.0)
+
+
+def _zero(t, x):
+    return 0.0 * x
+
+
+NAN_CASES = {
+    "TimeGrid.T": lambda: TimeGrid(T=math.nan, N=4),
+    **{f"CriterionInputs.{field}": (lambda field=field: bench_inputs(**{field: math.nan}))
+       for field in ("T", "L_g", "L_b", "L_sigma", "A_norm", "M")},
+    **{f"CoefficientSet.{field}": (lambda field=field: CoefficientSet(
+        _zero, _zero, _zero, **{"L_g": 0.0, "L_b": 0.0, "L_sigma": 0.0, field: math.nan}))
+       for field in ("L_g", "L_b", "L_sigma")},
+    "delta_for_epsilon.epsilon": lambda: delta_for_epsilon(bench_inputs(), math.nan),
+    "rl_integral_grid.dt": lambda: rl_integral_grid(np.ones(5), 0.75, math.nan),
+    "stability_verdict.epsilon": lambda: stability_verdict([_tagged_curve()], math.nan, 2.0, 0.01),
+    "stability_verdict.delta": lambda: stability_verdict([_tagged_curve()], 1.0, math.nan, 0.01),
+    "beta_fn": lambda: beta_fn(math.nan, 0.5),
+}
+
+
+@pytest.mark.parametrize("make", list(NAN_CASES.values()), ids=list(NAN_CASES))
+def test_nan_fails_the_range_checks(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_stability_verdict_accepts_an_infinite_delta():
+    # the CLI passes delta = inf when the delta hypothesis is not met
+    verdict = stability_verdict([_tagged_curve()], 1.0, math.inf, 0.01)
+    assert verdict.stable_p is not None
 
 
 def test_delta_never_exceeds_epsilon():
