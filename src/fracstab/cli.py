@@ -181,12 +181,13 @@ def cmd_simulate(args) -> int:
     rho_norm = float(np.linalg.norm(cfg.rho))
     curve_w = pth_moment_curve(ensemble, p, weighted=True, rho_norm=rho_norm)
     curve_u = pth_moment_curve(ensemble, p, weighted=False, rho_norm=rho_norm)
+    # a refused certificate leaves no files behind
+    cert, delta = _certificate(cfg)
     _write_csv(out / "moments.csv", ("t", "m", "ci_half_width"),
                zip(curve_u.nodes, curve_u.m, curve_u.half_width))
     _write_csv(out / "moments_weighted.csv", ("t", "m", "ci_half_width"),
                zip(curve_w.nodes, curve_w.m, curve_w.half_width))
 
-    cert, delta = _certificate(cfg)
     hypothesis_met = delta is not None and rho_norm < delta
     # empirical flags are computed on the weighted (H-norm) curve; the
     # unweighted moment diverges at t -> 0+ for any rho != 0

@@ -189,11 +189,18 @@ def certify(a_mat, coeffs: CoefficientSet, order: FractionalOrder, T: float,
 
     ``m_override`` substitutes a caller-supplied kernel bound M for the grid
     scan (e.g. the crude analytic choice M = 1 used in worked comparisons).
+    Raises ``ValueError`` when the scanned M is not finite: the kernel
+    E_{a,a}(t^a A) overflowed on [0, T], and no constant can be built on it.
     """
     sector = sector_check(eigenvalues(a_mat), order.alpha)
-    m_val = float(m_override) if m_override is not None else ml_norm_sup(
-        a_mat, order.alpha, T, n_norm_nodes
-    )
+    if m_override is not None:
+        m_val = float(m_override)
+    else:
+        m_val = ml_norm_sup(a_mat, order.alpha, T, n_norm_nodes)
+        if not math.isfinite(m_val):
+            raise ValueError(
+                f"the kernel E_{{a,a}}(t^a A) overflowed on [0, T] (T={T}, a={order.alpha}): "
+                f"M = sup ||E_{{a,a}}(t^a A)|| is {m_val}, so no certificate can be built")
     inputs = CriterionInputs(
         order=order,
         T=T,

@@ -179,7 +179,10 @@ def _ml_values(alpha, beta, z):
         p = poles[idx]
         with np.errstate(over="ignore", invalid="ignore"):
             residues = np.where(root[idx] > math.sqrt(mu), np.exp(p) * p ** (1.0 - beta), 0.0)
-        values[idx] += residues.sum(axis=1) / alpha
+            values[idx] += residues.sum(axis=1) / alpha
+    # far out on the positive real axis e^(s*) overflows, and complex
+    # arithmetic on the infinite residue leaves NaN; the value there is +inf
+    values[np.isnan(values) & (z.imag == 0.0) & (z.real > 0.0)] = np.inf
     return values, _EPS * err
 
 
@@ -204,10 +207,11 @@ def ml_scalar(alpha, beta, z):
     """Two-parameter Mittag-Leffler function E_{a,b}(z), a > 0.
 
     Returns a float for real ``z`` and a complex number otherwise, from the
-    contour quadrature of the module docstring (``exp`` at a = b = 1).
-    Emits an :class:`AccuracyWarning` when the roundoff estimate exceeds
-    ``ML_TOL`` relative to the value.  A one-argument call of the evaluator
-    behind :func:`ml_kernel`.
+    contour quadrature of the module docstring (``exp`` at a = b = 1), and
+    +inf where the value overflows on the positive real axis.  Emits an
+    :class:`AccuracyWarning` when the roundoff estimate exceeds ``ML_TOL``
+    relative to the value.  A one-argument call of the evaluator behind
+    :func:`ml_kernel`.
     """
     if alpha <= 0:
         raise ValueError(f"ml_scalar requires alpha > 0, got {alpha}")
@@ -302,7 +306,11 @@ def _ml_stack(alpha, beta, mat, scale):
         _warn_inaccurate(what, args, err, np.abs(values), 3)
         # V diag(e_k) V^-1 in a fixed summation order, not through BLAS,
         # so a node's matrix never depends on how many nodes share the call
-        out = np.einsum("ij,kj,jl->kil", v, values.reshape(len(scale), n), np.linalg.inv(v))
+        values = values.reshape(len(scale), n)
+        out = np.einsum("ij,kj,jl->kil", v, values, np.linalg.inv(v))
+        # a node with an overflowed (+inf) eigenvalue value has an infinite
+        # norm; complex arithmetic on it would leave NaN in every entry
+        out[np.isinf(values).any(axis=1)] = np.inf
         return np.ascontiguousarray(out.real)
     out, err = _ml_resolvent(alpha, beta, mat, scale)
     _warn_inaccurate(f"{what}(s A) of an ill-conditioned A, s = t^a,", scale, err,
@@ -345,7 +353,9 @@ def ml_kernel(alpha, beta, mat, times):
     sum_j c_j (sigma_j I - t_k^a A)^(-1) on the first contour's nodes, which
     needs no eigenvectors and no derivatives; it raises ``ValueError`` if a
     pole of some t_k^a lambda lies near or outside that contour (never for
-    a spectrum on the negative real axis with a < 1).
+    a spectrum on the negative real axis with a < 1).  A node at which
+    some eigenvalue's value overflows (+inf) is +inf in every entry: its
+    norm is infinite.
 
     Emits at most one :class:`AccuracyWarning` per call, naming the
     argument with the largest roundoff estimate relative to its value and

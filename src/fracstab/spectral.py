@@ -12,13 +12,21 @@ constants behind that statement on finite grids:
   t^(1-a) int_0^t (t-s)^(a-1) ||E_{a,a}((t-s)^a A)|| s^(a-1) ds,
   whose finiteness drives the asymptotic estimates downstream.
 
+The convolution's exact cell weights int s^(a-1)(t_n - s)^(a-1) ds depend
+only on (a, t_max, n_nodes), never on A: they are built once per key and
+kept for the last key (about 2 MB at n_nodes = 1000, 34 MB at the largest
+admitted grid, n_nodes = 4096), so a sweep over matrices at one order and
+grid computes them once.
+
 All suprema are grid estimates and are labelled as such; the matrix norm is
 the maximum absolute row sum throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +147,25 @@ def ml_norm_sup(a_mat, alpha, T, n_nodes=256):
     return float(np.max(matrix_norm(ml_kernel(alpha, alpha, np.atleast_2d(a_mat), times))))
 
 
+@functools.lru_cache(maxsize=1)
+def _profile_cells(alpha, t_max, n_nodes):
+    """Incomplete-beta cell weights of the profile grid t_j = j t_max / n_nodes:
+    row n - 1 holds diff(I_{t_j / t_n}(a, a)) for j = 0 .. (n + 1) // 2,
+    the first half of node n's cells (the weight is symmetric about t_n / 2).
+
+    The rows depend only on the grid, so they are kept for the last key;
+    the key holds t_max itself because (j h) / (n h) is not always j / n in
+    floating point.  The rows are read-only, as every caller shares them.
+    """
+    times = np.arange(n_nodes + 1) * (t_max / n_nodes)
+    rows = []
+    for n in range(1, n_nodes + 1):
+        low = np.diff(betainc(alpha, alpha, times[: (n + 1) // 2 + 1] / times[n]))
+        low.flags.writeable = False
+        rows.append(low)
+    return tuple(rows)
+
+
 def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoundsReport:
     """Profile the two long-horizon kernel bounds on [0, t_max].
 
@@ -150,10 +177,19 @@ def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoun
     The inner convolution integrand carries integrable singularities at both
     endpoints; each subinterval is integrated exactly against the full weight
     s^(a-1)(t-s)^(a-1) (regularised incomplete beta), with the smooth
-    Mittag-Leffler norm factor averaged at the subinterval endpoints.
+    Mittag-Leffler norm factor averaged at the subinterval endpoints.  The
+    incomplete-beta cell table depends only on (alpha, t_max, n_nodes); it
+    is built on the first call with a key and kept for the last key (about
+    2 MB at n_nodes = 1000), so calls that share the key compute it once.
+
+    ``n_nodes`` must be an integer in [16, 4096] and ``t_max`` a finite
+    number >= 10; either failing raises ``ValueError``.
     """
-    if t_max < 10.0:
-        raise ValueError("kernel_bounds_profile requires t_max >= 10")
+    if not (isinstance(n_nodes, numbers.Integral) and 16 <= n_nodes <= 4096):
+        raise ValueError(f"kernel_bounds_profile requires an integer n_nodes in [16, 4096], "
+                         f"got {n_nodes!r}")
+    if not (math.isfinite(t_max) and t_max >= 10.0):
+        raise ValueError(f"kernel_bounds_profile requires a finite t_max >= 10, got {t_max!r}")
     a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
     verdict = sector_check(eigenvalues(a_mat), alpha)
     if not verdict.in_sector:
@@ -185,13 +221,14 @@ def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoun
 
     # weighted singular convolution C(t) = t^(1-a) * Q(t); the weight
     # s^(a-1)(t-s)^(a-1) is symmetric about t/2, so cell j of node n equals
-    # cell n-1-j and only the first half takes incomplete beta calls
+    # cell n-1-j and only the first half is tabled
+    cells = _profile_cells(alpha, t_max, n_nodes)
     b_aa = beta_fn(alpha, alpha)
     conv = np.zeros(n_nodes + 1)
     for n in range(1, n_nodes + 1):
         t = times[n]
         half = (n + 1) // 2
-        low = np.diff(betainc(alpha, alpha, times[: half + 1] / t))
+        low = cells[n - 1]
         cell = np.concatenate((low, low[: n - half][::-1])) * b_aa * t ** (2.0 * alpha - 1.0)
         smooth = psi[n::-1]
         q = float(cell @ (0.5 * (smooth[:-1] + smooth[1:])))

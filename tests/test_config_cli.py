@@ -278,6 +278,18 @@ def test_convergence_failure_is_a_numeric_failure(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err.startswith("numeric failure:")
 
 
+# E_{a,a}(t^a 40) overflows on [0, 50]; the integral-form march needs no
+# kernel and stays finite, so simulate reaches the certificate step
+@pytest.mark.parametrize("argv", [["check"], ["simulate", "--scheme", "integral_form"]])
+def test_overflowed_kernel_is_refused_before_any_output(tmp_path, capsys, argv):
+    doc = benchmark_doc(grid={"T": 50.0, "N": 64})
+    doc["system"]["matrix"] = [[40.0]]
+    out = tmp_path / "out"
+    assert main([*argv, "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+    assert "overflowed" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_convergence_zero_coefficients_saturates(tmp_path):
     doc = benchmark_doc()
     doc["system"]["coefficients"] = {"family": "zero"}

@@ -257,6 +257,12 @@ def test_certify_strong_neutral_term_kills_existence():
     assert cert.contraction == math.inf
 
 
+def test_certify_refuses_an_overflowed_kernel():
+    coeffs = make_linear([[0.05]], [[0.05]], [[0.05]])
+    with pytest.raises(ValueError, match="overflowed"):
+        certify(np.array([[40.0]]), coeffs, FractionalOrder(0.75, 2), T=50.0)
+
+
 def test_certify_m_override():
     coeffs = make_linear([[0.05]], [[0.05]], [[0.05]])
     cert = certify(np.array([[-1.0]]), coeffs, FractionalOrder(0.75, 2), T=1.0,

@@ -382,6 +382,17 @@ def test_ml_kernel_warns_once_per_call():
         ml_kernel(0.75, 0.75, np.array([[-10.0]]), times)
 
 
+def test_overflowing_values_are_infinite_not_nan():
+    # e^(z^(1/a)) overflows far out on the positive real axis
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ml_scalar(0.75, 0.75, 400.0) == math.inf
+        assert ml_norm_sup([[40.0]], 0.75, 50.0) == math.inf
+        table = ml_kernel(0.75, 0.75, np.diag([40.0, -1.0]), [0.0, 1.0, 50.0])
+    assert not np.isnan(table).any()
+    assert np.all(np.isfinite(table[:2])) and np.all(np.isinf(table[2]))
+
+
 def test_ml_kernel_input_validation():
     with pytest.raises(ValueError):
         ml_kernel(0.75, 0.75, np.ones((2, 3)), [0.0, 1.0])

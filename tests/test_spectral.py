@@ -4,17 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import betainc
 
 from fracstab import (
+    beta_fn,
     eigenvalues,
     gamma_fn,
     kernel_bounds_profile,
     matrix_norm,
+    ml_kernel,
     ml_norm_sup,
     ml_scalar,
     sector_check,
 )
 from fracstab.errors import ProfileDivergenceError
+from fracstab.spectral import _profile_cells
 
 from oracle_fixtures import RECIP_GAMMA_0_75
 
@@ -146,3 +152,104 @@ def test_kernel_bounds_profile_out_of_sector_reports_divergence():
 def test_kernel_bounds_profile_validation():
     with pytest.raises(ValueError):
         kernel_bounds_profile(np.array([[-1.0]]), 0.75, t_max=5.0)
+
+
+# both are keys of the kept cell table, so they are checked before it is read
+@pytest.mark.parametrize("t_max, n_nodes, name", [
+    (math.nan, 1000, "t_max"),
+    (math.inf, 1000, "t_max"),
+    (100.0, 0, "n_nodes"),
+    (100.0, -5, "n_nodes"),
+    (100.0, 15, "n_nodes"),
+    (100.0, 4097, "n_nodes"),
+    (100.0, 1000.0, "n_nodes"),
+])
+def test_kernel_bounds_profile_refuses_bad_grids(t_max, n_nodes, name):
+    with pytest.raises(ValueError, match=name):
+        kernel_bounds_profile(np.array([[-1.0]]), 0.75, t_max=t_max, n_nodes=n_nodes)
+
+
+def reference_profile(a_mat, alpha, t_max, n_nodes):
+    """(kernel_sup, t0, tail_coefficient, conv_sup, conv_running) of
+    kernel_bounds_profile, each node's cells taken by its own incomplete
+    beta call; None where the profile refuses (no plateau, or the running
+    supremum grows more than 10% over the last decade)."""
+    h = t_max / n_nodes
+    times = np.arange(n_nodes + 1) * h
+    psi = matrix_norm(ml_kernel(alpha, alpha, a_mat, times))
+    phi = times ** (2.0 * alpha) * psi
+    increasing = np.diff(phi) > phi[:-1] * 1e-10
+    if increasing[-1] or not np.any(~increasing):
+        return None
+    i0 = int(np.nonzero(increasing)[0][-1]) + 1
+    b_aa = beta_fn(alpha, alpha)
+    conv = np.zeros(n_nodes + 1)
+    for n in range(1, n_nodes + 1):
+        t = times[n]
+        half = (n + 1) // 2
+        low = np.diff(betainc(alpha, alpha, times[: half + 1] / t))
+        cell = np.concatenate((low, low[: n - half][::-1])) * b_aa * t ** (2.0 * alpha - 1.0)
+        smooth = psi[n::-1]
+        q = float(cell @ (0.5 * (smooth[:-1] + smooth[1:])))
+        conv[n] = t ** (1.0 - alpha) * q
+    running = np.maximum.accumulate(conv)
+    i_decade = int(np.searchsorted(times, t_max / 10.0))
+    if (running[-1] - running[i_decade]) / max(running[-1], 1e-300) > 0.10:
+        return None
+    return (float(np.max(psi)), float(times[i0]), float(np.max(phi[i0:])), float(running[-1]),
+            running)
+
+
+def report_fields(report):
+    return (report.kernel_sup, report.t0, report.tail_coefficient, report.conv_sup,
+            report.conv_running)
+
+
+@st.composite
+def in_sector_matrices(draw):
+    """Diagonal or upper-triangular matrices with a spectrum in [-4, -0.5]."""
+    n = draw(st.integers(1, 3))
+    mat = np.diag(draw(st.lists(st.floats(-4.0, -0.5), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        upper = np.triu_indices(n, 1)
+        mat[upper] = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(upper[0]),
+                                   max_size=len(upper[0])))
+    return mat
+
+
+# alpha stops at 0.99: nearer 1 the kernel falls like e^(-|lambda| t) and
+# its far values are below the evaluator's roundoff, which warns
+@settings(max_examples=60, deadline=None)
+@given(mat=in_sector_matrices(), alpha=st.floats(0.5, 0.99, exclude_min=True),
+       t_max=st.floats(10.0, 200.0), n_nodes=st.integers(16, 300))
+def test_kernel_bounds_profile_matches_per_node_reference(mat, alpha, t_max, n_nodes):
+    # the kept cell table gives the per-node loop's values bit for bit
+    want = reference_profile(mat, alpha, t_max, n_nodes)
+    if want is None:
+        with pytest.raises(ProfileDivergenceError):
+            kernel_bounds_profile(mat, alpha, t_max, n_nodes)
+        return
+    got = report_fields(kernel_bounds_profile(mat, alpha, t_max, n_nodes))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_kernel_bounds_profile_warm_call_equals_cold_call():
+    mats = (np.array([[-1.0]]), np.array([[-1.0, 0.5], [0.0, -2.0]]))
+    warm = [kernel_bounds_profile(m, 0.75, 40.0, 400) for m in mats]
+    assert _profile_cells.cache_info().currsize == 1
+    for mat, report in zip(mats, warm):
+        _profile_cells.cache_clear()
+        cold = kernel_bounds_profile(mat, 0.75, 40.0, 400)
+        assert cold.grid_used == report.grid_used
+        assert cold.conv_tail_change == report.conv_tail_change
+        for c, w in zip(report_fields(cold), report_fields(report)):
+            assert np.array_equal(c, w)
+
+
+def test_profile_cells_are_read_only():
+    rows = _profile_cells(0.75, 40.0, 400)
+    assert len(rows) == 400
+    assert not any(row.flags.writeable for row in rows)
+    with pytest.raises(ValueError):
+        rows[0][0] = 0.0

@@ -13,6 +13,11 @@ Covered outputs:
   diag(1, 0.3), all at alpha = 0.75 and T = 50;
 * ``rl_integral_grid`` on 1-D and three-column samples of several lengths
   for a in {0.3, 0.75, 1};
+* every field of ``kernel_bounds_profile``'s report, ``conv_running``
+  included, at alpha = 0.75, t_max = 100 and n_nodes = 1000 on the
+  ``certify_sweep`` benchmark's matrices: -1, -10, an upper-triangular
+  3 x 3 with diagonal (-1, -2, -3), the complex pair [[-1, 3], [-3, -1]]
+  and the Jordan block [[-1, 1], [0, -1]];
 * exit code, stderr and every written file of ``check``, ``simulate`` (all
   four schemes, one with ``--seed``), ``convergence`` and ``ml`` on six
   configurations: linear, dim-2 sine, a neutral term too strong for the
@@ -39,8 +44,9 @@ from pathlib import Path
 import numpy as np
 
 from fracstab import (FractionalOrder, SystemSpec, TimeGrid, brownian_increments,
-                      make_bounded_smooth, make_linear, picard_path_solve, rl_integral_grid,
-                      simulate_integral_form, simulate_mild)
+                      kernel_bounds_profile, make_bounded_smooth, make_linear,
+                      picard_path_solve, rl_integral_grid, simulate_integral_form,
+                      simulate_mild)
 from fracstab.cli import main
 
 ORDER = FractionalOrder(0.75, 2)
@@ -102,6 +108,27 @@ def rl_lines():
                 f = rng.standard_normal(shape)
                 out = rl_integral_grid(f, alpha, 0.01)
                 yield f"rl_integral_grid a={alpha} shape={shape}", sha(out.tobytes())
+
+
+PROFILE_MATRICES = {
+    "scalar_m1": [[-1.0]],
+    "scalar_m10": [[-10.0]],
+    "triangular_3x3": [[-1.0, 0.6, -0.4], [0.0, -2.0, 0.8], [0.0, 0.0, -3.0]],
+    "complex_pair": [[-1.0, 3.0], [-3.0, -1.0]],
+    "jordan": [[-1.0, 1.0], [0.0, -1.0]],
+}
+
+
+def profile_lines():
+    for name, mat in PROFILE_MATRICES.items():
+        try:
+            rep = kernel_bounds_profile(np.array(mat), 0.75, t_max=100.0, n_nodes=1000)
+        except Exception as exc:  # a failure is an output too
+            yield f"profile {name}", f"{type(exc).__name__}: {exc}"
+            continue
+        scalars = np.array([rep.kernel_sup, rep.t0, rep.tail_coefficient, rep.conv_sup,
+                            *rep.grid_used, rep.conv_tail_change])
+        yield f"profile {name}", sha(scalars.tobytes() + rep.conv_running.tobytes())
 
 
 def config_docs():
@@ -176,7 +203,7 @@ def cli_lines():
 
 
 def main_digest():
-    for section in (scheme_lines, rl_lines, cli_lines):
+    for section in (scheme_lines, rl_lines, profile_lines, cli_lines):
         for label, line in section():
             print(f"{label}: {line}", flush=True)
     return 0
