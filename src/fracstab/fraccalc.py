@@ -33,6 +33,10 @@ defective it sums the resolvents c_k (sigma_k I - t^a A)^(-1) on the same
 nodes instead.  :func:`ml_scalar` and :func:`ml_matrix` are one-argument
 calls of the same evaluator.
 
+Gamma and Beta are taken from ``math.gamma`` (``math.lgamma`` only where a
+Gamma factor of B overflows), and the FFT convolutions from ``numpy.fft``,
+so this module needs nothing beyond numpy and the standard library.
+
 The Riemann-Liouville integral I^a f(t) = (1/Gamma(a)) int_0^t (t-r)^(a-1) f(r) dr
 is discretised by product integration: the kernel factor is integrated
 exactly against a piecewise-constant left-value interpolant of f, matching
@@ -47,8 +51,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _scipy_gamma
-from scipy.special import gammaln as _gammaln
 
 from .errors import AccuracyWarning
 
@@ -106,22 +108,37 @@ class FractionalOrder:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function on the real line.
+    """Gamma function on the real line, from ``math.gamma``.
 
-    Rejects the poles at nonpositive integers (within 1e-12).  Relative
-    accuracy is at machine level over the range used here; the library
-    routine already applies reflection below 1/2.
+    Rejects the poles at nonpositive integers (within 1e-12) and returns
+    +inf where the value overflows (x > 171.6).  Relative accuracy is at
+    machine level over the range used here; ``math.gamma`` already applies
+    reflection below 1/2.
     """
     if x <= 0 and abs(x - round(x)) <= 1e-12:
         raise ValueError(f"gamma_fn pole at nonpositive integer x={x}")
-    return float(_scipy_gamma(x))
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def beta_fn(a: float, b: float) -> float:
-    """Euler beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), a, b > 0."""
+    """Euler beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), a, b > 0.
+
+    Taken from ``math.gamma`` as written; once a Gamma factor overflows it
+    is exp(lgamma(a) + lgamma(b) - lgamma(a + b)), which loses a few more
+    digits to the cancelling logarithms.
+    """
     if not (a > 0 and b > 0):
         raise ValueError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    return float(math.exp(_gammaln(a) + _gammaln(b) - _gammaln(a + b)))
+    try:
+        value = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def _contour_rule(alpha, beta, mu, h, n):
@@ -180,9 +197,13 @@ def _ml_values(alpha, beta, z):
         with np.errstate(over="ignore", invalid="ignore"):
             residues = np.where(root[idx] > math.sqrt(mu), np.exp(p) * p ** (1.0 - beta), 0.0)
             values[idx] += residues.sum(axis=1) / alpha
-    # far out on the positive real axis e^(s*) overflows, and complex
-    # arithmetic on the infinite residue leaves NaN; the value there is +inf
-    values[np.isnan(values) & (z.imag == 0.0) & (z.real > 0.0)] = np.inf
+        # where e^(s*) overflows, complex arithmetic on the infinite residue
+        # leaves NaN; the value is infinite: +inf for a real argument (the
+        # positive axis for a <= 2) and inf + inf j, an infinite modulus
+        # without a phase, off the real axis
+        over = idx[~np.isfinite(residues).all(axis=1)]
+        values[over] = np.where(z[over].imag == 0.0, complex(math.inf, 0.0),
+                                complex(math.inf, math.inf))
     return values, _EPS * err
 
 
@@ -207,8 +228,9 @@ def ml_scalar(alpha, beta, z):
     """Two-parameter Mittag-Leffler function E_{a,b}(z), a > 0.
 
     Returns a float for real ``z`` and a complex number otherwise, from the
-    contour quadrature of the module docstring (``exp`` at a = b = 1), and
-    +inf where the value overflows on the positive real axis.  Emits an
+    contour quadrature of the module docstring (``exp`` at a = b = 1).
+    Where the value overflows it is infinite: +inf for real ``z``, and
+    inf + inf j (an infinite modulus, no phase) for complex ``z``.  Emits an
     :class:`AccuracyWarning` when the roundoff estimate exceeds ``ML_TOL``
     relative to the value.  A one-argument call of the evaluator behind
     :func:`ml_kernel`.
@@ -308,7 +330,7 @@ def _ml_stack(alpha, beta, mat, scale):
         # so a node's matrix never depends on how many nodes share the call
         values = values.reshape(len(scale), n)
         out = np.einsum("ij,kj,jl->kil", v, values, np.linalg.inv(v))
-        # a node with an overflowed (+inf) eigenvalue value has an infinite
+        # a node with an overflowed (infinite) eigenvalue value has an infinite
         # norm; complex arithmetic on it would leave NaN in every entry
         out[np.isinf(values).any(axis=1)] = np.inf
         return np.ascontiguousarray(out.real)
@@ -354,7 +376,7 @@ def ml_kernel(alpha, beta, mat, times):
     needs no eigenvectors and no derivatives; it raises ``ValueError`` if a
     pole of some t_k^a lambda lies near or outside that contour (never for
     a spectrum on the negative real axis with a < 1).  A node at which
-    some eigenvalue's value overflows (+inf) is +inf in every entry: its
+    some eigenvalue's value overflows (is infinite) is +inf in every entry: its
     norm is infinite.
 
     Emits at most one :class:`AccuracyWarning` per call, naming the
@@ -370,6 +392,21 @@ def ml_kernel(alpha, beta, mat, times):
     if times.ndim != 1 or not np.all(times >= 0.0) or not np.all(np.isfinite(times)):
         raise ValueError("ml_kernel requires a 1-D array of finite times >= 0")
     return _ml_stack(alpha, beta, mat, times**alpha)
+
+
+def _fast_len(n):
+    """The smallest 5-smooth length 2^i 3^j 5^k >= n (n >= 1), a length the
+    real FFT factors into its fastest radices."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _causal_convolution(spectra, hists, M, lo, out):
@@ -390,21 +427,16 @@ def _causal_convolution(spectra, hists, M, lo, out):
     alone, so each row of the middle axes gets the same result whatever
     else shares the call.
     """
-    # imported on use: a module-level import here loads scipy.fft earlier in
-    # the package import than the simulator does, which was measured to raise
-    # the peak RSS of the process by about 0.6 MB
-    from scipy import fft as sp_fft
-
     hi = lo + out.shape[-1]
     src = np.arange(hists[0].shape[-1])
     dst = np.arange(lo, hi)
     for mu, terms in spectra:
-        h_hats = {h: sp_fft.rfft(hists[h] * np.exp(-mu * src), M, axis=-1)
+        h_hats = {h: np.fft.rfft(hists[h] * np.exp(-mu * src), M, axis=-1)
                   for h in {term[0] for term in terms}}
         total = np.zeros(out.shape[:-1] + (M // 2 + 1,), dtype=complex)
         for h, i, k, w_hat in terms:
             total[i] += w_hat * h_hats[h][k]
-        out += sp_fft.irfft(total, M, axis=-1)[..., lo:hi] * np.exp(mu * dst)
+        out += np.fft.irfft(total, M, axis=-1)[..., lo:hi] * np.exp(mu * dst)
 
 
 def rl_integral_grid(samples, alpha, dt):
@@ -420,8 +452,6 @@ def rl_integral_grid(samples, alpha, dt):
         raise ValueError(f"rl_integral_grid requires alpha in (0, 1], got {alpha}")
     if not dt > 0:
         raise ValueError("grid step must be positive")
-    from scipy import fft as sp_fft  # on use, as in _causal_convolution
-
     f = np.asarray(samples, dtype=float)
     squeeze = f.ndim == 1
     if squeeze:
@@ -430,8 +460,8 @@ def rl_integral_grid(samples, alpha, dt):
     m = np.arange(n_nodes, dtype=float)
     # integral of the kernel over the cell with lag m, none at lag 0
     coeff = np.concatenate(([0.0], m[1:] ** alpha - m[:-1] ** alpha))
-    M = sp_fft.next_fast_len(max(2 * n_nodes, 1), real=True)
-    w_hat = sp_fft.rfft(coeff, M)
+    M = _fast_len(max(2 * n_nodes, 1))
+    w_hat = np.fft.rfft(coeff, M)
     out = np.zeros(f.shape)
     _causal_convolution([(0.0, [(0, k, k, w_hat) for k in range(f.shape[1])])], (f.T,), M,
                         0, out.T)

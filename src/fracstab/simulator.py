@@ -71,12 +71,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.special import betainc
 
 from .coefficients import CoefficientSet, _apply_matrix, _neutral_solver
 from .errors import ConvergenceError, SimulationNumericError
-from .fraccalc import FractionalOrder, _causal_convolution, beta_fn, gamma_fn, ml_kernel
+from .fraccalc import (FractionalOrder, _causal_convolution, _fast_len, beta_fn, gamma_fn,
+                       ml_kernel)
 
 __all__ = [
     "TimeGrid",
@@ -218,12 +217,21 @@ def _mild_scheme(system: SystemSpec, grid: TimeGrid):
     d, kappa the cell weights of :func:`_cell_weights`.  The march solves
     this system node by node and :func:`picard_path_solve` iterates it on the
     whole path.  E comes from one :func:`~fracstab.fraccalc.ml_kernel` call
-    for the whole grid, cheap enough to repeat on every call.
+    for the whole grid, cheap enough to repeat on every call.  Raises
+    :class:`SimulationNumericError` at the first node where E is not finite
+    (it overflowed), before any step is taken.
     """
     alpha = system.order.alpha
     d, kappa = _cell_weights(alpha, grid)
     times = grid.nodes
     E = ml_kernel(alpha, alpha, system.A, times)
+    finite = np.isfinite(E).all(axis=(1, 2))
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise SimulationNumericError(
+            f"the mild kernel E_{{a,a}}(t^a A) is not finite at node {n} (t = {times[n]:.6g}) "
+            f"of the grid (T={grid.T}, N={grid.N}); it overflowed, so the scheme cannot run",
+            node=n)
     free = np.zeros((grid.N + 1, system.n))
     free[1:] = times[1:, None] ** (alpha - 1.0) * np.einsum("nij,j->ni", E[1:], system.rho)
     g, b = system.coeffs.g, system.coeffs.b
@@ -276,7 +284,7 @@ def _block_spectra(kernels, L, n_targets, M):
             late = np.abs(w[L - 1:n_lags]).max()
             # growth per node from the lags [1, L) to [L, L + n_targets)
             mu = math.log(late / early) / n_targets if late > early > 0 else 0.0
-            w_hat = sp_fft.rfft(np.concatenate(([0.0], w[:n_lags] * np.exp(-mu * lags))), M)
+            w_hat = np.fft.rfft(np.concatenate(([0.0], w[:n_lags] * np.exp(-mu * lags))), M)
             groups.setdefault(mu, []).append((h, i, k, w_hat))
     return sorted(groups.items())
 
@@ -310,7 +318,7 @@ def _far_field(kernels, hists, acc, c, spectra):
         L *= 2
     hi = min(c + L, acc.shape[1])
     n_targets = hi - c
-    M = sp_fft.next_fast_len(L + n_targets, real=True)
+    M = _fast_len(L + n_targets)
     if (L, n_targets) not in spectra:
         spectra[L, n_targets] = _block_spectra(kernels, L, n_targets, M)
     n_paths, dim = acc.shape[0], acc.shape[2]
@@ -410,7 +418,9 @@ def simulate_mild(system: SystemSpec, grid: TimeGrid,
     """March the variation-of-constants scheme over the ensemble.
 
     Kernel matrices E_{a,a}((m dt)^a A) are computed once and shared by
-    all paths, which are marched together.
+    all paths, which are marched together.  Raises
+    :class:`SimulationNumericError` before the first step if a kernel
+    matrix is not finite (it overflowed).
     """
     states = _march(system, grid, ensemble, _mild_scheme(system, grid), "mild")
     return _package(states, system, grid, "mild", ensemble.master_seed)
@@ -431,6 +441,10 @@ def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: Brownia
     free = np.zeros((grid.N + 1, system.n))
     free[1:] = (t ** (alpha - 1.0) * inv_gamma)[:, None] * system.rho
     if not as_printed:
+        # imported on use: scipy.special takes longer to import than the
+        # rest of the package, and only this scheme needs it
+        from scipy.special import betainc
+
         # exact first-cell weight for the singular memory cell:
         # int_0^dt s^(a-1) (t_n - s)^(a-1) ds, applied to A rho / Gamma(a)
         cell0 = (beta_fn(alpha, alpha) * betainc(alpha, alpha, grid.dt / t)
@@ -464,7 +478,8 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
     iterate); raises :class:`ConvergenceError` with the last
     contraction-ratio estimate otherwise.  The fixed point coincides with
     the time-marching solution of the same discrete system
-    (:func:`_mild_scheme`).
+    (:func:`_mild_scheme`), which raises :class:`SimulationNumericError`
+    before the first sweep if a kernel matrix is not finite.
     """
     if system.coeffs.L_g >= 1.0:
         raise ValueError("picard_path_solve requires L_g < 1")
@@ -479,7 +494,7 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
     dw = np.append(inc, 0.0)[:, None]  # no increment after the last node
     kernels = (_kernel_entries(w_f), _kernel_entries(w_s))
     # the whole path is one block, its growth rates taken between the halves
-    M = sp_fft.next_fast_len(2 * n_nodes, real=True)
+    M = _fast_len(2 * n_nodes)
     half = (n_nodes + 1) // 2
     spectra = _block_spectra(kernels, half, n_nodes - half, M)
 

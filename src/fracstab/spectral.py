@@ -30,7 +30,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import ProfileDivergenceError
 from .fraccalc import beta_fn, ml_kernel
@@ -157,6 +156,10 @@ def _profile_cells(alpha, t_max, n_nodes):
     the key holds t_max itself because (j h) / (n h) is not always j / n in
     floating point.  The rows are read-only, as every caller shares them.
     """
+    # imported on use: scipy.special takes longer to import than the rest
+    # of the package, and only the profile needs it here
+    from scipy.special import betainc
+
     times = np.arange(n_nodes + 1) * (t_max / n_nodes)
     rows = []
     for n in range(1, n_nodes + 1):

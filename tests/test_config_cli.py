@@ -3,6 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +293,51 @@ def test_overflowed_kernel_is_refused_before_any_output(tmp_path, capsys, argv):
     assert main([*argv, "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
     assert "overflowed" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+# the kernel overflows from node 7 on: the Picard run stops before its first
+# sweep, with no numpy warning, and writes nothing
+def test_overflowed_kernel_stops_picard_before_any_sweep(tmp_path, capsys):
+    doc = benchmark_doc(grid={"T": 50.0, "N": 64})
+    doc["system"]["matrix"] = [[40.0]]
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out),
+            "--scheme", "picard"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    assert "numeric failure: the mild kernel" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+COLD_START = """
+import json, sys
+import fracstab.cli
+
+codes = [fracstab.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # a fresh interpreter: check, the mild march, Picard and a convergence
+    # study import no scipy module at all
+    doc = benchmark_doc()
+    doc["grid"]["N"] = 32
+    doc["monte_carlo"]["n_paths"] = 4
+    path = write_doc(tmp_path, doc)
+    runs = [["check", "--config", path, "--out", str(tmp_path / "c")],
+            ["simulate", "--config", path, "--out", str(tmp_path / "m")],
+            ["simulate", "--config", path, "--out", str(tmp_path / "p"), "--scheme", "picard"],
+            ["convergence", "--config", path, "--out", str(tmp_path / "v")]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
 def test_convergence_zero_coefficients_saturates(tmp_path):

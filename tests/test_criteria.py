@@ -261,6 +261,10 @@ def test_certify_refuses_an_overflowed_kernel():
     coeffs = make_linear([[0.05]], [[0.05]], [[0.05]])
     with pytest.raises(ValueError, match="overflowed"):
         certify(np.array([[40.0]]), coeffs, FractionalOrder(0.75, 2), T=50.0)
+    # complex eigenvalues: the overflowed kernel is infinite, not NaN
+    two = make_linear(0.05 * np.eye(2), 0.05 * np.eye(2), 0.05 * np.eye(2))
+    with pytest.raises(ValueError, match="overflowed.* is inf,"):
+        certify(np.array([[40.0, 5.0], [-5.0, 40.0]]), two, FractionalOrder(0.75, 2), T=50.0)
 
 
 def test_certify_m_override():

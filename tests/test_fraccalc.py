@@ -1,5 +1,6 @@
 """Special functions and discrete fractional operators."""
 
+import cmath
 import math
 import warnings
 
@@ -20,10 +21,14 @@ from fracstab import (
     rl_integral_grid,
 )
 from fracstab.errors import AccuracyWarning
+from fracstab.fraccalc import _fast_len
 
 from oracle_fixtures import (
     BETA_0625_0625,
+    BETA_300_05,
+    BETA_VALUES,
     GAMMA_0_75,
+    GAMMA_VALUES,
     JORDAN_A06_T5,
     JORDAN_A06_T05,
     JORDAN_A06_T50,
@@ -106,6 +111,30 @@ def test_beta_domain_errors():
         beta_fn(0.0, 1.0)
     with pytest.raises(ValueError):
         beta_fn(1.0, -2.0)
+
+
+def test_gamma_and_beta_against_mpmath():
+    # Gamma at a, 2a, a + 1 and Beta at (a, a), (a, 2a) for a in (1/2, 1]
+    for x, want in GAMMA_VALUES.items():
+        assert abs(gamma_fn(x) - want) <= 2e-15 * abs(want), x
+    for (a, b), want in BETA_VALUES.items():
+        assert abs(beta_fn(a, b) - want) <= 2e-15 * abs(want), (a, b)
+
+
+def test_gamma_overflow_and_beta_fallback():
+    assert gamma_fn(200.0) == math.inf
+    # Gamma(300) overflows, so B(300, 1/2) comes from the lgamma form
+    value = beta_fn(300.0, 0.5)
+    assert math.isfinite(value)
+    assert value == math.exp(math.lgamma(300.0) + math.lgamma(0.5) - math.lgamma(300.5))
+    assert value == pytest.approx(BETA_300_05, rel=1e-12)
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    sizes = range(1, 2**15 + 1)
+    assert [_fast_len(n) for n in sizes] == [next_fast_len(n, real=True) for n in sizes]
 
 
 # ---------------------------------------------------------------- ml_scalar
@@ -391,6 +420,20 @@ def test_overflowing_values_are_infinite_not_nan():
         table = ml_kernel(0.75, 0.75, np.diag([40.0, -1.0]), [0.0, 1.0, 50.0])
     assert not np.isnan(table).any()
     assert np.all(np.isfinite(table[:2])) and np.all(np.isinf(table[2]))
+
+
+def test_overflowing_complex_values_are_infinite_not_nan():
+    # the residue e^(s*) overflows off the real axis too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = ml_scalar(0.75, 0.75, 400.0 + 1.0j)
+        mat = np.array([[40.0, 5.0], [-5.0, 40.0]])
+        table = ml_kernel(0.75, 0.75, mat, [0.0, 1.0, 50.0])
+        sup = ml_norm_sup(mat, 0.75, 50.0)
+    assert cmath.isinf(value) and not cmath.isnan(value)
+    assert not np.isnan(table).any()
+    assert np.all(np.isfinite(table[:2])) and np.all(table[2] == np.inf)
+    assert sup == math.inf
 
 
 def test_ml_kernel_input_validation():

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -602,6 +603,20 @@ def test_non_finite_paths_are_reported():
         simulate_mild(system, grid, broken)
     assert 2 in info.value.path_indices
     assert info.value.node is not None
+
+
+def test_overflowed_mild_kernel_is_refused_up_front():
+    # E_{a,a}(t^a 40) overflows from t = 5.2 on, the grid's node 7
+    system = scalar_system(a=40.0)
+    grid = TimeGrid(T=50.0, N=64)
+    ens = brownian_increments(grid, 4, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: simulate_mild(system, grid, ens),
+                    lambda: picard_path_solve(system, grid, ens.increments[0])):
+            with pytest.raises(SimulationNumericError, match="not finite at node 7 ") as info:
+                run()
+            assert info.value.node == 7
 
 
 def test_strong_neutral_coefficient_rejected():

@@ -58,6 +58,10 @@ JORDAN_POINTS = [(alpha, t) for alpha in (0.6, 0.75, 0.9) for t in (0.5, 5.0, 50
 # J2(-3) behind the near-defective matrices P diag(J2(-1), J2(-3)) P^-1
 NEAR_DEFECTIVE_POINTS = [(lam, t) for lam in (-1.0, -3.0) for t in (0.5, 5.0, 20.0)]
 
+# Gamma at a, 2a and a + 1 and Beta at (a, a) and (a, 2a), for a on a grid
+# of (1/2, 1]: the arguments fraccalc.gamma_fn and beta_fn are called with
+GAMMA_BETA_ALPHAS = [0.5 + k / 40 for k in range(1, 21)]
+
 # grid suprema M = max_k ||E_{a,a}(t_k^a A)||_inf over np.linspace(0, T, 257),
 # the default grid of spectral.ml_norm_sup
 NORM_SUP_ALPHA, NORM_SUP_T = 0.75, 50.0
@@ -127,6 +131,17 @@ def main():
     mp.mp.dps = 40
     print("M_JORDAN_A075_T50 =", mp.nstr(jordan, 22))
     print("M_ROTATION_A075_T50 =", mp.nstr(rotation, 22))
+    print("GAMMA_VALUES = {")
+    for x in sorted({x for a in GAMMA_BETA_ALPHAS for x in (a, 2.0 * a, a + 1.0)}):
+        print(f"    {x!r}: {mp.nstr(mp.gamma(mp.mpf(x)), 22)},")
+    print("}")
+    print("BETA_VALUES = {")
+    for a in GAMMA_BETA_ALPHAS:
+        for b in (a, 2.0 * a):
+            print(f"    ({a!r}, {b!r}): {mp.nstr(mp.beta(mp.mpf(a), mp.mpf(b)), 22)},")
+    print("}")
+    # beta_fn's lgamma fallback: Gamma(300) overflows
+    print("BETA_300_05 =", mp.nstr(mp.beta(300, mp.mpf(0.5)), 22))
 
 
 if __name__ == "__main__":
