@@ -232,13 +232,16 @@ def ml_scalar(alpha, beta, z):
     Where the value overflows it is infinite: +inf for real ``z``, and
     inf + inf j (an infinite modulus, no phase) for complex ``z``.  Emits an
     :class:`AccuracyWarning` when the roundoff estimate exceeds ``ML_TOL``
-    relative to the value.  A one-argument call of the evaluator behind
-    :func:`ml_kernel`.
+    relative to the value.  Raises ``ValueError`` when the real or the
+    imaginary part of ``z`` is NaN.  A one-argument call of the evaluator
+    behind :func:`ml_kernel`.
     """
     if alpha <= 0:
         raise ValueError(f"ml_scalar requires alpha > 0, got {alpha}")
     is_complex = isinstance(z, complex)
     args = np.array([z], dtype=complex)
+    if np.isnan(args[0]):
+        raise ValueError(f"ml_scalar requires z without a NaN part, got {z}")
     values, err = _ml_values(alpha, beta, args)
     _warn_inaccurate(f"E_{{{alpha},{beta}}}", args, err, np.abs(values), 2)
     return complex(values[0]) if is_complex else float(values[0].real)
@@ -423,20 +426,29 @@ def _causal_convolution(spectra, hists, M, lo, out):
     rows.  Per rate mu each history is balanced to e^(-mu j) h[j] and
     transformed once over all its components, the products are summed in
     the frequency domain, and one inverse transform is scaled back by
-    e^(mu n) and added into ``out``.  Transforms run along the last axis
-    alone, so each row of the middle axes gets the same result whatever
-    else shares the call.
+    e^(mu n) and added into ``out``.  A decaying kernel (mu = 0) skips both
+    balancing multiplies, whose factors would all be exactly 1, so its
+    result is the same bits.  Transforms run along the last axis alone, so
+    each row of the middle axes gets the same result whatever else shares
+    the call.
+
+    The marches' far field (``simulator._far_field``) calls this for each
+    block of the blocked convolution, except an edge block cut short by the
+    end of the grid that a direct sum serves with fewer products than the
+    transforms; a march stays O(N log^2 N) per path.
     """
     hi = lo + out.shape[-1]
     src = np.arange(hists[0].shape[-1])
     dst = np.arange(lo, hi)
     for mu, terms in spectra:
-        h_hats = {h: np.fft.rfft(hists[h] * np.exp(-mu * src), M, axis=-1)
+        h_hats = {h: np.fft.rfft(hists[h] if mu == 0 else hists[h] * np.exp(-mu * src),
+                                 M, axis=-1)
                   for h in {term[0] for term in terms}}
         total = np.zeros(out.shape[:-1] + (M // 2 + 1,), dtype=complex)
         for h, i, k, w_hat in terms:
             total[i] += w_hat * h_hats[h][k]
-        out += np.fft.irfft(total, M, axis=-1)[..., lo:hi] * np.exp(mu * dst)
+        conv = np.fft.irfft(total, M, axis=-1)[..., lo:hi]
+        out += conv if mu == 0 else conv * np.exp(mu * dst)
 
 
 def rl_integral_grid(samples, alpha, dt):

@@ -39,7 +39,10 @@ step; the rest is added block by block with zero-padded real FFTs
 (Hairer, Lubich & Schlichte 1985), so a march costs O(N log^2 N) per path
 instead of O(N^2).  A kernel that grows across a block (A outside the
 stability sector) is balanced by its growth rate before the transform, so
-the far field keeps the node-wise relative accuracy of a direct sum.  In
+the far field keeps the node-wise relative accuracy of a direct sum;
+decaying kernels (growth rate mu = 0) skip the balancing multiplies.  An
+edge block, cut short by the end of the grid, is summed directly when that
+takes fewer products than its transforms; the cost stays O(N log^2 N).  In
 the mild form A commutes with E_{a,a}(t^a A), so the neutral memory and
 the drift share one convolution of b - A g; in the integral form the
 memory term shares the drift weight.  Each march thus keeps two history
@@ -68,6 +71,7 @@ paths share its ensemble.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +103,10 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"T must be finite and positive, got {self.T}")
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):
+            raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
 
@@ -299,7 +305,12 @@ def _far_field(kernels, hists, acc, c, spectra):
     every pair (history j, target n) in different base blocks is added
     exactly once, by the left half that closes first.  The lags of one block
     span 1 .. 2L - 1; with zero-padded transforms of length M >= L + R (R
-    targets) the circular product is exact on the target rows.
+    targets) the circular product is exact on the target rows.  An edge
+    block, cut short by the end of the grid (R < L), is summed directly by
+    :func:`_direct_sum` when that takes fewer products than its transforms,
+    R L <= M log2(M): a grid of N = 2^k steps leaves node N alone in its
+    block.  A full block (R = L >= 64) never qualifies, so the march stays
+    O(N log^2 N) per path.
 
     A transform's roundoff is bounded by the norms of the whole block, so a
     kernel that grows across the block (a matrix outside the stability
@@ -307,8 +318,8 @@ def _far_field(kernels, hists, acc, c, spectra):
     (e^(-mu j) h[j]), with block-local j, n and the entry's own growth rate
     mu >= 0 over the block's lags (:func:`_block_spectra`), so each target
     keeps the relative accuracy of a direct sum.  Decaying kernels have
-    mu = 0, so the drift and noise products of a decaying kernel are summed
-    in the frequency domain by
+    mu = 0 and skip the balancing multiplies; the drift and noise products
+    of each rate are summed in the frequency domain by
     :func:`~fracstab.fraccalc._causal_convolution`.  Transforms are per
     path, so batching paths cannot change the result.  ``spectra`` holds
     the kernel transforms of this march by block shape.
@@ -319,6 +330,12 @@ def _far_field(kernels, hists, acc, c, spectra):
     hi = min(c + L, acc.shape[1])
     n_targets = hi - c
     M = _fast_len(L + n_targets)
+    if n_targets * L <= M * math.log2(M):
+        # an edge block with few targets: fewer products than its transforms
+        for n in range(c, hi):
+            for entries, hist in zip(kernels, hists):
+                _direct_sum(entries, hist, c - L, c, n, acc[:, n])
+        return
     if (L, n_targets) not in spectra:
         spectra[L, n_targets] = _block_spectra(kernels, L, n_targets, M)
     n_paths, dim = acc.shape[0], acc.shape[2]
@@ -476,13 +493,19 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
     growth rate over the path as in the far field.  Stops when the weighted
     sup-norm change drops to ``tol`` (1 + the weighted sup norm of the
     iterate); raises :class:`ConvergenceError` with the last
-    contraction-ratio estimate otherwise.  The fixed point coincides with
-    the time-marching solution of the same discrete system
+    contraction-ratio estimate otherwise, and :class:`SimulationNumericError`
+    naming the first non-finite node as soon as an iterate is not finite.
+    ``tol`` must be positive and ``max_iter`` at least 1.  The fixed point
+    coincides with the time-marching solution of the same discrete system
     (:func:`_mild_scheme`), which raises :class:`SimulationNumericError`
     before the first sweep if a kernel matrix is not finite.
     """
     if system.coeffs.L_g >= 1.0:
         raise ValueError("picard_path_solve requires L_g < 1")
+    if not tol > 0:
+        raise ValueError(f"picard_path_solve requires tol > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"picard_path_solve requires max_iter >= 1, got {max_iter}")
     inc = np.atleast_1d(np.asarray(path_increments, dtype=float))
     if inc.ndim != 1 or inc.shape[0] != grid.N:
         raise ValueError(f"path_increments must have shape ({grid.N},)")
@@ -513,6 +536,12 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
         _causal_convolution(spectra, (drift.T, noise.T), M, 0, history.T)
         x_new = free + history - g_hist
         x_new[0] = 0.0
+        finite = np.isfinite(x_new).all(axis=1)
+        if not finite.all():
+            n = int(np.argmin(finite))
+            raise SimulationNumericError(
+                f"picard: non-finite iterate at node {n} (t = {times[n, 0]:.6g}) "
+                f"in sweep {iterations}", node=n)
 
         change = np.max(np.abs(w_time * (x_new[1:] - x[1:])))
         if prev_change is not None and prev_change > 0:

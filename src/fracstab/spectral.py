@@ -138,8 +138,8 @@ def ml_norm_sup(a_mat, alpha, T, n_nodes=256):
 
     The grid is uniform and includes both endpoints.
     """
-    if T <= 0:
-        raise ValueError("ml_norm_sup requires T > 0")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"ml_norm_sup requires a finite T > 0, got {T}")
     if n_nodes < 16:
         raise ValueError("ml_norm_sup requires n_nodes >= 16")
     times = np.linspace(0.0, T, n_nodes + 1)

@@ -170,6 +170,13 @@ def test_ml_command_domain_error(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("z", ["nan", "nan+1j", "1+nanj"])
+def test_ml_command_refuses_nan(capsys, z):
+    assert main(["ml", "0.75", "0.75", "--", z]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "NaN" in captured.err
+
+
 def test_simulate_outputs_and_determinism(tmp_path):
     path = write_doc(tmp_path, benchmark_doc())
     names = ["moments.csv", "moments_weighted.csv", "verdict.txt", "meta.txt"]
@@ -308,6 +315,20 @@ def test_overflowed_kernel_stops_picard_before_any_sweep(tmp_path, capsys):
         assert main(argv) == 3
     assert "numeric failure: the mild kernel" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+# a huge drift overflows the iterates within a few sweeps: the Picard run
+# stops at the first non-finite one, not at its sweep cap
+def test_non_finite_picard_iterate_is_a_numeric_failure(tmp_path, capsys):
+    doc = benchmark_doc()
+    doc["system"]["coefficients"]["B"] = [[1e200]]
+    doc["grid"]["N"] = 16
+    doc["monte_carlo"]["n_paths"] = 2
+    argv = ["simulate", "--config", write_doc(tmp_path, doc), "--out", str(tmp_path / "out"),
+            "--scheme", "picard"]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 3
+    assert "numeric failure: picard: non-finite iterate at node 1 " in capsys.readouterr().err
 
 
 COLD_START = """

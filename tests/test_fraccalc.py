@@ -436,6 +436,15 @@ def test_overflowing_complex_values_are_infinite_not_nan():
     assert sup == math.inf
 
 
+# a NaN part has no value to print; an infinite argument keeps its limit
+@pytest.mark.parametrize("z", [math.nan, complex(math.nan, 1.0), complex(1.0, math.nan)])
+def test_ml_scalar_refuses_nan(z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN"):
+            ml_scalar(0.75, 0.75, z)
+
+
 def test_ml_kernel_input_validation():
     with pytest.raises(ValueError):
         ml_kernel(0.75, 0.75, np.ones((2, 3)), [0.0, 1.0])

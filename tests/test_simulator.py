@@ -74,6 +74,16 @@ def test_brownian_determinism_and_per_path_keying():
     assert not np.array_equal(a.increments, d.increments)
 
 
+@pytest.mark.parametrize("T,N,message", [
+    (math.inf, 4, "T must be finite"), (-math.inf, 4, "T must be finite"),
+    (math.nan, 4, "T must be finite"), (1.0, 2.5, "N must be an integer"),
+    (1.0, True, "N must be an integer"), (1.0, 4.0, "N must be an integer"),
+])
+def test_time_grid_refuses_non_finite_T_and_non_integer_N(T, N, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        TimeGrid(T=T, N=N)
+
+
 # ------------------------------------------------------- degenerate collapse
 
 def test_all_schemes_collapse_to_closed_form():
@@ -224,7 +234,8 @@ def test_scheme_determinism_and_chunk_independence(scheme, dim, n_steps):
 
 
 # Decaying kernels at N = 256 and 300 (two and three block levels, the
-# latter ending on a partial block), then matrices outside the stability
+# latter ending on a partial block) and 1029 (an edge block of six nodes,
+# summed directly), then matrices outside the stability
 # sector, where the mild kernel grows like e^(c t): one rate, two rates on
 # the diagonal, a growing oscillation.  At T = 50 one top-level far-field
 # block spans 25 (N = 512) or 21 (N = 300) time units, so an unbalanced
@@ -233,6 +244,8 @@ def test_scheme_determinism_and_chunk_independence(scheme, dim, n_steps):
     pytest.param([[-1.0]], 4.0, 256, id="scalar-256"),
     pytest.param([[-1.0]], 4.0, 300, id="scalar-300"),
     pytest.param([[-1.0, 0.3], [-0.2, -2.0]], 4.0, 300, id="planar-300"),
+    pytest.param([[-1.0]], 4.0, 1029, id="scalar-1029"),
+    pytest.param([[-1.0, 0.3], [-0.2, -2.0]], 4.0, 1029, id="planar-1029"),
     pytest.param([[1.0]], 50.0, 512, id="one-rate"),
     pytest.param([[1.0, 0.0], [0.0, 0.3]], 50.0, 300, id="two-rates"),
     pytest.param([[0.5, 0.3], [-0.2, 0.2]], 50.0, 300, id="rotation"),
@@ -252,6 +265,26 @@ def test_march_matches_direct_sum_reference(scheme, a_mat, T, n_steps):
     gap = np.max(np.abs(out.values[:, 1:] - ref[:, 1:]), axis=2)
     scale = np.maximum.accumulate(np.max(np.abs(ref[:, 1:]), axis=2), axis=1)
     assert np.all(gap <= 1e-12 * scale), np.max(gap / scale)
+
+
+# A far-field block cut short by the end of the grid has R < L targets.
+# With few (R = 1 at N = 256, R = 6 at N = 1029) it is summed directly, so
+# every transform serves a full block; with many (R = 45 at N = 300) it
+# still takes the transforms.
+@pytest.mark.parametrize("n_steps,partial", [(256, set()), (1029, set()), (300, {45})])
+def test_edge_block_takes_the_cheaper_sum(monkeypatch, n_steps, partial):
+    lengths = []
+    convolve = simulator._causal_convolution
+
+    def recording(spectra, hists, M, lo, out):
+        lengths.append(out.shape[-1])
+        return convolve(spectra, hists, M, lo, out)
+
+    monkeypatch.setattr(simulator, "_causal_convolution", recording)
+    system = scalar_system(coeffs=make_bounded_smooth(0.2, 0.3, 0.3))
+    grid = TimeGrid(T=4.0, N=n_steps)
+    simulate_mild(system, grid, brownian_increments(grid, 3, 5))
+    assert set(lengths) - {64, 128, 256, 512} == partial
 
 
 # ------------------------------------------------------ neutral fixed point
@@ -439,6 +472,32 @@ def test_picard_iteration_cap():
     ens = brownian_increments(grid, 1, 1)
     with pytest.raises(ConvergenceError):
         picard_path_solve(system, grid, ens.increments[0], max_iter=1, tol=1e-14)
+
+
+def test_picard_stops_at_the_first_non_finite_sweep():
+    # a NaN increment poisons every later node; the march refuses it at node 1
+    system = scalar_system()
+    grid = TimeGrid(T=1.0, N=32)
+    inc = brownian_increments(grid, 1, 1).increments.copy()
+    inc[0, 0] = np.nan
+    with pytest.raises(SimulationNumericError, match="node 1 .* in sweep 1$") as info:
+        picard_path_solve(system, grid, inc[0])
+    assert info.value.node == 1
+    with pytest.raises(SimulationNumericError) as info:
+        simulate_mild(system, grid, BrownianEnsemble(increments=inc, master_seed=1, n_paths=1))
+    assert info.value.node == 1
+
+
+# refused before the scheme is built: this kernel would overflow at node 7
+@pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-10},
+                                    {"max_iter": 0}])
+def test_picard_refuses_bad_tol_and_max_iter(kwargs):
+    system = scalar_system(a=40.0)
+    grid = TimeGrid(T=50.0, N=64)
+    inc = brownian_increments(grid, 1, 1).increments[0]
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=f"requires {name} "):
+        picard_path_solve(system, grid, inc, **kwargs)
 
 
 def convolve_picard(system, grid, inc, tol):

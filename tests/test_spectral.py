@@ -127,6 +127,12 @@ def test_ml_norm_sup_validation():
         ml_norm_sup(np.eye(2), 0.75, T=1.0, n_nodes=4)
 
 
+@pytest.mark.parametrize("T", [math.inf, math.nan])
+def test_ml_norm_sup_refuses_non_finite_T(T):
+    with pytest.raises(ValueError, match="ml_norm_sup requires a finite T"):
+        ml_norm_sup(np.eye(2), 0.75, T=T)
+
+
 def test_kernel_bounds_profile_stable_scalar():
     report = kernel_bounds_profile(np.array([[-1.0]]), 0.75, t_max=40.0, n_nodes=400)
     assert report.kernel_sup == pytest.approx(RECIP_GAMMA_0_75, rel=1e-9)
