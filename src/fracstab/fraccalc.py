@@ -21,9 +21,13 @@ arguments that share a contour share its nodes.  The contours are the fixed
 ``_CONTOURS``; each argument takes the first whose parabola stays
 ``_POLE_GAP`` away from every pole (in the distance that sets the trapezoid
 rule's error), so a pole never sits on the contour.  Only a = b = 1 is
-served apart, by ``exp``.  Each value's roundoff is estimated as
-eps sum_k |c_k / (sigma_k - z)|; a call whose estimate exceeds ``ML_TOL``
-relative to some value emits one :class:`AccuracyWarning`.
+served apart, by ``exp``.  The nodes come in conjugate pairs u, -u, and
+for a real z so do their terms: a real argument sums the half u >= 0 alone,
+with doubled weights (u = 0 once), and keeps the real parts, half the work
+of the complex arguments' whole-contour sum.  Each value's roundoff is
+estimated as eps sum_k |c_k / (sigma_k - z)| over the terms it sums; a call
+whose estimate exceeds ``ML_TOL`` relative to some value emits one
+:class:`AccuracyWarning`.
 
 Arguments are taken in fixed-size blocks and every row sum runs in a fixed
 order, so a value is the same bits whatever batch it is evaluated in.
@@ -150,14 +154,27 @@ def _contour_rule(alpha, beta, mu, h, n):
     return s**alpha, (h * mu / math.pi) * w * np.exp(s) * s ** (alpha - beta)
 
 
+def _half_rule(sigma, c):
+    """The nodes u >= 0 of a rule from :func:`_contour_rule`, with doubled
+    weights (the node u = 0 once): node -u's term c / (sigma - z) is the
+    conjugate of node u's for a real argument z, so the real part of the
+    half sum is the whole sum."""
+    n = len(sigma) // 2
+    weights = 2.0 * c[n:]
+    weights[0] /= 2.0
+    return sigma[n:], weights
+
+
 def _poles(alpha, z):
     """Principal-sheet poles of s^(a-b) / (s^a - z) for a 1-D array ``z``:
     s* = |z|^(1/a) e^(i (arg z + 2 pi j) / a) for the j with
     |arg z + 2 pi j| < a pi (one j at most for a <= 1), shape (len(z), J),
-    NaN where branch j has none."""
+    NaN where branch j has none.  A pole whose modulus overflows comes out
+    infinite, without a numpy warning."""
     jmax = math.ceil((alpha + 1.0) / 2.0) - 1
     angle = np.angle(z)[:, None] + 2.0 * math.pi * np.arange(-jmax, jmax + 1)
-    poles = np.abs(z)[:, None] ** (1.0 / alpha) * np.exp(1j * angle / alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        poles = np.abs(z)[:, None] ** (1.0 / alpha) * np.exp(1j * angle / alpha)
     return np.where(np.abs(angle) < alpha * math.pi, poles, np.nan)
 
 
@@ -171,9 +188,26 @@ def _contour_choice(root):
     return np.where(ok.any(axis=0), ok.argmax(axis=0), gaps.argmax(axis=0))
 
 
+def _row_sums(sigma, c, z):
+    """sum_k c_k / (sigma_k - z) and sum_k |c_k / (sigma_k - z)| for each
+    argument of the 1-D array ``z``, in blocks of ``_BLOCK_TERMS`` terms;
+    for a real ``z`` only the real parts of the terms are summed."""
+    real = np.isrealobj(z)
+    sums = np.empty(z.shape, dtype=float if real else complex)
+    moduli = np.empty(z.shape)
+    step = _BLOCK_TERMS // len(sigma)
+    for lo in range(0, z.size, step):
+        terms = c / (sigma - z[lo:lo + step, None])
+        sums[lo:lo + step] = (terms.real if real else terms).sum(axis=1)
+        moduli[lo:lo + step] = np.abs(terms).sum(axis=1)
+    return sums, moduli
+
+
 def _ml_values(alpha, beta, z):
     """E_{a,b} on a 1-D complex array ``z``; returns (values, roundoff
-    estimates eps sum_k |c_k / (sigma_k - z)|)."""
+    estimates eps sum_k |c_k / (sigma_k - z)|).  A real argument sums the
+    contour's half u >= 0 (:func:`_half_rule`), a complex one the whole
+    contour; the choice is made per argument."""
     if alpha == 1.0 and beta == 1.0:
         # the exponential, at full relative accuracy deep on the negative axis
         return np.exp(z), np.zeros(z.shape)
@@ -187,12 +221,10 @@ def _ml_values(alpha, beta, z):
         if not idx.size:
             continue
         sigma, c = _contour_rule(alpha, beta, mu, h, n)
-        step = _BLOCK_TERMS // len(sigma)
-        for lo in range(0, idx.size, step):
-            sel = idx[lo:lo + step]
-            terms = c / (sigma - z[sel, None])
-            values[sel] = terms.sum(axis=1)
-            err[sel] = np.abs(terms).sum(axis=1)
+        on_axis = z[idx].imag == 0.0
+        real, cplx = idx[on_axis], idx[~on_axis]
+        values[real], err[real] = _row_sums(*_half_rule(sigma, c), z[real].real)
+        values[cplx], err[cplx] = _row_sums(sigma, c, z[cplx])
         p = poles[idx]
         with np.errstate(over="ignore", invalid="ignore"):
             residues = np.where(root[idx] > math.sqrt(mu), np.exp(p) * p ** (1.0 - beta), 0.0)
@@ -210,9 +242,10 @@ def _ml_values(alpha, beta, z):
 def _warn_inaccurate(what, args, err, size, stacklevel):
     """One :class:`AccuracyWarning` naming the worst argument if any
     roundoff estimate ``err`` exceeds ``ML_TOL`` relative to the size of
-    its value (a NaN counts as exceeding)."""
+    its value (a NaN counts as exceeding; a zero estimate, as of an exact
+    value, never does)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        excess = np.nan_to_num(err / (ML_TOL * size), nan=np.inf)
+        excess = np.nan_to_num(np.where(err == 0.0, 0.0, err / (ML_TOL * size)), nan=np.inf)
     if excess.size and excess.max() > 1.0:
         i = int(np.argmax(excess))
         warnings.warn(
@@ -224,6 +257,14 @@ def _warn_inaccurate(what, args, err, size, stacklevel):
         )
 
 
+def _check_order(name, alpha, beta):
+    """The parameter checks shared by the Mittag-Leffler entry points."""
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"{name} requires a finite alpha > 0, got {alpha}")
+    if not math.isfinite(beta):
+        raise ValueError(f"{name} requires a finite beta, got {beta}")
+
+
 def ml_scalar(alpha, beta, z):
     """Two-parameter Mittag-Leffler function E_{a,b}(z), a > 0.
 
@@ -232,16 +273,17 @@ def ml_scalar(alpha, beta, z):
     Where the value overflows it is infinite: +inf for real ``z``, and
     inf + inf j (an infinite modulus, no phase) for complex ``z``.  Emits an
     :class:`AccuracyWarning` when the roundoff estimate exceeds ``ML_TOL``
-    relative to the value.  Raises ``ValueError`` when the real or the
-    imaginary part of ``z`` is NaN.  A one-argument call of the evaluator
-    behind :func:`ml_kernel`.
+    relative to the value.  Raises ``ValueError`` unless alpha is a finite
+    number > 0 and beta is finite, and when the real or the imaginary part
+    of ``z`` is NaN or infinite.  A one-argument call of the evaluator behind :func:`ml_kernel`.
     """
-    if alpha <= 0:
-        raise ValueError(f"ml_scalar requires alpha > 0, got {alpha}")
+    _check_order("ml_scalar", alpha, beta)
     is_complex = isinstance(z, complex)
     args = np.array([z], dtype=complex)
     if np.isnan(args[0]):
         raise ValueError(f"ml_scalar requires z without a NaN part, got {z}")
+    if np.isinf(args[0]):
+        raise ValueError(f"ml_scalar requires z without an infinite part, got {z}")
     values, err = _ml_values(alpha, beta, args)
     _warn_inaccurate(f"E_{{{alpha},{beta}}}", args, err, np.abs(values), 2)
     return complex(values[0]) if is_complex else float(values[0].real)
@@ -290,9 +332,7 @@ def _ml_resolvent(alpha, beta, mat, scale):
             f"E_{{{alpha},{beta}}}(t^a A) at t^a = {scale[k]:.6g}: A has an ill-conditioned "
             "eigenvector basis and an eigenvalue whose pole lies near or outside the "
             "quadrature contour; this case is not supported")
-    sigma, c = _contour_rule(alpha, beta, mu, h, m)
-    sigma, c = sigma[m:], 2.0 * c[m:]
-    c[0] /= 2.0
+    sigma, c = _half_rule(*_contour_rule(alpha, beta, mu, h, m))
     total = np.zeros((len(scale), n, n), dtype=complex)
     err = np.zeros((len(scale), n, n))
     step = max(1, _BLOCK_TERMS // (len(sigma) * n))
@@ -359,8 +399,7 @@ def ml_matrix(alpha, beta, mat):
     eigenvalue when the eigenvector basis is well conditioned, else by
     resolvents on the quadrature nodes.
     """
-    if alpha <= 0:
-        raise ValueError(f"ml_matrix requires alpha > 0, got {alpha}")
+    _check_order("ml_matrix", alpha, beta)
     mat = _square(mat, "ml_matrix")
     return _ml_stack(alpha, beta, mat, np.ones(1))[0]
 
@@ -388,8 +427,7 @@ def ml_kernel(alpha, beta, mat, times):
     own node: ``ml_kernel(...)[k]`` equals the call on ``times[k:k+1]`` bit
     for bit.
     """
-    if alpha <= 0:
-        raise ValueError(f"ml_kernel requires alpha > 0, got {alpha}")
+    _check_order("ml_kernel", alpha, beta)
     mat = _square(mat, "ml_kernel")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(times >= 0.0) or not np.all(np.isfinite(times)):

@@ -403,18 +403,20 @@ def _march(system, grid, ensemble, scheme, scheme_tag):
         hists[1][j] = coeffs.sigma(times[j], x) * increments[:, j, None]
 
     record(0, np.zeros((n_paths, dim)))
-    for n in range(1, n_steps + 1):
-        rhs = free[n] + states[:, n]
-        lo = n - n % _BASE_BLOCK
-        for entries, hist in zip(kernels, hists):
-            _direct_sum(entries, hist, lo, n, n, rhs)
-        x = solve(times[n], rhs)
-        _check_finite(x, n, scheme_tag)
-        states[:, n] = x
-        if n < n_steps:
-            record(n, x)
-            if (n + 1) % _BASE_BLOCK == 0:
-                _far_field(kernels, hists, states, n + 1, spectra)
+    # an overflow reaches a later state, which _check_finite refuses by node
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
+            rhs = free[n] + states[:, n]
+            lo = n - n % _BASE_BLOCK
+            for entries, hist in zip(kernels, hists):
+                _direct_sum(entries, hist, lo, n, n, rhs)
+            x = solve(times[n], rhs)
+            _check_finite(x, n, scheme_tag)
+            states[:, n] = x
+            if n < n_steps:
+                record(n, x)
+                if (n + 1) % _BASE_BLOCK == 0:
+                    _far_field(kernels, hists, states, n + 1, spectra)
     return states
 
 
@@ -526,15 +528,17 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
     ratio = math.nan
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        # left-point coefficient values on the whole path; x[0] = 0 is X_0 := 0
-        g_hist = np.asarray(coeffs.g(times, x))
-        drift = np.asarray(coeffs.b(times, x)) - _apply_matrix(system.A, g_hist)
-        noise = np.asarray(coeffs.sigma(times, x)) * dw
-        # the scheme's drift b - A g from this sweep's one g call; the neutral
-        # term itself is taken at the previous iterate
-        history = np.zeros((n_nodes, system.n))
-        _causal_convolution(spectra, (drift.T, noise.T), M, 0, history.T)
-        x_new = free + history - g_hist
+        # an overflow leaves a non-finite node, refused below by its index
+        with np.errstate(over="ignore", invalid="ignore"):
+            # left-point coefficient values on the whole path; x[0] = 0 is X_0 := 0
+            g_hist = np.asarray(coeffs.g(times, x))
+            drift = np.asarray(coeffs.b(times, x)) - _apply_matrix(system.A, g_hist)
+            noise = np.asarray(coeffs.sigma(times, x)) * dw
+            # the scheme's drift b - A g from this sweep's one g call; the
+            # neutral term itself is taken at the previous iterate
+            history = np.zeros((n_nodes, system.n))
+            _causal_convolution(spectra, (drift.T, noise.T), M, 0, history.T)
+            x_new = free + history - g_hist
         x_new[0] = 0.0
         finite = np.isfinite(x_new).all(axis=1)
         if not finite.all():

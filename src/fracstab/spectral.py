@@ -13,10 +13,12 @@ constants behind that statement on finite grids:
   whose finiteness drives the asymptotic estimates downstream.
 
 The convolution's exact cell weights int s^(a-1)(t_n - s)^(a-1) ds depend
-only on (a, t_max, n_nodes), never on A: they are built once per key and
-kept for the last key (about 2 MB at n_nodes = 1000, 34 MB at the largest
-admitted grid, n_nodes = 4096), so a sweep over matrices at one order and
-grid computes them once.
+only on (a, t_max, n_nodes), never on A: they are built once per key, each
+node's full row, and kept for the last key (about 4 MB at n_nodes = 1000,
+67 MB at the largest admitted grid, n_nodes = 4096), so a sweep over
+matrices at one order and grid computes them once.  A node's convolution
+is then one contiguous dot product of its row with the cell averages of
+||E_{a,a}|| in reverse order.
 
 All suprema are grid estimates and are labelled as such; the matrix norm is
 the maximum absolute row sum throughout.
@@ -148,24 +150,32 @@ def ml_norm_sup(a_mat, alpha, T, n_nodes=256):
 
 @functools.lru_cache(maxsize=1)
 def _profile_cells(alpha, t_max, n_nodes):
-    """Incomplete-beta cell weights of the profile grid t_j = j t_max / n_nodes:
-    row n - 1 holds diff(I_{t_j / t_n}(a, a)) for j = 0 .. (n + 1) // 2,
-    the first half of node n's cells (the weight is symmetric about t_n / 2).
+    """Exact cell weights of the profile grid t_j = j t_max / n_nodes: row
+    n - 1 holds the n weights int_{t_j}^{t_(j+1)} s^(a-1) (t_n - s)^(a-1) ds,
+    j = 0 .. n - 1, of node n.  The weight is symmetric about t_n / 2, so
+    only the first half, diff(I_{t_j / t_n}(a, a)) for j <= (n + 1) // 2, is
+    taken from the incomplete beta and mirrored, then scaled by
+    B(a, a) t_n^(2a - 1).
 
-    The rows depend only on the grid, so they are kept for the last key;
-    the key holds t_max itself because (j h) / (n h) is not always j / n in
-    floating point.  The rows are read-only, as every caller shares them.
+    The rows depend only on the grid, so they are kept for the last key
+    (about 4 MB at n_nodes = 1000, 67 MB at n_nodes = 4096); the key holds
+    t_max itself because (j h) / (n h) is not always j / n in floating point.
+    The rows are read-only, as every caller shares them.
     """
     # imported on use: scipy.special takes longer to import than the rest
     # of the package, and only the profile needs it here
     from scipy.special import betainc
 
     times = np.arange(n_nodes + 1) * (t_max / n_nodes)
+    b_aa = beta_fn(alpha, alpha)
     rows = []
     for n in range(1, n_nodes + 1):
-        low = np.diff(betainc(alpha, alpha, times[: (n + 1) // 2 + 1] / times[n]))
-        low.flags.writeable = False
-        rows.append(low)
+        t = times[n]
+        half = (n + 1) // 2
+        low = np.diff(betainc(alpha, alpha, times[: half + 1] / t))
+        row = np.concatenate((low, low[: n - half][::-1])) * b_aa * t ** (2.0 * alpha - 1.0)
+        row.flags.writeable = False
+        rows.append(row)
     return tuple(rows)
 
 
@@ -181,9 +191,11 @@ def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoun
     endpoints; each subinterval is integrated exactly against the full weight
     s^(a-1)(t-s)^(a-1) (regularised incomplete beta), with the smooth
     Mittag-Leffler norm factor averaged at the subinterval endpoints.  The
-    incomplete-beta cell table depends only on (alpha, t_max, n_nodes); it
-    is built on the first call with a key and kept for the last key (about
-    2 MB at n_nodes = 1000), so calls that share the key compute it once.
+    cell table (:func:`_profile_cells`) depends only on (alpha, t_max,
+    n_nodes); it is built on the first call with a key and kept for the last
+    key (about 4 MB at n_nodes = 1000), so calls that share the key compute
+    it once.  The cell averages are reversed once per call, and each node is
+    then one BLAS dot product of two contiguous arrays.
 
     ``n_nodes`` must be an integer in [16, 4096] and ``t_max`` a finite
     number >= 10; either failing raises ``ValueError``.
@@ -222,20 +234,13 @@ def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoun
     t0 = float(times[i0])
     tail_coefficient = float(np.max(phi[i0:]))
 
-    # weighted singular convolution C(t) = t^(1-a) * Q(t); the weight
-    # s^(a-1)(t-s)^(a-1) is symmetric about t/2, so cell j of node n equals
-    # cell n-1-j and only the first half is tabled
+    # weighted singular convolution C(t) = t^(1-a) * Q(t): node n's cells
+    # against the averages of psi on cells n-1 .. 0, one contiguous dot each
     cells = _profile_cells(alpha, t_max, n_nodes)
-    b_aa = beta_fn(alpha, alpha)
+    rev = np.ascontiguousarray((0.5 * (psi[1:] + psi[:-1]))[::-1])
     conv = np.zeros(n_nodes + 1)
     for n in range(1, n_nodes + 1):
-        t = times[n]
-        half = (n + 1) // 2
-        low = cells[n - 1]
-        cell = np.concatenate((low, low[: n - half][::-1])) * b_aa * t ** (2.0 * alpha - 1.0)
-        smooth = psi[n::-1]
-        q = float(cell @ (0.5 * (smooth[:-1] + smooth[1:])))
-        conv[n] = t ** (1.0 - alpha) * q
+        conv[n] = times[n] ** (1.0 - alpha) * float(cells[n - 1] @ rev[n_nodes - n:])
     running = np.maximum.accumulate(conv)
     conv_sup = float(running[-1])
     i_decade = int(np.searchsorted(times, t_max / 10.0))

@@ -177,6 +177,23 @@ def test_ml_command_refuses_nan(capsys, z):
     assert captured.out == "" and "NaN" in captured.err
 
 
+# a NaN order used to print inf (beta) or a float-conversion error (alpha),
+# and an infinite argument printed a limit after numpy warnings
+@pytest.mark.parametrize("argv, name", [
+    (["0.75", "nan", "1"], "beta"),
+    (["nan", "0.75", "1"], "alpha"),
+    (["0.75", "inf", "1"], "beta"),
+    (["0.75", "0.75", "--", "-inf"], "infinite"),
+    (["0.75", "0.75", "--", "inf"], "infinite"),
+])
+def test_ml_command_refuses_nan_order_and_infinite_argument(capsys, argv, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ml", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and name in captured.err
+
+
 def test_simulate_outputs_and_determinism(tmp_path):
     path = write_doc(tmp_path, benchmark_doc())
     names = ["moments.csv", "moments_weighted.csv", "verdict.txt", "meta.txt"]
@@ -329,6 +346,24 @@ def test_non_finite_picard_iterate_is_a_numeric_failure(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(argv) == 3
     assert "numeric failure: picard: non-finite iterate at node 1 " in capsys.readouterr().err
+
+
+# the same overflow under warnings turned into errors: a numpy warning would
+# raise before the refusal, so the run must reach it with none
+@pytest.mark.parametrize("scheme", ["picard", "mild"])
+def test_overflowing_run_refuses_without_numpy_warnings(tmp_path, capsys, scheme):
+    doc = benchmark_doc()
+    doc["system"]["coefficients"]["B"] = [[1e200]]
+    doc["grid"]["N"] = 16
+    doc["monte_carlo"]["n_paths"] = 2
+    argv = ["simulate", "--config", write_doc(tmp_path, doc), "--out", str(tmp_path / "out"),
+            "--scheme", scheme]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric failure: {scheme}: non-finite ")
+    assert err.count("\n") == 1
 
 
 COLD_START = """

@@ -21,7 +21,8 @@ from fracstab import (
     rl_integral_grid,
 )
 from fracstab.errors import AccuracyWarning
-from fracstab.fraccalc import _fast_len
+from fracstab.fraccalc import (_CONTOURS, _contour_choice, _contour_rule, _fast_len,
+                               _poles)
 
 from oracle_fixtures import (
     BETA_0625_0625,
@@ -436,13 +437,92 @@ def test_overflowing_complex_values_are_infinite_not_nan():
     assert sup == math.inf
 
 
-# a NaN part has no value to print; an infinite argument keeps its limit
+# a NaN part has no value to print
 @pytest.mark.parametrize("z", [math.nan, complex(math.nan, 1.0), complex(1.0, math.nan)])
 def test_ml_scalar_refuses_nan(z):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="NaN"):
             ml_scalar(0.75, 0.75, z)
+
+
+# an infinite part has no value either: on the negative axis the row sum
+# read 0 with a spurious warning, on the positive axis numpy warned
+@pytest.mark.parametrize("z", [math.inf, -math.inf, complex(1.0, math.inf),
+                               complex(-math.inf, 1.0)])
+def test_ml_scalar_refuses_infinite_argument(z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="infinite"):
+            ml_scalar(0.75, 0.75, z)
+
+
+@pytest.mark.parametrize("alpha, beta, name", [
+    (math.nan, 0.75, "alpha"),
+    (math.inf, 0.75, "alpha"),
+    (-0.5, 0.75, "alpha"),
+    (0.75, math.nan, "beta"),
+    (0.75, math.inf, "beta"),
+    (0.75, -math.inf, "beta"),
+])
+def test_ml_functions_refuse_bad_orders(alpha, beta, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: ml_scalar(alpha, beta, 1.0),
+                     lambda: ml_matrix(alpha, beta, -np.eye(2)),
+                     lambda: ml_kernel(alpha, beta, -np.eye(2), [0.0, 1.0])):
+            with pytest.raises(ValueError, match=name):
+                call()
+
+
+def test_exact_zero_value_does_not_warn():
+    # the exponential's value underflows to 0 with a zero roundoff estimate,
+    # which is not an excess
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ml_scalar(1.0, 1.0, -1000.0) == 0.0
+
+
+def test_huge_negative_argument_warns_only_of_accuracy():
+    # |z|^(1/a) overflows in the pole computation; the row sum's roundoff
+    # against a value that underflows is the one honest warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = ml_scalar(0.75, 0.75, -1e300)
+    assert math.isfinite(value)
+    assert [w.category for w in caught] == [AccuracyWarning]
+
+
+def _two_sided(alpha, beta, x):
+    """E_{a,b}(x) for a real x summed over the whole contour the evaluator
+    takes, u < 0 included, with the residue of an outside pole; returns
+    (value, roundoff estimate eps (sum |terms| + |residue| / a))."""
+    z = np.array([x], dtype=complex)
+    poles = _poles(alpha, z)
+    root = np.sqrt(poles).real
+    mu, h, n = _CONTOURS[int(_contour_choice(root)[0])]
+    sigma, c = _contour_rule(alpha, beta, mu, h, n)
+    terms = c / (sigma - x)
+    p = poles[0][root[0] > math.sqrt(mu)]
+    residue = (np.exp(p) * p ** (1.0 - beta)).sum() / alpha
+    value = (terms.sum() + residue).real
+    return value, 2.220446049250313e-16 * (np.abs(terms).sum() + abs(residue))
+
+
+# both contours: the negative axis and the positive axis from the first
+# contour, and the positive arguments whose pole lies near it from the second
+@settings(max_examples=80, deadline=None)
+@given(alpha=st.floats(0.5, 1.0, exclude_min=True), beta=st.sampled_from(("a", 1.0, "a+")),
+       x=st.one_of(st.floats(-80.0, 0.0), st.floats(0.2, 2.5), st.floats(2.5, 20.0)))
+def test_real_argument_half_contour_matches_two_sided_sum(alpha, beta, x):
+    beta = {"a": alpha, "a+": alpha + 0.5}.get(beta, beta)
+    if alpha == 1.0 and beta == 1.0:
+        return  # served by exp, not by the contour
+    want, err = _two_sided(alpha, beta, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        got = ml_scalar(alpha, beta, x)
+    assert abs(got - want) <= 4.0 * err, (got, want, err)
 
 
 def test_ml_kernel_input_validation():

@@ -18,6 +18,9 @@ Covered outputs:
   ``certify_sweep`` benchmark's matrices: -1, -10, an upper-triangular
   3 x 3 with diagonal (-1, -2, -3), the complex pair [[-1, 3], [-3, -1]]
   and the Jordan block [[-1, 1], [0, -1]];
+* every field of ``certify`` (linear G = B = S = 0.05 I, p = 2) and
+  ``ml_norm_sup`` at alpha in {0.6, 0.75, 0.9} and T = 50 on the same
+  matrices;
 * exit code, stderr and every written file of ``check``, ``simulate`` (all
   four schemes, one with ``--seed``), ``convergence`` and ``ml`` on six
   configurations: linear, dim-2 sine, a neutral term too strong for the
@@ -43,8 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fracstab import (FractionalOrder, SystemSpec, TimeGrid, brownian_increments,
-                      kernel_bounds_profile, make_bounded_smooth, make_linear,
+from fracstab import (FractionalOrder, SystemSpec, TimeGrid, brownian_increments, certify,
+                      kernel_bounds_profile, make_bounded_smooth, make_linear, ml_norm_sup,
                       picard_path_solve, rl_integral_grid, simulate_integral_form,
                       simulate_mild)
 from fracstab.cli import main
@@ -131,6 +134,27 @@ def profile_lines():
         yield f"profile {name}", sha(scalars.tobytes() + rep.conv_running.tobytes())
 
 
+def outcome_repr(fn, *args):
+    """The repr of a call's result, or its failure."""
+    try:
+        res = fn(*args)
+    except Exception as exc:  # a failure is an output too
+        return f"{type(exc).__name__}: {exc}"
+    return sha(repr(res).encode())
+
+
+def certificate_lines():
+    for name, mat in PROFILE_MATRICES.items():
+        mat = np.array(mat)
+        eye = 0.05 * np.eye(mat.shape[0])
+        coeffs = make_linear(eye, eye, eye)
+        for alpha in (0.6, 0.75, 0.9):
+            # the dataclass repr holds every field, each float to its last bit
+            yield (f"certify {name} a={alpha}",
+                   outcome_repr(certify, mat, coeffs, FractionalOrder(alpha, 2), 50.0))
+            yield f"ml_norm_sup {name} a={alpha}", outcome_repr(ml_norm_sup, mat, alpha, 50.0)
+
+
 def config_docs():
     base = {
         "system": {"matrix": [[-1.0]], "rho": [1.0], "alpha": 0.75, "p": 2,
@@ -203,7 +227,7 @@ def cli_lines():
 
 
 def main_digest():
-    for section in (scheme_lines, rl_lines, profile_lines, cli_lines):
+    for section in (scheme_lines, rl_lines, profile_lines, certificate_lines, cli_lines):
         for label, line in section():
             print(f"{label}: {line}", flush=True)
     return 0
