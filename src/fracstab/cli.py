@@ -34,12 +34,11 @@ from .fraccalc import ML_TOL, ml_scalar
 from .moments import pth_moment_curve, stability_verdict
 from .simulator import (
     BrownianEnsemble,
-    PathEnsemble,
     TimeGrid,
     brownian_increments,
-    picard_path_solve,
     simulate_integral_form,
     simulate_mild,
+    simulate_picard,
 )
 
 EXIT_OK = 0
@@ -130,28 +129,11 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _run_march(system, grid, ens, scheme: str, as_printed: bool):
-    """One marching scheme, ``mild`` or ``integral_form``, over the ensemble."""
-    if scheme == "mild":
-        return simulate_mild(system, grid, ens)
-    return simulate_integral_form(system, grid, ens, as_printed=as_printed)
-
-
-def _run_scheme(cfg: RunConfig, scheme: str, as_printed: bool):
-    system = cfg.system()
-    grid = cfg.grid()
-    ens = brownian_increments(grid, cfg.n_paths, cfg.master_seed)
-    if scheme != "picard":
-        return _run_march(system, grid, ens, scheme, as_printed)
-    # picard: per-path whole-path solves stitched into one ensemble
-    vals = np.empty((cfg.n_paths, grid.N + 1, system.n))
-    wgt = np.empty_like(vals)
-    for i in range(cfg.n_paths):
-        res = picard_path_solve(system, grid, ens.increments[i])
-        vals[i] = res.values
-        wgt[i] = res.weighted
-    return PathEnsemble(values=vals, weighted=wgt, grid=grid, scheme_tag="picard",
-                        master_seed=cfg.master_seed, n_paths=cfg.n_paths)
+def _simulate(system, grid, ens, scheme: str, as_printed: bool):
+    """One scheme, ``mild``, ``integral_form`` or ``picard``, over the ensemble."""
+    if scheme == "integral_form":
+        return simulate_integral_form(system, grid, ens, as_printed=as_printed)
+    return {"mild": simulate_mild, "picard": simulate_picard}[scheme](system, grid, ens)
 
 
 def _write_meta(path: Path, cfg: RunConfig, scheme: str, as_printed: bool) -> None:
@@ -176,7 +158,10 @@ def _write_meta(path: Path, cfg: RunConfig, scheme: str, as_printed: bool) -> No
 
 def cmd_simulate(args) -> int:
     cfg, scheme, out = _run_config(args)
-    ensemble = _run_scheme(cfg, scheme, args.as_printed)
+    grid = cfg.grid()
+    ens = brownian_increments(grid, cfg.n_paths, cfg.master_seed)
+    ensemble = _simulate(cfg.system(), grid, ens, scheme, args.as_printed)
+    del ens  # freed before the moment curves, which set the run's peak memory
     p = cfg.p
     rho_norm = float(np.linalg.norm(cfg.rho))
     curve_w = pth_moment_curve(ensemble, p, weighted=True, rho_norm=rho_norm)
@@ -260,7 +245,7 @@ def cmd_convergence(args) -> int:
     fine_n = 16 * base_n
     fine_grid = TimeGrid(T=cfg.T, N=fine_n)
     fine = brownian_increments(fine_grid, cfg.n_paths, cfg.master_seed)
-    ref = _run_march(system, fine_grid, fine, scheme, args.as_printed)
+    ref = _simulate(system, fine_grid, fine, scheme, args.as_printed)
     scale = float(np.nanmax(np.abs(ref.weighted)))
     floor = 1e-11 * max(scale, 1.0)
     rows = []
@@ -273,7 +258,7 @@ def cmd_convergence(args) -> int:
             master_seed=cfg.master_seed,
             n_paths=cfg.n_paths,
         )
-        ens = _run_march(system, grid, coarse, scheme, args.as_printed)
+        ens = _simulate(system, grid, coarse, scheme, args.as_printed)
         ref_nodes = ref.weighted[:, ::factor, :]
         err = float(np.mean(np.max(np.abs(ens.weighted - ref_nodes), axis=(1, 2))))
         if err <= floor:

@@ -16,7 +16,7 @@ Callables must be pure, re-entrant, and vectorised over leading axes:
 ``f(t, x)`` with ``x`` of shape (..., n) returns the same shape.  ``t`` is a
 float or an array that broadcasts against the leading axes of ``x``: the
 marches call with one time and a batch of paths, a Picard sweep calls once
-with the column ``times[:, None]`` and the whole path of shape (N+1, n).
+with the column ``times[:, None]`` and a batch of whole paths, (P, N+1, n).
 Callables must therefore not branch on a scalar ``t`` (``if t > 1``); use
 array operations such as ``np.where``.  The built-in families ignore ``t``
 and act row by row, so a whole-path call gives the node-by-node values bit

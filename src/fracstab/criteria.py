@@ -184,7 +184,7 @@ def caputo_ms_criterion(inputs: CriterionInputs) -> float:
 
 
 def certify(a_mat, coeffs: CoefficientSet, order: FractionalOrder, T: float,
-            m_override: float | None = None, n_norm_nodes=256) -> Certificate:
+            m_override: float | None = None) -> Certificate:
     """Compose sector check, kernel bound and all constants into a Certificate.
 
     ``m_override`` substitutes a caller-supplied kernel bound M for the grid
@@ -196,7 +196,7 @@ def certify(a_mat, coeffs: CoefficientSet, order: FractionalOrder, T: float,
     if m_override is not None:
         m_val = float(m_override)
     else:
-        m_val = ml_norm_sup(a_mat, order.alpha, T, n_norm_nodes)
+        m_val = ml_norm_sup(a_mat, order.alpha, T)
         if not math.isfinite(m_val):
             raise ValueError(
                 f"the kernel E_{{a,a}}(t^a A) overflowed on [0, T] (T={T}, a={order.alpha}): "

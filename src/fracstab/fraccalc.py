@@ -227,7 +227,9 @@ def _ml_values(alpha, beta, z):
         values[cplx], err[cplx] = _row_sums(sigma, c, z[cplx])
         p = poles[idx]
         with np.errstate(over="ignore", invalid="ignore"):
-            residues = np.where(root[idx] > math.sqrt(mu), np.exp(p) * p ** (1.0 - beta), 0.0)
+            # a pole at Re s* = -inf (|z|^(1/a) overflowed) has e^(s*) = 0
+            residues = np.where((root[idx] > math.sqrt(mu)) & (p.real > -math.inf),
+                                np.exp(p) * p ** (1.0 - beta), 0.0)
             values[idx] += residues.sum(axis=1) / alpha
         # where e^(s*) overflows, complex arithmetic on the infinite residue
         # leaves NaN; the value is infinite: +inf for a real argument (the

@@ -16,12 +16,13 @@ discretised:
   constant kernel (t-s)^(a-1)/Gamma(a) and the linear memory term A X(s)
   (the self-consistent form; a literal variant with A g(s, X(s)) under the
   integral is available behind ``as_printed=True`` for comparison).
-* ``picard_path_solve``  iterates the whole-path solution operator of the
-  discrete mild system to its fixed point on one path; the mild march is
-  its triangular solve, and both read the system from one builder,
-  ``_mild_scheme``.  A sweep calls each coefficient once on the whole path
-  and takes both history integrals with one zero-padded FFT convolution,
-  O(N log N).
+* ``simulate_picard``  iterates the whole-path solution operator of the
+  discrete mild system to its fixed point, each path to its own;
+  ``picard_path_solve`` is its one-path view.  The mild march is its
+  triangular solve, and both read the system from one builder,
+  ``_mild_scheme``.  A sweep calls each coefficient once on a batch of
+  whole paths and takes both history integrals with one zero-padded FFT
+  convolution, O(N log N) per path.
 
 Quadrature conventions (shared): on each cell the singular scalar factor
 (t_n - s)^(a-1) is integrated exactly and multiplies the left-point values
@@ -90,6 +91,7 @@ __all__ = [
     "brownian_increments",
     "simulate_mild",
     "simulate_integral_form",
+    "simulate_picard",
     "picard_path_solve",
     "closed_form_homogeneous",
 ]
@@ -221,9 +223,9 @@ def _mild_scheme(system: SystemSpec, grid: TimeGrid):
         drift = b - A g,
 
     d, kappa the cell weights of :func:`_cell_weights`.  The march solves
-    this system node by node and :func:`picard_path_solve` iterates it on the
-    whole path.  E comes from one :func:`~fracstab.fraccalc.ml_kernel` call
-    for the whole grid, cheap enough to repeat on every call.  Raises
+    this system node by node and :func:`_picard` iterates it on whole
+    paths; each builds it once per call.  E comes from one
+    :func:`~fracstab.fraccalc.ml_kernel` call for the whole grid.  Raises
     :class:`SimulationNumericError` at the first node where E is not finite
     (it overflowed), before any step is taken.
     """
@@ -385,7 +387,7 @@ def _march(system, grid, ensemble, scheme, scheme_tag):
     (P, N+1, dim); histories are kept time-major and freed on return, before
     the caller packages the states.
     """
-    _check_inputs(system, grid, ensemble)
+    _check_inputs(system, grid, ensemble.increments)
     free, w_f, w_s, drift = scheme
     coeffs = system.coeffs
     solve = _neutral_solver(coeffs)
@@ -420,14 +422,14 @@ def _march(system, grid, ensemble, scheme, scheme_tag):
     return states
 
 
-def _check_inputs(system, grid, ensemble):
+def _check_inputs(system, grid, increments):
     if system.coeffs.L_g >= 1.0:
         raise ValueError(
             f"the neutral fixed point requires L_g < 1, got L_g={system.coeffs.L_g}"
         )
-    if ensemble.increments.shape[1] != grid.N:
+    if increments.shape[1] != grid.N:
         raise ValueError(
-            f"ensemble has {ensemble.increments.shape[1]} increments per path, "
+            f"ensemble has {increments.shape[1]} increments per path, "
             f"grid expects {grid.N}"
         )
 
@@ -484,9 +486,24 @@ def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: Brownia
     return _package(states, system, grid, tag, ensemble.master_seed)
 
 
+def simulate_picard(system: SystemSpec, grid: TimeGrid,
+                    ensemble: BrownianEnsemble) -> PathEnsemble:
+    """Solve the variation-of-constants scheme over the ensemble by Picard
+    iteration: :func:`picard_path_solve` with its defaults on every path,
+    with the scheme and the kernel transforms built once.  Each path stops
+    in its own sweep, so its states are the bits of its one-path solve.  A
+    path that misses the tolerance raises :class:`ConvergenceError`, and a
+    non-finite iterate :class:`SimulationNumericError` naming its paths.
+    """
+    states, _, _ = _picard(system, grid, ensemble.increments, 200, 1e-10)
+    return _package(states, system, grid, "picard", ensemble.master_seed)
+
+
 def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
                       max_iter=200, tol=1e-10) -> PicardResult:
-    """Whole-path fixed-point iteration of the solution operator on one path.
+    """Whole-path fixed-point iteration of the solution operator on the
+    increments (N,) of one path: the one-path view of
+    :func:`simulate_picard`, with the sweep count in the result.
 
     Starts from the zero path and applies the full right-hand side of the
     variation-of-constants form with all state evaluations held at the
@@ -502,8 +519,6 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
     (:func:`_mild_scheme`), which raises :class:`SimulationNumericError`
     before the first sweep if a kernel matrix is not finite.
     """
-    if system.coeffs.L_g >= 1.0:
-        raise ValueError("picard_path_solve requires L_g < 1")
     if not tol > 0:
         raise ValueError(f"picard_path_solve requires tol > 0, got {tol}")
     if max_iter < 1:
@@ -511,58 +526,79 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
     inc = np.atleast_1d(np.asarray(path_increments, dtype=float))
     if inc.ndim != 1 or inc.shape[0] != grid.N:
         raise ValueError(f"path_increments must have shape ({grid.N},)")
+    states, iterations, ratios = _picard(system, grid, inc[None], max_iter, tol)
+    ens = _package(states, system, grid, "picard", 0)
+    return PicardResult(values=ens.values[0], weighted=ens.weighted[0], grid=grid,
+                        iterations=int(iterations[0]), contraction_ratio=float(ratios[0]))
+
+
+def _picard(system, grid, increments, max_iter, tol):
+    """:func:`picard_path_solve` on the paths of ``increments`` (P, N): the
+    states (P, N+1, dim) and each path's sweeps and last contraction ratio.
+    Paths run in batches of ``_FFT_BATCH // (dim M)``, at least 1, as in the
+    far field; a path is frozen in the sweep it converges, and only then is
+    its batch gathered, so its bits do not depend on the other paths."""
+    _check_inputs(system, grid, increments)
     free, w_f, w_s, _ = _mild_scheme(system, grid)
     coeffs = system.coeffs
-    n_nodes = grid.N + 1
+    n_paths, n_nodes, dim = increments.shape[0], grid.N + 1, system.n
     times = grid.nodes[:, None]
     w_time = times[1:] ** (1.0 - system.order.alpha)
-    dw = np.append(inc, 0.0)[:, None]  # no increment after the last node
     kernels = (_kernel_entries(w_f), _kernel_entries(w_s))
     # the whole path is one block, its growth rates taken between the halves
     M = _fast_len(2 * n_nodes)
     half = (n_nodes + 1) // 2
     spectra = _block_spectra(kernels, half, n_nodes - half, M)
+    states = np.empty((n_paths, n_nodes, dim))
+    iterations = np.zeros(n_paths, dtype=int)
+    ratios = np.full(n_paths, math.nan)
+    batch = max(1, _FFT_BATCH // (dim * M))
+    for p0 in range(0, n_paths, batch):
+        paths = np.arange(p0, min(p0 + batch, n_paths))
+        dw = np.zeros((paths.size, n_nodes, 1))  # no increment after the last node
+        dw[:, :-1, 0] = increments[paths]
+        x = np.zeros((paths.size, n_nodes, dim))
+        prev_change, ratio = np.zeros(paths.size), np.full(paths.size, math.nan)
+        for sweep in range(1, max_iter + 1):
+            # an overflow leaves a non-finite node, refused below by its index
+            with np.errstate(over="ignore", invalid="ignore"):
+                # left-point coefficient values on the whole paths; x[:, 0] = 0 is X_0 := 0
+                g_hist = np.asarray(coeffs.g(times, x))
+                drift = np.asarray(coeffs.b(times, x)) - _apply_matrix(system.A, g_hist)
+                noise = np.asarray(coeffs.sigma(times, x)) * dw
+                # the scheme's drift b - A g from this sweep's one g call; the
+                # neutral term itself is taken at the previous iterate
+                history = np.zeros_like(x)
+                _causal_convolution(spectra, (drift.transpose(2, 0, 1), noise.transpose(2, 0, 1)),
+                                    M, 0, history.transpose(2, 0, 1))
+                x_new = free + history - g_hist
+            x_new[:, 0] = 0.0
+            finite = np.isfinite(x_new).all(axis=2)
+            bad = np.flatnonzero(~finite.all(axis=1))
+            if bad.size:
+                n = int(np.argmin(finite[bad[0]]))
+                raise SimulationNumericError(
+                    f"picard: non-finite iterate at node {n} (t = {times[n, 0]:.6g}) "
+                    f"in sweep {sweep}", path_indices=paths[bad].tolist(), node=n)
 
-    x = np.zeros((n_nodes, system.n))
-    prev_change = None
-    ratio = math.nan
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        # an overflow leaves a non-finite node, refused below by its index
-        with np.errstate(over="ignore", invalid="ignore"):
-            # left-point coefficient values on the whole path; x[0] = 0 is X_0 := 0
-            g_hist = np.asarray(coeffs.g(times, x))
-            drift = np.asarray(coeffs.b(times, x)) - _apply_matrix(system.A, g_hist)
-            noise = np.asarray(coeffs.sigma(times, x)) * dw
-            # the scheme's drift b - A g from this sweep's one g call; the
-            # neutral term itself is taken at the previous iterate
-            history = np.zeros((n_nodes, system.n))
-            _causal_convolution(spectra, (drift.T, noise.T), M, 0, history.T)
-            x_new = free + history - g_hist
-        x_new[0] = 0.0
-        finite = np.isfinite(x_new).all(axis=1)
-        if not finite.all():
-            n = int(np.argmin(finite))
-            raise SimulationNumericError(
-                f"picard: non-finite iterate at node {n} (t = {times[n, 0]:.6g}) "
-                f"in sweep {iterations}", node=n)
-
-        change = np.max(np.abs(w_time * (x_new[1:] - x[1:])))
-        if prev_change is not None and prev_change > 0:
-            ratio = change / prev_change
-        prev_change = change
-        x = x_new
-        if change <= tol * (1.0 + np.max(np.abs(w_time * x[1:]))):
-            break
-    else:
-        raise ConvergenceError(
-            f"Picard iteration did not reach tol={tol} (relative) in {max_iter} sweeps; "
-            f"last contraction ratio estimate {ratio:.4g}"
-        )
-
-    ens = _package(x[None], system, grid, "picard", 0)
-    return PicardResult(values=ens.values[0], weighted=ens.weighted[0], grid=grid,
-                        iterations=iterations, contraction_ratio=float(ratio))
+            change = np.max(np.abs(w_time * (x_new[:, 1:] - x[:, 1:])), axis=(1, 2))
+            np.divide(change, prev_change, out=ratio, where=prev_change > 0)
+            prev_change = change
+            x = x_new
+            done = change <= tol * (1.0 + np.max(np.abs(w_time * x[:, 1:]), axis=(1, 2)))
+            if done.any():
+                frozen = paths[done]
+                states[frozen], iterations[frozen], ratios[frozen] = x[done], sweep, ratio[done]
+                paths, x, dw, prev_change, ratio = (
+                    a[~done] for a in (paths, x, dw, prev_change, ratio))
+                if not paths.size:
+                    break
+        else:
+            raise ConvergenceError(
+                f"Picard iteration did not reach tol={tol} (relative) in {max_iter} sweeps; "
+                f"last contraction ratio estimate {ratio[0]:.4g}"
+            )
+    return states, iterations, ratios
 
 
 def closed_form_homogeneous(a_mat, rho, alpha, grid: TimeGrid) -> PathEnsemble:

@@ -275,6 +275,27 @@ def test_simulate_picard_scheme_matches_mild(tmp_path):
     np.testing.assert_allclose(p[:, 1], m[:, 1], rtol=1e-6, atol=1e-12)
 
 
+def test_simulate_picard_builds_the_scheme_once(tmp_path, monkeypatch):
+    calls = {"_mild_scheme": 0, "_block_spectra": 0}
+
+    def counted(name):
+        fn = getattr(simulator, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(simulator, name, counted(name))
+    doc = benchmark_doc()
+    doc["monte_carlo"]["n_paths"] = 5
+    path = write_doc(tmp_path, doc)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "p"),
+                 "--scheme", "picard"]) == 0
+    assert calls == {"_mild_scheme": 1, "_block_spectra": 1}
+
+
 def strong_neutral_doc(tmp_path):
     doc = benchmark_doc()
     doc["system"]["coefficients"]["G"] = [[0.95]]

@@ -437,6 +437,20 @@ def test_overflowing_complex_values_are_infinite_not_nan():
     assert sup == math.inf
 
 
+@pytest.mark.parametrize("z", [1e232j, 1e300j])
+def test_far_decaying_complex_values_are_finite(z):
+    # |z|^(1/a) overflows to a pole at -inf + inf j, whose residue
+    # e^(s*) s*^(1-b) underflows to 0; the value is tiny, its digits lost
+    with pytest.warns(AccuracyWarning):
+        value = ml_scalar(0.75, 0.75, z)
+    assert cmath.isfinite(value)
+
+
+def test_far_growing_complex_value_stays_infinite():
+    # here Re s* = +inf, and e^(s*) really overflows
+    assert ml_scalar(0.75, 0.75, 1e300 + 1e300j) == complex(math.inf, math.inf)
+
+
 # a NaN part has no value to print
 @pytest.mark.parametrize("z", [math.nan, complex(math.nan, 1.0), complex(1.0, math.nan)])
 def test_ml_scalar_refuses_nan(z):

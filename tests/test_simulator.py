@@ -30,6 +30,7 @@ from fracstab import (
     picard_path_solve,
     simulate_integral_form,
     simulate_mild,
+    simulate_picard,
 )
 from fracstab import simulator
 from fracstab.coefficients import NEUTRAL_TOL, _solve_neutral
@@ -138,6 +139,10 @@ SCHEMES = {
 }
 
 
+# the marches and Picard, whose paths are independent of each other
+ENSEMBLE_SCHEMES = {**SCHEMES, "picard": simulate_picard}
+
+
 def row_slice(ens, lo, hi):
     """The paths lo .. hi - 1 of an ensemble, as an ensemble of their own."""
     return BrownianEnsemble(increments=ens.increments[lo:hi], master_seed=ens.master_seed,
@@ -216,11 +221,11 @@ def direct_sum_march(system, grid, ens, scheme, c_g):
 # N = 256 and 300 run the far field at two and three block levels (base
 # block 64); 300 also ends on a partial block
 @pytest.mark.parametrize("dim,n_steps", [(1, 256), (2, 300)])
-@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("scheme", sorted(ENSEMBLE_SCHEMES))
 def test_scheme_determinism_and_chunk_independence(scheme, dim, n_steps):
     coeffs = make_bounded_smooth(0.2, 0.1, 0.1)
     system = scalar_system(coeffs=coeffs) if dim == 1 else planar_system(coeffs)
-    simulate = SCHEMES[scheme]
+    simulate = ENSEMBLE_SCHEMES[scheme]
     grid = TimeGrid(T=1.0, N=n_steps)
     ens = brownian_increments(grid, 40, 123)
     base = simulate(system, grid, ens)
@@ -488,6 +493,17 @@ def test_picard_stops_at_the_first_non_finite_sweep():
     assert info.value.node == 1
 
 
+def test_non_finite_picard_iterate_names_its_paths():
+    system = scalar_system()
+    grid = TimeGrid(T=1.0, N=32)
+    inc = brownian_increments(grid, 3, 1).increments.copy()
+    inc[1, 0] = np.nan
+    with pytest.raises(SimulationNumericError, match="node 1 .* in sweep 1$") as info:
+        simulate_picard(system, grid, BrownianEnsemble(increments=inc, master_seed=1, n_paths=3))
+    assert info.value.path_indices == (1,)
+    assert info.value.node == 1
+
+
 # refused before the scheme is built: this kernel would overflow at node 7
 @pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-10},
                                     {"max_iter": 0}])
@@ -611,9 +627,33 @@ def test_picard_calls_each_coefficient_once_per_sweep():
         coeffs, g=counted("g", coeffs.g), b=counted("b", coeffs.b),
         sigma=counted("sigma", coeffs.sigma)))
     grid = TimeGrid(T=1.0, N=128)
-    res = picard_path_solve(system, grid, brownian_increments(grid, 1, 4).increments[0])
+    ens = brownian_increments(grid, 3, 4)
+    res = picard_path_solve(system, grid, ens.increments[0])
     assert res.iterations > 2
     assert calls == {"g": res.iterations, "b": res.iterations, "sigma": res.iterations}
+    # an ensemble's sweep serves all its unfinished paths with one call
+    sweeps = [picard_path_solve(planar_system(coeffs), grid, inc).iterations
+              for inc in ens.increments]
+    calls.clear()
+    simulate_picard(system, grid, ens)
+    assert calls == {"g": max(sweeps), "b": max(sweeps), "sigma": max(sweeps)}
+
+
+def test_picard_ensemble_freezes_each_path_at_its_own_sweep():
+    system = planar_system(make_bounded_smooth(0.2, 0.3, 0.3))
+    grid = TimeGrid(T=4.0, N=1024)
+    ens = brownian_increments(grid, 7, 31)
+    # batches of 3 paths: a path freezes while others of its batch go on
+    assert simulator._FFT_BATCH // (2 * simulator._fast_len(2 * 1025)) == 3
+    out = simulate_picard(system, grid, ens)
+    sweeps = set()
+    for i, inc in enumerate(ens.increments):
+        res = picard_path_solve(system, grid, inc)
+        sweeps.add(res.iterations)
+        np.testing.assert_array_equal(out.values[i], res.values)
+        np.testing.assert_array_equal(out.weighted[i], res.weighted)
+    assert len(sweeps) > 1
+    assert out.scheme_tag == "picard" and out.n_paths == 7 and out.master_seed == 31
 
 
 def test_multidimensional_system_runs_and_coincides():

@@ -7,10 +7,11 @@ compared for byte identity with ``diff``.
 Covered outputs:
 
 * ``values`` and ``weighted`` of the mild, integral-form, as-printed and
-  Picard schemes on four systems: the dim-4 non-normal matrix of the
-  ``vector_neutral`` benchmark (seed 1, N = 300), the ``scalar_long``
-  system (N = 2048), the rotation [[0.5, 0.3], [-0.2, 0.2]] and
-  diag(1, 0.3), all at alpha = 0.75 and T = 50;
+  Picard schemes (two one-path solves and the whole ensemble) on four
+  systems: the dim-4 non-normal matrix of the ``vector_neutral`` benchmark
+  (seed 1, N = 300), the ``scalar_long`` system (N = 2048), the rotation
+  [[0.5, 0.3], [-0.2, 0.2]] and diag(1, 0.3), all at alpha = 0.75 and
+  T = 50;
 * ``rl_integral_grid`` on 1-D and three-column samples of several lengths
   for a in {0.3, 0.75, 1};
 * every field of ``kernel_bounds_profile``'s report, ``conv_running``
@@ -49,7 +50,7 @@ import numpy as np
 from fracstab import (FractionalOrder, SystemSpec, TimeGrid, brownian_increments, certify,
                       kernel_bounds_profile, make_bounded_smooth, make_linear, ml_norm_sup,
                       picard_path_solve, rl_integral_grid, simulate_integral_form,
-                      simulate_mild)
+                      simulate_mild, simulate_picard)
 from fracstab.cli import main
 
 ORDER = FractionalOrder(0.75, 2)
@@ -101,6 +102,7 @@ def scheme_lines():
         for i in range(2):
             yield f"{name} picard[{i}]", outcome(picard_path_solve, system, grid,
                                                  ens.increments[i])
+        yield f"{name} simulate_picard", outcome(simulate_picard, system, grid, ens)
 
 
 def rl_lines():
