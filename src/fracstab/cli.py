@@ -26,10 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config
+from .config import _SCHEMES, RunConfig, load_config
 from .criteria import certify, delta_for_epsilon
-from .errors import (ConfigError, ConvergenceError, CriterionError, FracstabError,
-                     SimulationNumericError)
+from .errors import ConfigError, ConvergenceError, FracstabError, SimulationNumericError
 from .fraccalc import ML_TOL, ml_scalar
 from .moments import pth_moment_curve, stability_verdict
 from .simulator import (
@@ -89,20 +88,26 @@ def _run_config(args):
 
 
 def _certificate(cfg: RunConfig):
-    """The certificate of a config and its delta(epsilon), None when the
-    criterion admits no delta."""
-    cert = certify(np.asarray(cfg.matrix), cfg.coefficients(), cfg.order(), cfg.T,
+    """The certificate of a config, its delta(epsilon) and a note on it.
+    delta is None unless the stability verdict holds, and the note then
+    names the hypothesis that failed."""
+    coeffs = cfg.coefficients()
+    cert = certify(np.asarray(cfg.matrix), coeffs, cfg.order(), cfg.T,
                    m_override=cfg.m_override)
-    try:
-        return cert, delta_for_epsilon(cert.inputs, cfg.epsilon)
-    except CriterionError:
-        return cert, None
+    if not cert.sector.in_sector:
+        return cert, None, "spectrum outside the stability sector: no admissible delta"
+    if not coeffs.assumptions_verified:
+        return cert, None, ("coefficients not verified to vanish at zero: "
+                            "no admissible delta")
+    if not cert.verdict_stability:
+        return cert, None, "criterion fails: no admissible delta"
+    return cert, delta_for_epsilon(cert.inputs, cfg.epsilon), "ok"
 
 
 def cmd_check(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
-    cert, delta = _certificate(cfg)
+    cert, delta, delta_note = _certificate(cfg)
     pairs = [
         ("theta", cert.theta),
         ("contraction", cert.contraction),
@@ -113,7 +118,7 @@ def cmd_check(args) -> int:
         ("a_norm", cert.inputs.A_norm),
         ("epsilon", cfg.epsilon),
         ("delta", delta),
-        ("delta_note", "ok" if delta is not None else "criterion fails: no admissible delta"),
+        ("delta_note", delta_note),
         ("sector_margin", cert.sector.margin),
         ("sector_in", cert.sector.in_sector),
         ("verdict_existence", cert.verdict_existence),
@@ -129,20 +134,21 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _simulate(system, grid, ens, scheme: str, as_printed: bool):
-    """One scheme, ``mild``, ``integral_form`` or ``picard``, over the ensemble."""
-    if scheme == "integral_form":
-        return simulate_integral_form(system, grid, ens, as_printed=as_printed)
-    return {"mild": simulate_mild, "picard": simulate_picard}[scheme](system, grid, ens)
+def _simulate(system, grid, ens, scheme: str):
+    """One scheme of ``config._SCHEMES`` over the ensemble."""
+    if scheme == "integral_form_as_printed":
+        return simulate_integral_form(system, grid, ens, as_printed=True)
+    return {"mild": simulate_mild, "integral_form": simulate_integral_form,
+            "picard": simulate_picard}[scheme](system, grid, ens)
 
 
-def _write_meta(path: Path, cfg: RunConfig, scheme: str, as_printed: bool) -> None:
+def _write_meta(path: Path, cfg: RunConfig, scheme: str) -> None:
     grid = cfg.grid()
     pairs = [
         ("package_version", __version__),
         ("master_seed", cfg.master_seed),
         ("n_paths", cfg.n_paths),
-        ("scheme", scheme + ("_as_printed" if as_printed else "")),
+        ("scheme", scheme),
         ("T", grid.T),
         ("N", grid.N),
         ("dt", grid.dt),
@@ -160,14 +166,14 @@ def cmd_simulate(args) -> int:
     cfg, scheme, out = _run_config(args)
     grid = cfg.grid()
     ens = brownian_increments(grid, cfg.n_paths, cfg.master_seed)
-    ensemble = _simulate(cfg.system(), grid, ens, scheme, args.as_printed)
+    ensemble = _simulate(cfg.system(), grid, ens, scheme)
     del ens  # freed before the moment curves, which set the run's peak memory
     p = cfg.p
     rho_norm = float(np.linalg.norm(cfg.rho))
     curve_w = pth_moment_curve(ensemble, p, weighted=True, rho_norm=rho_norm)
     curve_u = pth_moment_curve(ensemble, p, weighted=False, rho_norm=rho_norm)
     # a refused certificate leaves no files behind
-    cert, delta = _certificate(cfg)
+    cert, delta, _ = _certificate(cfg)
     _write_csv(out / "moments.csv", ("t", "m", "ci_half_width"),
                zip(curve_u.nodes, curve_u.m, curve_u.half_width))
     _write_csv(out / "moments_weighted.csv", ("t", "m", "ci_half_width"),
@@ -217,7 +223,7 @@ def cmd_simulate(args) -> int:
                 rows.append([i, j, nodes[j], *ensemble.weighted[i, j], *vals])
         _write_csv(out / "paths.csv", header, rows)
 
-    _write_meta(out / "meta.txt", cfg, scheme, args.as_printed)
+    _write_meta(out / "meta.txt", cfg, scheme)
     return EXIT_OK
 
 
@@ -245,7 +251,7 @@ def cmd_convergence(args) -> int:
     fine_n = 16 * base_n
     fine_grid = TimeGrid(T=cfg.T, N=fine_n)
     fine = brownian_increments(fine_grid, cfg.n_paths, cfg.master_seed)
-    ref = _simulate(system, fine_grid, fine, scheme, args.as_printed)
+    ref = _simulate(system, fine_grid, fine, scheme)
     scale = float(np.nanmax(np.abs(ref.weighted)))
     floor = 1e-11 * max(scale, 1.0)
     rows = []
@@ -258,7 +264,7 @@ def cmd_convergence(args) -> int:
             master_seed=cfg.master_seed,
             n_paths=cfg.n_paths,
         )
-        ens = _simulate(system, grid, coarse, scheme, args.as_printed)
+        ens = _simulate(system, grid, coarse, scheme)
         ref_nodes = ref.weighted[:, ::factor, :]
         err = float(np.mean(np.max(np.abs(ens.weighted - ref_nodes), axis=(1, 2))))
         if err <= floor:
@@ -291,11 +297,9 @@ def _build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=None,
                            help="master seed override (unsigned 64-bit)")
         if scheme:
-            p.add_argument("--scheme", choices=("mild", "integral_form", "picard"),
-                           default=None, help="scheme override")
-            p.add_argument("--as-printed", action="store_true", dest="as_printed",
-                           help="use the literal memory term A g(s, X(s)) in the "
-                                "integral-form scheme")
+            p.add_argument("--scheme", choices=_SCHEMES, default=None,
+                           help="scheme override; integral_form_as_printed takes the "
+                                "literal memory term A g(s, X(s))")
 
     add_common(sub.add_parser("check", help="evaluate the stability certificate"))
     add_common(sub.add_parser("simulate", help="run a Monte Carlo ensemble"),

@@ -22,7 +22,7 @@ from .simulator import SystemSpec, TimeGrid
 
 __all__ = ["RunConfig", "load_config", "parse_config"]
 
-_SCHEMES = ("mild", "integral_form", "picard")
+_SCHEMES = ("mild", "integral_form", "integral_form_as_printed", "picard")
 _FAMILIES = ("zero", "linear", "bounded_smooth", "additive")
 
 

@@ -72,9 +72,11 @@ class Certificate:
 
     ``contraction`` is +inf when the neutral gate 4^(p-1) L_g^p reaches 1
     (the fixed-point argument fails structurally).  Verdicts are
-    recomputable from the stored numbers: existence requires the gate and
-    the contraction constant below 1; stability requires sector membership
-    and the stability constant below 1.  ``theta`` and ``k_stab`` are both
+    recomputable from the stored numbers and the coefficient set: existence
+    requires the gate and the contraction constant below 1; stability
+    requires sector membership, coefficients verified to satisfy the
+    theorem's hypotheses (``CoefficientSet.assumptions_verified``) and the
+    stability constant below 1.  ``theta`` and ``k_stab`` are both
     reported; the theory states them independently.
     """
 
@@ -225,6 +227,6 @@ def certify(a_mat, coeffs: CoefficientSet, order: FractionalOrder, T: float,
         neutral_gate=gate,
         sector=sector,
         verdict_existence=(gate < 1.0 and contraction < 1.0),
-        verdict_stability=(sector.in_sector and k < 1.0),
+        verdict_stability=(sector.in_sector and coeffs.assumptions_verified and k < 1.0),
         inputs=inputs,
     )

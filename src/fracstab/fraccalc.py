@@ -38,8 +38,10 @@ nodes instead.  :func:`ml_scalar` and :func:`ml_matrix` are one-argument
 calls of the same evaluator.
 
 Gamma and Beta are taken from ``math.gamma`` (``math.lgamma`` only where a
-Gamma factor of B overflows), and the FFT convolutions from ``numpy.fft``,
-so this module needs nothing beyond numpy and the standard library.
+Gamma factor of B overflows), the incomplete beta I_x(a, a) of the singular
+cell weights from its power series (:func:`_betainc_aa`), and the FFT
+convolutions from ``numpy.fft``, so this module needs nothing beyond numpy
+and the standard library.
 
 The Riemann-Liouville integral I^a f(t) = (1/Gamma(a)) int_0^t (t-r)^(a-1) f(r) dr
 is discretised by product integration: the kernel factor is integrated
@@ -143,6 +145,42 @@ def beta_fn(a: float, b: float) -> float:
     if math.isfinite(value):
         return value
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+def _betainc_aa(a, x):
+    """Regularised incomplete beta I_x(a, a) for a in (1/2, 1] and an array
+    of x in [0, 1]: the weight of the singular product s^(a-1) (t-s)^(a-1)
+    over [0, x t], as a share of its integral over [0, t].
+
+    On y = min(x, 1 - x) <= 1/2 the series B_y(a, a) = y^a sum_k
+    (1-a)_k y^k / (k! (a+k)) (DLMF 8.17.7) is summed in Horner form; every
+    term is positive, so the sum is accurate to a few eps relative, and
+    I_x = 1 - I_(1-x) above 1/2.  The k-th term is below 2^-k / (a+k), so
+    the terms past k = 52 add less than 2^-52 = eps relative to the first,
+    1/a >= 1, and 53 terms are summed.  The sum is divided by
+    B(a, a) = 2 B_(1/2)(a, a) from the same series, not by ``beta_fn``: then
+    I_(1/2) is exactly 1/2, so the values do not step down where the mirror
+    takes over, and this B is within 0.6 eps of mpmath against 3.6 eps for
+    ``beta_fn`` (a in {0.55, 0.6, 0.75, 0.9, 0.99}).  Each value depends on
+    its own x alone, whatever array it comes in.
+    """
+    x = np.asarray(x, dtype=float)
+    # in place from here on, so that only y and the sum are allocated; the
+    # last y is 1/2, for B(a, a)
+    y = np.append(np.minimum(x, 1.0 - x), 0.5)
+    coeffs = [1.0 / a]
+    ratio = 1.0
+    for k in range(1, 53):
+        ratio *= (k - a) / k  # (1-a)_k / k!
+        coeffs.append(ratio / (a + k))
+    total = np.full_like(y, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        total *= y
+        total += c
+    total *= np.power(y, a, out=y)
+    low = total[:-1].reshape(x.shape)
+    low /= 2.0 * total[-1]
+    return np.subtract(1.0, low, out=low, where=x > 0.5)
 
 
 def _contour_rule(alpha, beta, mu, h, n):

@@ -79,8 +79,8 @@ import numpy as np
 
 from .coefficients import CoefficientSet, _apply_matrix, _neutral_solver
 from .errors import ConvergenceError, SimulationNumericError
-from .fraccalc import (FractionalOrder, _causal_convolution, _fast_len, beta_fn, gamma_fn,
-                       ml_kernel)
+from .fraccalc import (FractionalOrder, _betainc_aa, _causal_convolution, _fast_len, beta_fn,
+                       gamma_fn, ml_kernel)
 
 __all__ = [
     "TimeGrid",
@@ -462,13 +462,9 @@ def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: Brownia
     free = np.zeros((grid.N + 1, system.n))
     free[1:] = (t ** (alpha - 1.0) * inv_gamma)[:, None] * system.rho
     if not as_printed:
-        # imported on use: scipy.special takes longer to import than the
-        # rest of the package, and only this scheme needs it
-        from scipy.special import betainc
-
         # exact first-cell weight for the singular memory cell:
         # int_0^dt s^(a-1) (t_n - s)^(a-1) ds, applied to A rho / Gamma(a)
-        cell0 = (beta_fn(alpha, alpha) * betainc(alpha, alpha, grid.dt / t)
+        cell0 = (beta_fn(alpha, alpha) * _betainc_aa(alpha, grid.dt / t)
                  * t ** (2.0 * alpha - 1.0))
         free[1:] += (inv_gamma * cell0)[:, None] * (system.A @ (system.rho / gamma_fn(alpha)))
     memory = system.coeffs.g if as_printed else (lambda t, x: x)

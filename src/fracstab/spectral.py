@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProfileDivergenceError
-from .fraccalc import beta_fn, ml_kernel
+from .fraccalc import _betainc_aa, beta_fn, ml_kernel
 
 __all__ = [
     "Spectrum",
@@ -155,27 +155,37 @@ def _profile_cells(alpha, t_max, n_nodes):
     j = 0 .. n - 1, of node n.  The weight is symmetric about t_n / 2, so
     only the first half, diff(I_{t_j / t_n}(a, a)) for j <= (n + 1) // 2, is
     taken from the incomplete beta and mirrored, then scaled by
-    B(a, a) t_n^(2a - 1).
+    B(a, a) t_n^(2a - 1).  The incomplete beta takes the arguments of a batch
+    of consecutive rows in one call, about 2^12 of them.
 
     The rows depend only on the grid, so they are kept for the last key
     (about 4 MB at n_nodes = 1000, 67 MB at n_nodes = 4096); the key holds
     t_max itself because (j h) / (n h) is not always j / n in floating point.
     The rows are read-only, as every caller shares them.
     """
-    # imported on use: scipy.special takes longer to import than the rest
-    # of the package, and only the profile needs it here
-    from scipy.special import betainc
-
     times = np.arange(n_nodes + 1) * (t_max / n_nodes)
     b_aa = beta_fn(alpha, alpha)
+    # a row has at most n_nodes // 2 + 2 arguments, so a batch about 2^12;
+    # temporaries that small leave the rows unfragmented in the heap (with
+    # 2^15 the peak RSS of the 4096-node table rose by 2 to 4 MB)
+    batch = max(1, (1 << 13) // n_nodes)
     rows = []
-    for n in range(1, n_nodes + 1):
-        t = times[n]
-        half = (n + 1) // 2
-        low = np.diff(betainc(alpha, alpha, times[: half + 1] / t))
-        row = np.concatenate((low, low[: n - half][::-1])) * b_aa * t ** (2.0 * alpha - 1.0)
-        row.flags.writeable = False
-        rows.append(row)
+    for first in range(1, n_nodes + 1, batch):
+        nodes = range(first, min(first + batch, n_nodes + 1))
+        # row n's differences start where its arguments do; the difference
+        # across two rows' arguments is never read
+        diffs = np.diff(_betainc_aa(alpha, np.concatenate(
+            [times[: (n + 1) // 2 + 1] / times[n] for n in nodes])))
+        start = 0
+        for n in nodes:
+            half = (n + 1) // 2
+            low = diffs[start: start + half]
+            start += half + 1
+            row = np.concatenate((low, low[: n - half][::-1]))
+            row *= b_aa
+            row *= times[n] ** (2.0 * alpha - 1.0)
+            row.flags.writeable = False
+            rows.append(row)
     return tuple(rows)
 
 

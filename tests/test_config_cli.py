@@ -108,6 +108,28 @@ def test_check_benchmark_passes(tmp_path):
     assert float(values["sector_margin"]) == pytest.approx(0.625 * math.pi, rel=1e-9)
 
 
+# the stability verdict and delta(epsilon) stand only under the theorem's
+# hypotheses: coefficients that vanish at zero and a spectrum in the sector
+@pytest.mark.parametrize("system, note", [
+    ({"coefficients": {"family": "additive", "sigma": 0.5, "allow_nonvanishing": True}},
+     "coefficients not verified to vanish at zero"),
+    ({"matrix": [[0.5]], "coefficients": {"family": "linear", "G": [[0.01]],
+                                          "B": [[0.01]], "S": [[0.01]]}},
+     "spectrum outside the stability sector"),
+])
+def test_check_withholds_delta_outside_the_hypotheses(tmp_path, system, note):
+    doc = benchmark_doc()
+    doc["system"].update(system)
+    path = write_doc(tmp_path, doc)
+    assert main(["check", "--config", path, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "certificate.txt").read_text()
+    values = dict(line.split(" = ") for line in text.strip().splitlines())
+    assert float(values["k_stab"]) < 1.0
+    assert values["verdict_stability"] == "false"
+    assert values["delta"] == "nan"
+    assert values["delta_note"].startswith(note)
+
+
 def test_check_strong_neutral_term_exits_2(tmp_path, capsys):
     doc = benchmark_doc()
     doc["system"]["coefficients"]["G"] = [[0.6]]
@@ -260,6 +282,26 @@ def test_simulate_scheme_override_and_coincidence(tmp_path):
     assert vi["scheme"] == "integral_form"
 
 
+def test_as_printed_is_a_scheme_value(tmp_path):
+    doc = benchmark_doc()
+    doc["grid"]["N"] = 32
+    doc["monte_carlo"]["n_paths"] = 3
+    path = write_doc(tmp_path, doc)
+    # the flag is gone, also beside the other schemes
+    for scheme in ("integral_form", "mild", "picard"):
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "flag"),
+                     "--scheme", scheme, "--as-printed"]) == 1
+    out = tmp_path / "printed"
+    assert main(["simulate", "--config", path, "--out", str(out),
+                 "--scheme", "integral_form_as_printed"]) == 0
+    for name in ("meta.txt", "verdict.txt"):
+        pairs = dict(line.split(" = ") for line in (out / name).read_text().splitlines())
+        assert pairs["scheme"] == "integral_form_as_printed", name
+    assert main(["convergence", "--config", path, "--out", str(tmp_path / "conv"),
+                 "--scheme", "integral_form_as_printed"]) == 0
+    assert (tmp_path / "conv" / "convergence.csv").exists()
+
+
 def test_simulate_picard_scheme_matches_mild(tmp_path):
     doc = benchmark_doc()
     doc["grid"]["N"] = 64
@@ -389,17 +431,19 @@ def test_overflowing_run_refuses_without_numpy_warnings(tmp_path, capsys, scheme
 
 COLD_START = """
 import json, sys
+sys.modules["scipy"] = None  # blocked: any import of scipy now fails
+import numpy as np
 import fracstab.cli
 
 codes = [fracstab.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+report = fracstab.kernel_bounds_profile(np.array([[-1.0]]), 0.75)
+print(json.dumps({"codes": codes, "conv_sup": report.conv_sup}))
 """
 
 
 def test_cold_start_loads_no_scipy(tmp_path):
-    # a fresh interpreter: check, the mild march, Picard and a convergence
-    # study import no scipy module at all
+    # a fresh interpreter in which scipy cannot be imported: check, every
+    # scheme, a convergence study and the kernel profile still run
     doc = benchmark_doc()
     doc["grid"]["N"] = 32
     doc["monte_carlo"]["n_paths"] = 4
@@ -407,6 +451,10 @@ def test_cold_start_loads_no_scipy(tmp_path):
     runs = [["check", "--config", path, "--out", str(tmp_path / "c")],
             ["simulate", "--config", path, "--out", str(tmp_path / "m")],
             ["simulate", "--config", path, "--out", str(tmp_path / "p"), "--scheme", "picard"],
+            ["simulate", "--config", path, "--out", str(tmp_path / "i"),
+             "--scheme", "integral_form"],
+            ["simulate", "--config", path, "--out", str(tmp_path / "a"),
+             "--scheme", "integral_form_as_printed"],
             ["convergence", "--config", path, "--out", str(tmp_path / "v")]]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -414,7 +462,9 @@ def test_cold_start_loads_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(runs)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {"codes": [0, 0, 0, 0], "scipy": []}
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0] * len(runs)
+    assert math.isfinite(result["conv_sup"]) and result["conv_sup"] > 0
 
 
 def test_convergence_zero_coefficients_saturates(tmp_path):

@@ -16,6 +16,7 @@ from fracstab import (
     closed_form_homogeneous,
     contraction_constant,
     delta_for_epsilon,
+    make_additive_noise,
     make_linear,
     pth_moment_curve,
     rl_integral_grid,
@@ -239,13 +240,23 @@ def test_certify_stable_benchmark():
     assert cert.c_p == 1.0
     # flags recomputable from the stored numbers
     assert cert.verdict_existence == (cert.neutral_gate < 1 and cert.contraction < 1)
-    assert cert.verdict_stability == (cert.sector.in_sector and cert.k_stab < 1)
+    assert cert.verdict_stability == (cert.sector.in_sector and coeffs.assumptions_verified
+                                      and cert.k_stab < 1)
 
 
 def test_certify_out_of_sector_never_stable():
     coeffs = make_linear([[0.0]], [[0.0]], [[0.0]])
     cert = certify(np.array([[1.0]]), coeffs, FractionalOrder(0.75, 2), T=1.0)
     assert not cert.sector.in_sector
+    assert not cert.verdict_stability
+
+
+def test_certify_unverified_coefficients_never_stable():
+    # additive noise does not vanish at zero: the theorem does not apply,
+    # whatever its constants say
+    cert = certify(np.array([[-1.0]]), make_additive_noise(0.5), FractionalOrder(0.75, 2),
+                   T=1.0)
+    assert cert.sector.in_sector and cert.k_stab < 1.0
     assert not cert.verdict_stability
 
 

@@ -21,13 +21,14 @@ from fracstab import (
     rl_integral_grid,
 )
 from fracstab.errors import AccuracyWarning
-from fracstab.fraccalc import (_CONTOURS, _contour_choice, _contour_rule, _fast_len,
-                               _poles)
+from fracstab.fraccalc import (_CONTOURS, _betainc_aa, _contour_choice, _contour_rule,
+                               _fast_len, _poles)
 
 from oracle_fixtures import (
     BETA_0625_0625,
     BETA_300_05,
     BETA_VALUES,
+    BETAINC_AA,
     GAMMA_0_75,
     GAMMA_VALUES,
     JORDAN_A06_T5,
@@ -136,6 +137,47 @@ def test_fast_len_matches_scipy_next_fast_len():
 
     sizes = range(1, 2**15 + 1)
     assert [_fast_len(n) for n in sizes] == [next_fast_len(n, real=True) for n in sizes]
+
+
+# ------------------------------------------------------- incomplete beta
+
+EPS = np.finfo(float).eps
+
+
+def test_betainc_aa_against_mpmath():
+    # relative on [0, 1/2], where the series is summed, absolute above it,
+    # where the value is 1 - I_(1-x)
+    for (a, x), want in BETAINC_AA.items():
+        got = float(_betainc_aa(a, np.array([x]))[0])
+        if x <= 0.5:
+            assert abs(got - want) <= 8 * EPS * want, (a, x)
+        else:
+            assert abs(got - want) <= 4 * EPS, (a, x)
+
+
+@pytest.mark.parametrize("a", [0.55, 0.6, 0.75, 0.9, 0.99, 1.0])
+def test_betainc_aa_matches_scipy_values_and_cells(a):
+    from scipy.special import betainc
+
+    x = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 10**5))
+    got, want = _betainc_aa(a, x), betainc(a, a, x)
+    assert np.max(np.abs(got - want)) <= 2e-15
+    assert np.max(np.abs(np.diff(got) - np.diff(want))) <= 2e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.5, 1.0, exclude_min=True),
+       xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_betainc_aa_symmetry_and_monotonicity(a, xs):
+    # 1 - x is exact for x in [1/2, 1], so both sides take the same pair
+    upper = np.array([x for x in xs if x >= 0.5] + [0.5])
+    sym = _betainc_aa(a, upper) + _betainc_aa(a, 1.0 - upper)
+    assert np.all(np.abs(sym - 1.0) <= 2 * EPS)
+    x = np.sort(np.concatenate([xs, [0.0, np.nextafter(0.5, 0.0), 0.5,
+                                     np.nextafter(0.5, 1.0), 1.0]]))
+    values = _betainc_aa(a, x)
+    assert values[0] == 0.0 and values[-1] == 1.0
+    assert np.all(np.diff(values) >= 0.0)
 
 
 # ---------------------------------------------------------------- ml_scalar

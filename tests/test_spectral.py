@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc
 
 from fracstab import (
     beta_fn,
@@ -20,6 +19,7 @@ from fracstab import (
     sector_check,
 )
 from fracstab.errors import ProfileDivergenceError
+from fracstab.fraccalc import _betainc_aa
 from fracstab.spectral import _profile_cells
 
 from oracle_fixtures import RECIP_GAMMA_0_75
@@ -179,7 +179,10 @@ def reference_profile(a_mat, alpha, t_max, n_nodes):
     """(kernel_sup, t0, tail_coefficient, conv_sup, conv_running) of
     kernel_bounds_profile, each node's cells taken by its own incomplete
     beta call; None where the profile refuses (no plateau, or the running
-    supremum grows more than 10% over the last decade)."""
+    supremum grows more than 10% over the last decade).  The incomplete beta
+    is the package's own I_x(a, a), whose accuracy test_fraccalc checks
+    against scipy and mpmath, so this checks the cached table's rows, their
+    mirror and their batching bit for bit."""
     h = t_max / n_nodes
     times = np.arange(n_nodes + 1) * h
     psi = matrix_norm(ml_kernel(alpha, alpha, a_mat, times))
@@ -193,7 +196,7 @@ def reference_profile(a_mat, alpha, t_max, n_nodes):
     for n in range(1, n_nodes + 1):
         t = times[n]
         half = (n + 1) // 2
-        low = np.diff(betainc(alpha, alpha, times[: half + 1] / t))
+        low = np.diff(_betainc_aa(alpha, times[: half + 1] / t))
         cell = np.concatenate((low, low[: n - half][::-1])) * b_aa * t ** (2.0 * alpha - 1.0)
         smooth = psi[n::-1]
         q = float(cell @ (0.5 * (smooth[:-1] + smooth[1:])))

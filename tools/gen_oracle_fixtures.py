@@ -62,6 +62,15 @@ NEAR_DEFECTIVE_POINTS = [(lam, t) for lam in (-1.0, -3.0) for t in (0.5, 5.0, 20
 # of (1/2, 1]: the arguments fraccalc.gamma_fn and beta_fn are called with
 GAMMA_BETA_ALPHAS = [0.5 + k / 40 for k in range(1, 21)]
 
+# regularised incomplete beta I_x(a, a) of fraccalc._betainc_aa: x from
+# 1e-300 through 1/2, where the series switches to the mirror, up to
+# 1 - 1e-12
+BETAINC_ALPHAS = (0.55, 0.6, 0.75, 0.9, 0.99, 1.0)
+BETAINC_XS = sorted({10.0**-e for e in (300, 200, 100, 50, 20, 10, 5)}
+                    | {k / 16 for k in range(1, 16)}
+                    | {1.0 / 3.0, 2.0 / 3.0, 0.4999999, 0.5000001}
+                    | {1.0 - 10.0**-e for e in (2, 3, 4, 6, 9, 12)})
+
 # grid suprema M = max_k ||E_{a,a}(t_k^a A)||_inf over np.linspace(0, T, 257),
 # the default grid of spectral.ml_norm_sup
 NORM_SUP_ALPHA, NORM_SUP_T = 0.75, 50.0
@@ -142,6 +151,12 @@ def main():
     print("}")
     # beta_fn's lgamma fallback: Gamma(300) overflows
     print("BETA_300_05 =", mp.nstr(mp.beta(300, mp.mpf(0.5)), 22))
+    print("BETAINC_AA = {")
+    for a in BETAINC_ALPHAS:
+        for x in BETAINC_XS:
+            value = mp.betainc(mp.mpf(a), mp.mpf(a), 0, mp.mpf(x), regularized=True)
+            print(f"    ({a!r}, {x!r}): {mp.nstr(value, 22)},")
+    print("}")
 
 
 if __name__ == "__main__":

@@ -191,7 +191,7 @@ COMMANDS = [
     ["check"],
     ["simulate"],
     ["simulate", "--scheme", "integral_form"],
-    ["simulate", "--scheme", "integral_form", "--as-printed"],
+    ["simulate", "--scheme", "integral_form_as_printed"],
     ["simulate", "--scheme", "picard", "--seed", "7"],
     ["convergence"],
     ["convergence", "--scheme", "picard"],
