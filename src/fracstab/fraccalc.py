@@ -24,7 +24,9 @@ rule's error), so a pole never sits on the contour.  Only a = b = 1 is
 served apart, by ``exp``.  The nodes come in conjugate pairs u, -u, and
 for a real z so do their terms: a real argument sums the half u >= 0 alone,
 with doubled weights (u = 0 once), and keeps the real parts, half the work
-of the complex arguments' whole-contour sum.  Each value's roundoff is
+of the complex arguments' whole-contour sum.  An argument below the real
+axis is evaluated at its conjugate, so E(conj z) = conj E(z) exactly.
+Each value's roundoff is
 estimated as eps sum_k |c_k / (sigma_k - z)| over the terms it sums; a call
 whose estimate exceeds ``ML_TOL`` relative to some value emits one
 :class:`AccuracyWarning`.
@@ -245,10 +247,14 @@ def _ml_values(alpha, beta, z):
     """E_{a,b} on a 1-D complex array ``z``; returns (values, roundoff
     estimates eps sum_k |c_k / (sigma_k - z)|).  A real argument sums the
     contour's half u >= 0 (:func:`_half_rule`), a complex one the whole
-    contour; the choice is made per argument."""
+    contour; the choice is made per argument.  An argument below the real
+    axis is evaluated at its conjugate and the value conjugated back, so
+    E(conj z) = conj E(z) holds to the bit."""
     if alpha == 1.0 and beta == 1.0:
         # the exponential, at full relative accuracy deep on the negative axis
         return np.exp(z), np.zeros(z.shape)
+    lower = z.imag < 0.0
+    z = np.where(lower, z.conj(), z)
     values = np.empty(z.shape, dtype=complex)
     err = np.empty(z.shape)
     poles = _poles(alpha, z)
@@ -276,6 +282,8 @@ def _ml_values(alpha, beta, z):
         over = idx[~np.isfinite(residues).all(axis=1)]
         values[over] = np.where(z[over].imag == 0.0, complex(math.inf, 0.0),
                                 complex(math.inf, math.inf))
+    # an infinite value keeps its inf + inf j
+    np.conjugate(values, out=values, where=lower & np.isfinite(values))
     return values, _EPS * err
 
 
