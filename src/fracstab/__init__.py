@@ -51,7 +51,6 @@ from .moments import (
     decay_fit,
     pth_moment_curve,
     stability_verdict,
-    weighted_moment_sup,
 )
 from .simulator import (
     BrownianEnsemble,

@@ -10,7 +10,8 @@ C_p = (p(p-1)/2)^(p/2):
                   + L_b^p        M^p B(q,q)^(p-1) T^(pa-1)
                   + C_p L_s^p    M^p T^(p(a-1)+p/2) B(2a-1,2a-1)^(p/2) ],
 * contraction constant Theta / (1 - 4^(p-1) L_g^p), defined while the
-  neutral gate 4^(p-1) L_g^p stays below 1,
+  neutral gate 4^(p-1) L_g^p stays below 1 (+inf in a certificate
+  otherwise),
 * stability constant (Hoelder form, exactly as used in the epsilon-delta
   argument; it is NOT derived from Theta and neither implies the other)
   k = 6^(p-1) [ L_g^p + L_g^p ||A||^p M^p r^(p-1) T^(pa-1)
@@ -21,10 +22,15 @@ C_p = (p(p-1)/2)^(p/2):
   returned with a 0.99 safety factor so the defining inequality is strict,
 * the mean-square criterion for the Caputo variant (p = 2 only)
   4 (L_g^2 ||A||^2 + L_b^2 + L_s^2) M^2 T^(2a-1)/(2a-1) < 1.
+
+``certify`` decides both verdicts and names the first failed hypothesis of
+the stability verdict.  A constant whose powers of p overflow a double (C_p
+from p = 152 on) is refused with a ``ValueError`` naming p and the constant.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -76,8 +82,9 @@ class Certificate:
     requires the gate and the contraction constant below 1; stability
     requires sector membership, coefficients verified to satisfy the
     theorem's hypotheses (``CoefficientSet.assumptions_verified``) and the
-    stability constant below 1.  ``theta`` and ``k_stab`` are both
-    reported; the theory states them independently.
+    stability constant below 1, and ``stability_note`` names the first of
+    these that fails (None when the verdict holds).  ``theta`` and
+    ``k_stab`` are both reported; the theory states them independently.
     """
 
     theta: float
@@ -89,15 +96,23 @@ class Certificate:
     verdict_existence: bool
     verdict_stability: bool
     inputs: CriterionInputs
-    assumption_note: str = (
-        "integrability/essential-boundedness of b(.,0), sigma(.,0) implied by "
-        "the vanishing condition for built-in families; recorded, not enforced"
-    )
+    stability_note: str | None
+
+
+@contextlib.contextmanager
+def _refuse_overflow(name: str, p: int):
+    """Turn the float overflow of a constant's powers of p into a
+    ``ValueError`` naming p and the constant."""
+    try:
+        yield
+    except OverflowError:
+        raise ValueError(f"{name} overflows a double at p = {p}") from None
 
 
 def c_p(p: int) -> float:
     """Moment constant (p(p-1)/2)^(p/2) from the Burkholder-type bound."""
-    return (p * (p - 1) / 2.0) ** (p / 2.0)
+    with _refuse_overflow("C_p", p):
+        return (p * (p - 1) / 2.0) ** (p / 2.0)
 
 
 def _validate_exponents(order: FractionalOrder):
@@ -114,20 +129,23 @@ def theta(inputs: CriterionInputs) -> float:
     """Contraction driver Theta (see module docstring)."""
     alpha, p = inputs.order.alpha, inputs.order.p
     q = _validate_exponents(inputs.order)
-    bq = beta_fn(q, q) ** (p - 1)
-    b2 = beta_fn(2 * alpha - 1.0, 2 * alpha - 1.0) ** (p / 2.0)
-    mp_ = inputs.M**p
-    t_drift = inputs.T ** (p * alpha - 1.0)
-    t_noise = inputs.T ** (p * (alpha - 1.0) + p / 2.0)
-    return 4.0 ** (p - 1) * (
-        inputs.L_g**p * inputs.A_norm**p * mp_ * bq * t_drift
-        + inputs.L_b**p * mp_ * bq * t_drift
-        + c_p(p) * inputs.L_sigma**p * mp_ * t_noise * b2
-    )
+    with _refuse_overflow("Theta", p):
+        bq = beta_fn(q, q) ** (p - 1)
+        b2 = beta_fn(2 * alpha - 1.0, 2 * alpha - 1.0) ** (p / 2.0)
+        mp_ = inputs.M**p
+        t_drift = inputs.T ** (p * alpha - 1.0)
+        t_noise = inputs.T ** (p * (alpha - 1.0) + p / 2.0)
+        return 4.0 ** (p - 1) * (
+            inputs.L_g**p * inputs.A_norm**p * mp_ * bq * t_drift
+            + inputs.L_b**p * mp_ * bq * t_drift
+            + c_p(p) * inputs.L_sigma**p * mp_ * t_noise * b2
+        )
 
 
 def neutral_gate(inputs: CriterionInputs) -> float:
-    return 4.0 ** (inputs.order.p - 1) * inputs.L_g ** inputs.order.p
+    p = inputs.order.p
+    with _refuse_overflow("the neutral gate", p):
+        return 4.0 ** (p - 1) * inputs.L_g**p
 
 
 def contraction_constant(inputs: CriterionInputs) -> float:
@@ -145,15 +163,16 @@ def stability_constant(inputs: CriterionInputs) -> float:
     alpha, p = inputs.order.alpha, inputs.order.p
     _validate_exponents(inputs.order)
     r = (p - 1.0) / (p * alpha - 1.0)
-    mp_ = inputs.M**p
-    t_drift = inputs.T ** (p * alpha - 1.0)
-    noise = (inputs.T ** (2 * alpha - 1.0) / (2 * alpha - 1.0)) ** (p / 2.0)
-    return 6.0 ** (p - 1) * (
-        inputs.L_g**p
-        + inputs.L_g**p * inputs.A_norm**p * mp_ * r ** (p - 1) * t_drift
-        + inputs.L_b**p * mp_ * r ** (p - 1) * t_drift
-        + c_p(p) * inputs.L_sigma**p * mp_ * noise
-    )
+    with _refuse_overflow("k_stab", p):
+        mp_ = inputs.M**p
+        t_drift = inputs.T ** (p * alpha - 1.0)
+        noise = (inputs.T ** (2 * alpha - 1.0) / (2 * alpha - 1.0)) ** (p / 2.0)
+        return 6.0 ** (p - 1) * (
+            inputs.L_g**p
+            + inputs.L_g**p * inputs.A_norm**p * mp_ * r ** (p - 1) * t_drift
+            + inputs.L_b**p * mp_ * r ** (p - 1) * t_drift
+            + c_p(p) * inputs.L_sigma**p * mp_ * noise
+        )
 
 
 def delta_for_epsilon(inputs: CriterionInputs, epsilon: float) -> float:
@@ -169,7 +188,8 @@ def delta_for_epsilon(inputs: CriterionInputs, epsilon: float) -> float:
     if not k < 1.0:  # also a NaN k
         raise CriterionError(f"criterion fails: stability constant {k:.6g} is not below 1")
     alpha, p = inputs.order.alpha, inputs.order.p
-    denom = 6.0 ** (p - 1) * inputs.M**p * inputs.T ** (p * (alpha - 1.0))
+    with _refuse_overflow("delta", p):
+        denom = 6.0 ** (p - 1) * inputs.M**p * inputs.T ** (p * (alpha - 1.0))
     return 0.99 * min(epsilon, (1.0 - k) * epsilon / denom)
 
 
@@ -214,11 +234,16 @@ def certify(a_mat, coeffs: CoefficientSet, order: FractionalOrder, T: float,
     )
     th = theta(inputs)
     gate = neutral_gate(inputs)
-    try:
-        contraction = contraction_constant(inputs)
-    except NeutralTermError:
-        contraction = math.inf
+    contraction = th / (1.0 - gate) if gate < 1.0 else math.inf
     k = stability_constant(inputs)
+    if not sector.in_sector:
+        note = "spectrum outside the stability sector"
+    elif not coeffs.assumptions_verified:
+        note = "coefficients not verified to vanish at zero"
+    elif not k < 1.0:  # also a NaN k
+        note = "criterion fails"
+    else:
+        note = None
     return Certificate(
         theta=th,
         c_p=c_p(order.p),
@@ -227,6 +252,7 @@ def certify(a_mat, coeffs: CoefficientSet, order: FractionalOrder, T: float,
         neutral_gate=gate,
         sector=sector,
         verdict_existence=(gate < 1.0 and contraction < 1.0),
-        verdict_stability=(sector.in_sector and coeffs.assumptions_verified and k < 1.0),
+        verdict_stability=note is None,
         inputs=inputs,
+        stability_note=note,
     )

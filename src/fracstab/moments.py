@@ -1,16 +1,16 @@
-"""Empirical pth-moment curves, the weighted sup-norm, and stability verdicts.
+"""Empirical pth-moment curves, decay fits, and the stability verdict.
 
 The moment of interest is E||X(t)||^p (Euclidean norm).  Its weighted
 variant E||t^(1-a) X(t)||^p is the one that stays finite at t = 0 (limit
 (||rho||/Gamma(a))^p) and is the norm in which the contraction theory is
-phrased; verdicts therefore operate on whichever curves the caller supplies
-and record the choice in the curve itself.
+phrased; the verdict judges whichever single curve the caller supplies.
 
 A finite ensemble cannot take t -> infinity limits; asymptotic decay is
-certified empirically by (i) the trailing-window log-log slope having a 95%
+judged empirically by (i) the trailing-window log-log slope having a 95%
 confidence interval entirely below zero and (ii) the tail mean (last decade
-of time, t >= T/10) falling below a tolerance.  Both surrogates are reported
-alongside the verdict.
+of time, t >= T/10) falling below a tolerance.  The verdict reports the
+curve's supremum, its tail mean and the fit with the two flags.  Whether
+the curve's initial datum met ||rho|| < delta is the caller's to report.
 
 Reductions over paths use numpy's pairwise summation with a fixed layout, so
 moment curves are bit-reproducible for a given ensemble regardless of how
@@ -20,7 +20,7 @@ the simulation was chunked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "MomentCurve",
     "DecayVerdict",
     "pth_moment_curve",
-    "weighted_moment_sup",
     "decay_fit",
     "stability_verdict",
 ]
@@ -42,9 +41,7 @@ _MOMENT_FLOOR = 1e-300
 class MomentCurve:
     """Sample mean of ||X(t_j)||^p with normal-approximation 95% half-widths.
 
-    ``weighted`` records which coordinates were reduced; ``rho_norm`` tags
-    the initial-datum size the ensemble was generated from (required by
-    stability verdicts).  Half-widths are NaN below 30 paths.
+    Half-widths are NaN below 30 paths.
     """
 
     nodes: np.ndarray
@@ -52,16 +49,13 @@ class MomentCurve:
     half_width: np.ndarray
     p: int
     n_paths: int
-    weighted: bool = False
-    rho_norm: float | None = None
 
     def __post_init__(self):
         if not (len(self.nodes) == len(self.m) == len(self.half_width)):
             raise ValueError("nodes, m, half_width must have equal lengths")
 
 
-def pth_moment_curve(ensemble: PathEnsemble, p: int, weighted: bool,
-                     rho_norm: float | None = None) -> MomentCurve:
+def pth_moment_curve(ensemble: PathEnsemble, p: int, weighted: bool) -> MomentCurve:
     """Per-node sample mean of ||.||^p over an ensemble.
 
     Unweighted curves start at node 1: X(0) is not finite (it diverges like
@@ -84,19 +78,15 @@ def pth_moment_curve(ensemble: PathEnsemble, p: int, weighted: bool,
     else:
         half = np.full_like(mean, np.nan)
     return MomentCurve(nodes=nodes.copy(), m=mean, half_width=half, p=int(p),
-                       n_paths=n_paths, weighted=weighted, rho_norm=rho_norm)
-
-
-def weighted_moment_sup(ensemble: PathEnsemble, p: int) -> float:
-    """sup over grid nodes (node 0 included) of E||t^(1-a) X(t)||^p."""
-    return float(np.max(pth_moment_curve(ensemble, p, weighted=True).m))
+                       n_paths=n_paths)
 
 
 @dataclass(frozen=True)
 class DecayVerdict:
-    """Log-log tail slope with CI, plus the two moment-stability flags.
+    """Log-log tail slope with CI, plus the two moment-stability flags and
+    the curve's supremum and tail mean they were judged on.
 
-    ``stable_p`` / ``asymptotically_stable_p`` are None when the object only
+    The flags, ``sup`` and ``tail_mean`` are None when the object only
     reports a slope fit.  The asymptotic flag implies the plain one by
     construction.
     """
@@ -106,6 +96,8 @@ class DecayVerdict:
     window: tuple[float, float]
     stable_p: bool | None = None
     asymptotically_stable_p: bool | None = None
+    sup: float | None = None
+    tail_mean: float | None = None
 
     def __post_init__(self):
         if self.asymptotically_stable_p and self.stable_p is False:
@@ -143,44 +135,20 @@ def decay_fit(curve: MomentCurve, window_fraction: float) -> DecayVerdict:
                         window=(float(t[0]), float(t[-1])))
 
 
-def stability_verdict(curves, epsilon: float, delta: float, tail_tol: float,
+def stability_verdict(curve: MomentCurve, epsilon: float, tail_tol: float,
                       window_fraction: float = 0.5) -> DecayVerdict:
-    """Moment-stability verdicts over one curve per initial datum.
+    """Moment-stability verdict of one curve.
 
-    Every curve must be tagged with its ||rho||, all below ``delta`` (that is
-    the hypothesis being exercised).  ``stable_p`` holds iff every curve's
-    supremum stays below ``epsilon``; ``asymptotically_stable_p`` additionally
-    needs every tail mean (t >= T/10) below ``tail_tol`` and every fitted
-    slope CI entirely below zero.  The reported slope is the worst (largest
-    CI upper end) among the curves.
+    ``stable_p`` holds iff the curve's supremum stays below ``epsilon``;
+    ``asymptotically_stable_p`` additionally needs the tail mean (t >= T/10)
+    below ``tail_tol`` and the fitted slope CI entirely below zero.
     """
-    if not (epsilon > 0 and delta > 0):
-        raise ValueError("epsilon and delta must be positive")
-    curves = list(curves)
-    if not curves:
-        raise ValueError("at least one moment curve is required")
-    for c in curves:
-        if c.rho_norm is None:
-            raise ValueError("every curve must be tagged with its ||rho||")
-        if c.rho_norm >= delta:
-            raise ValueError(
-                f"curve with ||rho||={c.rho_norm} violates the hypothesis ||rho|| < delta={delta}"
-            )
-    stable = all(float(np.max(c.m)) < epsilon for c in curves)
-    worst_fit = None
-    decays = True
-    for c in curves:
-        fit = decay_fit(c, window_fraction)
-        t_tail = c.nodes >= c.nodes[-1] / 10.0
-        tail_mean = float(np.mean(c.m[t_tail]))
-        if not (tail_mean < tail_tol and fit.slope_ci[1] < 0.0):
-            decays = False
-        if worst_fit is None or fit.slope_ci[1] > worst_fit.slope_ci[1]:
-            worst_fit = fit
-    return DecayVerdict(
-        slope=worst_fit.slope,
-        slope_ci=worst_fit.slope_ci,
-        window=worst_fit.window,
-        stable_p=stable,
-        asymptotically_stable_p=bool(stable and decays),
-    )
+    if not (epsilon > 0 and tail_tol > 0):
+        raise ValueError(f"epsilon and tail_tol must be positive, got {epsilon} and {tail_tol}")
+    fit = decay_fit(curve, window_fraction)
+    sup = float(np.max(curve.m))
+    tail_mean = float(np.mean(curve.m[curve.nodes >= curve.nodes[-1] / 10.0]))
+    stable = sup < epsilon
+    decays = tail_mean < tail_tol and fit.slope_ci[1] < 0.0
+    return replace(fit, stable_p=stable, asymptotically_stable_p=stable and decays,
+                   sup=sup, tail_mean=tail_mean)

@@ -47,6 +47,9 @@ __all__ = [
     "kernel_bounds_profile",
 ]
 
+# Cells of the uniform grid on which ml_norm_sup samples the kernel norm.
+ML_NORM_NODES = 256
+
 
 def matrix_norm(mat):
     """Maximum absolute row sum of a matrix (a float), or of each matrix of
@@ -135,16 +138,14 @@ def sector_check(spectrum: Spectrum, alpha: float) -> SectorVerdict:
     return SectorVerdict(True, margin, None)
 
 
-def ml_norm_sup(a_mat, alpha, T, n_nodes=256):
+def ml_norm_sup(a_mat, alpha, T):
     """Grid estimate of M = sup_{t in [0,T]} ||E_{a,a}(t^a A)|| (max row sum).
 
-    The grid is uniform and includes both endpoints.
+    The grid is uniform, ``ML_NORM_NODES`` cells, and includes both endpoints.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"ml_norm_sup requires a finite T > 0, got {T}")
-    if n_nodes < 16:
-        raise ValueError("ml_norm_sup requires n_nodes >= 16")
-    times = np.linspace(0.0, T, n_nodes + 1)
+    times = np.linspace(0.0, T, ML_NORM_NODES + 1)
     return float(np.max(matrix_norm(ml_kernel(alpha, alpha, np.atleast_2d(a_mat), times))))
 
 

@@ -200,21 +200,21 @@ def test_acceptance_07_stability_end_to_end():
     ens = brownian_increments(grid, n_paths, 4242)
     out = simulate_mild(system, grid, ens)
 
-    curve_w = pth_moment_curve(out, 2, weighted=True, rho_norm=delta)
-    curve_u = pth_moment_curve(out, 2, weighted=False, rho_norm=delta)
+    curve_w = pth_moment_curve(out, 2, weighted=True)
+    curve_u = pth_moment_curve(out, 2, weighted=False)
     sup_w = float(np.max(curve_w.m))
     fit = decay_fit(curve_w, 0.5)
     half_idx = np.argmin(np.abs(curve_u.nodes - T / 2))
     decreasing = curve_u.m[-1] < curve_u.m[half_idx]
-    verdict = stability_verdict([curve_w], eps, delta / 0.99, tail_tol=1e-2)
+    verdict = stability_verdict(curve_w, eps, tail_tol=1e-2)
 
     sys_unstable = SystemSpec(A=np.array([[1.0]]), rho=np.array([delta]), coeffs=coeffs,
                               order=ORDER)
     out_u = simulate_mild(sys_unstable, grid, ens)
-    curve_bad = pth_moment_curve(out_u, 2, weighted=True, rho_norm=delta)
-    verdict_bad = stability_verdict([curve_bad], eps, delta / 0.99, tail_tol=1e-2)
+    curve_bad = pth_moment_curve(out_u, 2, weighted=True)
+    verdict_bad = stability_verdict(curve_bad, eps, tail_tol=1e-2)
 
-    ok = (sup_w < eps and fit.slope_ci[1] < 0.0 and decreasing
+    ok = (sup_w < eps and fit.slope_ci[1] < 0.0 and decreasing and verdict.sup == sup_w
           and verdict.stable_p and verdict.asymptotically_stable_p
           and not verdict_bad.asymptotically_stable_p)
     report(7, ok, f"delta={delta:.4f}, weighted sup {sup_w:.4f} < {eps}, slope CI "

@@ -382,6 +382,26 @@ def test_overflowed_kernel_is_refused_before_any_output(tmp_path, capsys, argv):
     assert list(out.iterdir()) == []
 
 
+# four steps leave two nodes in the decay-fit window: the verdict refuses
+# before any file is written
+def test_refused_verdict_leaves_no_output(tmp_path, capsys):
+    doc = benchmark_doc(grid={"T": 1.0, "N": 4})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: degenerate fit: only 2 window nodes\n"
+    assert list(out.iterdir()) == []
+
+
+# C_p = (p(p-1)/2)^(p/2) overflows a double at p = 200: a one-line refusal
+def test_check_refuses_an_overflowing_moment_order(tmp_path, capsys):
+    doc = benchmark_doc()
+    doc["system"]["p"] = 200
+    out = tmp_path / "out"
+    assert main(["check", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: C_p overflows a double at p = 200\n"
+    assert list(out.iterdir()) == []
+
+
 # the kernel overflows from node 7 on: the Picard run stops before its first
 # sweep, with no numpy warning, and writes nothing
 def test_overflowed_kernel_stops_picard_before_any_sweep(tmp_path, capsys):

@@ -181,10 +181,10 @@ def test_non_finite_inputs_are_refused():
             make_linear(g, [[0.0]], [[0.0]])
 
 
-def _tagged_curve():
+def _curve():
     grid = TimeGrid(T=1.0, N=64)
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([1.0]), 0.75, grid)
-    return pth_moment_curve(single, 2, weighted=True, rho_norm=1.0)
+    return pth_moment_curve(single, 2, weighted=True)
 
 
 def _zero(t, x):
@@ -200,8 +200,8 @@ NAN_CASES = {
        for field in ("L_g", "L_b", "L_sigma")},
     "delta_for_epsilon.epsilon": lambda: delta_for_epsilon(bench_inputs(), math.nan),
     "rl_integral_grid.dt": lambda: rl_integral_grid(np.ones(5), 0.75, math.nan),
-    "stability_verdict.epsilon": lambda: stability_verdict([_tagged_curve()], math.nan, 2.0, 0.01),
-    "stability_verdict.delta": lambda: stability_verdict([_tagged_curve()], 1.0, math.nan, 0.01),
+    "stability_verdict.epsilon": lambda: stability_verdict(_curve(), math.nan, 0.01),
+    "stability_verdict.tail_tol": lambda: stability_verdict(_curve(), 1.0, math.nan),
     "beta_fn": lambda: beta_fn(math.nan, 0.5),
 }
 
@@ -210,12 +210,6 @@ NAN_CASES = {
 def test_nan_fails_the_range_checks(make):
     with pytest.raises(ValueError):
         make()
-
-
-def test_stability_verdict_accepts_an_infinite_delta():
-    # the CLI passes delta = inf when the delta hypothesis is not met
-    verdict = stability_verdict([_tagged_curve()], 1.0, math.inf, 0.01)
-    assert verdict.stable_p is not None
 
 
 def test_delta_never_exceeds_epsilon():
@@ -238,6 +232,9 @@ def test_certify_stable_benchmark():
     assert cert.inputs.M == pytest.approx(0.8160489390982630, rel=1e-10)
     assert cert.contraction >= cert.theta
     assert cert.c_p == 1.0
+    assert cert.stability_note is None
+    assert cert.contraction == theta(cert.inputs) / (1.0 - cert.neutral_gate)
+    assert cert.contraction == contraction_constant(cert.inputs)
     # flags recomputable from the stored numbers
     assert cert.verdict_existence == (cert.neutral_gate < 1 and cert.contraction < 1)
     assert cert.verdict_stability == (cert.sector.in_sector and coeffs.assumptions_verified
@@ -249,6 +246,7 @@ def test_certify_out_of_sector_never_stable():
     cert = certify(np.array([[1.0]]), coeffs, FractionalOrder(0.75, 2), T=1.0)
     assert not cert.sector.in_sector
     assert not cert.verdict_stability
+    assert cert.stability_note == "spectrum outside the stability sector"
 
 
 def test_certify_unverified_coefficients_never_stable():
@@ -258,6 +256,19 @@ def test_certify_unverified_coefficients_never_stable():
                    T=1.0)
     assert cert.sector.in_sector and cert.k_stab < 1.0
     assert not cert.verdict_stability
+    assert cert.stability_note == "coefficients not verified to vanish at zero"
+    # the sector is named first when both hypotheses fail
+    outside = certify(np.array([[1.0]]), make_additive_noise(0.5), FractionalOrder(0.75, 2),
+                      T=1.0)
+    assert outside.stability_note == "spectrum outside the stability sector"
+
+
+def test_certify_names_a_stability_constant_not_below_one():
+    coeffs = make_linear([[0.05]], [[0.05]], [[3.0]])
+    cert = certify(np.array([[-1.0]]), coeffs, FractionalOrder(0.75, 2), T=1.0)
+    assert cert.sector.in_sector and cert.k_stab >= 1.0
+    assert not cert.verdict_stability
+    assert cert.stability_note == "criterion fails"
 
 
 def test_certify_strong_neutral_term_kills_existence():
@@ -266,6 +277,37 @@ def test_certify_strong_neutral_term_kills_existence():
     assert cert.neutral_gate == pytest.approx(4 * 0.36, rel=1e-12)
     assert not cert.verdict_existence
     assert cert.contraction == math.inf
+
+
+def _order_inputs(p, **kw):
+    return bench_inputs(order=FractionalOrder(0.75, p), **kw)
+
+
+# C_p = (p(p-1)/2)^(p/2) leaves the doubles at p = 152 and 4^(p-1) at p = 513;
+# M = 1e3 takes M^p out at p = 103 and T = 1e-9 takes T^(p(a-1)) out at p = 151
+@pytest.mark.parametrize("call, message", [
+    (lambda: c_p(152), "C_p overflows a double at p = 152"),
+    (lambda: theta(_order_inputs(200)), "C_p overflows a double at p = 200"),
+    (lambda: stability_constant(_order_inputs(200)), "C_p overflows a double at p = 200"),
+    (lambda: theta(_order_inputs(103, M=1e3)), "Theta overflows a double at p = 103"),
+    (lambda: stability_constant(_order_inputs(103, M=1e3)),
+     "k_stab overflows a double at p = 103"),
+    (lambda: neutral_gate(_order_inputs(513)), "the neutral gate overflows a double at p = 513"),
+    (lambda: delta_for_epsilon(_order_inputs(151, T=1e-9, L_g=0.0, L_b=0.0, L_sigma=0.0), 1.0),
+     "delta overflows a double at p = 151"),
+    (lambda: certify(np.array([[-1.0]]), make_linear([[0.05]], [[0.05]], [[0.05]]),
+                     FractionalOrder(0.75, 200), T=1.0), "C_p overflows a double at p = 200"),
+])
+def test_overflowing_powers_of_p_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_constants_one_order_below_the_overflow_are_numbers():
+    assert math.isfinite(c_p(151))
+    assert math.isfinite(neutral_gate(_order_inputs(512)))
+    inputs = _order_inputs(151, T=1e-8, L_g=0.0, L_b=0.0, L_sigma=0.0)
+    assert math.isfinite(delta_for_epsilon(inputs, 1.0))
 
 
 def test_certify_refuses_an_overflowed_kernel():

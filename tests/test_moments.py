@@ -13,7 +13,6 @@ from fracstab import (
     closed_form_homogeneous,
     decay_fit,
     gamma_fn,
-    weighted_moment_sup,
     make_additive_noise,
     make_linear,
     pth_moment_curve,
@@ -23,6 +22,12 @@ from fracstab import (
 from fracstab.simulator import PathEnsemble
 
 ORDER = FractionalOrder(0.75, 2)
+
+
+def weighted_sup(ensemble):
+    """The supremum a verdict reports for the weighted second moment."""
+    curve = pth_moment_curve(ensemble, 2, weighted=True)
+    return stability_verdict(curve, epsilon=1.0, tail_tol=1e-2).sup
 
 
 def make_ensemble(weighted_values, grid):
@@ -45,7 +50,7 @@ def test_zero_ensemble_gives_zero_curves():
     for weighted in (True, False):
         curve = pth_moment_curve(out, 2, weighted=weighted)
         assert not curve.m.any()
-    assert weighted_moment_sup(out, 2) == 0.0
+    assert weighted_sup(out) == 0.0
 
 
 def test_deterministic_replicated_paths_zero_half_width():
@@ -109,14 +114,14 @@ def test_fourth_moment_inequality_additive_benchmark():
 def test_weighted_sup_homogeneous_at_origin_and_scaling():
     grid = TimeGrid(T=5.0, N=256)
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([1.0]), 0.75, grid)
-    val = weighted_moment_sup(single, 2)
+    val = weighted_sup(single)
     assert val == pytest.approx((1.0 / gamma_fn(0.75)) ** 2, rel=1e-12)
     curve = pth_moment_curve(single, 2, weighted=True)
     assert int(np.argmax(curve.m)) == 0  # monotone decay confirmed by scan
     for c in (0.0, 0.5, 3.0):
         scaled = PathEnsemble(values=c * single.values, weighted=c * single.weighted,
                               grid=grid, scheme_tag="closed_form", master_seed=0, n_paths=1)
-        assert weighted_moment_sup(scaled, 2) == pytest.approx(c**2 * val, rel=1e-12)
+        assert weighted_sup(scaled) == pytest.approx(c**2 * val, rel=1e-12)
 
 
 def test_moment_monotonicity_in_p():
@@ -172,25 +177,30 @@ def test_decay_fit_degenerate_window():
 
 
 def test_stability_verdict_closed_form_benchmark():
-    # zero-coefficient stable scalar system, ||rho|| below the admissible delta
-    delta = 0.6
+    # zero-coefficient stable scalar system
     rho = 0.5
     grid = TimeGrid(T=50.0, N=2000)
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([rho]), 0.75, grid)
-    curve = pth_moment_curve(single, 2, weighted=True, rho_norm=rho)
-    verdict = stability_verdict([curve], epsilon=1.0, delta=delta, tail_tol=1e-3)
+    curve = pth_moment_curve(single, 2, weighted=True)
+    verdict = stability_verdict(curve, epsilon=1.0, tail_tol=1e-3)
     assert verdict.stable_p
     assert verdict.asymptotically_stable_p
     assert verdict.slope_ci[1] < 0.0
+    # the weighted moment decays from its value at t = 0, (rho / Gamma(a))^2
+    assert verdict.sup == pytest.approx((rho / gamma_fn(0.75)) ** 2, rel=1e-12)
+    tail = curve.m[grid.nodes >= 5.0]
+    assert len(tail) == 1801 and verdict.tail_mean == float(np.mean(tail))
+    assert verdict.window == decay_fit(curve, 0.5).window
 
 
 def test_stability_verdict_growth_fails_asymptotics():
     grid = TimeGrid(T=10.0, N=400)
     single = closed_form_homogeneous(np.array([[1.0]]), np.array([0.1]), 0.75, grid)
-    curve = pth_moment_curve(single, 2, weighted=True, rho_norm=0.1)
-    verdict = stability_verdict([curve], epsilon=1.0, delta=0.5, tail_tol=1e-3)
+    curve = pth_moment_curve(single, 2, weighted=True)
+    verdict = stability_verdict(curve, epsilon=1.0, tail_tol=1e-3)
     assert not verdict.asymptotically_stable_p
     assert not verdict.stable_p  # the curve blows past epsilon
+    assert verdict.sup == float(curve.m[-1]) > 1.0
 
 
 def test_stability_verdict_zero_initial_datum():
@@ -199,23 +209,24 @@ def test_stability_verdict_zero_initial_datum():
                         coeffs=make_linear(z, z, z), order=ORDER)
     grid = TimeGrid(T=10.0, N=256)
     out = simulate_mild(system, grid, brownian_increments(grid, 40, 0))
-    curve = pth_moment_curve(out, 2, weighted=True, rho_norm=0.0)
-    verdict = stability_verdict([curve], epsilon=0.1, delta=0.5, tail_tol=1e-12)
+    curve = pth_moment_curve(out, 2, weighted=True)
+    verdict = stability_verdict(curve, epsilon=0.1, tail_tol=1e-12)
     assert verdict.stable_p and verdict.asymptotically_stable_p
+    assert verdict.sup == verdict.tail_mean == 0.0
 
 
 def test_stability_verdict_preconditions():
     t = np.linspace(0, 1, 64)
     curve = MomentCurve(nodes=t, m=np.ones_like(t), half_width=np.zeros_like(t),
                         p=2, n_paths=100)
-    with pytest.raises(ValueError):
-        stability_verdict([curve], 1.0, 0.5, 1e-3)  # untagged
-    tagged = MomentCurve(nodes=t, m=np.ones_like(t), half_width=np.zeros_like(t),
-                         p=2, n_paths=100, rho_norm=0.9)
-    with pytest.raises(ValueError):
-        stability_verdict([tagged], 1.0, 0.5, 1e-3)  # ||rho|| >= delta
-    with pytest.raises(ValueError):
-        stability_verdict([], 1.0, 0.5, 1e-3)
+    for epsilon, tail_tol in ((0.0, 1e-3), (-1.0, 1e-3), (1.0, 0.0), (1.0, -1e-3)):
+        with pytest.raises(ValueError, match="must be positive"):
+            stability_verdict(curve, epsilon, tail_tol)
+    with pytest.raises(ValueError, match="window_fraction"):
+        stability_verdict(curve, 1.0, 1e-3, window_fraction=1.0)
+    short = MomentCurve(nodes=t[:5], m=np.ones(5), half_width=np.zeros(5), p=2, n_paths=100)
+    with pytest.raises(ValueError, match="degenerate fit"):
+        stability_verdict(short, 1.0, 1e-3)
 
 
 def test_verdict_implication_enforced_structurally():

@@ -20,7 +20,7 @@ from fracstab import (
 )
 from fracstab.errors import ProfileDivergenceError
 from fracstab.fraccalc import _betainc_aa
-from fracstab.spectral import _profile_cells
+from fracstab.spectral import ML_NORM_NODES, _profile_cells
 
 from oracle_fixtures import RECIP_GAMMA_0_75
 
@@ -105,26 +105,25 @@ def test_ml_norm_sup_zero_matrix():
 
 
 def test_ml_norm_sup_stable_scalar_attained_at_origin():
-    val = ml_norm_sup(np.array([[-1.0]]), 0.75, T=1.0, n_nodes=128)
+    val = ml_norm_sup(np.array([[-1.0]]), 0.75, T=1.0)
     # E_{a,a}(-t^a) is maximal at t = 0 for this instance (grid-scan oracle)
-    scan = [abs(ml_scalar(0.75, 0.75, -(t**0.75))) for t in np.linspace(0, 1, 129)]
+    scan = [abs(ml_scalar(0.75, 0.75, -(t**0.75)))
+            for t in np.linspace(0, 1, ML_NORM_NODES + 1)]
     assert np.argmax(scan) == 0
     assert val == pytest.approx(RECIP_GAMMA_0_75, rel=1e-12)
 
 
 def test_ml_norm_sup_unstable_scalar_attained_at_horizon():
-    t_grid = np.linspace(0.0, 1.0, 65)
+    t_grid = np.linspace(0.0, 1.0, ML_NORM_NODES + 1)
     scan = [abs(ml_scalar(0.75, 0.75, t**0.75)) for t in t_grid]
     assert np.argmax(scan) == len(scan) - 1
-    val = ml_norm_sup(np.array([[1.0]]), 0.75, T=1.0, n_nodes=64)
+    val = ml_norm_sup(np.array([[1.0]]), 0.75, T=1.0)
     assert val == pytest.approx(scan[-1], rel=1e-10)
 
 
 def test_ml_norm_sup_validation():
     with pytest.raises(ValueError):
         ml_norm_sup(np.eye(2), 0.75, T=0.0)
-    with pytest.raises(ValueError):
-        ml_norm_sup(np.eye(2), 0.75, T=1.0, n_nodes=4)
 
 
 @pytest.mark.parametrize("T", [math.inf, math.nan])
