@@ -56,28 +56,34 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write one output file, making the output directory with the first
+    one, so a refused run leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def _write_kv(path: Path, pairs) -> None:
-    lines = [f"{k} = {v if isinstance(v, str) else _fmt(v)}\n" for k, v in pairs]
-    path.write_text("".join(lines), encoding="utf-8", newline="\n")
+    _write_text(path, "".join(f"{k} = {v if isinstance(v, str) else _fmt(v)}\n"
+                              for k, v in pairs))
 
 
 def _write_csv(path: Path, header, rows) -> None:
     out = [",".join(header) + "\n"]
     for row in rows:
         out.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) + "\n")
-    path.write_text("".join(out), encoding="utf-8", newline="\n")
+    _write_text(path, "".join(out))
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
-    out = Path(args.out) if args.out else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out) if args.out else Path(cfg.out_dir)
 
 
 def _run_config(args):
     """(config with the ``--seed`` override, scheme, output directory) of
     ``simulate`` and ``convergence``; a convergence study of the Picard
-    scheme is refused before the directory is made."""
+    scheme is refused here.  The directory is made with the first file
+    written, so a run refused before then leaves none."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)

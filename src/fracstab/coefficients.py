@@ -16,14 +16,18 @@ Callables must be pure, re-entrant, and vectorised over leading axes:
 ``f(t, x)`` with ``x`` of shape (..., n) returns the same shape.  ``t`` is a
 float or an array that broadcasts against the leading axes of ``x``: the
 marches call with one time and a batch of paths, a Picard sweep calls once
-with the column ``times[:, None]`` and a batch of whole paths, (P, N+1, n).
+with the column ``times[:, None]`` and a batch of whole paths, (P, N+1, n),
+and its neutral solve takes the nodes of those paths as rows, (P N, n), with
+a column of their times, (P N, 1).
 Callables must therefore not branch on a scalar ``t`` (``if t > 1``); use
 array operations such as ``np.where``.  The built-in families ignore ``t``
 and act row by row, so a whole-path call gives the node-by-node values bit
 for bit.
 
-The marches must solve the neutral equation x + g(t, x) = rhs at every node,
-each path to the one tolerance ``NEUTRAL_TOL`` relative to 1 + its max norm.
+Both schemes solve the neutral equation x + g(t, x) = rhs at every node with
+one solver, the marches node by node and a Picard sweep at all nodes at
+once, each row to the one tolerance ``NEUTRAL_TOL`` relative to 1 + its max
+norm.
 The ``g`` of each built-in family with L_g < 1 carries its finished solve
 ``solve(t, rhs)``, found through :func:`_neutral_solver`: the linear family
 applies (I + G)^(-1), the sine family runs Newton's method with a step
@@ -134,7 +138,11 @@ def _default_max_iter(L_g):
 
 
 def _settle(update, x, rhs, n_free, t, max_iter, note):
-    """Iterate x <- update(rhs, x) per path (row) and return the limit.
+    """Iterate x <- update(rhs, x, t) per path (row) and return the limit.
+
+    ``t`` is one time for all rows (a march step) or a column with a time
+    per row (the nodes of a Picard sweep); a column follows its rows as
+    they freeze.
 
     The first n_free - 1 updates are untested.  From update n_free on every
     update is tested, and each path is frozen the moment its own step falls
@@ -146,14 +154,14 @@ def _settle(update, x, rhs, n_free, t, max_iter, note):
     """
     out = np.empty_like(rhs)
     active = np.arange(rhs.shape[0])
-    xa, ra = x, rhs
+    xa, ra, ta = x, rhs, t
     # non-finite states propagate deliberately; the march's finiteness check
     # reports them per path
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(n_free - 1):
-            xa = update(ra, xa)
+            xa = update(ra, xa, ta)
         for _ in range(n_free, max_iter + 1):
-            x_new = update(ra, xa)
+            x_new = update(ra, xa, ta)
             moved = np.abs(x_new - xa)
             if moved.size and moved.max() <= NEUTRAL_TOL:
                 # every path passes its own test (a NaN fails this one and
@@ -170,11 +178,18 @@ def _settle(update, x, rhs, n_free, t, max_iter, note):
             if not going.any():
                 return out
             active, xa, ra = active[going], x_new[going], ra[going]
-    worst = np.max(step[going] / (1.0 + size[going]))
+            if np.ndim(ta):
+                ta = ta[going]
+    # ta now holds the times of the rows still going
+    stuck = step[going] / (1.0 + size[going])
+    worst = int(np.argmax(stuck))
+    rows = "paths" if np.ndim(t) == 0 else "path nodes"
     raise ConvergenceError(
-        f"neutral-term fixed point did not converge at t={float(t)!r}: "
-        f"{going.sum()} of {rhs.shape[0]} paths in the batch still move after "
-        f"{max_iter} steps, largest step/(1+|x|) = {worst:.3g} against tol={NEUTRAL_TOL:.3g} "
+        "neutral-term fixed point did not converge at "
+        f"t={float(np.broadcast_to(ta, (stuck.size, 1))[worst, 0])!r}: "
+        f"{going.sum()} of {rhs.shape[0]} {rows} in the batch still move after "
+        f"{max_iter} steps, largest step/(1+|x|) = {stuck[worst]:.3g} "
+        f"against tol={NEUTRAL_TOL:.3g} "
         f"({note})"
     )
 
@@ -188,7 +203,7 @@ def _solve_neutral(rhs, g_fn, t, L_g):
     fails, a path keeps sweeping with a test on every sweep, up to the cap
     of :func:`_default_max_iter` (see :func:`_settle`).
     """
-    return _settle(lambda r, x: r - g_fn(t, x), rhs, rhs,
+    return _settle(lambda r, x, t: r - g_fn(t, x), rhs, rhs,
                    _unchecked_sweeps(L_g), t, _default_max_iter(L_g),
                    f"declared L_g={L_g:.6g}; the sweeps contract only if g is "
                    "L_g-Lipschitz with L_g < 1 and the states stay finite")
@@ -241,7 +256,7 @@ def _sine_solver(c):
     max_iter = _default_max_iter(a)
     note = "Newton's method for x + c sin x = rhs, |c| < 1, stalls only on non-finite states"
 
-    def newton(rhs, x):
+    def newton(rhs, x, t):
         return x - (x + c * np.sin(x) - rhs) / (1.0 + c * np.cos(x))
 
     def solve(t, rhs):

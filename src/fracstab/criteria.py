@@ -26,12 +26,18 @@ C_p = (p(p-1)/2)^(p/2):
 ``certify`` decides both verdicts and names the first failed hypothesis of
 the stability verdict.  A constant whose powers of p overflow a double (C_p
 from p = 152 on) is refused with a ``ValueError`` naming p and the constant.
+A product of powers that are doubles is taken in logarithms where the plain
+product leaves the doubles (an overflowing factor beside an underflowing
+one), so no constant is NaN or infinite: one whose value is past the largest
+double exceeds 1, and is refused with a :class:`CriterionError` (also a
+``ValueError``) in the same words.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
 from .coefficients import CoefficientSet
@@ -109,6 +115,43 @@ def _refuse_overflow(name: str, p: int):
         raise ValueError(f"{name} overflows a double at p = {p}") from None
 
 
+def _is_zero(term) -> bool:
+    """Whether a product of (b, e) powers is exactly zero: a zero base."""
+    return any(b == 0 and e > 0 for b, e in term)
+
+
+def _log_power_sum(lead, terms) -> float:
+    """log of lead_b^lead_e times the sum over ``terms`` of prod b^e, each a
+    list of (b, e) pairs with b >= 0."""
+    logs = [math.fsum(e * math.log(b) for b, e in (lead, *term) if e != 0)
+            for term in terms if not _is_zero(term)]
+    if not logs:
+        return -math.inf
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
+def _power_sum(name: str, p: int, lead, *terms) -> float:
+    """lead_b^lead_e times the sum over ``terms`` of prod b^e, each a list of
+    (b, e) pairs with b >= 0.
+
+    The plain expression, with its bits, when it is finite and no term lost
+    every digit to underflow; otherwise the same sum in logarithms.  A power
+    that leaves the doubles is refused as in :func:`_refuse_overflow`, and a
+    value past the largest double with :class:`CriterionError`.
+    """
+    with _refuse_overflow(name, p):
+        products = [math.prod([float(b) ** e for b, e in term]) for term in terms]
+        value = float(lead[0]) ** lead[1] * sum(products)
+    if math.isfinite(value) and (0.0 not in products or all(
+            x > 0 or _is_zero(t) for x, t in zip(products, terms))):
+        return value
+    log_value = _log_power_sum(lead, terms)
+    if not log_value < math.log(sys.float_info.max):  # also NaN, from an infinite input
+        raise CriterionError(f"{name} overflows a double at p = {p}")
+    return math.exp(log_value)
+
+
 def c_p(p: int) -> float:
     """Moment constant (p(p-1)/2)^(p/2) from the Burkholder-type bound."""
     with _refuse_overflow("C_p", p):
@@ -129,23 +172,19 @@ def theta(inputs: CriterionInputs) -> float:
     """Contraction driver Theta (see module docstring)."""
     alpha, p = inputs.order.alpha, inputs.order.p
     q = _validate_exponents(inputs.order)
-    with _refuse_overflow("Theta", p):
-        bq = beta_fn(q, q) ** (p - 1)
-        b2 = beta_fn(2 * alpha - 1.0, 2 * alpha - 1.0) ** (p / 2.0)
-        mp_ = inputs.M**p
-        t_drift = inputs.T ** (p * alpha - 1.0)
-        t_noise = inputs.T ** (p * (alpha - 1.0) + p / 2.0)
-        return 4.0 ** (p - 1) * (
-            inputs.L_g**p * inputs.A_norm**p * mp_ * bq * t_drift
-            + inputs.L_b**p * mp_ * bq * t_drift
-            + c_p(p) * inputs.L_sigma**p * mp_ * t_noise * b2
-        )
+    m_p, bq = (inputs.M, p), (beta_fn(q, q), p - 1)
+    t_drift = (inputs.T, p * alpha - 1.0)
+    return _power_sum(
+        "Theta", p, (4.0, p - 1),
+        [(inputs.L_g, p), (inputs.A_norm, p), m_p, bq, t_drift],
+        [(inputs.L_b, p), m_p, bq, t_drift],
+        [(c_p(p), 1), (inputs.L_sigma, p), m_p, (inputs.T, p * (alpha - 1.0) + p / 2.0),
+         (beta_fn(2 * alpha - 1.0, 2 * alpha - 1.0), p / 2.0)])
 
 
 def neutral_gate(inputs: CriterionInputs) -> float:
     p = inputs.order.p
-    with _refuse_overflow("the neutral gate", p):
-        return 4.0 ** (p - 1) * inputs.L_g**p
+    return _power_sum("the neutral gate", p, (4.0, p - 1), [(inputs.L_g, p)])
 
 
 def contraction_constant(inputs: CriterionInputs) -> float:
@@ -163,34 +202,40 @@ def stability_constant(inputs: CriterionInputs) -> float:
     alpha, p = inputs.order.alpha, inputs.order.p
     _validate_exponents(inputs.order)
     r = (p - 1.0) / (p * alpha - 1.0)
-    with _refuse_overflow("k_stab", p):
-        mp_ = inputs.M**p
-        t_drift = inputs.T ** (p * alpha - 1.0)
-        noise = (inputs.T ** (2 * alpha - 1.0) / (2 * alpha - 1.0)) ** (p / 2.0)
-        return 6.0 ** (p - 1) * (
-            inputs.L_g**p
-            + inputs.L_g**p * inputs.A_norm**p * mp_ * r ** (p - 1) * t_drift
-            + inputs.L_b**p * mp_ * r ** (p - 1) * t_drift
-            + c_p(p) * inputs.L_sigma**p * mp_ * noise
-        )
+    m_p, r_p = (inputs.M, p), (r, p - 1)
+    t_drift = (inputs.T, p * alpha - 1.0)
+    return _power_sum(
+        "k_stab", p, (6.0, p - 1),
+        [(inputs.L_g, p)],
+        [(inputs.L_g, p), (inputs.A_norm, p), m_p, r_p, t_drift],
+        [(inputs.L_b, p), m_p, r_p, t_drift],
+        [(c_p(p), 1), (inputs.L_sigma, p), m_p,
+         (inputs.T ** (2 * alpha - 1.0) / (2 * alpha - 1.0), p / 2.0)])
 
 
 def delta_for_epsilon(inputs: CriterionInputs, epsilon: float) -> float:
     """Largest admissible delta (times 0.99) for a given epsilon.
 
-    Raises :class:`CriterionError` unless the stability constant is below 1
-    (a NaN constant included), in which case no delta exists by this
-    sufficient condition.  Always returns delta <= epsilon.
+    Raises :class:`CriterionError` unless the stability constant is below 1,
+    in which case no delta exists by this sufficient condition.  Always
+    returns 0 <= delta <= epsilon; a denominator whose powers are doubles
+    but whose product is not is taken in logarithms.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     k = stability_constant(inputs)
-    if not k < 1.0:  # also a NaN k
+    if not k < 1.0:
         raise CriterionError(f"criterion fails: stability constant {k:.6g} is not below 1")
     alpha, p = inputs.order.alpha, inputs.order.p
+    denom = [(6.0, p - 1), (inputs.M, p), (inputs.T, p * (alpha - 1.0))]
     with _refuse_overflow("delta", p):
-        denom = 6.0 ** (p - 1) * inputs.M**p * inputs.T ** (p * (alpha - 1.0))
-    return 0.99 * min(epsilon, (1.0 - k) * epsilon / denom)
+        plain = math.prod(float(b) ** e for b, e in denom)
+    if 0.0 < plain < math.inf:
+        bound = (1.0 - k) * epsilon / plain
+    else:
+        log_bound = math.log(1.0 - k) + math.log(epsilon) - _log_power_sum((1.0, 1), [denom])
+        bound = math.exp(log_bound) if log_bound < math.log(epsilon) else epsilon
+    return 0.99 * min(epsilon, bound)
 
 
 def caputo_ms_criterion(inputs: CriterionInputs) -> float:
@@ -199,10 +244,10 @@ def caputo_ms_criterion(inputs: CriterionInputs) -> float:
     if inputs.order.p != 2:
         raise ValueError("the mean-square criterion is stated only for p = 2")
     alpha = inputs.order.alpha
-    factor = inputs.M**2 * inputs.T ** (2 * alpha - 1.0) / (2 * alpha - 1.0)
-    return 4.0 * (
-        inputs.L_g**2 * inputs.A_norm**2 + inputs.L_b**2 + inputs.L_sigma**2
-    ) * factor
+    factor = [(inputs.M, 2), (inputs.T, 2 * alpha - 1.0), (2 * alpha - 1.0, -1)]
+    return _power_sum("the Caputo criterion", 2, (4.0, 1),
+                      [(inputs.L_g, 2), (inputs.A_norm, 2), *factor],
+                      [(inputs.L_b, 2), *factor], [(inputs.L_sigma, 2), *factor])
 
 
 def certify(a_mat, coeffs: CoefficientSet, order: FractionalOrder, T: float,

@@ -18,11 +18,12 @@ discretised:
   integral is available behind ``as_printed=True`` for comparison).
 * ``simulate_picard``  iterates the whole-path solution operator of the
   discrete mild system to its fixed point, each path to its own;
-  ``picard_path_solve`` is its one-path view.  The mild march is its
-  triangular solve, and both read the system from one builder,
-  ``_mild_scheme``.  A sweep calls each coefficient once on a batch of
-  whole paths and takes both history integrals with one zero-padded FFT
-  convolution, O(N log N) per path.
+  ``picard_path_solve`` is its one-path view.  It sweeps on whole paths
+  (Jacobi) the equations the mild march solves node by node (Gauss-Seidel):
+  both take them from ``_mild_scheme`` and share one neutral solve.  A
+  sweep calls the drift and sigma once on a batch of whole paths and takes
+  both history integrals with one zero-padded FFT convolution, O(N log N)
+  per path.
 
 Quadrature conventions (shared): on each cell the singular scalar factor
 (t_n - s)^(a-1) is integrated exactly and multiplies the left-point values
@@ -49,19 +50,20 @@ the drift share one convolution of b - A g; in the integral form the
 memory term shares the drift weight.  Each march thus keeps two history
 sums.
 
-At each node the neutral term leaves the equation x + g(t_n, x) = rhs.  The
-built-in families solve it exactly (:mod:`fracstab.coefficients`): the
-linear family by one fixed-order product with (I + G)^(-1), the sine family
-by Newton's method with a step count fixed by the Kantorovich bound.  Any
-other g is solved by sweeps x <- rhs - g(t_n, x): if g vanishes at 0 and is
-L_g-Lipschitz in the max norm, Banach's a-priori estimate bounds the step
-after k sweeps by L_g^k (1 + L_g)/(1 - L_g) |x_k|, so the sweep count
-follows from L_g and the tolerance alone.  Either count of steps runs
-without a convergence test and only the last step is tested, per path.  A
-path that fails that test (g not vanishing at 0, or a declared L_g below the
-true contraction rate) keeps iterating with a test on every step until it
-converges or the cap (twice the sweep count, at least 100) raises
-ConvergenceError.  The tolerance is ``coefficients.NEUTRAL_TOL``.
+At each node the neutral term leaves the equation x + g(t_n, x) = rhs, in the
+marches and in every Picard sweep alike.  The built-in families solve it
+exactly (:mod:`fracstab.coefficients`): the linear family by one fixed-order
+product with (I + G)^(-1), the sine family by Newton's method with a step count
+fixed by the Kantorovich bound.  Any other g is solved by sweeps x <- rhs -
+g(t_n, x): if g vanishes at 0 and is L_g-Lipschitz in the max norm, Banach's
+a-priori estimate bounds the step after k sweeps by L_g^k (1 + L_g)/(1 - L_g)
+|x_k|, so the sweep count follows from L_g and the tolerance alone.  Either
+count of steps runs without a convergence test and only the last step is
+tested, per path (per node of each path in a Picard sweep).  A path that fails
+that test (g not vanishing at 0, or a declared L_g below the true contraction
+rate) keeps iterating with a test on every step until it converges or the cap
+(twice the sweep count, at least 100) raises ConvergenceError.  The tolerance
+is ``coefficients.NEUTRAL_TOL``.
 
 Paths are independent given their increments.  All reductions are per path
 (direct sums in a fixed order, per-path transforms, and fixed-order matrix
@@ -482,61 +484,61 @@ def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: Brownia
     return _package(states, system, grid, tag, ensemble.master_seed)
 
 
+# Stopping rule of every Picard solve (see picard_path_solve)
+_PICARD_TOL = 1e-10
+_PICARD_MAX_SWEEPS = 200
+
+
 def simulate_picard(system: SystemSpec, grid: TimeGrid,
                     ensemble: BrownianEnsemble) -> PathEnsemble:
     """Solve the variation-of-constants scheme over the ensemble by Picard
-    iteration: :func:`picard_path_solve` with its defaults on every path,
-    with the scheme and the kernel transforms built once.  Each path stops
-    in its own sweep, so its states are the bits of its one-path solve.  A
-    path that misses the tolerance raises :class:`ConvergenceError`, and a
-    non-finite iterate :class:`SimulationNumericError` naming its paths.
+    iteration: :func:`picard_path_solve` on every path, with the scheme and
+    the kernel transforms built once.  Each path stops in its own sweep, so
+    its states are the bits of its one-path solve.  A path that misses the
+    tolerance raises :class:`ConvergenceError`, and a non-finite iterate
+    :class:`SimulationNumericError` naming its paths.
     """
-    states, _, _ = _picard(system, grid, ensemble.increments, 200, 1e-10)
+    states, _, _ = _picard(system, grid, ensemble.increments)
     return _package(states, system, grid, "picard", ensemble.master_seed)
 
 
-def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments,
-                      max_iter=200, tol=1e-10) -> PicardResult:
+def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments) -> PicardResult:
     """Whole-path fixed-point iteration of the solution operator on the
     increments (N,) of one path: the one-path view of
     :func:`simulate_picard`, with the sweep count in the result.
 
-    Starts from the zero path and applies the full right-hand side of the
-    variation-of-constants form with all state evaluations held at the
-    previous iterate: one call of each coefficient on the whole path and
-    one FFT convolution per sweep, with each kernel entry balanced by its
-    growth rate over the path as in the far field.  Stops when the weighted
-    sup-norm change drops to ``tol`` (1 + the weighted sup norm of the
-    iterate); raises :class:`ConvergenceError` with the last
-    contraction-ratio estimate otherwise, and :class:`SimulationNumericError`
-    naming the first non-finite node as soon as an iterate is not finite.
-    ``tol`` must be positive and ``max_iter`` at least 1.  The fixed point
-    coincides with the time-marching solution of the same discrete system
-    (:func:`_mild_scheme`), which raises :class:`SimulationNumericError`
-    before the first sweep if a kernel matrix is not finite.
+    Starts from the zero path.  A sweep takes the drift b - A g and the
+    noise at the previous iterate into one FFT convolution, each kernel
+    entry balanced by its growth rate over the path as in the far field,
+    and solves x + g(t_n, x) = free + history at every node with the
+    march's neutral solve.  A path stops when the weighted sup-norm change
+    drops to ``_PICARD_TOL`` (1 + the weighted sup norm of the iterate);
+    past ``_PICARD_MAX_SWEEPS`` sweeps it raises :class:`ConvergenceError`
+    with the last contraction-ratio estimate, and a non-finite iterate
+    raises :class:`SimulationNumericError` naming its first bad node.  The
+    fixed point is the march's solution of the same discrete system
+    (:func:`_mild_scheme`), which refuses a non-finite kernel matrix up
+    front with :class:`SimulationNumericError`.
     """
-    if not tol > 0:
-        raise ValueError(f"picard_path_solve requires tol > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"picard_path_solve requires max_iter >= 1, got {max_iter}")
     inc = np.atleast_1d(np.asarray(path_increments, dtype=float))
     if inc.ndim != 1 or inc.shape[0] != grid.N:
         raise ValueError(f"path_increments must have shape ({grid.N},)")
-    states, iterations, ratios = _picard(system, grid, inc[None], max_iter, tol)
+    states, iterations, ratios = _picard(system, grid, inc[None])
     ens = _package(states, system, grid, "picard", 0)
     return PicardResult(values=ens.values[0], weighted=ens.weighted[0], grid=grid,
                         iterations=int(iterations[0]), contraction_ratio=float(ratios[0]))
 
 
-def _picard(system, grid, increments, max_iter, tol):
+def _picard(system, grid, increments):
     """:func:`picard_path_solve` on the paths of ``increments`` (P, N): the
     states (P, N+1, dim) and each path's sweeps and last contraction ratio.
     Paths run in batches of ``_FFT_BATCH // (dim M)``, at least 1, as in the
     far field; a path is frozen in the sweep it converges, and only then is
-    its batch gathered, so its bits do not depend on the other paths."""
+    its batch gathered, so its bits do not depend on the other paths.  The
+    neutral solve takes the nodes 1..N of a batch as rows, t as a column."""
     _check_inputs(system, grid, increments)
-    free, w_f, w_s, _ = _mild_scheme(system, grid)
-    coeffs = system.coeffs
+    free, w_f, w_s, drift = _mild_scheme(system, grid)
+    sigma, solve = system.coeffs.sigma, _neutral_solver(system.coeffs)
     n_paths, n_nodes, dim = increments.shape[0], grid.N + 1, system.n
     times = grid.nodes[:, None]
     w_time = times[1:] ** (1.0 - system.order.alpha)
@@ -555,20 +557,17 @@ def _picard(system, grid, increments, max_iter, tol):
         dw[:, :-1, 0] = increments[paths]
         x = np.zeros((paths.size, n_nodes, dim))
         prev_change, ratio = np.zeros(paths.size), np.full(paths.size, math.nan)
-        for sweep in range(1, max_iter + 1):
+        for sweep in range(1, _PICARD_MAX_SWEEPS + 1):
             # an overflow leaves a non-finite node, refused below by its index
             with np.errstate(over="ignore", invalid="ignore"):
                 # left-point coefficient values on the whole paths; x[:, 0] = 0 is X_0 := 0
-                g_hist = np.asarray(coeffs.g(times, x))
-                drift = np.asarray(coeffs.b(times, x)) - _apply_matrix(system.A, g_hist)
-                noise = np.asarray(coeffs.sigma(times, x)) * dw
-                # the scheme's drift b - A g from this sweep's one g call; the
-                # neutral term itself is taken at the previous iterate
-                history = np.zeros_like(x)
-                _causal_convolution(spectra, (drift.transpose(2, 0, 1), noise.transpose(2, 0, 1)),
-                                    M, 0, history.transpose(2, 0, 1))
-                x_new = free + history - g_hist
-            x_new[:, 0] = 0.0
+                f, s = drift(times, x), np.asarray(sigma(times, x)) * dw
+                rhs = np.repeat(free[None, 1:], paths.size, axis=0)
+                _causal_convolution(spectra, (f.transpose(2, 0, 1), s.transpose(2, 0, 1)),
+                                    M, 1, rhs.transpose(2, 0, 1))
+                x_new = np.zeros_like(x)
+                x_new[:, 1:] = solve(np.tile(times[1:], (paths.size, 1)),
+                                     rhs.reshape(-1, dim)).reshape(rhs.shape)
             finite = np.isfinite(x_new).all(axis=2)
             bad = np.flatnonzero(~finite.all(axis=1))
             if bad.size:
@@ -576,12 +575,11 @@ def _picard(system, grid, increments, max_iter, tol):
                 raise SimulationNumericError(
                     f"picard: non-finite iterate at node {n} (t = {times[n, 0]:.6g}) "
                     f"in sweep {sweep}", path_indices=paths[bad].tolist(), node=n)
-
             change = np.max(np.abs(w_time * (x_new[:, 1:] - x[:, 1:])), axis=(1, 2))
             np.divide(change, prev_change, out=ratio, where=prev_change > 0)
             prev_change = change
             x = x_new
-            done = change <= tol * (1.0 + np.max(np.abs(w_time * x[:, 1:]), axis=(1, 2)))
+            done = change <= _PICARD_TOL * (1.0 + np.max(np.abs(w_time * x[:, 1:]), axis=(1, 2)))
             if done.any():
                 frozen = paths[done]
                 states[frozen], iterations[frozen], ratios[frozen] = x[done], sweep, ratio[done]
@@ -591,8 +589,8 @@ def _picard(system, grid, increments, max_iter, tol):
                     break
         else:
             raise ConvergenceError(
-                f"Picard iteration did not reach tol={tol} (relative) in {max_iter} sweeps; "
-                f"last contraction ratio estimate {ratio[0]:.4g}"
+                f"Picard iteration did not reach tol={_PICARD_TOL} (relative) in "
+                f"{_PICARD_MAX_SWEEPS} sweeps; last contraction ratio estimate {ratio[0]:.4g}"
             )
     return states, iterations, ratios
 

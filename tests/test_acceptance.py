@@ -257,14 +257,13 @@ def test_acceptance_09_picard_vs_marching():
     grid = TimeGrid(T=1.0, N=512)
     ens = brownian_increments(grid, 3, 31)
     mild = simulate_mild(system, grid, ens)
-    tol = 1e-10
     worst_gap, worst_ratio = 0.0, 0.0
     for i in range(3):
-        res = picard_path_solve(system, grid, ens.increments[i], tol=tol)
+        res = picard_path_solve(system, grid, ens.increments[i])
         worst_gap = max(worst_gap, float(np.max(np.abs(res.weighted[1:] - mild.weighted[i, 1:]))))
         worst_ratio = max(worst_ratio, res.contraction_ratio)
-    ok = worst_gap <= 10.0 * tol and worst_ratio < 1.0
-    report(9, ok, f"per-path weighted gap {worst_gap:.2e} (<= {10 * tol:.0e}), "
+    ok = worst_gap <= 1e-9 and worst_ratio < 1.0
+    report(9, ok, f"per-path weighted gap {worst_gap:.2e} (<= 1e-09), "
                   f"contraction ratio {worst_ratio:.3f} (<1)", t0)
 
 

@@ -346,25 +346,25 @@ def strong_neutral_doc(tmp_path):
     return write_doc(tmp_path, doc)
 
 
-# G = 0.95 is admissible: the marches solve the linear neutral term exactly
+# G = 0.95 is admissible: the marches and every Picard sweep solve the
+# linear neutral term exactly
 @pytest.mark.parametrize("argv", [["simulate", "--scheme", "mild"],
-                                  ["convergence", "--scheme", "mild"]])
+                                  ["convergence", "--scheme", "mild"],
+                                  ["simulate", "--scheme", "picard"]])
 def test_strong_neutral_term_runs(tmp_path, argv):
     path = strong_neutral_doc(tmp_path)
     assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
-# Picard contracts at about 0.95 per sweep and stops at its 200 sweep cap; a
-# march that fails to converge is forced, since the exact solves always do
+# a scheme that fails to converge is forced, since the exact solves always do
 @pytest.mark.parametrize("argv", [["simulate", "--scheme", "mild"],
                                   ["simulate", "--scheme", "picard"],
                                   ["convergence", "--scheme", "mild"]])
 def test_convergence_failure_is_a_numeric_failure(tmp_path, capsys, monkeypatch, argv):
-    def stalled_march(*args, **kwargs):
+    def stalled(*args, **kwargs):
         raise ConvergenceError("neutral-term fixed point did not converge")
 
-    if "picard" not in argv:
-        monkeypatch.setattr(simulator, "_march", stalled_march)
+    monkeypatch.setattr(simulator, "_picard" if "picard" in argv else "_march", stalled)
     path = strong_neutral_doc(tmp_path)
     assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith("numeric failure:")
@@ -379,7 +379,7 @@ def test_overflowed_kernel_is_refused_before_any_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main([*argv, "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
     assert "overflowed" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 # four steps leave two nodes in the decay-fit window: the verdict refuses
@@ -389,7 +389,7 @@ def test_refused_verdict_leaves_no_output(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: degenerate fit: only 2 window nodes\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 # C_p = (p(p-1)/2)^(p/2) overflows a double at p = 200: a one-line refusal
@@ -399,7 +399,7 @@ def test_check_refuses_an_overflowing_moment_order(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["check", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: C_p overflows a double at p = 200\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 # the kernel overflows from node 7 on: the Picard run stops before its first
@@ -414,7 +414,7 @@ def test_overflowed_kernel_stops_picard_before_any_sweep(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(argv) == 3
     assert "numeric failure: the mild kernel" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 # a huge drift overflows the iterates within a few sweeps: the Picard run

@@ -1,5 +1,6 @@
 """Stability constants against an independently coded formula oracle."""
 
+import decimal
 import math
 
 import numpy as np
@@ -308,6 +309,65 @@ def test_constants_one_order_below_the_overflow_are_numbers():
     assert math.isfinite(neutral_gate(_order_inputs(512)))
     inputs = _order_inputs(151, T=1e-8, L_g=0.0, L_b=0.0, L_sigma=0.0)
     assert math.isfinite(delta_for_epsilon(inputs, 1.0))
+
+
+def _huge_and_tiny(**kw):
+    # L_g^p ||A||^p M^p overflows a double while T^(pa-1) underflows to 0:
+    # the plain products are inf * 0
+    return _order_inputs(100, T=1e-5, A_norm=100.0, M=1e3, **kw)
+
+
+def _decimal_theta_and_k(inputs):
+    """Theta and k_stab in 40-digit decimals, whose exponents do not leave
+    the range; every power of T here has an integer exponent."""
+    alpha, p = inputs.order.alpha, inputs.order.p
+    q = (p * alpha - 1.0) / (p - 1.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 40, 10**6, -10**6
+        d = decimal.Decimal
+        lg, lb, ls, a, m, t = (d(x) for x in (inputs.L_g, inputs.L_b, inputs.L_sigma,
+                                               inputs.A_norm, inputs.M, inputs.T))
+        drift = t ** int(p * alpha - 1.0)
+        bq = d(beta_fn(q, q)) ** (p - 1)
+        r = d(p - 1) / d(p * alpha - 1.0)
+        noise_t = t ** int(p * (alpha - 0.5))
+        th = 4 ** (p - 1) * (lg**p * a**p * m**p * bq * drift + lb**p * m**p * bq * drift
+                             + d(c_p(p)) * ls**p * m**p * noise_t
+                             * d(beta_fn(2 * alpha - 1, 2 * alpha - 1)) ** (p // 2))
+        k = 6 ** (p - 1) * (lg**p + lg**p * a**p * m**p * r ** (p - 1) * drift
+                            + lb**p * m**p * r ** (p - 1) * drift
+                            + d(c_p(p)) * ls**p * m**p * (2 * t.sqrt()) ** p)
+        return float(th), float(k)
+
+
+def test_constants_whose_plain_products_fail_are_taken_in_logarithms():
+    # no noise term: both constants are doubles (NaN before)
+    inputs = _huge_and_tiny(L_sigma=0.0)
+    want_theta, want_k = _decimal_theta_and_k(inputs)
+    assert 1e80 < want_theta < 1e100 and 1e80 < want_k < 1e100
+    assert theta(inputs) == pytest.approx(want_theta, rel=1e-12)
+    assert stability_constant(inputs) == pytest.approx(want_k, rel=1e-12)
+    with pytest.raises(CriterionError, match="stability constant .* is not below 1"):
+        delta_for_epsilon(inputs, 1.0)
+    # with the noise term both are past the largest double: refused, not NaN
+    for fn, name in ((theta, "Theta"), (stability_constant, "k_stab")):
+        with pytest.raises(CriterionError, match=f"^{name} overflows a double at p = 100$"):
+            fn(_huge_and_tiny())
+    # a product past the doubles whose powers are not (+inf before)
+    with pytest.raises(CriterionError, match="^Theta overflows a double at p = 102$"):
+        theta(_order_inputs(102, M=1e3))
+    # the Caputo value past the doubles (+inf before)
+    with pytest.raises(CriterionError, match="^the Caputo criterion overflows a double at p = 2$"):
+        caputo_ms_criterion(bench_inputs(A_norm=1e10, M=1e154))
+
+
+def test_delta_survives_an_underflowing_denominator():
+    # M^p underflows, so 6^(p-1) M^p T^(p(a-1)) is 0 in doubles (a division
+    # by zero before): the bound exceeds epsilon, and delta is 0.99 epsilon
+    inputs = _order_inputs(40, M=1e-20)
+    assert stability_constant(inputs) < 1.0
+    assert delta_for_epsilon(inputs, 1.0) == 0.99
+    assert delta_for_epsilon(inputs, 1e-300) == 0.99 * 1e-300
 
 
 def test_certify_refuses_an_overflowed_kernel():

@@ -154,12 +154,25 @@ def planar_system(coeffs):
     return SystemSpec(A=a_mat, rho=np.array([1.0, -0.5]), coeffs=coeffs, order=ORDER)
 
 
+def sine_newton(rhs, c_g):
+    """x + c_g sin x = rhs per row, by Newton's method from x = rhs run until
+    each row's step falls to 1e-12 (1 + |x|)."""
+    x = rhs.copy()
+    active = np.ones(rhs.shape[0], dtype=bool)
+    while active.any():
+        x_new = x - (x + c_g * np.sin(x) - rhs) / (1 + c_g * np.cos(x))
+        step = np.max(np.abs(x_new - x), axis=1)
+        x = np.where(active[:, None], x_new, x)
+        active &= step > 1e-12 * (1 + np.max(np.abs(x_new), axis=1))
+    return x
+
+
 def direct_sum_march(system, grid, ens, scheme, c_g):
     """O(N^2) reference march: the three history sums of the unfused scheme
     (neutral memory, drift, noise) taken directly over the whole history at
     every step, with the same quadrature as the package.  The neutral term
-    is the sine family g = c_g sin x, solved exactly at each node by Newton's
-    method run until each path's step falls to 1e-12 (1 + |x|)."""
+    is the sine family g = c_g sin x, solved exactly at each node by
+    :func:`sine_newton`."""
     alpha, dim, n_steps = ORDER.alpha, system.n, grid.N
     coeffs, a_mat, rho = system.coeffs, system.A, system.rho
     times = grid.nodes
@@ -203,13 +216,7 @@ def direct_sum_march(system, grid, ens, scheme, c_g):
         if n:
             rhs = free[n] + sum(np.einsum("mik,mpk->pi", wt[:n][::-1], h[:n])
                                 for wt, h in ((w_mem, mem), (w_b, b), (w_s, s)))
-            x = rhs.copy()
-            active = np.ones(n_paths, dtype=bool)
-            while active.any():
-                x_new = x - (x + c_g * np.sin(x) - rhs) / (1 + c_g * np.cos(x))
-                step = np.max(np.abs(x_new - x), axis=1)
-                x = np.where(active[:, None], x_new, x)
-                active &= step > 1e-12 * (1 + np.max(np.abs(x_new), axis=1))
+            x = sine_newton(rhs, c_g)
             x_hist[n] = x
         if n < n_steps:
             mem[n] = memory(times[n], x)
@@ -377,6 +384,9 @@ def test_expanding_neutral_term_raises_convergence_error():
     assert "4 of 4 paths" in message
     worst = re.search(r"largest step/\(1\+\|x\|\) = (\S+) ", message)
     assert worst is not None and float(worst.group(1)) > 1.0
+    # a Picard sweep solves all 16 nodes of each path at once
+    with pytest.raises(ConvergenceError, match=r"at t=0.0625: 64 of 64 path nodes in the batch "):
+        simulate_picard(system, grid, brownian_increments(grid, 4, 0))
 
 
 def test_affine_scaling_in_initial_datum_and_noise():
@@ -463,20 +473,21 @@ def test_picard_agrees_with_marching():
     grid = TimeGrid(T=1.0, N=256)
     ens = brownian_increments(grid, 2, 17)
     mild = simulate_mild(system, grid, ens)
-    tol = 1e-10
     for i in range(2):
-        res = picard_path_solve(system, grid, ens.increments[i], tol=tol)
+        res = picard_path_solve(system, grid, ens.increments[i])
         assert res.contraction_ratio < 1.0
         gap = np.max(np.abs(res.weighted[1:] - mild.weighted[i, 1:]))
-        assert gap <= 10.0 * tol
+        assert gap <= 1e-9
 
 
-def test_picard_iteration_cap():
+def test_picard_iteration_cap(monkeypatch):
     system = scalar_system()
     grid = TimeGrid(T=1.0, N=32)
     ens = brownian_increments(grid, 1, 1)
-    with pytest.raises(ConvergenceError):
-        picard_path_solve(system, grid, ens.increments[0], max_iter=1, tol=1e-14)
+    assert picard_path_solve(system, grid, ens.increments[0]).iterations > 1
+    monkeypatch.setattr(simulator, "_PICARD_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match=r"in 1 sweeps; last contraction ratio"):
+        picard_path_solve(system, grid, ens.increments[0])
 
 
 def test_picard_stops_at_the_first_non_finite_sweep():
@@ -504,22 +515,12 @@ def test_non_finite_picard_iterate_names_its_paths():
     assert info.value.node == 1
 
 
-# refused before the scheme is built: this kernel would overflow at node 7
-@pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-10},
-                                    {"max_iter": 0}])
-def test_picard_refuses_bad_tol_and_max_iter(kwargs):
-    system = scalar_system(a=40.0)
-    grid = TimeGrid(T=50.0, N=64)
-    inc = brownian_increments(grid, 1, 1).increments[0]
-    name = next(iter(kwargs))
-    with pytest.raises(ValueError, match=f"requires {name} "):
-        picard_path_solve(system, grid, inc, **kwargs)
-
-
-def convolve_picard(system, grid, inc, tol):
+def convolve_picard(system, grid, inc, c_g):
     """O(N^2) reference Picard: node-by-node coefficient calls and one
     np.convolve per kernel entry and history, with the package's quadrature,
-    kernel and stopping rule.  Returns (values, iterations)."""
+    kernel and stopping rule.  The neutral term is the sine family
+    g = c_g sin x, solved exactly at each node by :func:`sine_newton` as in
+    :func:`direct_sum_march`.  Returns (values, iterations)."""
     alpha, dim, n_steps = ORDER.alpha, system.n, grid.N
     coeffs, times = system.coeffs, grid.nodes
     m = np.arange(n_steps + 1, dtype=float)
@@ -541,17 +542,18 @@ def convolve_picard(system, grid, inc, tol):
         return np.concatenate([np.asarray(fn(t, x[j:j + 1])) for j, t in enumerate(times)])
 
     x = np.zeros((n_steps + 1, dim))
-    for iterations in range(1, 201):
+    for iterations in range(1, simulator._PICARD_MAX_SWEEPS + 1):
         g, b, s = (nodewise(fn, x) for fn in (coeffs.g, coeffs.b, coeffs.sigma))
         s[:-1] *= inc[:, None]
         s[-1] = 0.0
-        x_new = (homog + conv(d[:, None, None] * E[1:], b - g @ system.A.T)
-                 + conv(kappa[:, None, None] * E[1:], s) - g)
-        x_new[0] = 0.0
+        rhs = (homog + conv(d[:, None, None] * E[1:], b - g @ system.A.T)
+               + conv(kappa[:, None, None] * E[1:], s))
+        x_new = np.zeros_like(x)
+        x_new[1:] = sine_newton(rhs[1:], c_g)
         w_time = times[1:, None] ** (1 - alpha)
         change = np.max(np.abs(w_time * (x_new[1:] - x[1:])))
         x = x_new
-        if change <= tol * (1 + np.max(np.abs(w_time * x[1:]))):
+        if change <= simulator._PICARD_TOL * (1 + np.max(np.abs(w_time * x[1:]))):
             return x, iterations
     raise ConvergenceError("reference Picard did not converge")
 
@@ -563,7 +565,7 @@ def unbalanced_spectra(kernels, L, n_targets, M):
                    for h, entries in enumerate(kernels) for i, k, w in entries])]
 
 
-def picard_gap(a_mat, T, n_steps, tol):
+def picard_gap(a_mat, T, n_steps):
     """Largest node-wise gap between the package's Picard solve and the
     reference, relative to the largest state of the path so far, over two
     paths; asserts that both take the same number of sweeps."""
@@ -575,8 +577,8 @@ def picard_gap(a_mat, T, n_steps, tol):
     ens = brownian_increments(grid, 2, 31)
     worst = 0.0
     for inc in ens.increments:
-        res = picard_path_solve(system, grid, inc, tol=tol)
-        ref, iterations = convolve_picard(system, grid, inc, tol)
+        res = picard_path_solve(system, grid, inc)
+        ref, iterations = convolve_picard(system, grid, inc, 0.2)
         assert res.iterations == iterations
         gap = np.max(np.abs(res.values[1:] - ref[1:]), axis=1)
         scale = np.maximum.accumulate(np.max(np.abs(ref[1:]), axis=1))
@@ -586,13 +588,12 @@ def picard_gap(a_mat, T, n_steps, tol):
 
 # A decaying kernel, then two growing ones: two rates on the diagonal and a
 # growing oscillation, over horizons where the state reaches 1e9 and 1e5.
-# The sweeps stop on a change relative to the weighted sup norm, so the
-# default tol holds whatever the size of the state; the rotation runs at
-# 1e-6, where the unbalanced transform below stalls or lands elsewhere.
+# The sweeps stop on a change relative to the weighted sup norm, so the one
+# tolerance holds whatever the size of the state.
 PICARD_CASES = {
-    "decaying": ([[-1.0]], 4.0, 256, 1e-10),
-    "two-rates": ([[1.0, 0.0], [0.0, 0.3]], 20.0, 300, 1e-10),
-    "rotation": ([[0.5, 0.3], [-0.2, 0.2]], 50.0, 300, 1e-6),
+    "decaying": ([[-1.0]], 4.0, 256),
+    "two-rates": ([[1.0, 0.0], [0.0, 0.3]], 20.0, 300),
+    "rotation": ([[0.5, 0.3], [-0.2, 0.2]], 50.0, 300),
 }
 
 
@@ -613,19 +614,25 @@ def test_picard_growing_kernel_needs_balancing(monkeypatch):
     assert worst > 1e-12
 
 
-def test_picard_calls_each_coefficient_once_per_sweep():
-    calls = collections.Counter()
-
+def counted_coefficients(coeffs, calls, declared=True):
+    """coeffs with each coefficient counting its calls in ``calls``; the
+    counters declare the callable they wrap (``functools.wraps``) unless
+    ``declared`` is False."""
     def counted(name, fn):
         def wrapped(t, x):
             calls[name] += 1
             return fn(t, x)
-        return wrapped
+        return functools.wraps(fn)(wrapped) if declared else wrapped
 
+    return dataclasses.replace(coeffs, g=counted("g", coeffs.g), b=counted("b", coeffs.b),
+                               sigma=counted("sigma", coeffs.sigma))
+
+
+def test_picard_calls_each_coefficient_once_per_sweep():
+    calls = collections.Counter()
     coeffs = make_bounded_smooth(0.2, 0.1, 0.1)
-    system = planar_system(dataclasses.replace(
-        coeffs, g=counted("g", coeffs.g), b=counted("b", coeffs.b),
-        sigma=counted("sigma", coeffs.sigma)))
+    # the declared built-in g keeps its exact neutral solve, which does not call it
+    system = planar_system(counted_coefficients(coeffs, calls))
     grid = TimeGrid(T=1.0, N=128)
     ens = brownian_increments(grid, 3, 4)
     res = picard_path_solve(system, grid, ens.increments[0])
@@ -637,6 +644,29 @@ def test_picard_calls_each_coefficient_once_per_sweep():
     calls.clear()
     simulate_picard(system, grid, ens)
     assert calls == {"g": max(sweeps), "b": max(sweeps), "sigma": max(sweeps)}
+    # an undeclared g is a custom one: the march's tested sweeps solve its
+    # neutral term, calling it more than once per Picard sweep, to the same
+    # states at the neutral tolerance
+    calls.clear()
+    hidden = picard_path_solve(planar_system(counted_coefficients(coeffs, calls, False)),
+                               grid, ens.increments[0])
+    assert calls["b"] == calls["sigma"] == hidden.iterations < calls["g"]
+    assert np.max(np.abs(hidden.values[1:] - res.values[1:])) <= 1e-13
+
+
+def test_picard_solves_a_time_dependent_custom_neutral_term():
+    # the declared L_g = 0.3 understates the rate 0.6 |cos t| before t = pi/3,
+    # so the tested sweeps freeze the nodes of a sweep at different steps and
+    # each node keeps its own time
+    lin = make_linear(0.1 * np.eye(2), 0.1 * np.eye(2), 0.1 * np.eye(2))
+    coeffs = CoefficientSet(g=lambda t, x: 0.6 * np.sin(x) * np.cos(t), b=lin.b,
+                            sigma=lin.sigma, L_g=0.3, L_b=lin.L_b, L_sigma=lin.L_sigma)
+    system = planar_system(coeffs)
+    grid = TimeGrid(T=4.0, N=64)
+    ens = brownian_increments(grid, 3, 2)
+    mild = simulate_mild(system, grid, ens)
+    out = simulate_picard(system, grid, ens)
+    assert np.max(np.abs(out.weighted[:, 1:] - mild.weighted[:, 1:])) <= 1e-9
 
 
 def test_picard_ensemble_freezes_each_path_at_its_own_sweep():

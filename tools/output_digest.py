@@ -24,10 +24,11 @@ Covered outputs:
   differ in other fields still compare, and ``ml_norm_sup``, at alpha in
   {0.6, 0.75, 0.9} and T = 50 on the same matrices;
 * exit code, stderr and every written file of ``check``, ``simulate`` (all
-  four schemes, one with ``--seed``), ``convergence`` and ``ml`` on six
+  four schemes, one with ``--seed``), ``convergence`` and ``ml`` on seven
   configurations: linear, dim-2 sine, a neutral term too strong for the
-  certificate, an unstable matrix, a matrix whose states overflow (exit
-  code 3) and an invalid file.
+  certificate, a neutral term near the solvable limit (G = 0.95, N = 16),
+  an unstable matrix, a matrix whose states overflow (exit code 3) and an
+  invalid file.
 
 A failure (an exception of a library call) is printed as its type and
 message, and the warnings of a command as their categories and messages
@@ -191,6 +192,9 @@ def config_docs():
                                                "c_b": 0.1, "c_s": 0.2}}),
         "neutral_too_strong": variant({"coefficients": {"family": "linear", "G": [[0.6]],
                                                         "B": [[0.05]], "S": [[0.05]]}}),
+        "neutral_near_one": variant({"coefficients": {"family": "linear", "G": [[0.95]],
+                                                      "B": [[0.05]], "S": [[0.05]]}},
+                                    grid={"T": 5.0, "N": 16}),
         "unstable": variant({"matrix": [[0.5]]}),
         "overflow": variant({"matrix": [[40.0]]}, grid={"T": 50.0, "N": 64}),
         "invalid": variant({"alpha": 0.3}),
