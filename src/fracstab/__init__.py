@@ -30,7 +30,6 @@ from .criteria import (
     CriterionInputs,
     caputo_ms_criterion,
     certify,
-    contraction_constant,
     delta_for_epsilon,
     stability_constant,
     theta,
@@ -40,7 +39,6 @@ from .fraccalc import (
     beta_fn,
     gamma_fn,
     ml_kernel,
-    ml_matrix,
     ml_scalar,
     rl_derivative_grid,
     rl_integral_grid,
@@ -48,7 +46,6 @@ from .fraccalc import (
 from .moments import (
     DecayVerdict,
     MomentCurve,
-    decay_fit,
     pth_moment_curve,
     stability_verdict,
 )

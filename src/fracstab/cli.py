@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import _SCHEMES, RunConfig, load_config
+from .config import _SCHEMES, RunConfig, _integer, load_config
 from .criteria import certify, delta_for_epsilon
 from .errors import ConfigError, ConvergenceError, FracstabError, SimulationNumericError
 from .fraccalc import ML_TOL, ml_scalar
@@ -81,12 +81,12 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 
 def _run_config(args):
     """(config with the ``--seed`` override, scheme, output directory) of
-    ``simulate`` and ``convergence``; a convergence study of the Picard
-    scheme is refused here.  The directory is made with the first file
-    written, so a run refused before then leaves none."""
+    ``simulate`` and ``convergence``; a negative seed and a convergence
+    study of the Picard scheme are refused here.  The directory is made
+    with the first file written, so a run refused before then leaves none."""
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
+        cfg = dataclasses.replace(cfg, master_seed=_integer(args.seed, "--seed", minimum=0))
     scheme = args.scheme or cfg.scheme
     if scheme == "picard" and args.command == "convergence":
         raise ConfigError("monte_carlo.scheme", "convergence studies use the marching schemes")
@@ -129,6 +129,8 @@ def cmd_check(args) -> int:
     if not cert.verdict_existence:
         if cert.neutral_gate >= 1.0:
             print("neutral term too strong", file=sys.stderr)
+        else:
+            print(f"contraction constant {cert.contraction:.6g} is not below 1", file=sys.stderr)
         return EXIT_CRITERION
     return EXIT_OK
 
@@ -289,7 +291,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         if seed:
             p.add_argument("--seed", type=int, default=None,
-                           help="master seed override (unsigned 64-bit)")
+                           help="master seed override (a non-negative integer)")
         if scheme:
             p.add_argument("--scheme", choices=_SCHEMES, default=None,
                            help="scheme override; integral_form_as_printed takes the "

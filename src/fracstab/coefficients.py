@@ -9,8 +9,8 @@ Two built-in families satisfy both by construction:
 
 Constant (additive-noise) coefficients deliberately violate the vanishing
 condition; they are provided for variance benchmarks and are flagged
-``assumptions_verified=False`` so certificates cannot claim more than was
-checked.
+``assumptions_verified=False``, as is any custom ``CoefficientSet`` by
+default, so a certificate built on them carries no stability verdict.
 
 Callables must be pure, re-entrant, and vectorised over leading axes:
 ``f(t, x)`` with ``x`` of shape (..., n) returns the same shape.  ``t`` is a
@@ -72,7 +72,6 @@ class CoefficientSet:
     L_g: float
     L_b: float
     L_sigma: float
-    family_tag: str = "custom"
     assumptions_verified: bool = False
 
     def __post_init__(self):
@@ -285,7 +284,7 @@ def _neutral_solver(coeffs):
 
 def make_linear(G, B, S) -> CoefficientSet:
     """Linear family g = Gx, b = Bx, sigma = Sx with declared constants equal
-    to the max-row-sum norms.  All-zero matrices are tagged as the zero family."""
+    to the max-row-sum norms (all-zero matrices give the zero family)."""
     G = np.atleast_2d(np.asarray(G, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     S = np.atleast_2d(np.asarray(S, dtype=float))
@@ -293,7 +292,6 @@ def make_linear(G, B, S) -> CoefficientSet:
         raise ValueError(f"matrix shapes must agree and be square, got {G.shape}, {B.shape}, {S.shape}")
     if not all(np.all(np.isfinite(m)) for m in (G, B, S)):
         raise ValueError("coefficient matrices must be finite")
-    tag = "zero" if not (G.any() or B.any() or S.any()) else "linear"
     L_g = matrix_norm(G)
     g = _matmap(G)
     if L_g < 1.0:
@@ -306,7 +304,6 @@ def make_linear(G, B, S) -> CoefficientSet:
         L_g=L_g,
         L_b=matrix_norm(B),
         L_sigma=matrix_norm(S),
-        family_tag=tag,
         assumptions_verified=True,
     )
 
@@ -335,7 +332,6 @@ def make_bounded_smooth(c_g, c_b, c_s) -> CoefficientSet:
         L_g=abs(c_g),
         L_b=abs(c_b),
         L_sigma=abs(c_s),
-        family_tag="bounded_smooth",
         assumptions_verified=True,
     )
 
@@ -344,8 +340,8 @@ def make_additive_noise(s, dim=1) -> CoefficientSet:
     """Constant diffusion sigma(t, x) = s (g = b = 0).
 
     Violates the vanishing-at-zero condition on purpose (additive-noise
-    variance benchmark); flagged unverified so it can only be simulated, not
-    certified.
+    variance benchmark); flagged unverified, so its certificate carries the
+    constants but no stability verdict.
     """
     s_vec = np.broadcast_to(np.asarray(s, dtype=float), (dim,)).copy()
 
@@ -363,7 +359,6 @@ def make_additive_noise(s, dim=1) -> CoefficientSet:
         L_g=0.0,
         L_b=0.0,
         L_sigma=0.0,
-        family_tag="custom",
         assumptions_verified=False,
     )
 

@@ -166,12 +166,6 @@ def parse_config(doc: dict) -> RunConfig:
     elif family == "additive":
         params["sigma"] = _number(_get(coeff, "sigma", "system.coefficients"),
                                   "system.coefficients.sigma")
-        if not coeff.get("allow_nonvanishing", False):
-            raise ConfigError(
-                "system.coefficients.allow_nonvanishing",
-                "the additive family violates the vanishing-at-zero assumption; "
-                "set allow_nonvanishing=true to simulate it anyway",
-            )
 
     T = _number(_get(grid, "T", "grid"), "grid.T", positive=True)
     N = _integer(_get(grid, "N", "grid"), "grid.N", minimum=2)

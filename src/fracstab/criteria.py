@@ -9,9 +9,9 @@ C_p = (p(p-1)/2)^(p/2):
   Theta = 4^(p-1) [ L_g^p ||A||^p M^p B(q,q)^(p-1) T^(pa-1)
                   + L_b^p        M^p B(q,q)^(p-1) T^(pa-1)
                   + C_p L_s^p    M^p T^(p(a-1)+p/2) B(2a-1,2a-1)^(p/2) ],
-* contraction constant Theta / (1 - 4^(p-1) L_g^p), defined while the
-  neutral gate 4^(p-1) L_g^p stays below 1 (+inf in a certificate
-  otherwise),
+* contraction constant Theta / (1 - 4^(p-1) L_g^p) while the neutral gate
+  4^(p-1) L_g^p stays below 1, and +inf otherwise (only :func:`certify`
+  forms it),
 * stability constant (Hoelder form, exactly as used in the epsilon-delta
   argument; it is NOT derived from Theta and neither implies the other)
   k = 6^(p-1) [ L_g^p + L_g^p ||A||^p M^p r^(p-1) T^(pa-1)
@@ -41,7 +41,7 @@ import sys
 from dataclasses import dataclass
 
 from .coefficients import CoefficientSet
-from .errors import CriterionError, NeutralTermError
+from .errors import CriterionError
 from .fraccalc import FractionalOrder, beta_fn
 from .spectral import SectorVerdict, eigenvalues, matrix_norm, ml_norm_sup, sector_check
 
@@ -50,7 +50,6 @@ __all__ = [
     "Certificate",
     "c_p",
     "theta",
-    "contraction_constant",
     "stability_constant",
     "delta_for_epsilon",
     "caputo_ms_criterion",
@@ -185,16 +184,6 @@ def theta(inputs: CriterionInputs) -> float:
 def neutral_gate(inputs: CriterionInputs) -> float:
     p = inputs.order.p
     return _power_sum("the neutral gate", p, (4.0, p - 1), [(inputs.L_g, p)])
-
-
-def contraction_constant(inputs: CriterionInputs) -> float:
-    """Theta / (1 - 4^(p-1) L_g^p); existence verdict is (result < 1)."""
-    gate = neutral_gate(inputs)
-    if gate >= 1.0:
-        raise NeutralTermError(
-            f"neutral term too strong: 4^(p-1) L_g^p = {gate:.6g} >= 1"
-        )
-    return theta(inputs) / (1.0 - gate)
 
 
 def stability_constant(inputs: CriterionInputs) -> float:

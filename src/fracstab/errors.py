@@ -9,11 +9,6 @@ class ConvergenceError(FracstabError, RuntimeError):
     """An iterative computation hit its iteration cap before its tolerance."""
 
 
-class NeutralTermError(FracstabError, ValueError):
-    """The neutral coefficient is too strong for the fixed-point argument
-    (4^{p-1} L_g^p >= 1), so the contraction constant is undefined."""
-
-
 class CriterionError(FracstabError, ValueError):
     """A sufficient stability criterion fails structurally (no admissible
     constant exists)."""

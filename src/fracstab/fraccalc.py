@@ -36,8 +36,9 @@ order, so a value is the same bits whatever batch it is evaluated in.
 :func:`ml_kernel` evaluates E_{a,b}(t^a A) on a whole time grid from one
 eigendecomposition; when the eigenvector basis is ill-conditioned or
 defective it sums the resolvents c_k (sigma_k I - t^a A)^(-1) on the same
-nodes instead.  :func:`ml_scalar` and :func:`ml_matrix` are one-argument
-calls of the same evaluator.
+nodes instead.  :func:`ml_scalar` is a one-argument call of the same
+evaluator, and the matrix function E_{a,b}(M) is the one-node kernel
+``ml_kernel(a, b, M, [1.0])[0]``.
 
 Gamma and Beta are taken from ``math.gamma`` (``math.lgamma`` only where a
 Gamma factor of B overflows), the incomplete beta I_x(a, a) of the singular
@@ -68,7 +69,6 @@ __all__ = [
     "gamma_fn",
     "beta_fn",
     "ml_scalar",
-    "ml_matrix",
     "ml_kernel",
     "rl_integral_grid",
     "rl_derivative_grid",
@@ -407,7 +407,7 @@ def _ml_stack(alpha, beta, mat, scale):
     (len(scale), n, n): per eigenvalue when the eigenvector basis V of M is
     well conditioned, else by resolvents.  V diag(e) V^-1 loses about
     cond(V) eps relative to the matrix, so the eigen path serves only
-    cond(V) eps <= ``ML_TOL``.  Called directly by the public functions,
+    cond(V) eps <= ``ML_TOL``.  Called directly by :func:`ml_kernel`,
     whose caller the warning points at."""
     n = mat.shape[0]
     w, v = np.linalg.eig(mat)
@@ -429,27 +429,6 @@ def _ml_stack(alpha, beta, mat, scale):
     _warn_inaccurate(f"{what}(s A) of an ill-conditioned A, s = t^a,", scale, err,
                      np.abs(out).sum(axis=-1).max(axis=-1), 3)
     return out
-
-
-def _square(mat, name):
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} requires a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{name} requires finite entries")
-    return mat
-
-
-def ml_matrix(alpha, beta, mat):
-    """Matrix Mittag-Leffler function sum_{k>=0} M^k / Gamma(a k + b).
-
-    A one-node call of the evaluator behind :func:`ml_kernel`: per
-    eigenvalue when the eigenvector basis is well conditioned, else by
-    resolvents on the quadrature nodes.
-    """
-    _check_order("ml_matrix", alpha, beta)
-    mat = _square(mat, "ml_matrix")
-    return _ml_stack(alpha, beta, mat, np.ones(1))[0]
 
 
 def ml_kernel(alpha, beta, mat, times):
@@ -476,7 +455,11 @@ def ml_kernel(alpha, beta, mat, times):
     for bit.
     """
     _check_order("ml_kernel", alpha, beta)
-    mat = _square(mat, "ml_kernel")
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"ml_kernel requires a square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("ml_kernel requires finite entries")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(times >= 0.0) or not np.all(np.isfinite(times)):
         raise ValueError("ml_kernel requires a 1-D array of finite times >= 0")

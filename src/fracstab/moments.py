@@ -1,4 +1,4 @@
-"""Empirical pth-moment curves, decay fits, and the stability verdict.
+"""Empirical pth-moment curves and their stability verdict.
 
 The moment of interest is E||X(t)||^p (Euclidean norm).  Its weighted
 variant E||t^(1-a) X(t)||^p is the one that stays finite at t = 0 (limit
@@ -8,8 +8,9 @@ phrased; the verdict judges whichever single curve the caller supplies.
 A finite ensemble cannot take t -> infinity limits; asymptotic decay is
 judged empirically by (i) the trailing-window log-log slope having a 95%
 confidence interval entirely below zero and (ii) the tail mean (last decade
-of time, t >= T/10) falling below a tolerance.  The verdict reports the
-curve's supremum, its tail mean and the fit with the two flags.  Whether
+of time, t >= T/10) falling below a tolerance.  :func:`stability_verdict`
+is the one entry point: its :class:`DecayVerdict` reports the curve's
+supremum, its tail mean and the fit with the two flags.  Whether
 the curve's initial datum met ||rho|| < delta is the caller's to report.
 
 Reductions over paths use numpy's pairwise summation with a fixed layout, so
@@ -20,7 +21,7 @@ the simulation was chunked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "MomentCurve",
     "DecayVerdict",
     "pth_moment_curve",
-    "decay_fit",
     "stability_verdict",
 ]
 
@@ -56,14 +56,16 @@ class MomentCurve:
 
 
 def pth_moment_curve(ensemble: PathEnsemble, p: int, weighted: bool) -> MomentCurve:
-    """Per-node sample mean of ||.||^p over an ensemble.
+    """Per-node sample mean of ||.||^p over an ensemble, for an integer
+    p >= 1 (a bool or a non-integral number is refused with ``ValueError``).
 
     Unweighted curves start at node 1: X(0) is not finite (it diverges like
     t^(a-1)), so a node-0 unweighted request is rejected by construction and
     only the weighted curve covers t = 0.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if isinstance(p, bool) or not (p >= 1 and float(p).is_integer()):
+        raise ValueError(f"p must be an integer >= 1, got {p!r}")
+    p = int(p)
     if weighted:
         block = ensemble.weighted
         nodes = ensemble.grid.nodes
@@ -77,35 +79,33 @@ def pth_moment_curve(ensemble: PathEnsemble, p: int, weighted: bool) -> MomentCu
         half = 1.959963984540054 * powers.std(axis=0, ddof=1) / math.sqrt(n_paths)
     else:
         half = np.full_like(mean, np.nan)
-    return MomentCurve(nodes=nodes.copy(), m=mean, half_width=half, p=int(p),
+    return MomentCurve(nodes=nodes.copy(), m=mean, half_width=half, p=p,
                        n_paths=n_paths)
 
 
 @dataclass(frozen=True)
 class DecayVerdict:
-    """Log-log tail slope with CI, plus the two moment-stability flags and
-    the curve's supremum and tail mean they were judged on.
-
-    The flags, ``sup`` and ``tail_mean`` are None when the object only
-    reports a slope fit.  The asymptotic flag implies the plain one by
-    construction.
+    """Log-log tail slope with CI over the fit window, plus the two
+    moment-stability flags and the curve's supremum and tail mean they were
+    judged on.  The asymptotic flag implies the plain one by construction.
     """
 
     slope: float
     slope_ci: tuple[float, float]
     window: tuple[float, float]
-    stable_p: bool | None = None
-    asymptotically_stable_p: bool | None = None
-    sup: float | None = None
-    tail_mean: float | None = None
+    stable_p: bool
+    asymptotically_stable_p: bool
+    sup: float
+    tail_mean: float
 
     def __post_init__(self):
-        if self.asymptotically_stable_p and self.stable_p is False:
+        if self.asymptotically_stable_p and not self.stable_p:
             raise ValueError("asymptotic stability requires plain stability")
 
 
-def decay_fit(curve: MomentCurve, window_fraction: float) -> DecayVerdict:
-    """Least-squares slope of log m against log t over the trailing window.
+def _decay_fit(curve: MomentCurve, window_fraction: float):
+    """(slope, slope_ci, window) of the least-squares fit of log m against
+    log t over the trailing window.
 
     Zeros are floored at 1e-300 before taking logs; the CI is the normal
     95% band from the standard regression error.  Requires at least four
@@ -131,8 +131,7 @@ def decay_fit(curve: MomentCurve, window_fraction: float) -> DecayVerdict:
     dof = max(len(x) - 2, 1)
     se = math.sqrt(float(resid @ resid) / dof / sxx)
     half = 1.959963984540054 * se
-    return DecayVerdict(slope=slope, slope_ci=(slope - half, slope + half),
-                        window=(float(t[0]), float(t[-1])))
+    return slope, (slope - half, slope + half), (float(t[0]), float(t[-1]))
 
 
 def stability_verdict(curve: MomentCurve, epsilon: float, tail_tol: float,
@@ -145,10 +144,11 @@ def stability_verdict(curve: MomentCurve, epsilon: float, tail_tol: float,
     """
     if not (epsilon > 0 and tail_tol > 0):
         raise ValueError(f"epsilon and tail_tol must be positive, got {epsilon} and {tail_tol}")
-    fit = decay_fit(curve, window_fraction)
+    slope, slope_ci, window = _decay_fit(curve, window_fraction)
     sup = float(np.max(curve.m))
     tail_mean = float(np.mean(curve.m[curve.nodes >= curve.nodes[-1] / 10.0]))
     stable = sup < epsilon
-    decays = tail_mean < tail_tol and fit.slope_ci[1] < 0.0
-    return replace(fit, stable_p=stable, asymptotically_stable_p=stable and decays,
-                   sup=sup, tail_mean=tail_mean)
+    decays = tail_mean < tail_tol and slope_ci[1] < 0.0
+    return DecayVerdict(slope=slope, slope_ci=slope_ci, window=window, stable_p=stable,
+                        asymptotically_stable_p=stable and decays, sup=sup,
+                        tail_mean=tail_mean)

@@ -12,13 +12,13 @@ constants behind that statement on finite grids:
   t^(1-a) int_0^t (t-s)^(a-1) ||E_{a,a}((t-s)^a A)|| s^(a-1) ds,
   whose finiteness drives the asymptotic estimates downstream.
 
-The convolution's exact cell weights int s^(a-1)(t_n - s)^(a-1) ds depend
-only on (a, t_max, n_nodes), never on A: they are built once per key, each
-node's full row, and kept for the last key (about 4 MB at n_nodes = 1000,
-67 MB at the largest admitted grid, n_nodes = 4096), so a sweep over
-matrices at one order and grid computes them once.  A node's convolution
-is then one contiguous dot product of its row with the cell averages of
-||E_{a,a}|| in reverse order.
+The profile runs on one fixed grid, ``PROFILE_NODES`` uniform cells on
+[0, ``PROFILE_T_MAX``].  The convolution's exact cell weights
+int s^(a-1)(t_n - s)^(a-1) ds on it depend only on the order a, never on
+A: they are built once per order, each node's full row, and kept for the
+last order (about 4 MB), so a sweep over matrices at one order computes
+them once.  A node's convolution is then one contiguous dot product of its
+row with the cell averages of ||E_{a,a}|| in reverse order.
 
 All suprema are grid estimates and are labelled as such; the matrix norm is
 the maximum absolute row sum throughout.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +48,9 @@ __all__ = [
 
 # Cells of the uniform grid on which ml_norm_sup samples the kernel norm.
 ML_NORM_NODES = 256
+# Horizon and cells of the uniform grid of kernel_bounds_profile.
+PROFILE_T_MAX = 100.0
+PROFILE_NODES = 1000
 
 
 def matrix_norm(mat):
@@ -87,20 +89,20 @@ class KernelBoundsReport:
     ``t0`` is the first grid node past which t^(2a)||E_{a,a}(t^a A)|| is
     non-increasing and ``tail_coefficient`` its supremum from there on; ``conv_sup``
     is the grid supremum of the weighted singular convolution (see module
-    docstring).  ``grid_used`` records (t_max, n_nodes).  Both t0 and tail_coefficient
-    are reported as observed; no monotone relation between them is assumed.
-    ``conv_tail_change`` is the relative growth of the running supremum over
-    [t_max/10, t_max] and ``conv_running`` the full running-supremum curve,
-    kept so stabilisation can be inspected on any window.
+    docstring).  Both t0 and tail_coefficient are reported as observed; no
+    monotone relation between them is assumed.  ``conv_tail_change`` is the
+    relative growth of the running supremum over the last decade of the
+    grid, [``PROFILE_T_MAX``/10, ``PROFILE_T_MAX``], and ``conv_running`` the
+    full running-supremum curve, kept so stabilisation can be inspected on
+    any window.
     """
 
     kernel_sup: float
     t0: float
     tail_coefficient: float
     conv_sup: float
-    grid_used: tuple[float, int]
-    conv_tail_change: float = float("nan")
-    conv_running: np.ndarray | None = None
+    conv_tail_change: float
+    conv_running: np.ndarray
 
 
 def eigenvalues(mat) -> Spectrum:
@@ -150,29 +152,28 @@ def ml_norm_sup(a_mat, alpha, T):
 
 
 @functools.lru_cache(maxsize=1)
-def _profile_cells(alpha, t_max, n_nodes):
-    """Exact cell weights of the profile grid t_j = j t_max / n_nodes: row
-    n - 1 holds the n weights int_{t_j}^{t_(j+1)} s^(a-1) (t_n - s)^(a-1) ds,
-    j = 0 .. n - 1, of node n.  The weight is symmetric about t_n / 2, so
-    only the first half, diff(I_{t_j / t_n}(a, a)) for j <= (n + 1) // 2, is
-    taken from the incomplete beta and mirrored, then scaled by
-    B(a, a) t_n^(2a - 1).  The incomplete beta takes the arguments of a batch
-    of consecutive rows in one call, about 2^12 of them.
+def _profile_cells(alpha):
+    """Exact cell weights of the profile grid t_j = j PROFILE_T_MAX /
+    PROFILE_NODES: row n - 1 holds the n weights
+    int_{t_j}^{t_(j+1)} s^(a-1) (t_n - s)^(a-1) ds, j = 0 .. n - 1, of node
+    n.  The weight is symmetric about t_n / 2, so only the first half,
+    diff(I_{t_j / t_n}(a, a)) for j <= (n + 1) // 2, is taken from the
+    incomplete beta and mirrored, then scaled by B(a, a) t_n^(2a - 1).  The
+    incomplete beta takes the arguments of a batch of consecutive rows in
+    one call, about 2^12 of them.
 
-    The rows depend only on the grid, so they are kept for the last key
-    (about 4 MB at n_nodes = 1000, 67 MB at n_nodes = 4096); the key holds
-    t_max itself because (j h) / (n h) is not always j / n in floating point.
-    The rows are read-only, as every caller shares them.
+    The rows depend only on the order, so they are kept for the last one
+    (about 4 MB).  The rows are read-only, as every caller shares them.
     """
-    times = np.arange(n_nodes + 1) * (t_max / n_nodes)
+    times = np.arange(PROFILE_NODES + 1) * (PROFILE_T_MAX / PROFILE_NODES)
     b_aa = beta_fn(alpha, alpha)
-    # a row has at most n_nodes // 2 + 2 arguments, so a batch about 2^12;
-    # temporaries that small leave the rows unfragmented in the heap (with
-    # 2^15 the peak RSS of the 4096-node table rose by 2 to 4 MB)
-    batch = max(1, (1 << 13) // n_nodes)
+    # a row has at most PROFILE_NODES // 2 + 2 arguments, so a batch about
+    # 2^12; temporaries that small leave the rows unfragmented in the heap,
+    # which bounds the table's peak RSS
+    batch = (1 << 13) // PROFILE_NODES
     rows = []
-    for first in range(1, n_nodes + 1, batch):
-        nodes = range(first, min(first + batch, n_nodes + 1))
+    for first in range(1, PROFILE_NODES + 1, batch):
+        nodes = range(first, min(first + batch, PROFILE_NODES + 1))
         # row n's differences start where its arguments do; the difference
         # across two rows' arguments is never read
         diffs = np.diff(_betainc_aa(alpha, np.concatenate(
@@ -190,8 +191,9 @@ def _profile_cells(alpha, t_max, n_nodes):
     return tuple(rows)
 
 
-def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoundsReport:
-    """Profile the two long-horizon kernel bounds on [0, t_max].
+def kernel_bounds_profile(a_mat, alpha) -> KernelBoundsReport:
+    """Profile the two long-horizon kernel bounds on [0, ``PROFILE_T_MAX``],
+    ``PROFILE_NODES`` cells.
 
     Requires sector membership (checked); raises
     :class:`ProfileDivergenceError` when the profiled quantities grow through
@@ -202,20 +204,12 @@ def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoun
     endpoints; each subinterval is integrated exactly against the full weight
     s^(a-1)(t-s)^(a-1) (regularised incomplete beta), with the smooth
     Mittag-Leffler norm factor averaged at the subinterval endpoints.  The
-    cell table (:func:`_profile_cells`) depends only on (alpha, t_max,
-    n_nodes); it is built on the first call with a key and kept for the last
-    key (about 4 MB at n_nodes = 1000), so calls that share the key compute
-    it once.  The cell averages are reversed once per call, and each node is
-    then one BLAS dot product of two contiguous arrays.
-
-    ``n_nodes`` must be an integer in [16, 4096] and ``t_max`` a finite
-    number >= 10; either failing raises ``ValueError``.
+    cell table (:func:`_profile_cells`) depends only on alpha; it is built
+    on the first call with an order and kept for the last order (about
+    4 MB), so calls that share the order compute it once.  The cell
+    averages are reversed once per call, and each node is then one BLAS dot
+    product of two contiguous arrays.
     """
-    if not (isinstance(n_nodes, numbers.Integral) and 16 <= n_nodes <= 4096):
-        raise ValueError(f"kernel_bounds_profile requires an integer n_nodes in [16, 4096], "
-                         f"got {n_nodes!r}")
-    if not (math.isfinite(t_max) and t_max >= 10.0):
-        raise ValueError(f"kernel_bounds_profile requires a finite t_max >= 10, got {t_max!r}")
     a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
     verdict = sector_check(eigenvalues(a_mat), alpha)
     if not verdict.in_sector:
@@ -225,8 +219,7 @@ def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoun
             partial={"sector": verdict},
         )
 
-    h = t_max / n_nodes
-    times = np.arange(n_nodes + 1) * h
+    times = np.arange(PROFILE_NODES + 1) * (PROFILE_T_MAX / PROFILE_NODES)
     psi = matrix_norm(ml_kernel(alpha, alpha, a_mat, times))
 
     kernel_sup = float(np.max(psi))
@@ -237,7 +230,7 @@ def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoun
     if increasing[-1] or not np.any(~increasing):
         raise ProfileDivergenceError(
             "t^(2a)||E_{a,a}(t^a A)|| still grows at the end of the grid "
-            f"(t_max={t_max}); no plateau found",
+            f"(t_max={PROFILE_T_MAX}); no plateau found",
             partial={"times": times, "phi": phi},
         )
     last_growth = int(np.nonzero(increasing)[0][-1])
@@ -247,14 +240,14 @@ def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoun
 
     # weighted singular convolution C(t) = t^(1-a) * Q(t): node n's cells
     # against the averages of psi on cells n-1 .. 0, one contiguous dot each
-    cells = _profile_cells(alpha, t_max, n_nodes)
+    cells = _profile_cells(alpha)
     rev = np.ascontiguousarray((0.5 * (psi[1:] + psi[:-1]))[::-1])
-    conv = np.zeros(n_nodes + 1)
-    for n in range(1, n_nodes + 1):
-        conv[n] = times[n] ** (1.0 - alpha) * float(cells[n - 1] @ rev[n_nodes - n:])
+    conv = np.zeros(PROFILE_NODES + 1)
+    for n in range(1, PROFILE_NODES + 1):
+        conv[n] = times[n] ** (1.0 - alpha) * float(cells[n - 1] @ rev[PROFILE_NODES - n:])
     running = np.maximum.accumulate(conv)
     conv_sup = float(running[-1])
-    i_decade = int(np.searchsorted(times, t_max / 10.0))
+    i_decade = int(np.searchsorted(times, PROFILE_T_MAX / 10.0))
     growth = float((running[-1] - running[i_decade]) / max(running[-1], 1e-300))
     if growth > 0.10:
         raise ProfileDivergenceError(
@@ -268,7 +261,6 @@ def kernel_bounds_profile(a_mat, alpha, t_max=100.0, n_nodes=1000) -> KernelBoun
         t0=t0,
         tail_coefficient=tail_coefficient,
         conv_sup=conv_sup,
-        grid_used=(float(t_max), int(n_nodes)),
         conv_tail_change=growth,
         conv_running=running,
     )

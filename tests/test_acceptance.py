@@ -22,14 +22,12 @@ from fracstab import (
     caputo_ms_criterion,
     certify,
     closed_form_homogeneous,
-    contraction_constant,
-    decay_fit,
     delta_for_epsilon,
     gamma_fn,
     kernel_bounds_profile,
     make_additive_noise,
     make_linear,
-    ml_matrix,
+    ml_kernel,
     ml_scalar,
     picard_path_solve,
     pth_moment_curve,
@@ -41,6 +39,7 @@ from fracstab import (
     theta,
 )
 from fracstab.cli import main
+from fracstab.spectral import PROFILE_NODES, PROFILE_T_MAX
 
 ORDER = FractionalOrder(0.75, 2)
 
@@ -71,7 +70,7 @@ def test_acceptance_01_special_functions():
                 right = 1.0 / gamma_fn(beta) + z * ml_scalar(alpha, alpha + beta, float(z))
                 worst_rec = max(worst_rec, abs(left - right) / (1.0 + abs(left)))
 
-    rot = ml_matrix(1.0, 1.0, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    rot = ml_kernel(1.0, 1.0, np.array([[0.0, 1.0], [-1.0, 0.0]]), [1.0])[0]
     expect = np.array([[math.cos(1.0), math.sin(1.0)], [-math.sin(1.0), math.cos(1.0)]])
     worst_rot = float(np.max(np.abs(rot - expect)))
 
@@ -154,6 +153,8 @@ def test_acceptance_06_certificate_numbers():
     t0 = time.perf_counter()
     inputs = CriterionInputs(order=ORDER, T=1.0, L_g=0.05, L_b=0.05, L_sigma=0.05,
                              A_norm=1.0, M=1.0)
+    cert = certify(np.array([[-1.0]]), make_linear([[0.05]], [[0.05]], [[0.05]]), ORDER, 1.0,
+                   m_override=1.0)
 
     # independently coded oracle, math module only
     def ob(a, b):
@@ -174,11 +175,11 @@ def test_acceptance_06_certificate_numbers():
     o_delta = 0.99 * min(1.0, (1.0 - o_k) / (6.0 ** (p - 1) * m**p * T ** (p * (alpha - 1))))
     o_caputo = 4.0 * (L**2 * an**2 + L**2 + L**2) * m**2 * T ** (2 * alpha - 1) / (2 * alpha - 1)
 
-    got = (theta(inputs), contraction_constant(inputs),
+    got = (theta(inputs), cert.contraction,
            caputo_ms_criterion(inputs), delta_for_epsilon(inputs, 1.0))
     want = (o_theta, o_contraction, o_caputo, o_delta)
     rels = [abs(g - w) / abs(w) for g, w in zip(got, want)]
-    ok = all(r_ <= 5e-7 for r_ in rels)  # 6 significant digits
+    ok = cert.inputs == inputs and all(r_ <= 5e-7 for r_ in rels)  # 6 significant digits
     # and the oracle itself reproduces the worked constants
     ok = ok and abs(o_theta - 0.0942478) <= 5e-8
     ok = ok and abs(o_caputo - 0.06) <= 1e-12
@@ -203,10 +204,9 @@ def test_acceptance_07_stability_end_to_end():
     curve_w = pth_moment_curve(out, 2, weighted=True)
     curve_u = pth_moment_curve(out, 2, weighted=False)
     sup_w = float(np.max(curve_w.m))
-    fit = decay_fit(curve_w, 0.5)
+    verdict = stability_verdict(curve_w, eps, tail_tol=1e-2, window_fraction=0.5)
     half_idx = np.argmin(np.abs(curve_u.nodes - T / 2))
     decreasing = curve_u.m[-1] < curve_u.m[half_idx]
-    verdict = stability_verdict(curve_w, eps, tail_tol=1e-2)
 
     sys_unstable = SystemSpec(A=np.array([[1.0]]), rho=np.array([delta]), coeffs=coeffs,
                               order=ORDER)
@@ -214,19 +214,19 @@ def test_acceptance_07_stability_end_to_end():
     curve_bad = pth_moment_curve(out_u, 2, weighted=True)
     verdict_bad = stability_verdict(curve_bad, eps, tail_tol=1e-2)
 
-    ok = (sup_w < eps and fit.slope_ci[1] < 0.0 and decreasing and verdict.sup == sup_w
+    ok = (sup_w < eps and verdict.slope_ci[1] < 0.0 and decreasing and verdict.sup == sup_w
           and verdict.stable_p and verdict.asymptotically_stable_p
           and not verdict_bad.asymptotically_stable_p)
     report(7, ok, f"delta={delta:.4f}, weighted sup {sup_w:.4f} < {eps}, slope CI "
-                  f"({fit.slope_ci[0]:.2f},{fit.slope_ci[1]:.2f}) < 0, "
+                  f"({verdict.slope_ci[0]:.2f},{verdict.slope_ci[1]:.2f}) < 0, "
                   f"E|X(T)|^2 < E|X(T/2)|^2: {decreasing}, drift +1 asymptotic verdict: "
                   f"{verdict_bad.asymptotically_stable_p}", t0)
 
 
 def test_acceptance_08_kernel_profile():
     t0 = time.perf_counter()
-    alpha, t_max, n_nodes = 0.75, 100.0, 1000
-    rep = kernel_bounds_profile(np.array([[-1.0]]), alpha, t_max=t_max, n_nodes=n_nodes)
+    alpha, t_max, n_nodes = 0.75, PROFILE_T_MAX, PROFILE_NODES
+    rep = kernel_bounds_profile(np.array([[-1.0]]), alpha)
     times = np.arange(n_nodes + 1) * (t_max / n_nodes)
     i50 = int(np.searchsorted(times, 50.0))
     change = float((rep.conv_running[-1] - rep.conv_running[i50]) / rep.conv_running[-1])

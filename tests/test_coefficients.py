@@ -23,11 +23,9 @@ from fracstab.coefficients import (NEUTRAL_TOL, _neutral_solver, _newton_schedul
 def test_linear_family_constants():
     z = np.zeros((2, 2))
     zero = make_linear(z, z, z)
-    assert zero.family_tag == "zero"
     assert zero.L_g == zero.L_b == zero.L_sigma == 0.0
 
     cs = make_linear(0.05 * np.eye(2), z, z)
-    assert cs.family_tag == "linear"
     assert cs.L_g == pytest.approx(0.05)
 
     s = np.array([[0.0, 0.1], [0.0, 0.0]])
@@ -85,7 +83,7 @@ def test_builtin_families_pass_verifiers():
     for cs in families:
         for fn, L in ((cs.g, cs.L_g), (cs.b, cs.L_b), (cs.sigma, cs.L_sigma)):
             report = verify_lipschitz(fn, L, n=2, n_trials=400, seed=7)
-            assert report.passed, (cs.family_tag, L, report.max_ratio)
+            assert report.passed, (L, report.max_ratio)
             assert report.max_ratio <= L * (1 + 1e-9)
             assert verify_vanishing(fn, n=2)
         assert cs.assumptions_verified
@@ -115,7 +113,6 @@ def test_verify_vanishing_on_custom_maps():
 def test_additive_noise_family_flags():
     cs = make_additive_noise(0.3, dim=2)
     assert not cs.assumptions_verified
-    assert cs.family_tag == "custom"
     x = np.ones((5, 2))
     np.testing.assert_array_equal(cs.sigma(0.0, x), np.full((5, 2), 0.3))
     assert not cs.g(0.0, x).any()

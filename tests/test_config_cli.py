@@ -74,12 +74,17 @@ def test_config_field_paths_in_errors():
     assert "monte_carlo.n_paths" in str(err.value)
 
 
-def test_additive_family_requires_flag():
+def test_additive_family_simulates_without_a_delta(tmp_path):
+    # the family fails the vanishing-at-zero hypothesis, which the
+    # certificate reports; the run itself is not refused
     doc = benchmark_doc()
     doc["system"]["coefficients"] = {"family": "additive", "sigma": 0.3}
-    with pytest.raises(ConfigError) as err:
-        parse_config(doc)
-    assert "allow_nonvanishing" in str(err.value)
+    path = write_doc(tmp_path, doc)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "verdict.txt").read_text()
+    values = dict(line.split(" = ") for line in text.strip().splitlines())
+    assert values["delta"] == "nan"
+    assert values["delta_hypothesis_met"] == "false"
 
 
 def test_load_config_errors(tmp_path):
@@ -111,7 +116,7 @@ def test_check_benchmark_passes(tmp_path):
 # the stability verdict and delta(epsilon) stand only under the theorem's
 # hypotheses: coefficients that vanish at zero and a spectrum in the sector
 @pytest.mark.parametrize("system, note", [
-    ({"coefficients": {"family": "additive", "sigma": 0.5, "allow_nonvanishing": True}},
+    ({"coefficients": {"family": "additive", "sigma": 0.5}},
      "coefficients not verified to vanish at zero"),
     ({"matrix": [[0.5]], "coefficients": {"family": "linear", "G": [[0.01]],
                                           "B": [[0.01]], "S": [[0.01]]}},
@@ -137,6 +142,20 @@ def test_check_strong_neutral_term_exits_2(tmp_path, capsys):
     code = main(["check", "--config", path, "--out", str(tmp_path)])
     assert code == 2
     assert "neutral term too strong" in capsys.readouterr().err
+
+
+def test_check_names_a_contraction_constant_not_below_1(tmp_path, capsys):
+    # the neutral gate holds (4 * 0.1^2 < 1), but Theta is large
+    doc = benchmark_doc(grid={"T": 50.0, "N": 64})
+    doc["system"]["coefficients"].update(G=[[0.1]], B=[[3.0]], S=[[3.0]])
+    path = write_doc(tmp_path, doc)
+    assert main(["check", "--config", path, "--out", str(tmp_path)]) == 2
+    text = (tmp_path / "certificate.txt").read_text()
+    values = dict(line.split(" = ") for line in text.strip().splitlines())
+    assert float(values["neutral_gate"]) < 1.0 <= float(values["contraction"])
+    assert values["verdict_existence"] == "false"
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"contraction constant {float(values['contraction']):.6g} is not below 1"]
 
 
 def test_check_malformed_config_exits_1(tmp_path, capsys):
@@ -230,6 +249,17 @@ def test_simulate_outputs_and_determinism(tmp_path):
     out4 = tmp_path / "run4"
     assert main(["simulate", "--config", path, "--out", str(out4), "--seed", "7"]) == 0
     assert digests(out1, ["moments.csv"]) != digests(out4, ["moments.csv"])
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence"])
+def test_seed_override_is_refused_like_the_config_seed(tmp_path, capsys, command):
+    path = write_doc(tmp_path, benchmark_doc())
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "config error: --seed: must be >= 0, got -1\n"
+    assert not out.exists()
+    # any non-negative integer seeds the generator, past 64 bits too
+    assert main(["simulate", "--config", path, "--out", str(out), "--seed", str(2**65)]) == 0
 
 
 def test_simulate_zero_coefficients_matches_closed_form(tmp_path):
@@ -485,6 +515,17 @@ def test_cold_start_loads_no_scipy(tmp_path):
     result = json.loads(done.stdout)
     assert result["codes"] == [0] * len(runs)
     assert math.isfinite(result["conv_sup"]) and result["conv_sup"] > 0
+
+
+def test_output_digest_runs():
+    # the digest stops with exit status 1 on a call that does not fit the API
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, str(root / "tools" / "output_digest.py")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("vector_neutral mild: values ")
 
 
 def test_convergence_zero_coefficients_saturates(tmp_path):

@@ -15,7 +15,6 @@ from fracstab import (
     caputo_ms_criterion,
     certify,
     closed_form_homogeneous,
-    contraction_constant,
     delta_for_epsilon,
     make_additive_noise,
     make_linear,
@@ -26,7 +25,7 @@ from fracstab import (
     theta,
 )
 from fracstab.criteria import c_p, neutral_gate
-from fracstab.errors import CriterionError, NeutralTermError
+from fracstab.errors import CriterionError
 
 
 # Oracle: the same constants written out directly from their definitions,
@@ -75,11 +74,21 @@ def bench_inputs(**overrides):
     return CriterionInputs(**params)
 
 
+def contraction(inputs):
+    """The contraction constant of ``inputs``, which only ``certify`` forms:
+    that of a scalar linear system with the same norms, M overridden."""
+    cert = certify(np.array([[-inputs.A_norm]]),
+                   make_linear([[inputs.L_g]], [[inputs.L_b]], [[inputs.L_sigma]]),
+                   inputs.order, inputs.T, m_override=inputs.M)
+    assert cert.inputs == inputs
+    return cert.contraction
+
+
 def test_worked_values_to_six_digits():
     inputs = bench_inputs()
     assert theta(inputs) == pytest.approx(0.03 * math.pi, rel=1e-12)
     assert theta(inputs) == pytest.approx(0.0942478, rel=1e-6)
-    assert contraction_constant(inputs) == pytest.approx(0.03 * math.pi / 0.99, rel=1e-12)
+    assert contraction(inputs) == pytest.approx(0.03 * math.pi / 0.99, rel=1e-12)
     assert stability_constant(inputs) == pytest.approx(0.105, rel=1e-12)
     assert delta_for_epsilon(inputs, 1.0) == pytest.approx(0.99 * 0.895 / 6.0, rel=1e-12)
     assert caputo_ms_criterion(inputs) == pytest.approx(0.06, rel=1e-12)
@@ -121,7 +130,7 @@ def test_mean_square_specialisation_consistency():
 def test_zero_lipschitz_trivia():
     inputs = bench_inputs(L_g=0.0, L_b=0.0, L_sigma=0.0)
     assert theta(inputs) == 0.0
-    assert contraction_constant(inputs) == 0.0
+    assert contraction(inputs) == 0.0
     assert stability_constant(inputs) == 0.0
     assert delta_for_epsilon(inputs, 1.0) == pytest.approx(0.99 * min(1.0, 1.0 / 6.0))
     assert caputo_ms_criterion(inputs) == 0.0
@@ -135,7 +144,7 @@ def test_theta_monotone_in_horizon():
 
 def test_monotone_in_each_argument():
     base = bench_inputs()
-    for fn in (theta, stability_constant, contraction_constant):
+    for fn in (theta, stability_constant, contraction):
         ref = fn(base)
         for kw in ("L_g", "L_b", "L_sigma", "M", "A_norm", "T"):
             bumped = bench_inputs(**{kw: getattr(base, kw) * 1.5})
@@ -161,8 +170,12 @@ def test_caputo_quadratic_scaling_and_p_rejection():
 
 def test_neutral_gate_boundary():
     inputs = bench_inputs(L_g=0.5)  # 4 * 0.25 = 1 exactly
-    with pytest.raises(NeutralTermError):
-        contraction_constant(inputs)
+    cert = certify(np.array([[-1.0]]), make_linear([[0.5]], [[0.05]], [[0.05]]),
+                   inputs.order, inputs.T, m_override=1.0)
+    assert cert.inputs == inputs
+    assert cert.neutral_gate == 1.0
+    assert cert.contraction == math.inf
+    assert not cert.verdict_existence
 
 
 def test_delta_requires_subunit_stability_constant():
@@ -235,7 +248,6 @@ def test_certify_stable_benchmark():
     assert cert.c_p == 1.0
     assert cert.stability_note is None
     assert cert.contraction == theta(cert.inputs) / (1.0 - cert.neutral_gate)
-    assert cert.contraction == contraction_constant(cert.inputs)
     # flags recomputable from the stored numbers
     assert cert.verdict_existence == (cert.neutral_gate < 1 and cert.contraction < 1)
     assert cert.verdict_stability == (cert.sector.in_sector and coeffs.assumptions_verified

@@ -14,7 +14,6 @@ from fracstab import (
     beta_fn,
     gamma_fn,
     ml_kernel,
-    ml_matrix,
     ml_norm_sup,
     ml_scalar,
     rl_derivative_grid,
@@ -250,23 +249,23 @@ def test_fractional_order_validation():
         FractionalOrder(0.75, 1)
 
 
-# ---------------------------------------------------------------- ml_matrix
+# ------------------------------------- matrix function: ml_kernel at t = 1
 
 def test_ml_matrix_zero_matrix():
-    out = ml_matrix(0.75, 0.9, np.zeros((3, 3)))
+    out = ml_kernel(0.75, 0.9, np.zeros((3, 3)), [1.0])[0]
     np.testing.assert_allclose(out, np.eye(3) / gamma_fn(0.9), rtol=1e-14)
 
 
 def test_ml_matrix_diagonal_consistency():
     d = np.diag([-1.0, -2.0])
-    out = ml_matrix(0.75, 0.75, d)
+    out = ml_kernel(0.75, 0.75, d, [1.0])[0]
     expect = np.diag([ml_scalar(0.75, 0.75, -1.0), ml_scalar(0.75, 0.75, -2.0)])
     np.testing.assert_allclose(out, expect, rtol=1e-10, atol=1e-14)
 
 
 def test_ml_matrix_rotation_generator():
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = ml_matrix(1.0, 1.0, rot)
+    out = ml_kernel(1.0, 1.0, rot, [1.0])[0]
     expect = np.array([[math.cos(1.0), math.sin(1.0)], [-math.sin(1.0), math.cos(1.0)]])
     np.testing.assert_allclose(out, expect, atol=1e-9)
 
@@ -275,17 +274,17 @@ def test_ml_matrix_similarity_invariance():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(4, 4)) * 0.6
     p = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
-    lhs = ml_matrix(0.75, 1.0, p @ m @ np.linalg.inv(p))
-    rhs = p @ ml_matrix(0.75, 1.0, m) @ np.linalg.inv(p)
+    lhs = ml_kernel(0.75, 1.0, p @ m @ np.linalg.inv(p), [1.0])[0]
+    rhs = p @ ml_kernel(0.75, 1.0, m, [1.0])[0] @ np.linalg.inv(p)
     norm = np.max(np.sum(np.abs(rhs), axis=1))
     assert np.max(np.sum(np.abs(lhs - rhs), axis=1)) <= 1e-7 * norm
 
 
 def test_ml_matrix_input_validation():
     with pytest.raises(ValueError):
-        ml_matrix(0.75, 1.0, np.ones((2, 3)))
+        ml_kernel(0.75, 1.0, np.ones((2, 3)), [1.0])
     with pytest.raises(ValueError):
-        ml_matrix(0.75, 1.0, np.array([[np.inf]]))
+        ml_kernel(0.75, 1.0, np.array([[np.inf]]), [1.0])
 
 
 # --------------------------------------------------- one evaluator, any batch
@@ -422,15 +421,15 @@ _JORDAN = np.array([[-1.0, 1.0], [0.0, -1.0]])
 ])
 def test_ml_kernel_nodes_match_ml_matrix(mat, t_max):
     # a node's matrix is the same bits in any grid, on both paths, and
-    # agrees with ml_matrix of t^a A (its own eigendecomposition)
+    # agrees with the t = 1 value of t^a A (its own eigendecomposition)
     times = np.linspace(0.0, t_max, 301)
     table = ml_kernel(0.75, 0.75, mat, times)
     assert table.shape == (len(times),) + mat.shape
     for k in range(len(times)):
         assert table[k].tobytes() == ml_kernel(0.75, 0.75, mat, times[k:k + 1])[0].tobytes(), k
     for k in (1, 150, 300):
-        np.testing.assert_allclose(table[k], ml_matrix(0.75, 0.75, times[k] ** 0.75 * mat),
-                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(table[k], ml_kernel(0.75, 0.75, times[k] ** 0.75 * mat,
+                                                       [1.0])[0], rtol=1e-12, atol=1e-15)
 
 
 def test_ml_kernel_refuses_poles_outside_the_resolvent_contour():
@@ -525,7 +524,6 @@ def test_ml_functions_refuse_bad_orders(alpha, beta, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (lambda: ml_scalar(alpha, beta, 1.0),
-                     lambda: ml_matrix(alpha, beta, -np.eye(2)),
                      lambda: ml_kernel(alpha, beta, -np.eye(2), [0.0, 1.0])):
             with pytest.raises(ValueError, match=name):
                 call()

@@ -11,7 +11,6 @@ from fracstab import (
     TimeGrid,
     brownian_increments,
     closed_form_homogeneous,
-    decay_fit,
     gamma_fn,
     make_additive_noise,
     make_linear,
@@ -134,22 +133,29 @@ def test_moment_monotonicity_in_p():
     assert np.all(m_small[0] >= m_small[1]) and np.all(m_small[1] >= m_small[2])
 
 
+@pytest.mark.parametrize("p", [2.5, True, False, 0, float("nan")])
+def test_moment_order_must_be_an_integer(p):
+    grid = TimeGrid(T=1.0, N=8)
+    ens = make_ensemble(np.full((3, 9, 1), 2.0), grid)
+    with pytest.raises(ValueError, match="p must be an integer"):
+        pth_moment_curve(ens, p, weighted=True)
+
+
 def test_decay_fit_exact_power_law():
     t = np.linspace(0.0, 10.0, 101)
     m = np.zeros_like(t)
     m[1:] = t[1:] ** -2.0
     curve = MomentCurve(nodes=t, m=m, half_width=np.zeros_like(t), p=2, n_paths=100)
-    fit = decay_fit(curve, 0.5)
+    fit = stability_verdict(curve, 1.0, 1e-2, window_fraction=0.5)
     assert fit.slope == pytest.approx(-2.0, abs=1e-9)
     assert fit.slope_ci[1] - fit.slope_ci[0] < 1e-8
-    assert fit.stable_p is None
 
 
 def test_decay_fit_constant_curve():
     t = np.linspace(0.0, 10.0, 101)
     m = np.full_like(t, 3.0)
     curve = MomentCurve(nodes=t, m=m, half_width=np.zeros_like(t), p=2, n_paths=100)
-    fit = decay_fit(curve, 0.5)
+    fit = stability_verdict(curve, 1.0, 1e-2, window_fraction=0.5)
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
 
@@ -159,7 +165,7 @@ def test_decay_fit_homogeneous_benchmark_slope():
     grid = TimeGrid(T=50.0, N=2000)
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([1.0]), 0.75, grid)
     curve = pth_moment_curve(single, 2, weighted=False)
-    fit = decay_fit(curve, 0.5)
+    fit = stability_verdict(curve, 1.0, 1e-2, window_fraction=0.5)
     assert fit.slope <= -1.0
     # leading asymptote is t^(-3.5); the next-order t^(-a) correction still
     # steepens the fit on this horizon
@@ -171,9 +177,9 @@ def test_decay_fit_degenerate_window():
     curve = MomentCurve(nodes=t, m=np.ones_like(t), half_width=np.zeros_like(t),
                         p=2, n_paths=100)
     with pytest.raises(ValueError):
-        decay_fit(curve, 0.2)
+        stability_verdict(curve, 1.0, 1e-2, window_fraction=0.2)
     with pytest.raises(ValueError):
-        decay_fit(curve, 1.2)
+        stability_verdict(curve, 1.0, 1e-2, window_fraction=1.2)
 
 
 def test_stability_verdict_closed_form_benchmark():
@@ -190,7 +196,8 @@ def test_stability_verdict_closed_form_benchmark():
     assert verdict.sup == pytest.approx((rho / gamma_fn(0.75)) ** 2, rel=1e-12)
     tail = curve.m[grid.nodes >= 5.0]
     assert len(tail) == 1801 and verdict.tail_mean == float(np.mean(tail))
-    assert verdict.window == decay_fit(curve, 0.5).window
+    window = curve.nodes[curve.nodes > 0.0][-1000:]  # the last half of 2000 nodes
+    assert verdict.window == (window[0], window[-1])
 
 
 def test_stability_verdict_growth_fails_asymptotics():
@@ -232,7 +239,7 @@ def test_stability_verdict_preconditions():
 def test_verdict_implication_enforced_structurally():
     with pytest.raises(ValueError):
         DecayVerdict(slope=-1.0, slope_ci=(-1.1, -0.9), window=(1.0, 2.0),
-                     stable_p=False, asymptotically_stable_p=True)
+                     stable_p=False, asymptotically_stable_p=True, sup=2.0, tail_mean=0.5)
 
 
 def test_curve_length_validation():

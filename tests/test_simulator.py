@@ -25,7 +25,6 @@ from fracstab import (
     make_bounded_smooth,
     make_linear,
     ml_kernel,
-    ml_matrix,
     ml_scalar,
     picard_path_solve,
     simulate_integral_form,
@@ -186,7 +185,7 @@ def direct_sum_march(system, grid, ens, scheme, c_g):
             if dim == 1:
                 return ml_scalar(alpha, alpha, t**alpha * a_mat[0, 0]) * np.eye(1)
             # its own eigendecomposition of t^a A at every node
-            return ml_matrix(alpha, alpha, t**alpha * a_mat)
+            return ml_kernel(alpha, alpha, t**alpha * a_mat, [1.0])[0]
 
         E = np.array([kernel(t) for t in times])
         w_mem = -d[:, None, None] * (a_mat @ E[1:])
@@ -402,8 +401,7 @@ def test_affine_scaling_in_initial_datum_and_noise():
                                master_seed=ens.master_seed, n_paths=ens.n_paths)
     lin = make_linear([[0.05]], [[0.05]], [[0.0]])
     coeffs_add = CoefficientSet(g=lin.g, b=lin.b, sigma=make_additive_noise(0.2).sigma,
-                                L_g=lin.L_g, L_b=lin.L_b, L_sigma=0.0,
-                                family_tag="custom")
+                                L_g=lin.L_g, L_b=lin.L_b, L_sigma=0.0)
     sys_a1 = SystemSpec(A=np.array([[-1.0]]), rho=np.array([0.7]), coeffs=coeffs_add, order=ORDER)
     sys_a2 = SystemSpec(A=np.array([[-1.0]]), rho=np.array([1.4]), coeffs=coeffs_add, order=ORDER)
     a1 = simulate_mild(sys_a1, grid, ens)

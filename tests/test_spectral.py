@@ -20,7 +20,7 @@ from fracstab import (
 )
 from fracstab.errors import ProfileDivergenceError
 from fracstab.fraccalc import _betainc_aa
-from fracstab.spectral import ML_NORM_NODES, _profile_cells
+from fracstab.spectral import ML_NORM_NODES, PROFILE_NODES, PROFILE_T_MAX, _profile_cells
 
 from oracle_fixtures import RECIP_GAMMA_0_75
 
@@ -133,48 +133,28 @@ def test_ml_norm_sup_refuses_non_finite_T(T):
 
 
 def test_kernel_bounds_profile_stable_scalar():
-    report = kernel_bounds_profile(np.array([[-1.0]]), 0.75, t_max=40.0, n_nodes=400)
+    report = kernel_bounds_profile(np.array([[-1.0]]), 0.75)
     assert report.kernel_sup == pytest.approx(RECIP_GAMMA_0_75, rel=1e-9)
-    assert 0.0 < report.t0 < 40.0
+    assert 0.0 < report.t0 < PROFILE_T_MAX
     assert np.isfinite(report.tail_coefficient) and report.tail_coefficient > 0
     assert np.isfinite(report.conv_sup) and report.conv_sup > 0
-    assert report.grid_used == (40.0, 400)
+    assert report.conv_running.shape == (PROFILE_NODES + 1,)
     # the algebraic tail t^(2a)||E|| approaches 1/|Gamma(-a)| from above
     assert report.tail_coefficient >= 1.0 / abs(gamma_fn(-0.75))
 
 
 def test_kernel_bounds_profile_diagonal_matrix():
-    report = kernel_bounds_profile(np.diag([-1.0, -2.0]), 0.8, t_max=40.0, n_nodes=400)
+    report = kernel_bounds_profile(np.diag([-1.0, -2.0]), 0.8)
     for value in (report.kernel_sup, report.t0, report.tail_coefficient, report.conv_sup):
         assert np.isfinite(value) and value >= 0.0
 
 
 def test_kernel_bounds_profile_out_of_sector_reports_divergence():
     with pytest.raises(ProfileDivergenceError):
-        kernel_bounds_profile(np.array([[1.0]]), 0.75, t_max=20.0, n_nodes=100)
+        kernel_bounds_profile(np.array([[1.0]]), 0.75)
 
 
-def test_kernel_bounds_profile_validation():
-    with pytest.raises(ValueError):
-        kernel_bounds_profile(np.array([[-1.0]]), 0.75, t_max=5.0)
-
-
-# both are keys of the kept cell table, so they are checked before it is read
-@pytest.mark.parametrize("t_max, n_nodes, name", [
-    (math.nan, 1000, "t_max"),
-    (math.inf, 1000, "t_max"),
-    (100.0, 0, "n_nodes"),
-    (100.0, -5, "n_nodes"),
-    (100.0, 15, "n_nodes"),
-    (100.0, 4097, "n_nodes"),
-    (100.0, 1000.0, "n_nodes"),
-])
-def test_kernel_bounds_profile_refuses_bad_grids(t_max, n_nodes, name):
-    with pytest.raises(ValueError, match=name):
-        kernel_bounds_profile(np.array([[-1.0]]), 0.75, t_max=t_max, n_nodes=n_nodes)
-
-
-def reference_profile(a_mat, alpha, t_max, n_nodes):
+def reference_profile(a_mat, alpha):
     """(kernel_sup, t0, tail_coefficient, conv_sup, conv_running) of
     kernel_bounds_profile, each node's cells taken by its own incomplete
     beta call; None where the profile refuses (no plateau, or the running
@@ -182,8 +162,8 @@ def reference_profile(a_mat, alpha, t_max, n_nodes):
     is the package's own I_x(a, a), whose accuracy test_fraccalc checks
     against scipy and mpmath, so this checks the cached table's rows, their
     mirror and their batching bit for bit."""
-    h = t_max / n_nodes
-    times = np.arange(n_nodes + 1) * h
+    t_max, n_nodes = PROFILE_T_MAX, PROFILE_NODES
+    times = np.arange(n_nodes + 1) * (t_max / n_nodes)
     psi = matrix_norm(ml_kernel(alpha, alpha, a_mat, times))
     phi = times ** (2.0 * alpha) * psi
     increasing = np.diff(phi) > phi[:-1] * 1e-10
@@ -228,36 +208,34 @@ def in_sector_matrices(draw):
 # alpha stops at 0.99: nearer 1 the kernel falls like e^(-|lambda| t) and
 # its far values are below the evaluator's roundoff, which warns
 @settings(max_examples=60, deadline=None)
-@given(mat=in_sector_matrices(), alpha=st.floats(0.5, 0.99, exclude_min=True),
-       t_max=st.floats(10.0, 200.0), n_nodes=st.integers(16, 300))
-def test_kernel_bounds_profile_matches_per_node_reference(mat, alpha, t_max, n_nodes):
+@given(mat=in_sector_matrices(), alpha=st.floats(0.5, 0.99, exclude_min=True))
+def test_kernel_bounds_profile_matches_per_node_reference(mat, alpha):
     # the kept cell table gives the per-node loop's values bit for bit
-    want = reference_profile(mat, alpha, t_max, n_nodes)
+    want = reference_profile(mat, alpha)
     if want is None:
         with pytest.raises(ProfileDivergenceError):
-            kernel_bounds_profile(mat, alpha, t_max, n_nodes)
+            kernel_bounds_profile(mat, alpha)
         return
-    got = report_fields(kernel_bounds_profile(mat, alpha, t_max, n_nodes))
+    got = report_fields(kernel_bounds_profile(mat, alpha))
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
 
 def test_kernel_bounds_profile_warm_call_equals_cold_call():
     mats = (np.array([[-1.0]]), np.array([[-1.0, 0.5], [0.0, -2.0]]))
-    warm = [kernel_bounds_profile(m, 0.75, 40.0, 400) for m in mats]
+    warm = [kernel_bounds_profile(m, 0.75) for m in mats]
     assert _profile_cells.cache_info().currsize == 1
     for mat, report in zip(mats, warm):
         _profile_cells.cache_clear()
-        cold = kernel_bounds_profile(mat, 0.75, 40.0, 400)
-        assert cold.grid_used == report.grid_used
+        cold = kernel_bounds_profile(mat, 0.75)
         assert cold.conv_tail_change == report.conv_tail_change
         for c, w in zip(report_fields(cold), report_fields(report)):
             assert np.array_equal(c, w)
 
 
 def test_profile_cells_are_read_only():
-    rows = _profile_cells(0.75, 40.0, 400)
-    assert len(rows) == 400
+    rows = _profile_cells(0.75)
+    assert len(rows) == PROFILE_NODES
     assert not any(row.flags.writeable for row in rows)
     with pytest.raises(ValueError):
         rows[0][0] = 0.0

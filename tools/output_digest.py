@@ -15,8 +15,8 @@ Covered outputs:
 * ``rl_integral_grid`` on 1-D and three-column samples of several lengths
   for a in {0.3, 0.75, 1};
 * every field of ``kernel_bounds_profile``'s report, ``conv_running``
-  included, at alpha = 0.75, t_max = 100 and n_nodes = 1000 on the
-  ``certify_sweep`` benchmark's matrices: -1, -10, an upper-triangular
+  included, with its grid (t_max = 100, n_nodes = 1000), at alpha = 0.75 on
+  the ``certify_sweep`` benchmark's matrices: -1, -10, an upper-triangular
   3 x 3 with diagonal (-1, -2, -3), the complex pair [[-1, 3], [-3, -1]]
   and the Jordan block [[-1, 1], [0, -1]];
 * the numbers and verdicts of ``certify`` (linear G = B = S = 0.05 I,
@@ -32,8 +32,10 @@ Covered outputs:
 
 A failure (an exception of a library call) is printed as its type and
 message, and the warnings of a command as their categories and messages
-(their source lines name the checkout).  The tool stores no hashes; it
-takes a few seconds.
+(their source lines name the checkout).  A ``TypeError``,
+``AttributeError`` or ``NameError`` is not an output but a call that does
+not fit the library's API: it stops the tool with a traceback and exit
+status 1.  The tool stores no hashes; it takes a few seconds.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ from fracstab import (FractionalOrder, SystemSpec, TimeGrid, brownian_increments
 from fracstab.cli import main
 
 ORDER = FractionalOrder(0.75, 2)
+# a call that does not fit the API, never an output
+API_ERRORS = (TypeError, AttributeError, NameError)
 
 
 def sha(data: bytes) -> str:
@@ -88,6 +92,8 @@ def outcome(fn, *args, **kwargs):
     """The arrays of a scheme's result, or its failure."""
     try:
         res = fn(*args, **kwargs)
+    except API_ERRORS:
+        raise
     except Exception as exc:  # a failure is an output too
         return f"{type(exc).__name__}: {exc}"
     return f"values {sha(res.values.tobytes())} weighted {sha(res.weighted.tobytes())}"
@@ -129,12 +135,14 @@ PROFILE_MATRICES = {
 def profile_lines():
     for name, mat in PROFILE_MATRICES.items():
         try:
-            rep = kernel_bounds_profile(np.array(mat), 0.75, t_max=100.0, n_nodes=1000)
+            rep = kernel_bounds_profile(np.array(mat), 0.75)
+        except API_ERRORS:
+            raise
         except Exception as exc:  # a failure is an output too
             yield f"profile {name}", f"{type(exc).__name__}: {exc}"
             continue
         scalars = np.array([rep.kernel_sup, rep.t0, rep.tail_coefficient, rep.conv_sup,
-                            *rep.grid_used, rep.conv_tail_change])
+                            100.0, 1000.0, rep.conv_tail_change])
         yield f"profile {name}", sha(scalars.tobytes() + rep.conv_running.tobytes())
 
 
@@ -148,6 +156,8 @@ def outcome_repr(fn, *args, fields=None):
     failure."""
     try:
         res = fn(*args)
+    except API_ERRORS:
+        raise
     except Exception as exc:  # a failure is an output too
         return f"{type(exc).__name__}: {exc}"
     if fields is not None:
