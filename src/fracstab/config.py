@@ -23,7 +23,9 @@ from .simulator import SystemSpec, TimeGrid
 __all__ = ["RunConfig", "load_config", "parse_config"]
 
 _SCHEMES = ("mild", "integral_form", "integral_form_as_printed", "picard")
-_FAMILIES = ("zero", "linear", "bounded_smooth", "additive")
+# each family with the parameters it reads
+_FAMILIES = {"zero": (), "linear": ("G", "B", "S"), "bounded_smooth": ("c_g", "c_b", "c_s"),
+             "additive": ("sigma",)}
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,18 @@ def _get(block, key, path, required=True, default=None):
     return block[key]
 
 
+def _fields(block, path, known):
+    """``block`` if it is an object whose keys are all in ``known``; a key
+    that is not read (a misspelling, another family's parameter) would
+    otherwise leave its field at the default without a word."""
+    if not isinstance(block, dict):
+        raise ConfigError(path, "expected an object")
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}", "unknown key")
+    return block
+
+
 def _number(value, path, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
@@ -127,11 +141,15 @@ def _matrix(value, path, dim=None):
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "top level must be an object")
-    system = _get(doc, "system", "<root>")
-    grid = _get(doc, "grid", "<root>")
-    mc = _get(doc, "monte_carlo", "<root>")
-    crit = doc.get("criteria", {})
-    out = doc.get("output", {})
+    _fields(doc, "<root>", ("system", "grid", "monte_carlo", "criteria", "output"))
+    system = _fields(_get(doc, "system", "<root>"), "system",
+                     ("matrix", "rho", "alpha", "p", "coefficients"))
+    grid = _fields(_get(doc, "grid", "<root>"), "grid", ("T", "N"))
+    mc = _fields(_get(doc, "monte_carlo", "<root>"), "monte_carlo",
+                 ("n_paths", "master_seed", "scheme"))
+    crit = _fields(doc.get("criteria", {}), "criteria",
+                   ("epsilon", "window_fraction", "tail_tol", "m_override"))
+    out = _fields(doc.get("output", {}), "output", ("directory", "emit_paths"))
 
     rho = _get(system, "rho", "system")
     if not isinstance(rho, list) or not rho:
@@ -149,23 +167,17 @@ def parse_config(doc: dict) -> RunConfig:
         )
     p = _integer(_get(system, "p", "system", required=False, default=2), "system.p", minimum=2)
 
-    coeff = _get(system, "coefficients", "system")
+    coeff = _fields(_get(system, "coefficients", "system"), "system.coefficients",
+                    ("family", *{key for keys in _FAMILIES.values() for key in keys}))
     family = _get(coeff, "family", "system.coefficients")
     if family not in _FAMILIES:
         raise ConfigError("system.coefficients.family",
-                          f"unknown family {family!r}; expected one of {_FAMILIES}")
+                          f"unknown family {family!r}; expected one of {tuple(_FAMILIES)}")
+    _fields(coeff, "system.coefficients", ("family", *_FAMILIES[family]))
     params = {}
-    if family == "linear":
-        for key in ("G", "B", "S"):
-            params[key] = _matrix(_get(coeff, key, "system.coefficients"),
-                                  f"system.coefficients.{key}", dim)
-    elif family == "bounded_smooth":
-        for key in ("c_g", "c_b", "c_s"):
-            params[key] = _number(_get(coeff, key, "system.coefficients"),
-                                  f"system.coefficients.{key}")
-    elif family == "additive":
-        params["sigma"] = _number(_get(coeff, "sigma", "system.coefficients"),
-                                  "system.coefficients.sigma")
+    for key in _FAMILIES[family]:
+        value, path = _get(coeff, key, "system.coefficients"), f"system.coefficients.{key}"
+        params[key] = _matrix(value, path, dim) if family == "linear" else _number(value, path)
 
     T = _number(_get(grid, "T", "grid"), "grid.T", positive=True)
     N = _integer(_get(grid, "N", "grid"), "grid.N", minimum=2)

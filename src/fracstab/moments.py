@@ -13,9 +13,14 @@ is the one entry point: its :class:`DecayVerdict` reports the curve's
 supremum, its tail mean and the fit with the two flags.  Whether
 the curve's initial datum met ||rho|| < delta is the caller's to report.
 
-Reductions over paths use numpy's pairwise summation with a fixed layout, so
-moment curves are bit-reproducible for a given ensemble regardless of how
-the simulation was chunked.
+The mean and the variance of each node sum its paths in path order, one
+after the other: numpy reduces the path axis of a (paths, nodes) array that
+way when it holds at least two nodes, whereas a lone node would be summed
+pairwise.  :func:`pth_moment_curve` therefore reduces blocks of at least
+two nodes, sized from P * dim so that its temporaries stay near 2^16
+elements whatever N; each node keeps the bits of one whole-array reduction.
+Paths are summed in their ensemble order, so a curve is bit-reproducible for
+a given ensemble.
 """
 
 from __future__ import annotations
@@ -67,18 +72,25 @@ def pth_moment_curve(ensemble: PathEnsemble, p: int, weighted: bool) -> MomentCu
         raise ValueError(f"p must be an integer >= 1, got {p!r}")
     p = int(p)
     if weighted:
-        block = ensemble.weighted
+        states = ensemble.weighted
         nodes = ensemble.grid.nodes
     else:
-        block = ensemble.values[:, 1:, :]
+        states = ensemble.values[:, 1:, :]
         nodes = ensemble.grid.nodes[1:]
-    powers = np.linalg.norm(block, axis=2) ** p  # (paths, nodes)
-    mean = powers.mean(axis=0)
     n_paths = ensemble.n_paths
-    if n_paths >= 30:
-        half = 1.959963984540054 * powers.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    else:
-        half = np.full_like(mean, np.nan)
+    n_nodes, dim = states.shape[1:]
+    mean = np.empty(n_nodes)
+    half = np.full(n_nodes, np.nan)
+    step = max(2, (1 << 16) // (n_paths * dim))
+    edges = list(range(0, n_nodes, step))
+    if n_nodes - edges[-1] == 1:
+        edges.pop()  # a last block of one node joins the one before it
+    edges.append(n_nodes)
+    for j0, j1 in zip(edges, edges[1:]):
+        powers = np.linalg.norm(states[:, j0:j1], axis=2) ** p  # (paths, nodes)
+        mean[j0:j1] = powers.mean(axis=0)
+        if n_paths >= 30:
+            half[j0:j1] = 1.959963984540054 * powers.std(axis=0, ddof=1) / math.sqrt(n_paths)
     return MomentCurve(nodes=nodes.copy(), m=mean, half_width=half, p=p,
                        n_paths=n_paths)
 

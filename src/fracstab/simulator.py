@@ -48,7 +48,15 @@ takes fewer products than its transforms; the cost stays O(N log^2 N).  In
 the mild form A commutes with E_{a,a}(t^a A), so the neutral memory and
 the drift share one convolution of b - A g; in the integral form the
 memory term shares the drift weight.  Each march thus keeps two history
-sums.
+sums, drift and noise, each over rows that it keeps in a ring of the
+largest power of two below N (at least 64) rows: every block a sum reads
+is aligned to its own length, a power of two dividing the ring's, so it
+lies contiguous in the ring and is not yet overwritten.  The one block
+longer than the ring, the history [0, N) of node N on a grid of N = 2^k
+steps, is summed in two halves whose first is kept as a head sum while the
+ring still holds it; the second continues it in the same order.  A march
+thus holds the states and a history of about N/2 rows per sum, and every
+node's sums keep the bits of sums over a full-length history.
 
 At each node the neutral term leaves the equation x + g(t_n, x) = rhs, in the
 marches and in every Picard sweep alike.  The built-in families solve it
@@ -270,14 +278,38 @@ def _kernel_entries(w):
             for i in range(dim) for k in range(dim) if np.any(w[:, i, k])]
 
 
-def _direct_sum(entries, hist, lo, hi, n, out):
-    """out[:, i] += sum_{j=lo}^{hi-1} w_ik[n-j] hist[j, :, k] over the entries.
+def _ring_rows(n_steps):
+    """Rows R of a march's history rings: the largest power of two below N,
+    at least one base block, at most N.  History row j is kept in ring row
+    j mod R until row j + R overwrites it.
+
+    Every block the march reads is aligned to its own length L, a power of
+    two dividing R, so it lies contiguous in the ring: the base block of the
+    per-step sums, and the history block [c - L, c) of every far-field
+    block but one.  L <= c, so only c = N = 2^k, whose block is all of
+    [0, N) for the lone node N, has L > R = N/2; :func:`_far_field` keeps a
+    head sum for it.
+    """
+    return min(n_steps, max(_BASE_BLOCK, 1 << ((n_steps - 1).bit_length() - 1)))
+
+
+def _ring_block(ring, lo, hi):
+    """The history rows lo .. hi - 1 of a ring, an L-aligned block (see
+    :func:`_ring_rows`), as a time-major view."""
+    start = lo % ring.shape[0]
+    return ring[start:start + hi - lo]
+
+
+def _direct_sum(entries, block, lag, out):
+    """out[:, i] += sum_j w_ik[lag - j] block[j, :, k] over the entries: the
+    time-major rows of ``block`` lie lag, lag - 1, ... nodes before the
+    target.
 
     einsum without BLAS: the reduction order depends only on the lag range,
     so every path gets the same sum whatever the batch it is marched in.
     """
     for i, k, w in entries:
-        out[:, i] += np.einsum("m,mp->p", w[n - hi:n - lo][::-1], hist[lo:hi, :, k])
+        out[:, i] += np.einsum("m,mp->p", w[lag - block.shape[0]:lag][::-1], block[:, :, k])
 
 
 def _block_spectra(kernels, L, n_targets, M):
@@ -299,9 +331,10 @@ def _block_spectra(kernels, L, n_targets, M):
     return sorted(groups.items())
 
 
-def _far_field(kernels, hists, acc, c, spectra):
+def _far_field(kernels, bufs, acc, c, spectra, heads):
     """Add the finished history block [c - L, c) to the nodes [c, c + L) of
-    acc, shaped (P, N+1, dim).
+    acc, shaped (P, N+1, dim), reading the block from the march's history
+    rings, ``bufs[h][1:]``.
 
     Blocked convolution (Hairer, Lubich & Schlichte 1985, in its
     divide-and-conquer form): L is the largest base-block multiple such that
@@ -316,6 +349,13 @@ def _far_field(kernels, hists, acc, c, spectra):
     block.  A full block (R = L >= 64) never qualifies, so the march stays
     O(N log^2 N) per path.
 
+    That lone node's block [0, N) is twice the ring.  So at c = N/2, while
+    the ring holds [0, N/2), the sums of node N over that half are kept as
+    ``heads``, one (P,) row per kernel entry; at c = N each one is put in
+    row 0 of its buffer, before the ring's [N/2, N), with weight 1.  One
+    einsum over the buffer then adds the same products in the same order
+    as a direct sum over [0, N).
+
     A transform's roundoff is bounded by the norms of the whole block, so a
     kernel that grows across the block (a matrix outside the stability
     sector) is balanced first: w[m] h[j] = e^(mu n) (e^(-mu m) w[m])
@@ -328,17 +368,30 @@ def _far_field(kernels, hists, acc, c, spectra):
     path, so batching paths cannot change the result.  ``spectra`` holds
     the kernel transforms of this march by block shape.
     """
+    rings = [buf[1:] for buf in bufs]
+    n_ring, n_last = rings[0].shape[0], acc.shape[1] - 1
+    if c == n_ring and 2 * n_ring == n_last:
+        heads[:] = [[np.einsum("m,mp->p", w[n_last - c:n_last][::-1], ring[:, :, k])
+                     for i, k, w in entries] for entries, ring in zip(kernels, rings)]
     L = _BASE_BLOCK
     while c % (2 * L) == 0:
         L *= 2
     hi = min(c + L, acc.shape[1])
     n_targets = hi - c
     M = _fast_len(L + n_targets)
+    if L > n_ring:
+        # c = N = 2^k: continue each head over the ring
+        for entries, buf, head in zip(kernels, bufs, heads):
+            for (i, k, w), row in zip(entries, head):
+                buf[0, :, k] = row
+                acc[:, c, i] += np.einsum("m,mp->p", np.append(w[:n_ring], 1.0)[::-1],
+                                          buf[:, :, k])
+        return
     if n_targets * L <= M * math.log2(M):
         # an edge block with few targets: fewer products than its transforms
         for n in range(c, hi):
-            for entries, hist in zip(kernels, hists):
-                _direct_sum(entries, hist, c - L, c, n, acc[:, n])
+            for entries, ring in zip(kernels, rings):
+                _direct_sum(entries, _ring_block(ring, c - L, c), n - c + L, acc[:, n])
         return
     if (L, n_targets) not in spectra:
         spectra[L, n_targets] = _block_spectra(kernels, L, n_targets, M)
@@ -347,8 +400,8 @@ def _far_field(kernels, hists, acc, c, spectra):
     for p0 in range(0, n_paths, batch):
         p1 = min(p0 + batch, n_paths)
         # path-major contiguous blocks (dim, paths, L)
-        blocks = [np.ascontiguousarray(hist[c - L:c, p0:p1].transpose(2, 1, 0))
-                  for hist in hists]
+        blocks = [np.ascontiguousarray(_ring_block(ring, c - L, c)[:, p0:p1].transpose(2, 1, 0))
+                  for ring in rings]
         _causal_convolution(spectra[L, n_targets], blocks, M, L,
                             acc[p0:p1, c:hi].transpose(2, 0, 1))
 
@@ -371,7 +424,7 @@ def _package(values, system, grid, tag, master_seed):
     values[:, 0, :] = np.nan
     weighted = np.empty_like(values)
     weighted[:, 0, :] = system.rho / gamma_fn(alpha)
-    weighted[:, 1:, :] = times[None, 1:, None] ** (1.0 - alpha) * values[:, 1:, :]
+    np.multiply(times[None, 1:, None] ** (1.0 - alpha), values[:, 1:, :], out=weighted[:, 1:, :])
     return PathEnsemble(values=values, weighted=weighted, grid=grid, scheme_tag=tag,
                         master_seed=master_seed, n_paths=values.shape[0])
 
@@ -385,26 +438,36 @@ def _march(system, grid, ensemble, scheme, scheme_tag):
     Lags inside a base block are summed directly at each step; every other
     part of the two history sums is added ahead of time by
     :func:`_far_field`, into the nodes of the state array not yet marched.
-    All paths of the ensemble are marched together.  Returns the states
-    (P, N+1, dim); histories are kept time-major and freed on return, before
-    the caller packages the states.
+    All paths of the ensemble are marched together, and each coefficient is
+    called once per node.  The rows f_j and s_j are kept time-major in two
+    rings of :func:`_ring_rows` rows, each after one free row for the far
+    field's head sums.  Returns the states (P, N+1, dim); the rings are
+    freed on return, before the caller packages the states.
     """
     _check_inputs(system, grid, ensemble.increments)
     free, w_f, w_s, drift = scheme
     coeffs = system.coeffs
     solve = _neutral_solver(coeffs)
     increments = ensemble.increments
+    n_given = increments.shape[0]
+    if n_given == 1:
+        # a lone path is marched as a pair: numpy takes a one-path lag sum as
+        # einsum's inner loop, summed in chunks past 8192 lags, whereas the
+        # paths of a batch are each summed lag after lag
+        increments = np.repeat(increments, 2, axis=0)
     n_steps, dim = grid.N, system.n
     n_paths = increments.shape[0]
     times = grid.nodes
     kernels = (_kernel_entries(w_f), _kernel_entries(w_s))
-    hists = (np.empty((n_steps, n_paths, dim)), np.empty((n_steps, n_paths, dim)))
+    n_ring = _ring_rows(n_steps)
+    bufs = (np.empty((n_ring + 1, n_paths, dim)), np.empty((n_ring + 1, n_paths, dim)))
+    rings = tuple(buf[1:] for buf in bufs)
     states = np.zeros((n_paths, n_steps + 1, dim))
-    spectra = {}
+    spectra, heads = {}, []
 
     def record(j, x):
-        hists[0][j] = drift(times[j], x)
-        hists[1][j] = coeffs.sigma(times[j], x) * increments[:, j, None]
+        rings[0][j % n_ring] = drift(times[j], x)
+        rings[1][j % n_ring] = coeffs.sigma(times[j], x) * increments[:, j, None]
 
     record(0, np.zeros((n_paths, dim)))
     # an overflow reaches a later state, which _check_finite refuses by node
@@ -412,16 +475,16 @@ def _march(system, grid, ensemble, scheme, scheme_tag):
         for n in range(1, n_steps + 1):
             rhs = free[n] + states[:, n]
             lo = n - n % _BASE_BLOCK
-            for entries, hist in zip(kernels, hists):
-                _direct_sum(entries, hist, lo, n, n, rhs)
+            for entries, ring in zip(kernels, rings):
+                _direct_sum(entries, _ring_block(ring, lo, n), n - lo, rhs)
             x = solve(times[n], rhs)
-            _check_finite(x, n, scheme_tag)
+            _check_finite(x[:n_given], n, scheme_tag)
             states[:, n] = x
             if n < n_steps:
                 record(n, x)
                 if (n + 1) % _BASE_BLOCK == 0:
-                    _far_field(kernels, hists, states, n + 1, spectra)
-    return states
+                    _far_field(kernels, bufs, states, n + 1, spectra, heads)
+    return states[:n_given]
 
 
 def _check_inputs(system, grid, increments):

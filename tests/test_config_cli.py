@@ -74,6 +74,59 @@ def test_config_field_paths_in_errors():
     assert "monte_carlo.n_paths" in str(err.value)
 
 
+# a key the parser does not read would leave its field at the default
+@pytest.mark.parametrize("keys,value,field", [
+    pytest.param(("criteria", "epsilom"), 0.01, "criteria.epsilom", id="misspelled"),
+    pytest.param(("system", "coefficients", "c_g"), 0.2, "system.coefficients.c_g",
+                 id="other-family"),
+    pytest.param(("system", "coefficients", "allow_nonvanishing"), True,
+                 "system.coefficients.allow_nonvanishing", id="removed"),
+    pytest.param(("grid", "dt"), 0.1, "grid.dt", id="grid"),
+    pytest.param(("monte_carlo", "workers"), 2, "monte_carlo.workers", id="monte_carlo"),
+    pytest.param(("output", "paths"), True, "output.paths", id="output"),
+    pytest.param(("system", "order"), 0.75, "system.order", id="system"),
+    pytest.param(("seed",), 1, "<root>.seed", id="root"),
+])
+def test_unknown_keys_are_refused(keys, value, field):
+    doc = benchmark_doc()
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value) == f"{field}: unknown key"
+
+
+@pytest.mark.parametrize("key", ["system", "grid", "monte_carlo", "criteria", "output"])
+@pytest.mark.parametrize("value", [[1.0], 0.5, "x"])
+def test_blocks_that_are_not_objects_are_refused(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(benchmark_doc(**{key: value}))
+    assert str(err.value) == f"{key}: expected an object"
+
+
+def test_every_family_parses_its_own_parameters():
+    for coefficients in ({"family": "zero"}, {"family": "additive", "sigma": 0.3},
+                         {"family": "bounded_smooth", "c_g": 0.2, "c_b": 0.1, "c_s": 0.1}):
+        doc = benchmark_doc()
+        doc["system"]["coefficients"] = coefficients
+        cfg = parse_config(doc)
+        assert cfg.coeff_params == {k: v for k, v in coefficients.items() if k != "family"}
+    assert parse_config(benchmark_doc()).coeff_params == {"G": [[0.05]], "B": [[0.05]],
+                                                          "S": [[0.05]]}
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "convergence"])
+def test_unknown_key_exits_1_without_output(tmp_path, capsys, command):
+    doc = benchmark_doc()
+    doc["criteria"]["epsilom"] = 0.01
+    out = tmp_path / "out"
+    assert main([command, "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: criteria.epsilom: unknown key\n"
+    assert not out.exists()
+
+
 def test_additive_family_simulates_without_a_delta(tmp_path):
     # the family fails the vanishing-at-zero hypothesis, which the
     # certificate reports; the run itself is not refused

@@ -1,5 +1,8 @@
 """Moment curves, weighted norms, decay fits, and stability verdicts."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,55 @@ def test_deterministic_replicated_paths_zero_half_width():
     np.testing.assert_allclose(
         curve.m, np.linalg.norm(single.values[0, 1:], axis=1) ** 2, rtol=1e-14
     )
+
+
+def whole_array_curve(ensemble, p, weighted):
+    """(mean, half-width) of the curve in one reduction over all nodes."""
+    block = ensemble.weighted if weighted else ensemble.values[:, 1:, :]
+    powers = np.linalg.norm(block, axis=2) ** p
+    mean = powers.mean(axis=0)
+    if ensemble.n_paths < 30:
+        return mean, np.full_like(mean, np.nan)
+    return mean, 1.959963984540054 * powers.std(axis=0, ddof=1) / math.sqrt(ensemble.n_paths)
+
+
+# blocks of nodes are sized from P * dim: one block below P = 30, 65, 32 or
+# 21 nodes at P = 1000; at dim 2 the 1025 weighted nodes leave a lone last
+# node, which joins the block before it
+@pytest.mark.parametrize("n_paths", [1, 29, 30, 1000])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_node_blocked_curve_keeps_the_whole_array_bits(n_paths, dim):
+    rng = np.random.default_rng(n_paths * 10 + dim)
+    grid = TimeGrid(T=1.0, N=1024)
+    # magnitudes over ten decades, so the order of every sum shows in its bits
+    scale = 10.0 ** rng.uniform(-5, 5, (n_paths, 1, 1))
+    w = rng.standard_normal((n_paths, grid.N + 1, dim)) * scale
+    ens = make_ensemble(w, grid)
+    for p in (1, 2, 3):
+        for weighted in (True, False):
+            curve = pth_moment_curve(ens, p, weighted=weighted)
+            mean, half = whole_array_curve(ens, p, weighted)
+            assert curve.m.tobytes() == mean.tobytes()
+            assert curve.half_width.tobytes() == half.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_moment_curve_allocates_well_below_an_ensemble(dim):
+    n_paths, grid = 1000, TimeGrid(T=1.0, N=1024)
+    w = np.random.default_rng(dim).standard_normal((n_paths, grid.N + 1, dim))
+    ens = make_ensemble(w, grid)
+    array_bytes = w.nbytes
+    tracemalloc.start()
+    try:
+        for weighted in (True, False):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            pth_moment_curve(ens, 2, weighted=weighted)
+            extra = tracemalloc.get_traced_memory()[1] - base
+            # a whole-array reduction allocated 3 (dim 1) or 2 (dim 2) arrays
+            assert extra <= 0.5 * array_bytes, extra / array_bytes
+    finally:
+        tracemalloc.stop()
 
 
 def test_unweighted_curve_excludes_origin():

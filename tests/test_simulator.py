@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -225,8 +226,12 @@ def direct_sum_march(system, grid, ens, scheme, c_g):
 
 
 # N = 256 and 300 run the far field at two and three block levels (base
-# block 64); 300 also ends on a partial block
-@pytest.mark.parametrize("dim,n_steps", [(1, 256), (2, 300)])
+# block 64); 300 also ends on a partial block.  For the marches' history
+# rings: 64 is a single base block, 65 wraps its ring of 64 rows, 1024
+# sums node N's history in two halves, and 1088 ends on c = N with N not a
+# power of two
+@pytest.mark.parametrize("dim,n_steps", [(1, 256), (2, 300), (1, 64), (2, 65), (1, 1024),
+                                         (2, 1088)])
 @pytest.mark.parametrize("scheme", sorted(ENSEMBLE_SCHEMES))
 def test_scheme_determinism_and_chunk_independence(scheme, dim, n_steps):
     coeffs = make_bounded_smooth(0.2, 0.1, 0.1)
@@ -245,18 +250,23 @@ def test_scheme_determinism_and_chunk_independence(scheme, dim, n_steps):
 
 
 # Decaying kernels at N = 256 and 300 (two and three block levels, the
-# latter ending on a partial block) and 1029 (an edge block of six nodes,
-# summed directly), then matrices outside the stability
-# sector, where the mild kernel grows like e^(c t): one rate, two rates on
-# the diagonal, a growing oscillation.  At T = 50 one top-level far-field
-# block spans 25 (N = 512) or 21 (N = 300) time units, so an unbalanced
-# transform loses every digit on the growing paths.
+# latter ending on a partial block), 1029 (an edge block of six nodes,
+# summed directly) and the history rings' N = 64, 65, 1024 and 1088 (see
+# test_scheme_determinism_and_chunk_independence), then matrices outside
+# the stability sector, where the mild kernel grows like e^(c t): one rate,
+# two rates on the diagonal, a growing oscillation.  At T = 50 one
+# top-level far-field block spans 25 (N = 512) or 21 (N = 300) time units,
+# so an unbalanced transform loses every digit on the growing paths.
 @pytest.mark.parametrize("a_mat,T,n_steps", [
     pytest.param([[-1.0]], 4.0, 256, id="scalar-256"),
     pytest.param([[-1.0]], 4.0, 300, id="scalar-300"),
     pytest.param([[-1.0, 0.3], [-0.2, -2.0]], 4.0, 300, id="planar-300"),
     pytest.param([[-1.0]], 4.0, 1029, id="scalar-1029"),
     pytest.param([[-1.0, 0.3], [-0.2, -2.0]], 4.0, 1029, id="planar-1029"),
+    pytest.param([[-1.0]], 4.0, 64, id="scalar-64"),
+    pytest.param([[-1.0, 0.3], [-0.2, -2.0]], 4.0, 65, id="planar-65"),
+    pytest.param([[-1.0]], 4.0, 1024, id="scalar-1024"),
+    pytest.param([[-1.0, 0.3], [-0.2, -2.0]], 4.0, 1088, id="planar-1088"),
     pytest.param([[1.0]], 50.0, 512, id="one-rate"),
     pytest.param([[1.0, 0.0], [0.0, 0.3]], 50.0, 300, id="two-rates"),
     pytest.param([[0.5, 0.3], [-0.2, 0.2]], 50.0, 300, id="rotation"),
@@ -276,6 +286,67 @@ def test_march_matches_direct_sum_reference(scheme, a_mat, T, n_steps):
     gap = np.max(np.abs(out.values[:, 1:] - ref[:, 1:]), axis=2)
     scale = np.maximum.accumulate(np.max(np.abs(ref[:, 1:]), axis=2), axis=1)
     assert np.all(gap <= 1e-12 * scale), np.max(gap / scale)
+
+
+def node_calls_only(f):
+    """A plain function, without a declared neutral solve, that refuses a
+    call on more than one time."""
+
+    def call(t, x):
+        if np.ndim(t):
+            raise AssertionError("a coefficient called on a block of times")
+        return f(t, x)
+
+    return call
+
+
+# The march keeps its histories in rings of half the grid (N = 128, 1024) or
+# of 1024 rows (N = 1088) and calls each coefficient once per node; its
+# states are the bits of the march over full-length histories
+@pytest.mark.parametrize("n_steps", [128, 1024, 1088])
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_history_rings_keep_the_bits_of_full_histories(monkeypatch, scheme, n_steps):
+    sine = make_bounded_smooth(0.2, 0.3, 0.3)
+    coeffs = CoefficientSet(g=node_calls_only(sine.g), b=node_calls_only(sine.b),
+                            sigma=node_calls_only(sine.sigma), L_g=0.2, L_b=0.3, L_sigma=0.3)
+    system = planar_system(coeffs)
+    grid = TimeGrid(T=4.0, N=n_steps)
+    ens = brownian_increments(grid, 5, 8)
+    out = SCHEMES[scheme](system, grid, ens)
+    monkeypatch.setattr(simulator, "_ring_rows", lambda n: n)
+    full = SCHEMES[scheme](system, grid, ens)
+    assert out.values.tobytes() == full.values.tobytes()
+
+
+def test_lone_path_keeps_its_bits_on_a_long_grid():
+    # node N of N = 2^15 sums its 32768 lags directly, in two halves of
+    # 16384, which numpy would take in chunks for a one-path sum
+    system = scalar_system()
+    grid = TimeGrid(T=50.0, N=32768)
+    ens = brownian_increments(grid, 2, 9)
+    pair = simulate_mild(system, grid, ens)
+    alone = simulate_mild(system, grid, row_slice(ens, 1, 2))
+    assert pair.values[1:].tobytes() == alone.values.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_march_allocates_about_two_ensembles(dim):
+    coeffs = make_linear(0.05 * np.eye(dim), 0.05 * np.eye(dim), 0.05 * np.eye(dim))
+    system = scalar_system(coeffs=coeffs) if dim == 1 else planar_system(coeffs)
+    grid = TimeGrid(T=50.0, N=1024)
+    ens = brownian_increments(grid, 1000, 4)
+    array_bytes = 1000 * (grid.N + 1) * dim * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = simulate_mild(system, grid, ens)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the states and the weighted states, or the states and two rings of
+    # half the grid; full-length histories and a weighting temporary made 3.1
+    assert peak <= 2.6 * array_bytes, peak / array_bytes
+    assert out.weighted.nbytes == array_bytes
 
 
 # A far-field block cut short by the end of the grid has R < L targets.

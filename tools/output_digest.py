@@ -12,6 +12,9 @@ Covered outputs:
   (seed 1, N = 300), the ``scalar_long`` system (N = 2048), the rotation
   [[0.5, 0.3], [-0.2, 0.2]] and diag(1, 0.3), all at alpha = 0.75 and
   T = 50;
+* ``values`` and ``weighted`` of the mild and integral-form marches on the
+  same systems at N = 64 (one base block) and N = 1088 (a history ring of
+  1024 rows, ending on a far-field block at c = N);
 * ``rl_integral_grid`` on 1-D and three-column samples of several lengths
   for a in {0.3, 0.75, 1};
 * every field of ``kernel_bounds_profile``'s report, ``conv_running``
@@ -111,6 +114,16 @@ def scheme_lines():
             yield f"{name} picard[{i}]", outcome(picard_path_solve, system, grid,
                                                  ens.increments[i])
         yield f"{name} simulate_picard", outcome(simulate_picard, system, grid, ens)
+
+
+def ring_lines():
+    for name, system, _, n_paths in systems():
+        for n_steps in (64, 1088):
+            grid = TimeGrid(T=50.0, N=n_steps)
+            ens = brownian_increments(grid, n_paths, 1)
+            yield f"{name} N={n_steps} mild", outcome(simulate_mild, system, grid, ens)
+            yield (f"{name} N={n_steps} integral_form",
+                   outcome(simulate_integral_form, system, grid, ens))
 
 
 def rl_lines():
@@ -253,7 +266,8 @@ def cli_lines():
 
 
 def main_digest():
-    for section in (scheme_lines, rl_lines, profile_lines, certificate_lines, cli_lines):
+    for section in (scheme_lines, ring_lines, rl_lines, profile_lines, certificate_lines,
+                    cli_lines):
         for label, line in section():
             print(f"{label}: {line}", flush=True)
     return 0
