@@ -7,7 +7,7 @@ The package splits into:
   discrete Riemann-Liouville operators,
 * :mod:`fracstab.spectral`     spectra, the sector condition, long-horizon
   kernel profiles,
-* :mod:`fracstab.coefficients` coefficient families and their verifiers,
+* :mod:`fracstab.coefficients` coefficient families and their neutral solves,
 * :mod:`fracstab.criteria`     closed-form stability constants and the
   certificate,
 * :mod:`fracstab.simulator`    Brownian ensembles and the path schemes,
@@ -22,8 +22,6 @@ from .coefficients import (
     make_additive_noise,
     make_bounded_smooth,
     make_linear,
-    verify_lipschitz,
-    verify_vanishing,
 )
 from .criteria import (
     Certificate,
@@ -40,7 +38,6 @@ from .fraccalc import (
     gamma_fn,
     ml_kernel,
     ml_scalar,
-    rl_derivative_grid,
     rl_integral_grid,
 )
 from .moments import (
@@ -55,7 +52,6 @@ from .simulator import (
     SystemSpec,
     TimeGrid,
     brownian_increments,
-    closed_form_homogeneous,
     picard_path_solve,
     simulate_integral_form,
     simulate_mild,

@@ -215,7 +215,7 @@ def cmd_simulate(args) -> int:
                   + [f"value_{k}" for k in range(dim)])
         nodes = ensemble.grid.nodes
         rows = []
-        for i in range(ensemble.n_paths):
+        for i in range(ensemble.weighted.shape[0]):
             for j in range(ensemble.grid.N + 1):
                 vals = ["" if j == 0 else _fmt(v) for v in ensemble.values[i, j]]
                 rows.append([i, j, nodes[j], *ensemble.weighted[i, j], *vals])
@@ -249,8 +249,9 @@ def cmd_convergence(args) -> int:
     fine_n = 16 * base_n
     fine_grid = TimeGrid(T=cfg.T, N=fine_n)
     fine = brownian_increments(fine_grid, cfg.n_paths, cfg.master_seed)
-    ref = _simulate(system, fine_grid, fine, scheme)
-    scale = float(np.nanmax(np.abs(ref.weighted)))
+    # only the reference's weighted states are read: its values go at once
+    ref = _simulate(system, fine_grid, fine, scheme).weighted
+    scale = float(max(np.nanmax(ref), -np.nanmin(ref)))
     floor = 1e-11 * max(scale, 1.0)
     rows = []
     prev_err = None
@@ -258,12 +259,9 @@ def cmd_convergence(args) -> int:
         factor = fine_n // n_steps
         grid = TimeGrid(T=cfg.T, N=n_steps)
         coarse = BrownianEnsemble(
-            increments=fine.increments.reshape(cfg.n_paths, n_steps, factor).sum(axis=2),
-            master_seed=cfg.master_seed,
-            n_paths=cfg.n_paths,
-        )
+            increments=fine.increments.reshape(cfg.n_paths, n_steps, factor).sum(axis=2))
         ens = _simulate(system, grid, coarse, scheme)
-        ref_nodes = ref.weighted[:, ::factor, :]
+        ref_nodes = ref[:, ::factor, :]
         err = float(np.mean(np.max(np.abs(ens.weighted - ref_nodes), axis=(1, 2))))
         if err <= floor:
             order = "saturated"

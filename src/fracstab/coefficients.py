@@ -1,4 +1,4 @@
-"""Coefficient triples (g, b, sigma) of the neutral system and their verifiers.
+"""Coefficient triples (g, b, sigma) of the neutral system and their neutral solves.
 
 Coefficients map (t, x) -> R^n and must be globally Lipschitz in x with
 declared constants and vanish at x = 0 for the stability theory to apply.
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,12 +53,9 @@ from .spectral import matrix_norm
 
 __all__ = [
     "CoefficientSet",
-    "LipschitzReport",
     "make_linear",
     "make_bounded_smooth",
     "make_additive_noise",
-    "verify_lipschitz",
-    "verify_vanishing",
 ]
 
 CoefficientFn = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
@@ -78,13 +75,6 @@ class CoefficientSet:
         for name, val in (("L_g", self.L_g), ("L_b", self.L_b), ("L_sigma", self.L_sigma)):
             if not val >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {val}")
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    max_ratio: float
-    passed: bool
-    witness: tuple = field(default=())
 
 
 def _apply_matrix(mat, x):
@@ -361,41 +351,3 @@ def make_additive_noise(s, dim=1) -> CoefficientSet:
         L_sigma=0.0,
         assumptions_verified=False,
     )
-
-
-def verify_lipschitz(f, L_declared, n, n_trials=1000, seed=0, radius=10.0, horizon=1.0):
-    """Random search for Lipschitz violations of ``f`` against ``L_declared``.
-
-    Samples pairs from the ball of radius 10 and times in [0, horizon];
-    passes iff the largest observed ratio ||f(t,x)-f(t,y)|| / ||x-y|| stays
-    within L*(1+1e-9).  A failing report carries the witness (t, x, y).
-    """
-    if n_trials < 100:
-        raise ValueError("verify_lipschitz requires n_trials >= 100")
-    rng = np.random.default_rng(seed)
-    max_ratio = 0.0
-    witness = ()
-    for _ in range(n_trials):
-        x = rng.uniform(-radius, radius, size=n)
-        y = rng.uniform(-radius, radius, size=n)
-        if not np.any(x != y):
-            continue
-        t = rng.uniform(0.0, horizon)
-        num = np.linalg.norm(np.asarray(f(t, x)) - np.asarray(f(t, y)))
-        den = np.linalg.norm(x - y)
-        ratio = num / den
-        if ratio > max_ratio:
-            max_ratio = ratio
-            witness = (t, x.copy(), y.copy())
-    passed = max_ratio <= L_declared * (1.0 + 1e-9)
-    return LipschitzReport(max_ratio=float(max_ratio), passed=bool(passed),
-                           witness=() if passed else witness)
-
-
-def verify_vanishing(f, T=1.0, n_nodes=64, n=1) -> bool:
-    """True iff ||f(t, 0)|| <= 1e-14 on a uniform time grid over [0, T]."""
-    zero = np.zeros(n)
-    for t in np.linspace(0.0, T, n_nodes + 1):
-        if np.linalg.norm(np.asarray(f(float(t), zero))) > 1e-14:
-            return False
-    return True

@@ -16,14 +16,7 @@ class CriterionError(FracstabError, ValueError):
 
 class ProfileDivergenceError(FracstabError, RuntimeError):
     """A long-horizon profile grew through the end of its grid: either the
-    matrix is out of the stability sector or the horizon is too short.
-
-    Carries the partial profile in ``partial`` when available.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    matrix is out of the stability sector or the horizon is too short."""
 
 
 class SimulationNumericError(FracstabError, RuntimeError):

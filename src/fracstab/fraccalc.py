@@ -1,5 +1,5 @@
-"""Scalar and matrix Mittag-Leffler functions and discrete Riemann-Liouville
-operators on uniform grids.
+"""Scalar and matrix Mittag-Leffler functions and the discrete
+Riemann-Liouville integral on uniform grids.
 
 The two-parameter Mittag-Leffler function
 
@@ -50,7 +50,7 @@ The Riemann-Liouville integral I^a f(t) = (1/Gamma(a)) int_0^t (t-r)^(a-1) f(r) 
 is discretised by product integration: the kernel factor is integrated
 exactly against a piecewise-constant left-value interpolant of f, matching
 the Ito (left-point) convention of the stochastic quadrature elsewhere in
-the package.  D^a is the backward difference of I^(1-a).
+the package.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ __all__ = [
     "ml_scalar",
     "ml_kernel",
     "rl_integral_grid",
-    "rl_derivative_grid",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -549,21 +548,3 @@ def rl_integral_grid(samples, alpha, dt):
     out *= dt**alpha / gamma_fn(alpha + 1.0)
     out[:1] = 0.0
     return out[:, 0] if squeeze else out
-
-
-def rl_derivative_grid(samples, alpha, dt):
-    """Riemann-Liouville derivative D^a = d/dt I^(1-a) on a uniform grid.
-
-    Backward first difference of the product-integrated I^(1-a).  Node 0 is
-    set to zero and is not meaningful; the composition identity
-    D^a(I^a f) = f holds away from t = 0 at first order in dt.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"rl_derivative_grid requires alpha in (0, 1), got {alpha}")
-    f = np.asarray(samples, dtype=float)
-    if f.shape[0] < 3:
-        raise ValueError("rl_derivative_grid needs at least 3 grid nodes")
-    lower = rl_integral_grid(f, 1.0 - alpha, dt)
-    out = np.zeros_like(lower)
-    out[1:] = np.diff(lower, axis=0) / dt
-    return out

@@ -77,7 +77,7 @@ def pth_moment_curve(ensemble: PathEnsemble, p: int, weighted: bool) -> MomentCu
     else:
         states = ensemble.values[:, 1:, :]
         nodes = ensemble.grid.nodes[1:]
-    n_paths = ensemble.n_paths
+    n_paths = ensemble.weighted.shape[0]
     n_nodes, dim = states.shape[1:]
     mean = np.empty(n_nodes)
     half = np.full(n_nodes, np.nan)

@@ -103,7 +103,6 @@ __all__ = [
     "simulate_integral_form",
     "simulate_picard",
     "picard_path_solve",
-    "closed_form_homogeneous",
 ]
 
 
@@ -168,8 +167,6 @@ class BrownianEnsemble:
     """
 
     increments: np.ndarray
-    master_seed: int
-    n_paths: int
 
 
 @dataclass(frozen=True)
@@ -185,8 +182,6 @@ class PathEnsemble:
     weighted: np.ndarray
     grid: TimeGrid
     scheme_tag: str
-    master_seed: int
-    n_paths: int
 
 
 @dataclass(frozen=True)
@@ -208,7 +203,7 @@ def brownian_increments(grid: TimeGrid, n_paths: int, master_seed: int) -> Brown
         seq = np.random.SeedSequence(master_seed, spawn_key=(i,))
         rng = np.random.Generator(np.random.Philox(seq))
         out[i] = rng.standard_normal(grid.N) * sqrt_dt
-    return BrownianEnsemble(increments=out, master_seed=int(master_seed), n_paths=int(n_paths))
+    return BrownianEnsemble(increments=out)
 
 
 def _cell_weights(alpha, grid):
@@ -417,7 +412,7 @@ def _check_finite(x, n, scheme):
     )
 
 
-def _package(values, system, grid, tag, master_seed):
+def _package(values, system, grid, tag):
     """Assemble a PathEnsemble from the states (P, N+1, dim), taken over."""
     alpha = system.order.alpha
     times = grid.nodes
@@ -425,8 +420,7 @@ def _package(values, system, grid, tag, master_seed):
     weighted = np.empty_like(values)
     weighted[:, 0, :] = system.rho / gamma_fn(alpha)
     np.multiply(times[None, 1:, None] ** (1.0 - alpha), values[:, 1:, :], out=weighted[:, 1:, :])
-    return PathEnsemble(values=values, weighted=weighted, grid=grid, scheme_tag=tag,
-                        master_seed=master_seed, n_paths=values.shape[0])
+    return PathEnsemble(values=values, weighted=weighted, grid=grid, scheme_tag=tag)
 
 
 def _march(system, grid, ensemble, scheme, scheme_tag):
@@ -509,7 +503,7 @@ def simulate_mild(system: SystemSpec, grid: TimeGrid,
     matrix is not finite (it overflowed).
     """
     states = _march(system, grid, ensemble, _mild_scheme(system, grid), "mild")
-    return _package(states, system, grid, "mild", ensemble.master_seed)
+    return _package(states, system, grid, "mild")
 
 
 def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble,
@@ -544,7 +538,7 @@ def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: Brownia
               (inv_gamma * kappa)[:, None, None] * eye, drift)
     tag = "integral_form_as_printed" if as_printed else "integral_form"
     states = _march(system, grid, ensemble, scheme, tag)
-    return _package(states, system, grid, tag, ensemble.master_seed)
+    return _package(states, system, grid, tag)
 
 
 # Stopping rule of every Picard solve (see picard_path_solve)
@@ -562,7 +556,7 @@ def simulate_picard(system: SystemSpec, grid: TimeGrid,
     :class:`SimulationNumericError` naming its paths.
     """
     states, _, _ = _picard(system, grid, ensemble.increments)
-    return _package(states, system, grid, "picard", ensemble.master_seed)
+    return _package(states, system, grid, "picard")
 
 
 def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments) -> PicardResult:
@@ -587,7 +581,7 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments) -> Pi
     if inc.ndim != 1 or inc.shape[0] != grid.N:
         raise ValueError(f"path_increments must have shape ({grid.N},)")
     states, iterations, ratios = _picard(system, grid, inc[None])
-    ens = _package(states, system, grid, "picard", 0)
+    ens = _package(states, system, grid, "picard")
     return PicardResult(values=ens.values[0], weighted=ens.weighted[0], grid=grid,
                         iterations=int(iterations[0]), contraction_ratio=float(ratios[0]))
 
@@ -656,22 +650,3 @@ def _picard(system, grid, increments):
                 f"{_PICARD_MAX_SWEEPS} sweeps; last contraction ratio estimate {ratio[0]:.4g}"
             )
     return states, iterations, ratios
-
-
-def closed_form_homogeneous(a_mat, rho, alpha, grid: TimeGrid) -> PathEnsemble:
-    """Exact homogeneous solution X(t) = t^(a-1) E_{a,a}(t^a A) rho.
-
-    Returned as a single deterministic path (NaN value at node 0; weighted
-    value rho/Gamma(a) there).  For alpha = 1 this reduces to exp(t A) rho.
-    """
-    a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    dim = a_mat.shape[0]
-    times = grid.nodes[1:]
-    vals = np.full((1, grid.N + 1, dim), np.nan)
-    weighted = np.empty((1, grid.N + 1, dim))
-    weighted[0, 0] = rho / gamma_fn(alpha)
-    weighted[0, 1:] = np.einsum("nij,j->ni", ml_kernel(alpha, alpha, a_mat, times), rho)
-    vals[0, 1:] = times[:, None] ** (alpha - 1.0) * weighted[0, 1:]
-    return PathEnsemble(values=vals, weighted=weighted, grid=grid,
-                        scheme_tag="closed_form", master_seed=0, n_paths=1)

@@ -215,8 +215,7 @@ def kernel_bounds_profile(a_mat, alpha) -> KernelBoundsReport:
     if not verdict.in_sector:
         raise ProfileDivergenceError(
             "spectrum outside the stability sector, the kernel profile diverges; "
-            f"margin={verdict.margin:.4g}, offending={verdict.offending_eigenvalue}",
-            partial={"sector": verdict},
+            f"margin={verdict.margin:.4g}, offending={verdict.offending_eigenvalue}"
         )
 
     times = np.arange(PROFILE_NODES + 1) * (PROFILE_T_MAX / PROFILE_NODES)
@@ -230,8 +229,7 @@ def kernel_bounds_profile(a_mat, alpha) -> KernelBoundsReport:
     if increasing[-1] or not np.any(~increasing):
         raise ProfileDivergenceError(
             "t^(2a)||E_{a,a}(t^a A)|| still grows at the end of the grid "
-            f"(t_max={PROFILE_T_MAX}); no plateau found",
-            partial={"times": times, "phi": phi},
+            f"(t_max={PROFILE_T_MAX}); no plateau found"
         )
     last_growth = int(np.nonzero(increasing)[0][-1])
     i0 = last_growth + 1
@@ -252,8 +250,7 @@ def kernel_bounds_profile(a_mat, alpha) -> KernelBoundsReport:
     if growth > 0.10:
         raise ProfileDivergenceError(
             "running supremum of the weighted singular convolution grew "
-            f"{growth:.1%} over the last decade of t; profile has not stabilised",
-            partial={"times": times, "conv": conv},
+            f"{growth:.1%} over the last decade of t; profile has not stabilised"
         )
 
     return KernelBoundsReport(

@@ -1,4 +1,4 @@
-"""Coefficient families, their exact neutral solves and their empirical verifiers."""
+"""Coefficient families, their declared constants and their exact neutral solves."""
 
 import dataclasses
 import functools
@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fracstab import (
-    make_additive_noise,
-    make_bounded_smooth,
-    make_linear,
-    verify_lipschitz,
-    verify_vanishing,
-)
+from fracstab import make_additive_noise, make_bounded_smooth, make_linear
 from fracstab.coefficients import (NEUTRAL_TOL, _neutral_solver, _newton_schedule,
                                    _solve_neutral)
 
@@ -76,38 +70,22 @@ def test_bounded_smooth_family():
 
 
 def test_builtin_families_pass_verifiers():
+    # random search for a Euclidean ratio ||f(t,x)-f(t,y)|| / ||x-y|| above the
+    # declared constant, pairs from the ball of radius 10, times in [0, 1]
     families = [
         make_linear(0.05 * np.eye(2), 0.1 * np.eye(2), np.array([[0.0, 0.1], [0.0, 0.0]])),
         make_bounded_smooth(0.2, 0.1, 0.05),
     ]
+    times = np.linspace(0.0, 1.0, 65)[:, None]
     for cs in families:
         for fn, L in ((cs.g, cs.L_g), (cs.b, cs.L_b), (cs.sigma, cs.L_sigma)):
-            report = verify_lipschitz(fn, L, n=2, n_trials=400, seed=7)
-            assert report.passed, (L, report.max_ratio)
-            assert report.max_ratio <= L * (1 + 1e-9)
-            assert verify_vanishing(fn, n=2)
+            rng = np.random.default_rng(7)
+            x, y = rng.uniform(-10.0, 10.0, size=(2, 400, 2))
+            t = rng.uniform(0.0, 1.0, size=(400, 1))
+            ratio = np.linalg.norm(fn(t, x) - fn(t, y), axis=1) / np.linalg.norm(x - y, axis=1)
+            assert ratio.max() <= L * (1 + 1e-9), (L, ratio.max())
+            assert np.linalg.norm(fn(times, np.zeros((65, 2))), axis=1).max() <= 1e-14
         assert cs.assumptions_verified
-
-
-def test_lipschitz_failure_reports_witness():
-    cs = make_linear(0.4 * np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
-    report = verify_lipschitz(cs.g, cs.L_g / 2.0, n=2, n_trials=500, seed=1)
-    assert not report.passed
-    assert report.max_ratio > cs.L_g / 2.0
-    t, x, y = report.witness
-    assert np.linalg.norm(cs.g(t, x) - cs.g(t, y)) == pytest.approx(
-        report.max_ratio * np.linalg.norm(x - y)
-    )
-
-
-def test_verify_lipschitz_needs_enough_trials():
-    with pytest.raises(ValueError):
-        verify_lipschitz(lambda t, x: x, 1.0, n=1, n_trials=10)
-
-
-def test_verify_vanishing_on_custom_maps():
-    assert not verify_vanishing(lambda t, x: x + 1.0, n=3)
-    assert verify_vanishing(lambda t, x: t * x, n=3)
 
 
 def test_additive_noise_family_flags():
@@ -116,7 +94,8 @@ def test_additive_noise_family_flags():
     x = np.ones((5, 2))
     np.testing.assert_array_equal(cs.sigma(0.0, x), np.full((5, 2), 0.3))
     assert not cs.g(0.0, x).any()
-    assert not verify_vanishing(cs.sigma, n=2)
+    # does not vanish at zero
+    np.testing.assert_array_equal(cs.sigma(0.0, np.zeros(2)), [0.3, 0.3])
 
 
 def test_negative_declared_constant_rejected():

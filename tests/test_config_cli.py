@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracstab import closed_form_homogeneous, gamma_fn, ml_scalar, simulator
+from fracstab import gamma_fn, ml_scalar, simulator
 from fracstab.cli import main
 from fracstab.config import load_config, parse_config
 from fracstab.errors import ConfigError, ConvergenceError
 from fracstab.simulator import TimeGrid
 
+from homogeneous import closed_form_homogeneous
 from oracle_fixtures import ML_A075_B075_ZM30P30J
 
 

@@ -14,7 +14,6 @@ from fracstab import (
     beta_fn,
     caputo_ms_criterion,
     certify,
-    closed_form_homogeneous,
     delta_for_epsilon,
     make_additive_noise,
     make_linear,
@@ -26,6 +25,8 @@ from fracstab import (
 )
 from fracstab.criteria import c_p, neutral_gate
 from fracstab.errors import CriterionError
+
+from homogeneous import closed_form_homogeneous
 
 
 # Oracle: the same constants written out directly from their definitions,

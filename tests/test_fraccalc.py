@@ -1,4 +1,4 @@
-"""Special functions and discrete fractional operators."""
+"""Special functions and the discrete fractional integral."""
 
 import cmath
 import math
@@ -16,7 +16,6 @@ from fracstab import (
     ml_kernel,
     ml_norm_sup,
     ml_scalar,
-    rl_derivative_grid,
     rl_integral_grid,
 )
 from fracstab.errors import AccuracyWarning
@@ -638,56 +637,11 @@ def test_rl_integral_matches_loop_reference(alpha, n_nodes):
     np.testing.assert_array_equal(rl_integral_grid(samples[:, 1], alpha, dt), out[:, 1])
 
 
-def test_rl_derivative_of_integral_recovers_f():
-    n_steps = 512
-    dt = 1.0 / n_steps
-    t = np.arange(n_steps + 1) * dt
-    f = np.sin(t) + 1.5
-    for alpha in (0.6, 0.75, 0.9):
-        back = rl_derivative_grid(rl_integral_grid(f, alpha, dt), alpha, dt)
-        sel = t >= 0.25
-        assert np.max(np.abs(back[sel] - f[sel])) < 0.02, alpha
-
-
-def test_rl_composition_error_shrinks_under_refinement():
-    for alpha in (0.6, 0.75, 0.9):
-        errs = []
-        for n_steps in (128, 256):
-            dt = 1.0 / n_steps
-            t = np.arange(n_steps + 1) * dt
-            f = 1.0 + t + t**2
-            back = rl_derivative_grid(rl_integral_grid(f, alpha, dt), alpha, dt)
-            sel = t >= 0.25
-            errs.append(np.max(np.abs(back[sel] - f[sel])))
-        assert errs[1] < errs[0]
-
-
-def test_rl_derivative_annihilates_singular_mode():
-    # D^a t^(a-1) = 0; the discrete residual shrinks under refinement
-    alpha = 0.75
-    prev = None
-    for n_steps in (256, 512, 1024):
-        dt = 1.0 / n_steps
-        t = np.arange(n_steps + 1) * dt
-        f = np.zeros(n_steps + 1)
-        f[1:] = t[1:] ** (alpha - 1.0)
-        out = rl_derivative_grid(f, alpha, dt)
-        resid = np.max(np.abs(out[t >= 0.5]))
-        if prev is not None:
-            assert resid < prev
-        prev = resid
-    assert prev < 0.05
-
-
 def test_rl_operator_validation():
     with pytest.raises(ValueError):
         rl_integral_grid(np.ones(8), 1.5, 0.1)
     with pytest.raises(ValueError):
         rl_integral_grid(np.ones(8), 0.5, 0.0)
-    with pytest.raises(ValueError):
-        rl_derivative_grid(np.ones(2), 0.75, 0.1)
-    with pytest.raises(ValueError):
-        rl_derivative_grid(np.ones(8), 1.0, 0.1)
 
 
 def test_rl_integral_vector_valued():

@@ -13,7 +13,6 @@ from fracstab import (
     SystemSpec,
     TimeGrid,
     brownian_increments,
-    closed_form_homogeneous,
     gamma_fn,
     make_additive_noise,
     make_linear,
@@ -22,6 +21,8 @@ from fracstab import (
     stability_verdict,
 )
 from fracstab.simulator import PathEnsemble
+
+from homogeneous import closed_form_homogeneous
 
 ORDER = FractionalOrder(0.75, 2)
 
@@ -39,8 +40,7 @@ def make_ensemble(weighted_values, grid):
     vals = np.empty_like(w)
     vals[:, 0] = np.nan
     vals[:, 1:] = w[:, 1:] / (t[None, 1:, None] ** (1.0 - ORDER.alpha))
-    return PathEnsemble(values=vals, weighted=w, grid=grid, scheme_tag="synthetic",
-                        master_seed=0, n_paths=w.shape[0])
+    return PathEnsemble(values=vals, weighted=w, grid=grid, scheme_tag="synthetic")
 
 
 def test_zero_ensemble_gives_zero_curves():
@@ -60,7 +60,7 @@ def test_deterministic_replicated_paths_zero_half_width():
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([1.0]), 0.75, grid)
     stacked = PathEnsemble(values=np.repeat(single.values, 40, axis=0),
                            weighted=np.repeat(single.weighted, 40, axis=0),
-                           grid=grid, scheme_tag="closed_form", master_seed=0, n_paths=40)
+                           grid=grid, scheme_tag="closed_form")
     curve = pth_moment_curve(stacked, 2, weighted=False)
     assert np.all(curve.half_width <= 1e-12 * np.maximum(curve.m, 1e-300))
     np.testing.assert_allclose(
@@ -73,9 +73,10 @@ def whole_array_curve(ensemble, p, weighted):
     block = ensemble.weighted if weighted else ensemble.values[:, 1:, :]
     powers = np.linalg.norm(block, axis=2) ** p
     mean = powers.mean(axis=0)
-    if ensemble.n_paths < 30:
+    n_paths = block.shape[0]
+    if n_paths < 30:
         return mean, np.full_like(mean, np.nan)
-    return mean, 1.959963984540054 * powers.std(axis=0, ddof=1) / math.sqrt(ensemble.n_paths)
+    return mean, 1.959963984540054 * powers.std(axis=0, ddof=1) / math.sqrt(n_paths)
 
 
 # blocks of nodes are sized from P * dim: one block below P = 30, 65, 32 or
@@ -171,7 +172,7 @@ def test_weighted_sup_homogeneous_at_origin_and_scaling():
     assert int(np.argmax(curve.m)) == 0  # monotone decay confirmed by scan
     for c in (0.0, 0.5, 3.0):
         scaled = PathEnsemble(values=c * single.values, weighted=c * single.weighted,
-                              grid=grid, scheme_tag="closed_form", master_seed=0, n_paths=1)
+                              grid=grid, scheme_tag="closed_form")
         assert weighted_sup(scaled) == pytest.approx(c**2 * val, rel=1e-12)
 
 

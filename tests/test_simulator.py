@@ -20,7 +20,6 @@ from fracstab import (
     SystemSpec,
     TimeGrid,
     brownian_increments,
-    closed_form_homogeneous,
     gamma_fn,
     make_additive_noise,
     make_bounded_smooth,
@@ -35,6 +34,8 @@ from fracstab import (
 from fracstab import simulator
 from fracstab.coefficients import NEUTRAL_TOL, _solve_neutral
 from fracstab.errors import ConvergenceError, SimulationNumericError
+
+from homogeneous import closed_form_homogeneous
 
 ORDER = FractionalOrder(0.75, 2)
 
@@ -145,8 +146,7 @@ ENSEMBLE_SCHEMES = {**SCHEMES, "picard": simulate_picard}
 
 def row_slice(ens, lo, hi):
     """The paths lo .. hi - 1 of an ensemble, as an ensemble of their own."""
-    return BrownianEnsemble(increments=ens.increments[lo:hi], master_seed=ens.master_seed,
-                            n_paths=hi - lo)
+    return BrownianEnsemble(increments=ens.increments[lo:hi])
 
 
 def planar_system(coeffs):
@@ -208,7 +208,7 @@ def direct_sum_march(system, grid, ens, scheme, c_g):
             cell0 = (math.gamma(alpha) ** 2 / math.gamma(2 * alpha)
                      * betainc(alpha, alpha, grid.dt / t) * t ** (2 * alpha - 1))
             free[1:] += (inv_gamma * cell0)[:, None] * (a_mat @ rho) * inv_gamma
-    n_paths = ens.n_paths
+    n_paths = ens.increments.shape[0]
     x_hist = np.zeros((n_steps + 1, n_paths, dim))
     mem, b, s = (np.zeros((n_steps, n_paths, dim)) for _ in range(3))
     x = np.zeros((n_paths, dim))
@@ -468,8 +468,7 @@ def test_affine_scaling_in_initial_datum_and_noise():
     np.testing.assert_allclose(out2.values[:, 1:], 2.0 * out1.values[:, 1:], rtol=1e-10)
     # additive diffusion: the map (rho, noise) -> X is jointly affine, so
     # doubling both doubles every nodal value
-    doubled = BrownianEnsemble(increments=2.0 * ens.increments,
-                               master_seed=ens.master_seed, n_paths=ens.n_paths)
+    doubled = BrownianEnsemble(increments=2.0 * ens.increments)
     lin = make_linear([[0.05]], [[0.05]], [[0.0]])
     coeffs_add = CoefficientSet(g=lin.g, b=lin.b, sigma=make_additive_noise(0.2).sigma,
                                 L_g=lin.L_g, L_b=lin.L_b, L_sigma=0.0)
@@ -503,8 +502,7 @@ def test_scheme_coincidence_shrinks_with_resolution():
         factor = fine_grid.N // n_steps
         grid = TimeGrid(T=1.0, N=n_steps)
         ens = BrownianEnsemble(
-            increments=fine.increments.reshape(100, n_steps, factor).sum(axis=2),
-            master_seed=42, n_paths=100)
+            increments=fine.increments.reshape(100, n_steps, factor).sum(axis=2))
         system = scalar_system()
         mild = simulate_mild(system, grid, ens)
         integral = simulate_integral_form(system, grid, ens)
@@ -569,7 +567,7 @@ def test_picard_stops_at_the_first_non_finite_sweep():
         picard_path_solve(system, grid, inc[0])
     assert info.value.node == 1
     with pytest.raises(SimulationNumericError) as info:
-        simulate_mild(system, grid, BrownianEnsemble(increments=inc, master_seed=1, n_paths=1))
+        simulate_mild(system, grid, BrownianEnsemble(increments=inc))
     assert info.value.node == 1
 
 
@@ -579,7 +577,7 @@ def test_non_finite_picard_iterate_names_its_paths():
     inc = brownian_increments(grid, 3, 1).increments.copy()
     inc[1, 0] = np.nan
     with pytest.raises(SimulationNumericError, match="node 1 .* in sweep 1$") as info:
-        simulate_picard(system, grid, BrownianEnsemble(increments=inc, master_seed=1, n_paths=3))
+        simulate_picard(system, grid, BrownianEnsemble(increments=inc))
     assert info.value.path_indices == (1,)
     assert info.value.node == 1
 
@@ -752,7 +750,7 @@ def test_picard_ensemble_freezes_each_path_at_its_own_sweep():
         np.testing.assert_array_equal(out.values[i], res.values)
         np.testing.assert_array_equal(out.weighted[i], res.weighted)
     assert len(sweeps) > 1
-    assert out.scheme_tag == "picard" and out.n_paths == 7 and out.master_seed == 31
+    assert out.scheme_tag == "picard" and out.values.shape == (7, 1025, 2)
 
 
 def test_multidimensional_system_runs_and_coincides():
@@ -796,7 +794,7 @@ def test_non_finite_paths_are_reported():
     ens = brownian_increments(grid, 4, 1)
     bad = ens.increments.copy()
     bad[2, 3] = np.inf
-    broken = BrownianEnsemble(increments=bad, master_seed=1, n_paths=4)
+    broken = BrownianEnsemble(increments=bad)
     with pytest.raises(SimulationNumericError) as info:
         simulate_mild(system, grid, broken)
     assert 2 in info.value.path_indices
@@ -835,8 +833,7 @@ def test_self_convergence_toward_fine_reference():
     errors = []
     for n_steps in (128, 256, 512):
         factor = fine_n // n_steps
-        ens = BrownianEnsemble(increments=fine.increments.reshape(24, n_steps, factor).sum(axis=2),
-                               master_seed=9, n_paths=24)
+        ens = BrownianEnsemble(increments=fine.increments.reshape(24, n_steps, factor).sum(axis=2))
         out = simulate_mild(system, TimeGrid(T=1.0, N=n_steps), ens)
         gap = np.abs(out.weighted - ref.weighted[:, ::factor, :])
         errors.append(np.mean(np.max(gap, axis=(1, 2))))
