@@ -488,8 +488,8 @@ def _causal_convolution(spectra, hists, M, lo, out):
     shape (dim, ..., R).
 
     ``spectra`` lists (mu, [(h, i, k, w_hat)]) with w_hat the length-M rfft of
-    the balanced kernel e^(-mu m) w_ik[m] over K lags m = 0 .. K - 1
-    (w_ik[0] = 0).  With histories of length H, M >= lo + R and
+    the balanced kernel e^(-mu m) w_ik[m] over K indices m = 0 .. K - 1.
+    With histories of length H, M >= lo + R and
     M >= H + K - 1 - lo keep the circular products exact on the output
     rows.  Per rate mu each history is balanced to e^(-mu j) h[j] and
     transformed once over all its components, the products are summed in
@@ -501,9 +501,7 @@ def _causal_convolution(spectra, hists, M, lo, out):
     the call.
 
     The marches' far field (``simulator._far_field``) calls this for each
-    block of the blocked convolution, except an edge block cut short by the
-    end of the grid that a direct sum serves with fewer products than the
-    transforms; a march stays O(N log^2 N) per path.
+    block of the blocked convolution; a march stays O(N log^2 N) per path.
     """
     hi = lo + out.shape[-1]
     src = np.arange(hists[0].shape[-1])

@@ -52,8 +52,6 @@ class MomentCurve:
     nodes: np.ndarray
     m: np.ndarray
     half_width: np.ndarray
-    p: int
-    n_paths: int
 
     def __post_init__(self):
         if not (len(self.nodes) == len(self.m) == len(self.half_width)):
@@ -91,8 +89,7 @@ def pth_moment_curve(ensemble: PathEnsemble, p: int, weighted: bool) -> MomentCu
         mean[j0:j1] = powers.mean(axis=0)
         if n_paths >= 30:
             half[j0:j1] = 1.959963984540054 * powers.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    return MomentCurve(nodes=nodes.copy(), m=mean, half_width=half, p=p,
-                       n_paths=n_paths)
+    return MomentCurve(nodes=nodes.copy(), m=mean, half_width=half)
 
 
 @dataclass(frozen=True)

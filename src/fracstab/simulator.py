@@ -42,20 +42,15 @@ step; the rest is added block by block with zero-padded real FFTs
 instead of O(N^2).  A kernel that grows across a block (A outside the
 stability sector) is balanced by its growth rate before the transform, so
 the far field keeps the node-wise relative accuracy of a direct sum;
-decaying kernels (growth rate mu = 0) skip the balancing multiplies.  An
-edge block, cut short by the end of the grid, is summed directly when that
-takes fewer products than its transforms; the cost stays O(N log^2 N).  In
+decaying kernels (growth rate mu = 0) skip the balancing multiplies.  In
 the mild form A commutes with E_{a,a}(t^a A), so the neutral memory and
 the drift share one convolution of b - A g; in the integral form the
 memory term shares the drift weight.  Each march thus keeps two history
 sums, drift and noise, each over rows that it keeps in a ring of the
 largest power of two below N (at least 64) rows: every block a sum reads
 is aligned to its own length, a power of two dividing the ring's, so it
-lies contiguous in the ring and is not yet overwritten.  The one block
-longer than the ring, the history [0, N) of node N on a grid of N = 2^k
-steps, is summed in two halves whose first is kept as a head sum while the
-ring still holds it; the second continues it in the same order.  A march
-thus holds the states and a history of about N/2 rows per sum, and every
+lies contiguous in the ring and is not yet overwritten.  A march thus
+holds the states and a history of about N/2 rows per sum, and every
 node's sums keep the bits of sums over a full-length history.
 
 At each node the neutral term leaves the equation x + g(t_n, x) = rhs, in the
@@ -256,9 +251,9 @@ def _mild_scheme(system: SystemSpec, grid: TimeGrid):
     return free, d[:, None, None] * E[1:], kappa[:, None, None] * E[1:], drift
 
 
-# History and target nodes inside one aligned block of this many nodes are
-# summed directly at each step; a power of two, so every full far-field
-# transform has power-of-two length.
+# History rows and targets (node n is target n - 1) inside one aligned block
+# of this many are summed directly at each step; a power of two, so every
+# full far-field transform has power-of-two length.
 _BASE_BLOCK = 64
 # Real elements (components x paths x transform length) per batched far-field
 # transform; bounds the FFT scratch memory whatever the ensemble size.
@@ -266,8 +261,8 @@ _FFT_BATCH = 1 << 14
 
 
 def _kernel_entries(w):
-    """The (i, k, w[:, i, k]) columns of a lag-indexed kernel w of shape
-    (N, dim, dim) that are not identically zero."""
+    """The (i, k, w[:, i, k]) columns of a kernel w of shape (N, dim, dim),
+    indexed by lag - 1, that are not identically zero."""
     dim = w.shape[1]
     return [(i, k, np.ascontiguousarray(w[:, i, k]))
             for i in range(dim) for k in range(dim) if np.any(w[:, i, k])]
@@ -281,9 +276,7 @@ def _ring_rows(n_steps):
     Every block the march reads is aligned to its own length L, a power of
     two dividing R, so it lies contiguous in the ring: the base block of the
     per-step sums, and the history block [c - L, c) of every far-field
-    block but one.  L <= c, so only c = N = 2^k, whose block is all of
-    [0, N) for the lone node N, has L > R = N/2; :func:`_far_field` keeps a
-    head sum for it.
+    block, whose L <= c < N makes L <= R.
     """
     return min(n_steps, max(_BASE_BLOCK, 1 << ((n_steps - 1).bit_length() - 1)))
 
@@ -296,12 +289,14 @@ def _ring_block(ring, lo, hi):
 
 
 def _direct_sum(entries, block, lag, out):
-    """out[:, i] += sum_j w_ik[lag - j] block[j, :, k] over the entries: the
-    time-major rows of ``block`` lie lag, lag - 1, ... nodes before the
+    """out[:, i] += sum_j w_ik[lag - 1 - j] block[j, :, k] over the entries:
+    the time-major rows of ``block`` lie lag, lag - 1, ... nodes before the
     target.
 
     einsum without BLAS: the reduction order depends only on the lag range,
-    so every path gets the same sum whatever the batch it is marched in.
+    so every path gets the same sum whatever the batch it is marched in; a
+    lone path too, as the march sums at most a base block of lags (numpy
+    would chunk a one-path sum past 8192).
     """
     for i, k, w in entries:
         out[:, i] += np.einsum("m,mp->p", w[lag - block.shape[0]:lag][::-1], block[:, :, k])
@@ -311,83 +306,55 @@ def _block_spectra(kernels, L, n_targets, M):
     """Kernel transforms of one far-field block shape (or of a whole path,
     split in two for the rates), grouped by balancing rate: a list of
     (mu, [(history index, i, k, rfft of the balanced e^(-mu m) w_ik[m] over
-    the lags m = 1 .. L + n_targets - 1)])."""
+    the indices m = lag - 1 = 0 .. L + n_targets - 1)])."""
     groups = {}
-    n_lags = L + n_targets - 1
-    lags = np.arange(1.0, n_lags + 1)
+    n_lags = L + n_targets
+    index = np.arange(float(n_lags))
     for h, entries in enumerate(kernels):
         for i, k, w in entries:
-            early = np.abs(w[:L - 1]).max()
-            late = np.abs(w[L - 1:n_lags]).max()
-            # growth per node from the lags [1, L) to [L, L + n_targets)
+            early = np.abs(w[:L]).max()
+            late = np.abs(w[L:n_lags]).max()
+            # growth per node from the indices [0, L) to [L, L + n_targets)
             mu = math.log(late / early) / n_targets if late > early > 0 else 0.0
-            w_hat = np.fft.rfft(np.concatenate(([0.0], w[:n_lags] * np.exp(-mu * lags))), M)
+            w_hat = np.fft.rfft(w[:n_lags] * np.exp(-mu * index), M)
             groups.setdefault(mu, []).append((h, i, k, w_hat))
     return sorted(groups.items())
 
 
-def _far_field(kernels, bufs, acc, c, spectra, heads):
-    """Add the finished history block [c - L, c) to the nodes [c, c + L) of
-    acc, shaped (P, N+1, dim), reading the block from the march's history
-    rings, ``bufs[h][1:]``.
+def _far_field(kernels, rings, acc, c, spectra):
+    """Add the finished history block [c - L, c) to the targets [c, c + L)
+    below N, read from the march's history rings; target t is node t + 1
+    of acc, shaped (P, N+1, dim).
 
     Blocked convolution (Hairer, Lubich & Schlichte 1985, in its
-    divide-and-conquer form): L is the largest base-block multiple such that
-    [c - L, c) is the left half of an aligned dyadic block of length 2L, so
-    every pair (history j, target n) in different base blocks is added
-    exactly once, by the left half that closes first.  The lags of one block
+    divide-and-conquer form) of the N history rows with the N targets:
+    L is the largest base-block multiple such that [c - L, c) is the left
+    half of an aligned dyadic block of length 2L, so every pair (history j,
+    target t >= j) in different base blocks is added exactly once, by the
+    left half that closes first.  A block's kernel indices t - j = lag - 1
     span 1 .. 2L - 1; with zero-padded transforms of length M >= L + R (R
-    targets) the circular product is exact on the target rows.  An edge
-    block, cut short by the end of the grid (R < L), is summed directly by
-    :func:`_direct_sum` when that takes fewer products than its transforms,
-    R L <= M log2(M): a grid of N = 2^k steps leaves node N alone in its
-    block.  A full block (R = L >= 64) never qualifies, so the march stays
-    O(N log^2 N) per path.
-
-    That lone node's block [0, N) is twice the ring.  So at c = N/2, while
-    the ring holds [0, N/2), the sums of node N over that half are kept as
-    ``heads``, one (P,) row per kernel entry; at c = N each one is put in
-    row 0 of its buffer, before the ring's [N/2, N), with weight 1.  One
-    einsum over the buffer then adds the same products in the same order
-    as a direct sum over [0, N).
+    targets, fewer than L only in the block that the end of the grid cuts
+    short) the circular product is exact on the target rows.  As L <= c < N,
+    every block lies in the rings.
 
     A transform's roundoff is bounded by the norms of the whole block, so a
     kernel that grows across the block (a matrix outside the stability
-    sector) is balanced first: w[m] h[j] = e^(mu n) (e^(-mu m) w[m])
-    (e^(-mu j) h[j]), with block-local j, n and the entry's own growth rate
-    mu >= 0 over the block's lags (:func:`_block_spectra`), so each target
-    keeps the relative accuracy of a direct sum.  Decaying kernels have
-    mu = 0 and skip the balancing multiplies; the drift and noise products
-    of each rate are summed in the frequency domain by
+    sector) is balanced first: w[m] h[j] = e^(mu t) (e^(-mu m) w[m])
+    (e^(-mu j) h[j]), with block-local j, t and the entry's own growth rate
+    mu >= 0 over the block's indices (:func:`_block_spectra`), so each
+    target keeps the relative accuracy of a direct sum.  Decaying kernels
+    have mu = 0 and skip the balancing multiplies; the drift and noise
+    products of each rate are summed in the frequency domain by
     :func:`~fracstab.fraccalc._causal_convolution`.  Transforms are per
     path, so batching paths cannot change the result.  ``spectra`` holds
     the kernel transforms of this march by block shape.
     """
-    rings = [buf[1:] for buf in bufs]
-    n_ring, n_last = rings[0].shape[0], acc.shape[1] - 1
-    if c == n_ring and 2 * n_ring == n_last:
-        heads[:] = [[np.einsum("m,mp->p", w[n_last - c:n_last][::-1], ring[:, :, k])
-                     for i, k, w in entries] for entries, ring in zip(kernels, rings)]
     L = _BASE_BLOCK
     while c % (2 * L) == 0:
         L *= 2
-    hi = min(c + L, acc.shape[1])
+    hi = min(c + L, acc.shape[1] - 1)
     n_targets = hi - c
     M = _fast_len(L + n_targets)
-    if L > n_ring:
-        # c = N = 2^k: continue each head over the ring
-        for entries, buf, head in zip(kernels, bufs, heads):
-            for (i, k, w), row in zip(entries, head):
-                buf[0, :, k] = row
-                acc[:, c, i] += np.einsum("m,mp->p", np.append(w[:n_ring], 1.0)[::-1],
-                                          buf[:, :, k])
-        return
-    if n_targets * L <= M * math.log2(M):
-        # an edge block with few targets: fewer products than its transforms
-        for n in range(c, hi):
-            for entries, ring in zip(kernels, rings):
-                _direct_sum(entries, _ring_block(ring, c - L, c), n - c + L, acc[:, n])
-        return
     if (L, n_targets) not in spectra:
         spectra[L, n_targets] = _block_spectra(kernels, L, n_targets, M)
     n_paths, dim = acc.shape[0], acc.shape[2]
@@ -398,7 +365,7 @@ def _far_field(kernels, bufs, acc, c, spectra, heads):
         blocks = [np.ascontiguousarray(_ring_block(ring, c - L, c)[:, p0:p1].transpose(2, 1, 0))
                   for ring in rings]
         _causal_convolution(spectra[L, n_targets], blocks, M, L,
-                            acc[p0:p1, c:hi].transpose(2, 0, 1))
+                            acc[p0:p1, c + 1:hi + 1].transpose(2, 0, 1))
 
 
 def _check_finite(x, n, scheme):
@@ -428,36 +395,28 @@ def _march(system, grid, ensemble, scheme, scheme_tag):
 
         x_n = free[n] + sum_{j<n} w_f[n-j] f_j + sum_{j<n} w_s[n-j] s_j - g(t_n, x_n),
 
-    f_j = drift(t_j, x_j), s_j = sigma(t_j, x_j) dW_j, with X_0 := 0 at node 0.
-    Lags inside a base block are summed directly at each step; every other
+    f_j = drift(t_j, x_j), s_j = sigma(t_j, x_j) dW_j, with X_0 := 0 at node 0;
+    the arrays w_f and w_s hold lag m at index m - 1.  Node n sums directly
+    the rows of the base block that holds row n - 1, at most 64; every other
     part of the two history sums is added ahead of time by
     :func:`_far_field`, into the nodes of the state array not yet marched.
     All paths of the ensemble are marched together, and each coefficient is
     called once per node.  The rows f_j and s_j are kept time-major in two
-    rings of :func:`_ring_rows` rows, each after one free row for the far
-    field's head sums.  Returns the states (P, N+1, dim); the rings are
-    freed on return, before the caller packages the states.
+    rings of :func:`_ring_rows` rows.  Returns the states (P, N+1, dim); the
+    rings are freed on return, before the caller packages the states.
     """
     _check_inputs(system, grid, ensemble.increments)
     free, w_f, w_s, drift = scheme
     coeffs = system.coeffs
     solve = _neutral_solver(coeffs)
     increments = ensemble.increments
-    n_given = increments.shape[0]
-    if n_given == 1:
-        # a lone path is marched as a pair: numpy takes a one-path lag sum as
-        # einsum's inner loop, summed in chunks past 8192 lags, whereas the
-        # paths of a batch are each summed lag after lag
-        increments = np.repeat(increments, 2, axis=0)
-    n_steps, dim = grid.N, system.n
-    n_paths = increments.shape[0]
+    n_paths, n_steps, dim = increments.shape[0], grid.N, system.n
     times = grid.nodes
     kernels = (_kernel_entries(w_f), _kernel_entries(w_s))
     n_ring = _ring_rows(n_steps)
-    bufs = (np.empty((n_ring + 1, n_paths, dim)), np.empty((n_ring + 1, n_paths, dim)))
-    rings = tuple(buf[1:] for buf in bufs)
+    rings = (np.empty((n_ring, n_paths, dim)), np.empty((n_ring, n_paths, dim)))
     states = np.zeros((n_paths, n_steps + 1, dim))
-    spectra, heads = {}, []
+    spectra = {}
 
     def record(j, x):
         rings[0][j % n_ring] = drift(times[j], x)
@@ -468,17 +427,17 @@ def _march(system, grid, ensemble, scheme, scheme_tag):
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
             rhs = free[n] + states[:, n]
-            lo = n - n % _BASE_BLOCK
+            lo = (n - 1) - (n - 1) % _BASE_BLOCK
             for entries, ring in zip(kernels, rings):
                 _direct_sum(entries, _ring_block(ring, lo, n), n - lo, rhs)
             x = solve(times[n], rhs)
-            _check_finite(x[:n_given], n, scheme_tag)
+            _check_finite(x, n, scheme_tag)
             states[:, n] = x
             if n < n_steps:
                 record(n, x)
-                if (n + 1) % _BASE_BLOCK == 0:
-                    _far_field(kernels, bufs, states, n + 1, spectra, heads)
-    return states[:n_given]
+                if (n + 1) % _BASE_BLOCK == 0 and n + 1 < n_steps:
+                    _far_field(kernels, rings, states, n + 1, spectra)
+    return states
 
 
 def _check_inputs(system, grid, increments):
@@ -601,9 +560,8 @@ def _picard(system, grid, increments):
     w_time = times[1:] ** (1.0 - system.order.alpha)
     kernels = (_kernel_entries(w_f), _kernel_entries(w_s))
     # the whole path is one block, its growth rates taken between the halves
-    M = _fast_len(2 * n_nodes)
-    half = (n_nodes + 1) // 2
-    spectra = _block_spectra(kernels, half, n_nodes - half, M)
+    M = _fast_len(2 * grid.N)
+    spectra = _block_spectra(kernels, grid.N // 2, grid.N - grid.N // 2, M)
     states = np.empty((n_paths, n_nodes, dim))
     iterations = np.zeros(n_paths, dtype=int)
     ratios = np.full(n_paths, math.nan)
@@ -621,7 +579,7 @@ def _picard(system, grid, increments):
                 f, s = drift(times, x), np.asarray(sigma(times, x)) * dw
                 rhs = np.repeat(free[None, 1:], paths.size, axis=0)
                 _causal_convolution(spectra, (f.transpose(2, 0, 1), s.transpose(2, 0, 1)),
-                                    M, 1, rhs.transpose(2, 0, 1))
+                                    M, 0, rhs.transpose(2, 0, 1))
                 x_new = np.zeros_like(x)
                 x_new[:, 1:] = solve(np.tile(times[1:], (paths.size, 1)),
                                      rhs.reshape(-1, dim)).reshape(rhs.shape)

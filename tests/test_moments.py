@@ -198,7 +198,7 @@ def test_decay_fit_exact_power_law():
     t = np.linspace(0.0, 10.0, 101)
     m = np.zeros_like(t)
     m[1:] = t[1:] ** -2.0
-    curve = MomentCurve(nodes=t, m=m, half_width=np.zeros_like(t), p=2, n_paths=100)
+    curve = MomentCurve(nodes=t, m=m, half_width=np.zeros_like(t))
     fit = stability_verdict(curve, 1.0, 1e-2, window_fraction=0.5)
     assert fit.slope == pytest.approx(-2.0, abs=1e-9)
     assert fit.slope_ci[1] - fit.slope_ci[0] < 1e-8
@@ -207,7 +207,7 @@ def test_decay_fit_exact_power_law():
 def test_decay_fit_constant_curve():
     t = np.linspace(0.0, 10.0, 101)
     m = np.full_like(t, 3.0)
-    curve = MomentCurve(nodes=t, m=m, half_width=np.zeros_like(t), p=2, n_paths=100)
+    curve = MomentCurve(nodes=t, m=m, half_width=np.zeros_like(t))
     fit = stability_verdict(curve, 1.0, 1e-2, window_fraction=0.5)
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
@@ -227,8 +227,7 @@ def test_decay_fit_homogeneous_benchmark_slope():
 
 def test_decay_fit_degenerate_window():
     t = np.linspace(0.0, 1.0, 5)
-    curve = MomentCurve(nodes=t, m=np.ones_like(t), half_width=np.zeros_like(t),
-                        p=2, n_paths=100)
+    curve = MomentCurve(nodes=t, m=np.ones_like(t), half_width=np.zeros_like(t))
     with pytest.raises(ValueError):
         stability_verdict(curve, 1.0, 1e-2, window_fraction=0.2)
     with pytest.raises(ValueError):
@@ -277,14 +276,13 @@ def test_stability_verdict_zero_initial_datum():
 
 def test_stability_verdict_preconditions():
     t = np.linspace(0, 1, 64)
-    curve = MomentCurve(nodes=t, m=np.ones_like(t), half_width=np.zeros_like(t),
-                        p=2, n_paths=100)
+    curve = MomentCurve(nodes=t, m=np.ones_like(t), half_width=np.zeros_like(t))
     for epsilon, tail_tol in ((0.0, 1e-3), (-1.0, 1e-3), (1.0, 0.0), (1.0, -1e-3)):
         with pytest.raises(ValueError, match="must be positive"):
             stability_verdict(curve, epsilon, tail_tol)
     with pytest.raises(ValueError, match="window_fraction"):
         stability_verdict(curve, 1.0, 1e-3, window_fraction=1.0)
-    short = MomentCurve(nodes=t[:5], m=np.ones(5), half_width=np.zeros(5), p=2, n_paths=100)
+    short = MomentCurve(nodes=t[:5], m=np.ones(5), half_width=np.zeros(5))
     with pytest.raises(ValueError, match="degenerate fit"):
         stability_verdict(short, 1.0, 1e-3)
 
@@ -298,4 +296,4 @@ def test_verdict_implication_enforced_structurally():
 def test_curve_length_validation():
     with pytest.raises(ValueError):
         MomentCurve(nodes=np.arange(3.0), m=np.arange(2.0),
-                    half_width=np.arange(3.0), p=2, n_paths=10)
+                    half_width=np.arange(3.0))

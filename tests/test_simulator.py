@@ -228,8 +228,8 @@ def direct_sum_march(system, grid, ens, scheme, c_g):
 # N = 256 and 300 run the far field at two and three block levels (base
 # block 64); 300 also ends on a partial block.  For the marches' history
 # rings: 64 is a single base block, 65 wraps its ring of 64 rows, 1024
-# sums node N's history in two halves, and 1088 ends on c = N with N not a
-# power of two
+# reads blocks as long as its ring of 512 rows, and 1088 ends on a partial
+# block of a ring of 1024 rows
 @pytest.mark.parametrize("dim,n_steps", [(1, 256), (2, 300), (1, 64), (2, 65), (1, 1024),
                                          (2, 1088)])
 @pytest.mark.parametrize("scheme", sorted(ENSEMBLE_SCHEMES))
@@ -250,11 +250,11 @@ def test_scheme_determinism_and_chunk_independence(scheme, dim, n_steps):
 
 
 # Decaying kernels at N = 256 and 300 (two and three block levels, the
-# latter ending on a partial block), 1029 (an edge block of six nodes,
-# summed directly) and the history rings' N = 64, 65, 1024 and 1088 (see
-# test_scheme_determinism_and_chunk_independence), then matrices outside
-# the stability sector, where the mild kernel grows like e^(c t): one rate,
-# two rates on the diagonal, a growing oscillation.  At T = 50 one
+# latter ending on a partial block), 1029 (a last block of five targets
+# against 1024 history rows) and the history rings' N = 64, 65, 1024 and
+# 1088 (see test_scheme_determinism_and_chunk_independence), then matrices
+# outside the stability sector, where the mild kernel grows like e^(c t):
+# one rate, two rates on the diagonal, a growing oscillation.  At T = 50 one
 # top-level far-field block spans 25 (N = 512) or 21 (N = 300) time units,
 # so an unbalanced transform loses every digit on the growing paths.
 @pytest.mark.parametrize("a_mat,T,n_steps", [
@@ -319,8 +319,8 @@ def test_history_rings_keep_the_bits_of_full_histories(monkeypatch, scheme, n_st
 
 
 def test_lone_path_keeps_its_bits_on_a_long_grid():
-    # node N of N = 2^15 sums its 32768 lags directly, in two halves of
-    # 16384, which numpy would take in chunks for a one-path sum
+    # numpy takes a one-path sum of more than 8192 lags in chunks, unlike
+    # the paths of a batch: the march must sum no such run of lags directly
     system = scalar_system()
     grid = TimeGrid(T=50.0, N=32768)
     ens = brownian_increments(grid, 2, 9)
@@ -349,24 +349,33 @@ def test_march_allocates_about_two_ensembles(dim):
     assert out.weighted.nbytes == array_bytes
 
 
-# A far-field block cut short by the end of the grid has R < L targets.
-# With few (R = 1 at N = 256, R = 6 at N = 1029) it is summed directly, so
-# every transform serves a full block; with many (R = 45 at N = 300) it
-# still takes the transforms.
-@pytest.mark.parametrize("n_steps,partial", [(256, set()), (1029, set()), (300, {45})])
-def test_edge_block_takes_the_cheaper_sum(monkeypatch, n_steps, partial):
-    lengths = []
-    convolve = simulator._causal_convolution
+# Every target past its own base block is served by one far-field block
+# per block level, taken by transforms and read whole from the rings;
+# direct sums read at most one base block.  N = 300, 1029 and 2049 end on a
+# partial block of 44, 5 and 1 targets, the last two against 1024 and 2048
+# history rows.
+@pytest.mark.parametrize("n_steps", [256, 300, 1029, 2049])
+def test_march_blocks_fit_the_base_block_and_the_ring(monkeypatch, n_steps):
+    sums, blocks = [], []
+    direct_sum, convolve = simulator._direct_sum, simulator._causal_convolution
 
-    def recording(spectra, hists, M, lo, out):
-        lengths.append(out.shape[-1])
+    def recording_sum(entries, block, lag, out):
+        sums.append(block.shape[0])
+        return direct_sum(entries, block, lag, out)
+
+    def recording_convolution(spectra, hists, M, lo, out):
+        blocks.append((lo, hists[0].shape[-1]))
         return convolve(spectra, hists, M, lo, out)
 
-    monkeypatch.setattr(simulator, "_causal_convolution", recording)
+    monkeypatch.setattr(simulator, "_direct_sum", recording_sum)
+    monkeypatch.setattr(simulator, "_causal_convolution", recording_convolution)
     system = scalar_system(coeffs=make_bounded_smooth(0.2, 0.3, 0.3))
     grid = TimeGrid(T=4.0, N=n_steps)
     simulate_mild(system, grid, brownian_increments(grid, 3, 5))
-    assert set(lengths) - {64, 128, 256, 512} == partial
+    assert max(sums) <= simulator._BASE_BLOCK
+    # one block [c - L, c) per far-field point c = 64, 128, ... below N
+    assert len(blocks) == len(range(simulator._BASE_BLOCK, n_steps, simulator._BASE_BLOCK))
+    assert all(lo == length <= simulator._ring_rows(n_steps) for lo, length in blocks)
 
 
 # ------------------------------------------------------ neutral fixed point
@@ -627,8 +636,7 @@ def convolve_picard(system, grid, inc, c_g):
 
 def unbalanced_spectra(kernels, L, n_targets, M):
     """Kernel transforms of simulator._block_spectra without the balancing."""
-    n_lags = L + n_targets - 1
-    return [(0.0, [(h, i, k, sp_fft.rfft(np.concatenate(([0.0], w[:n_lags])), M))
+    return [(0.0, [(h, i, k, sp_fft.rfft(w[:L + n_targets], M))
                    for h, entries in enumerate(kernels) for i, k, w in entries])]
 
 

@@ -14,7 +14,7 @@ Covered outputs:
   T = 50;
 * ``values`` and ``weighted`` of the mild and integral-form marches on the
   same systems at N = 64 (one base block) and N = 1088 (a history ring of
-  1024 rows, ending on a far-field block at c = N);
+  1024 rows, ending on a partial far-field block);
 * ``rl_integral_grid`` on 1-D and three-column samples of several lengths
   for a in {0.3, 0.75, 1};
 * every field of ``kernel_bounds_profile``'s report, ``conv_running``
