@@ -168,20 +168,24 @@ def cmd_simulate(args) -> int:
     grid = cfg.grid()
     ens = brownian_increments(grid, cfg.n_paths, cfg.master_seed)
     ensemble = _simulate(cfg.system(), grid, ens, scheme)
-    # the run's peak memory is the march's or the packaging's, about three
-    # ensemble-sized arrays with the increments; the moment curves add little
+    # the run's peak memory is the march's: the states, which are then
+    # weighted in place, two history rings and the increments; the moment
+    # curve adds little
     del ens
-    curve_w = pth_moment_curve(ensemble, cfg.p, weighted=True)
-    curve_u = pth_moment_curve(ensemble, cfg.p, weighted=False)
+    curve = pth_moment_curve(ensemble, cfg.p)
+    # ||X||^p = t^(p(a-1)) ||t^(1-a) X||^p on every path: the plain curve
+    # is the weighted one rescaled, from node 1 as X diverges at t -> 0+
+    t = curve.nodes[1:]
+    scale = t ** (cfg.p * (cfg.alpha - 1.0))
+    m_u = curve.m[1:] * scale
     # a refused certificate or verdict leaves no files behind; the flags are
-    # judged on the weighted (H-norm) curve, since the unweighted moment
-    # diverges at t -> 0+ for any rho != 0
+    # judged on the weighted (H-norm) curve
     cert, delta, _ = _certificate(cfg)
-    verdict = stability_verdict(curve_w, cfg.epsilon, cfg.tail_tol, cfg.window_fraction)
+    verdict = stability_verdict(curve, cfg.epsilon, cfg.tail_tol, cfg.window_fraction)
     _write_csv(out / "moments.csv", ("t", "m", "ci_half_width"),
-               zip(curve_u.nodes, curve_u.m, curve_u.half_width))
+               zip(t, m_u, curve.half_width[1:] * scale))
     _write_csv(out / "moments_weighted.csv", ("t", "m", "ci_half_width"),
-               zip(curve_w.nodes, curve_w.m, curve_w.half_width))
+               zip(curve.nodes, curve.m, curve.half_width))
 
     rho_norm = float(np.linalg.norm(cfg.rho))
     pairs = [
@@ -192,7 +196,7 @@ def cmd_simulate(args) -> int:
         ("rho_norm", rho_norm),
         ("delta_hypothesis_met", delta is not None and rho_norm < delta),
         ("weighted_sup", verdict.sup),
-        ("unweighted_sup_from_node1", float(np.max(curve_u.m))),
+        ("unweighted_sup_from_node1", float(np.max(m_u))),
         ("stable_p", verdict.stable_p),
         ("asymptotically_stable_p", verdict.asymptotically_stable_p),
         ("tail_slope", verdict.slope),
@@ -209,16 +213,18 @@ def cmd_simulate(args) -> int:
     _write_kv(out / "verdict.txt", pairs)
 
     if cfg.emit_paths:
-        dim = ensemble.values.shape[2]
+        dim = ensemble.weighted.shape[2]
         header = (["path", "node", "t"]
                   + [f"weighted_{k}" for k in range(dim)]
                   + [f"value_{k}" for k in range(dim)])
         nodes = ensemble.grid.nodes
+        unweight = nodes[1:, None] ** (cfg.alpha - 1.0)
         rows = []
-        for i in range(ensemble.weighted.shape[0]):
+        for i, path in enumerate(ensemble.weighted):
+            values = path[1:] * unweight
             for j in range(ensemble.grid.N + 1):
-                vals = ["" if j == 0 else _fmt(v) for v in ensemble.values[i, j]]
-                rows.append([i, j, nodes[j], *ensemble.weighted[i, j], *vals])
+                vals = [""] * dim if j == 0 else values[j - 1]
+                rows.append([i, j, nodes[j], *path[j], *vals])
         _write_csv(out / "paths.csv", header, rows)
 
     _write_meta(out / "meta.txt", cfg, scheme)
@@ -249,7 +255,7 @@ def cmd_convergence(args) -> int:
     fine_n = 16 * base_n
     fine_grid = TimeGrid(T=cfg.T, N=fine_n)
     fine = brownian_increments(fine_grid, cfg.n_paths, cfg.master_seed)
-    # only the reference's weighted states are read: its values go at once
+    # the reference is one ensemble-sized array, held with the fine increments
     ref = _simulate(system, fine_grid, fine, scheme).weighted
     scale = float(max(np.nanmax(ref), -np.nanmin(ref)))
     floor = 1e-11 * max(scale, 1.0)

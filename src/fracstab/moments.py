@@ -1,9 +1,10 @@
 """Empirical pth-moment curves and their stability verdict.
 
-The moment of interest is E||X(t)||^p (Euclidean norm).  Its weighted
-variant E||t^(1-a) X(t)||^p is the one that stays finite at t = 0 (limit
-(||rho||/Gamma(a))^p) and is the norm in which the contraction theory is
-phrased; the verdict judges whichever single curve the caller supplies.
+The curve of interest is the weighted moment E||t^(1-a) X(t)||^p (Euclidean
+norm): it stays finite at t = 0 (limit (||rho||/Gamma(a))^p) and is the norm
+in which the contraction theory is phrased.  The plain moment E||X(t)||^p,
+t > 0, is that curve times t^(p(a-1)); the verdict judges whichever single
+curve the caller supplies.
 
 A finite ensemble cannot take t -> infinity limits; asymptotic decay is
 judged empirically by (i) the trailing-window log-log slope having a 95%
@@ -44,7 +45,8 @@ _MOMENT_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class MomentCurve:
-    """Sample mean of ||X(t_j)||^p with normal-approximation 95% half-widths.
+    """Per-node sample mean of a p-th moment with normal-approximation 95%
+    half-widths.
 
     Half-widths are NaN below 30 paths.
     """
@@ -58,25 +60,16 @@ class MomentCurve:
             raise ValueError("nodes, m, half_width must have equal lengths")
 
 
-def pth_moment_curve(ensemble: PathEnsemble, p: int, weighted: bool) -> MomentCurve:
-    """Per-node sample mean of ||.||^p over an ensemble, for an integer
-    p >= 1 (a bool or a non-integral number is refused with ``ValueError``).
-
-    Unweighted curves start at node 1: X(0) is not finite (it diverges like
-    t^(a-1)), so a node-0 unweighted request is rejected by construction and
-    only the weighted curve covers t = 0.
+def pth_moment_curve(ensemble: PathEnsemble, p: int) -> MomentCurve:
+    """Per-node sample mean of ||t^(1-a) X(t)||^p over an ensemble's
+    weighted states, on every node from t = 0, for an integer p >= 1 (a
+    bool or a non-integral number is refused with ``ValueError``).
     """
     if isinstance(p, bool) or not (p >= 1 and float(p).is_integer()):
         raise ValueError(f"p must be an integer >= 1, got {p!r}")
     p = int(p)
-    if weighted:
-        states = ensemble.weighted
-        nodes = ensemble.grid.nodes
-    else:
-        states = ensemble.values[:, 1:, :]
-        nodes = ensemble.grid.nodes[1:]
-    n_paths = ensemble.weighted.shape[0]
-    n_nodes, dim = states.shape[1:]
+    states = ensemble.weighted
+    n_paths, n_nodes, dim = states.shape
     mean = np.empty(n_nodes)
     half = np.full(n_nodes, np.nan)
     step = max(2, (1 << 16) // (n_paths * dim))
@@ -89,7 +82,7 @@ def pth_moment_curve(ensemble: PathEnsemble, p: int, weighted: bool) -> MomentCu
         mean[j0:j1] = powers.mean(axis=0)
         if n_paths >= 30:
             half[j0:j1] = 1.959963984540054 * powers.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    return MomentCurve(nodes=nodes.copy(), m=mean, half_width=half)
+    return MomentCurve(nodes=ensemble.grid.nodes, m=mean, half_width=half)
 
 
 @dataclass(frozen=True)

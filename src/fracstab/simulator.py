@@ -32,8 +32,8 @@ variance-matched weights kappa so that the per-cell Ito isometry is exact
 even on the singular last cell (2a - 1 > 0).  Coefficient evaluations at the
 singular node 0 use the convention X_0 := 0; their cell contributions vanish
 under refinement and are exactly zero for vanishing coefficient families.
-The state at t = 0 exists only in weighted coordinates,
-t^(1-a) X(t) -> rho / Gamma(a); ``values`` holds NaN there.
+The schemes return the weighted states t^(1-a) X(t), the one form that is
+finite on all of [0, T]: its limit at t = 0 is rho / Gamma(a).
 
 The marches take each history integral as a discrete convolution over the
 lags.  Lags inside a base block of 64 nodes are summed directly at every
@@ -166,14 +166,11 @@ class BrownianEnsemble:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated states on a grid.
-
-    ``values[i, j]`` is X(t_j) for path i (NaN at j = 0 where X diverges like
-    t^(a-1)); ``weighted[i, j]`` is t_j^(1-a) X(t_j) with the finite limit
-    rho/Gamma(a) stored at j = 0.
+    """Simulated weighted states on a grid: ``weighted[i, j]`` is
+    t_j^(1-a) X(t_j) for path i, with the finite limit rho/Gamma(a) at
+    j = 0, where X itself diverges like t^(a-1).
     """
 
-    values: np.ndarray
     weighted: np.ndarray
     grid: TimeGrid
     scheme_tag: str
@@ -181,7 +178,6 @@ class PathEnsemble:
 
 @dataclass(frozen=True)
 class PicardResult:
-    values: np.ndarray
     weighted: np.ndarray
     grid: TimeGrid
     iterations: int
@@ -302,20 +298,22 @@ def _direct_sum(entries, block, lag, out):
         out[:, i] += np.einsum("m,mp->p", w[lag - block.shape[0]:lag][::-1], block[:, :, k])
 
 
-def _block_spectra(kernels, L, n_targets, M):
-    """Kernel transforms of one far-field block shape (or of a whole path,
-    split in two for the rates), grouped by balancing rate: a list of
-    (mu, [(history index, i, k, rfft of the balanced e^(-mu m) w_ik[m] over
-    the indices m = lag - 1 = 0 .. L + n_targets - 1)])."""
+def _block_spectra(kernels, n_lags, M):
+    """Kernel transforms of one far-field block shape (or of a whole path),
+    grouped by balancing rate: a list of (mu, [(history index, i, k, rfft of
+    the balanced e^(-mu m) w_ik[m] over the indices m = lag - 1 = 0 ..
+    n_lags - 1)]).  Each entry's rate is taken between the two halves of
+    those indices, so it sees as many lags late as early in a block that
+    the end of the grid cuts short too."""
     groups = {}
-    n_lags = L + n_targets
+    half = n_lags // 2
     index = np.arange(float(n_lags))
     for h, entries in enumerate(kernels):
         for i, k, w in entries:
-            early = np.abs(w[:L]).max()
-            late = np.abs(w[L:n_lags]).max()
-            # growth per node from the indices [0, L) to [L, L + n_targets)
-            mu = math.log(late / early) / n_targets if late > early > 0 else 0.0
+            early = np.abs(w[:half]).max()
+            late = np.abs(w[half:n_lags]).max()
+            # growth per node from the indices [0, half) to [half, n_lags)
+            mu = math.log(late / early) / (n_lags - half) if late > early > 0 else 0.0
             w_hat = np.fft.rfft(w[:n_lags] * np.exp(-mu * index), M)
             groups.setdefault(mu, []).append((h, i, k, w_hat))
     return sorted(groups.items())
@@ -347,16 +345,16 @@ def _far_field(kernels, rings, acc, c, spectra):
     products of each rate are summed in the frequency domain by
     :func:`~fracstab.fraccalc._causal_convolution`.  Transforms are per
     path, so batching paths cannot change the result.  ``spectra`` holds
-    the kernel transforms of this march by block shape.
+    the kernel transforms of this march by block length L + R.
     """
     L = _BASE_BLOCK
     while c % (2 * L) == 0:
         L *= 2
     hi = min(c + L, acc.shape[1] - 1)
-    n_targets = hi - c
-    M = _fast_len(L + n_targets)
-    if (L, n_targets) not in spectra:
-        spectra[L, n_targets] = _block_spectra(kernels, L, n_targets, M)
+    n_lags = L + hi - c
+    M = _fast_len(n_lags)
+    if n_lags not in spectra:
+        spectra[n_lags] = _block_spectra(kernels, n_lags, M)
     n_paths, dim = acc.shape[0], acc.shape[2]
     batch = max(1, _FFT_BATCH // (dim * M))
     for p0 in range(0, n_paths, batch):
@@ -364,7 +362,7 @@ def _far_field(kernels, rings, acc, c, spectra):
         # path-major contiguous blocks (dim, paths, L)
         blocks = [np.ascontiguousarray(_ring_block(ring, c - L, c)[:, p0:p1].transpose(2, 1, 0))
                   for ring in rings]
-        _causal_convolution(spectra[L, n_targets], blocks, M, L,
+        _causal_convolution(spectra[n_lags], blocks, M, L,
                             acc[p0:p1, c + 1:hi + 1].transpose(2, 0, 1))
 
 
@@ -379,15 +377,13 @@ def _check_finite(x, n, scheme):
     )
 
 
-def _package(values, system, grid, tag):
-    """Assemble a PathEnsemble from the states (P, N+1, dim), taken over."""
+def _package(states, system, grid, tag):
+    """Assemble a PathEnsemble from the states (P, N+1, dim), weighted in
+    place: node 0 gets rho/Gamma(a), nodes 1..N the factor t^(1-a)."""
     alpha = system.order.alpha
-    times = grid.nodes
-    values[:, 0, :] = np.nan
-    weighted = np.empty_like(values)
-    weighted[:, 0, :] = system.rho / gamma_fn(alpha)
-    np.multiply(times[None, 1:, None] ** (1.0 - alpha), values[:, 1:, :], out=weighted[:, 1:, :])
-    return PathEnsemble(values=values, weighted=weighted, grid=grid, scheme_tag=tag)
+    states[:, 0, :] = system.rho / gamma_fn(alpha)
+    states[:, 1:, :] *= grid.nodes[None, 1:, None] ** (1.0 - alpha)
+    return PathEnsemble(weighted=states, grid=grid, scheme_tag=tag)
 
 
 def _march(system, grid, ensemble, scheme, scheme_tag):
@@ -541,8 +537,8 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments) -> Pi
         raise ValueError(f"path_increments must have shape ({grid.N},)")
     states, iterations, ratios = _picard(system, grid, inc[None])
     ens = _package(states, system, grid, "picard")
-    return PicardResult(values=ens.values[0], weighted=ens.weighted[0], grid=grid,
-                        iterations=int(iterations[0]), contraction_ratio=float(ratios[0]))
+    return PicardResult(weighted=ens.weighted[0], grid=grid, iterations=int(iterations[0]),
+                        contraction_ratio=float(ratios[0]))
 
 
 def _picard(system, grid, increments):
@@ -559,9 +555,9 @@ def _picard(system, grid, increments):
     times = grid.nodes[:, None]
     w_time = times[1:] ** (1.0 - system.order.alpha)
     kernels = (_kernel_entries(w_f), _kernel_entries(w_s))
-    # the whole path is one block, its growth rates taken between the halves
+    # the whole path is one block
     M = _fast_len(2 * grid.N)
-    spectra = _block_spectra(kernels, grid.N // 2, grid.N - grid.N // 2, M)
+    spectra = _block_spectra(kernels, grid.N, M)
     states = np.empty((n_paths, n_nodes, dim))
     iterations = np.zeros(n_paths, dtype=int)
     ratios = np.full(n_paths, math.nan)

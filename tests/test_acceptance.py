@@ -120,7 +120,7 @@ def test_acceptance_04_ito_isometry_variance():
                         coeffs=make_additive_noise(s), order=ORDER)
     grid = TimeGrid(T=1.0, N=512)
     out = simulate_mild(system, grid, brownian_increments(grid, n_paths, 20240601))
-    emp = float(out.values[:, -1, 0].var(ddof=1))
+    emp = float((out.weighted[:, -1, 0] * grid.T ** (ORDER.alpha - 1.0)).var(ddof=1))
     true = s**2 * grid.T**0.5 / (0.5 * gamma_fn(0.75) ** 2)
     se = true * math.sqrt(2.0 / (n_paths - 1))
     dev = abs(emp - true) / se
@@ -202,17 +202,19 @@ def test_acceptance_07_stability_end_to_end():
     ens = brownian_increments(grid, n_paths, 4242)
     out = simulate_mild(system, grid, ens)
 
-    curve_w = pth_moment_curve(out, 2, weighted=True)
-    curve_u = pth_moment_curve(out, 2, weighted=False)
+    curve_w = pth_moment_curve(out, 2)
+    # E|X(t)|^2 from node 1, rescaled as `fracstab simulate` writes moments.csv
+    t = curve_w.nodes[1:]
+    m_u = curve_w.m[1:] * t ** (2 * (ORDER.alpha - 1.0))
     sup_w = float(np.max(curve_w.m))
     verdict = stability_verdict(curve_w, eps, tail_tol=1e-2, window_fraction=0.5)
-    half_idx = np.argmin(np.abs(curve_u.nodes - T / 2))
-    decreasing = curve_u.m[-1] < curve_u.m[half_idx]
+    half_idx = np.argmin(np.abs(t - T / 2))
+    decreasing = m_u[-1] < m_u[half_idx]
 
     sys_unstable = SystemSpec(A=np.array([[1.0]]), rho=np.array([delta]), coeffs=coeffs,
                               order=ORDER)
     out_u = simulate_mild(sys_unstable, grid, ens)
-    curve_bad = pth_moment_curve(out_u, 2, weighted=True)
+    curve_bad = pth_moment_curve(out_u, 2)
     verdict_bad = stability_verdict(curve_bad, eps, tail_tol=1e-2)
 
     ok = (sup_w < eps and verdict.slope_ci[1] < 0.0 and decreasing and verdict.sup == sup_w

@@ -349,6 +349,30 @@ def test_simulate_emit_paths(tmp_path):
     assert first[:2] == ["0", "0"] and first[4] == ""  # value empty at node 0
 
 
+def test_simulate_plain_moments_rescale_the_weighted_curve(tmp_path):
+    # ||X||^p = t^(p(a-1)) ||t^(1-a) X||^p on every path, so moments.csv is
+    # the weighted curve's nodes 1..N rescaled, and the moment of the
+    # emitted plain states
+    doc = benchmark_doc()
+    doc["system"]["p"] = 3
+    doc["monte_carlo"]["n_paths"] = 30
+    doc["output"]["emit_paths"] = True
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "p3"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    plain = np.loadtxt(out / "moments.csv", delimiter=",", skiprows=1)
+    weighted = np.loadtxt(out / "moments_weighted.csv", delimiter=",", skiprows=1)
+    t = weighted[1:, 0]
+    np.testing.assert_array_equal(plain[:, 0], t)
+    scale = t ** (3 * (0.75 - 1.0))
+    np.testing.assert_allclose(plain[:, 1], weighted[1:, 1] * scale, rtol=1e-13)
+    np.testing.assert_allclose(plain[:, 2], weighted[1:, 2] * scale, rtol=1e-13)
+    paths = np.genfromtxt(out / "paths.csv", delimiter=",", skip_header=1).reshape(30, 65, 5)
+    np.testing.assert_allclose(paths[:, 1:, 4], paths[:, 1:, 3] * t ** (0.75 - 1.0), rtol=1e-15)
+    np.testing.assert_allclose(plain[:, 1], np.mean(np.abs(paths[:, 1:, 4]) ** 3, axis=0),
+                               rtol=1e-13)
+
+
 def test_simulate_scheme_override_and_coincidence(tmp_path):
     doc = benchmark_doc()
     doc["grid"]["N"] = 256
@@ -579,7 +603,7 @@ def test_output_digest_runs():
     done = subprocess.run([sys.executable, str(root / "tools" / "output_digest.py")], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("vector_neutral mild: values ")
+    assert done.stdout.startswith("vector_neutral mild: weighted ")
 
 
 def test_convergence_zero_coefficients_saturates(tmp_path):

@@ -199,7 +199,7 @@ def test_non_finite_inputs_are_refused():
 def _curve():
     grid = TimeGrid(T=1.0, N=64)
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([1.0]), 0.75, grid)
-    return pth_moment_curve(single, 2, weighted=True)
+    return pth_moment_curve(single, 2)
 
 
 def _zero(t, x):

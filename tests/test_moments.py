@@ -29,18 +29,23 @@ ORDER = FractionalOrder(0.75, 2)
 
 def weighted_sup(ensemble):
     """The supremum a verdict reports for the weighted second moment."""
-    curve = pth_moment_curve(ensemble, 2, weighted=True)
+    curve = pth_moment_curve(ensemble, 2)
     return stability_verdict(curve, epsilon=1.0, tail_tol=1e-2).sup
+
+
+def plain_curve(ensemble, p, alpha=ORDER.alpha):
+    """E||X(t)||^p from node 1, the weighted curve rescaled by t^(p(a-1)) as
+    ``fracstab simulate`` writes moments.csv."""
+    curve = pth_moment_curve(ensemble, p)
+    t = curve.nodes[1:]
+    scale = t ** (p * (alpha - 1.0))
+    return MomentCurve(nodes=t, m=curve.m[1:] * scale, half_width=curve.half_width[1:] * scale)
 
 
 def make_ensemble(weighted_values, grid):
     """Build a PathEnsemble from given weighted values (paths, N+1, n)."""
     w = np.asarray(weighted_values, dtype=float)
-    t = grid.nodes
-    vals = np.empty_like(w)
-    vals[:, 0] = np.nan
-    vals[:, 1:] = w[:, 1:] / (t[None, 1:, None] ** (1.0 - ORDER.alpha))
-    return PathEnsemble(values=vals, weighted=w, grid=grid, scheme_tag="synthetic")
+    return PathEnsemble(weighted=w, grid=grid, scheme_tag="synthetic")
 
 
 def test_zero_ensemble_gives_zero_curves():
@@ -49,8 +54,7 @@ def test_zero_ensemble_gives_zero_curves():
                         coeffs=make_linear(z, z, z), order=ORDER)
     grid = TimeGrid(T=1.0, N=32)
     out = simulate_mild(system, grid, brownian_increments(grid, 5, 0))
-    for weighted in (True, False):
-        curve = pth_moment_curve(out, 2, weighted=weighted)
+    for curve in (pth_moment_curve(out, 2), plain_curve(out, 2)):
         assert not curve.m.any()
     assert weighted_sup(out) == 0.0
 
@@ -58,22 +62,19 @@ def test_zero_ensemble_gives_zero_curves():
 def test_deterministic_replicated_paths_zero_half_width():
     grid = TimeGrid(T=1.0, N=16)
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([1.0]), 0.75, grid)
-    stacked = PathEnsemble(values=np.repeat(single.values, 40, axis=0),
-                           weighted=np.repeat(single.weighted, 40, axis=0),
+    stacked = PathEnsemble(weighted=np.repeat(single.weighted, 40, axis=0),
                            grid=grid, scheme_tag="closed_form")
-    curve = pth_moment_curve(stacked, 2, weighted=False)
+    curve = plain_curve(stacked, 2)
     assert np.all(curve.half_width <= 1e-12 * np.maximum(curve.m, 1e-300))
-    np.testing.assert_allclose(
-        curve.m, np.linalg.norm(single.values[0, 1:], axis=1) ** 2, rtol=1e-14
-    )
+    values = single.weighted[0, 1:] * curve.nodes[:, None] ** (ORDER.alpha - 1.0)
+    np.testing.assert_allclose(curve.m, np.linalg.norm(values, axis=1) ** 2, rtol=1e-14)
 
 
-def whole_array_curve(ensemble, p, weighted):
+def whole_array_curve(ensemble, p):
     """(mean, half-width) of the curve in one reduction over all nodes."""
-    block = ensemble.weighted if weighted else ensemble.values[:, 1:, :]
-    powers = np.linalg.norm(block, axis=2) ** p
+    powers = np.linalg.norm(ensemble.weighted, axis=2) ** p
     mean = powers.mean(axis=0)
-    n_paths = block.shape[0]
+    n_paths = powers.shape[0]
     if n_paths < 30:
         return mean, np.full_like(mean, np.nan)
     return mean, 1.959963984540054 * powers.std(axis=0, ddof=1) / math.sqrt(n_paths)
@@ -92,11 +93,10 @@ def test_node_blocked_curve_keeps_the_whole_array_bits(n_paths, dim):
     w = rng.standard_normal((n_paths, grid.N + 1, dim)) * scale
     ens = make_ensemble(w, grid)
     for p in (1, 2, 3):
-        for weighted in (True, False):
-            curve = pth_moment_curve(ens, p, weighted=weighted)
-            mean, half = whole_array_curve(ens, p, weighted)
-            assert curve.m.tobytes() == mean.tobytes()
-            assert curve.half_width.tobytes() == half.tobytes()
+        curve = pth_moment_curve(ens, p)
+        mean, half = whole_array_curve(ens, p)
+        assert curve.m.tobytes() == mean.tobytes()
+        assert curve.half_width.tobytes() == half.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -107,13 +107,11 @@ def test_moment_curve_allocates_well_below_an_ensemble(dim):
     array_bytes = w.nbytes
     tracemalloc.start()
     try:
-        for weighted in (True, False):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            pth_moment_curve(ens, 2, weighted=weighted)
-            extra = tracemalloc.get_traced_memory()[1] - base
-            # a whole-array reduction allocated 3 (dim 1) or 2 (dim 2) arrays
-            assert extra <= 0.5 * array_bytes, extra / array_bytes
+        base = tracemalloc.get_traced_memory()[0]
+        pth_moment_curve(ens, 2)
+        extra = tracemalloc.get_traced_memory()[1] - base
+        # a whole-array reduction allocated 3 (dim 1) or 2 (dim 2) arrays
+        assert extra <= 0.5 * array_bytes, extra / array_bytes
     finally:
         tracemalloc.stop()
 
@@ -121,10 +119,10 @@ def test_moment_curve_allocates_well_below_an_ensemble(dim):
 def test_unweighted_curve_excludes_origin():
     grid = TimeGrid(T=1.0, N=8)
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([1.0]), 0.75, grid)
-    curve = pth_moment_curve(single, 2, weighted=False)
+    curve = plain_curve(single, 2)
     assert curve.nodes[0] > 0.0
     assert len(curve.nodes) == grid.N
-    weighted = pth_moment_curve(single, 2, weighted=True)
+    weighted = pth_moment_curve(single, 2)
     assert weighted.nodes[0] == 0.0
     assert len(weighted.nodes) == grid.N + 1
 
@@ -132,7 +130,7 @@ def test_unweighted_curve_excludes_origin():
 def test_small_ensembles_report_nan_half_width():
     grid = TimeGrid(T=1.0, N=8)
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([1.0]), 0.75, grid)
-    curve = pth_moment_curve(single, 2, weighted=True)
+    curve = pth_moment_curve(single, 2)
     assert np.all(np.isnan(curve.half_width))
 
 
@@ -142,7 +140,7 @@ def test_additive_noise_moment_curve_matches_ito_isometry():
                         coeffs=make_additive_noise(s), order=ORDER)
     grid = TimeGrid(T=1.0, N=128)
     out = simulate_mild(system, grid, brownian_increments(grid, 4000, 31))
-    curve = pth_moment_curve(out, 2, weighted=False)
+    curve = plain_curve(out, 2)
     expected = s**2 * curve.nodes ** (2 * alpha - 1) / ((2 * alpha - 1) * gamma_fn(alpha) ** 2)
     # every node within 3 half-widths of the closed form
     assert np.all(np.abs(curve.m - expected) <= 3.0 * curve.half_width / 1.96 * 3.0)
@@ -155,7 +153,7 @@ def test_fourth_moment_inequality_additive_benchmark():
                         coeffs=make_additive_noise(s), order=ORDER)
     grid = TimeGrid(T=1.0, N=128)
     out = simulate_mild(system, grid, brownian_increments(grid, 4000, 13))
-    curve4 = pth_moment_curve(out, 4, weighted=False)
+    curve4 = plain_curve(out, 4)
     v = s**2 * grid.T ** 0.5 / (0.5 * gamma_fn(0.75) ** 2)
     emp = curve4.m[-1]
     ci = curve4.half_width[-1] * 3.0 / 1.96
@@ -168,11 +166,10 @@ def test_weighted_sup_homogeneous_at_origin_and_scaling():
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([1.0]), 0.75, grid)
     val = weighted_sup(single)
     assert val == pytest.approx((1.0 / gamma_fn(0.75)) ** 2, rel=1e-12)
-    curve = pth_moment_curve(single, 2, weighted=True)
+    curve = pth_moment_curve(single, 2)
     assert int(np.argmax(curve.m)) == 0  # monotone decay confirmed by scan
     for c in (0.0, 0.5, 3.0):
-        scaled = PathEnsemble(values=c * single.values, weighted=c * single.weighted,
-                              grid=grid, scheme_tag="closed_form")
+        scaled = PathEnsemble(weighted=c * single.weighted, grid=grid, scheme_tag="closed_form")
         assert weighted_sup(scaled) == pytest.approx(c**2 * val, rel=1e-12)
 
 
@@ -180,8 +177,8 @@ def test_moment_monotonicity_in_p():
     grid = TimeGrid(T=1.0, N=8)
     big = make_ensemble(np.full((3, 9, 1), 2.0), grid)
     small = make_ensemble(np.full((3, 9, 1), 0.5), grid)
-    m_big = [pth_moment_curve(big, p, weighted=True).m for p in (2, 3, 4)]
-    m_small = [pth_moment_curve(small, p, weighted=True).m for p in (2, 3, 4)]
+    m_big = [pth_moment_curve(big, p).m for p in (2, 3, 4)]
+    m_small = [pth_moment_curve(small, p).m for p in (2, 3, 4)]
     assert np.all(m_big[0] <= m_big[1]) and np.all(m_big[1] <= m_big[2])
     assert np.all(m_small[0] >= m_small[1]) and np.all(m_small[1] >= m_small[2])
 
@@ -191,7 +188,7 @@ def test_moment_order_must_be_an_integer(p):
     grid = TimeGrid(T=1.0, N=8)
     ens = make_ensemble(np.full((3, 9, 1), 2.0), grid)
     with pytest.raises(ValueError, match="p must be an integer"):
-        pth_moment_curve(ens, p, weighted=True)
+        pth_moment_curve(ens, p)
 
 
 def test_decay_fit_exact_power_law():
@@ -217,7 +214,7 @@ def test_decay_fit_homogeneous_benchmark_slope():
     # like t^(-2(a+1)) = t^(-3.5); recorded against the closed-form curve
     grid = TimeGrid(T=50.0, N=2000)
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([1.0]), 0.75, grid)
-    curve = pth_moment_curve(single, 2, weighted=False)
+    curve = plain_curve(single, 2)
     fit = stability_verdict(curve, 1.0, 1e-2, window_fraction=0.5)
     assert fit.slope <= -1.0
     # leading asymptote is t^(-3.5); the next-order t^(-a) correction still
@@ -239,7 +236,7 @@ def test_stability_verdict_closed_form_benchmark():
     rho = 0.5
     grid = TimeGrid(T=50.0, N=2000)
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([rho]), 0.75, grid)
-    curve = pth_moment_curve(single, 2, weighted=True)
+    curve = pth_moment_curve(single, 2)
     verdict = stability_verdict(curve, epsilon=1.0, tail_tol=1e-3)
     assert verdict.stable_p
     assert verdict.asymptotically_stable_p
@@ -255,7 +252,7 @@ def test_stability_verdict_closed_form_benchmark():
 def test_stability_verdict_growth_fails_asymptotics():
     grid = TimeGrid(T=10.0, N=400)
     single = closed_form_homogeneous(np.array([[1.0]]), np.array([0.1]), 0.75, grid)
-    curve = pth_moment_curve(single, 2, weighted=True)
+    curve = pth_moment_curve(single, 2)
     verdict = stability_verdict(curve, epsilon=1.0, tail_tol=1e-3)
     assert not verdict.asymptotically_stable_p
     assert not verdict.stable_p  # the curve blows past epsilon
@@ -268,7 +265,7 @@ def test_stability_verdict_zero_initial_datum():
                         coeffs=make_linear(z, z, z), order=ORDER)
     grid = TimeGrid(T=10.0, N=256)
     out = simulate_mild(system, grid, brownian_increments(grid, 40, 0))
-    curve = pth_moment_curve(out, 2, weighted=True)
+    curve = pth_moment_curve(out, 2)
     verdict = stability_verdict(curve, epsilon=0.1, tail_tol=1e-12)
     assert verdict.stable_p and verdict.asymptotically_stable_p
     assert verdict.sup == verdict.tail_mean == 0.0

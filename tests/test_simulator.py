@@ -51,6 +51,11 @@ def zero_system(a=-1.0, rho=1.0):
     return scalar_system(a=a, rho=rho, coeffs=make_linear(z, z, z))
 
 
+def unweighted(out, alpha=ORDER.alpha):
+    """X(t) at the nodes 1..N, from the weighted states of a result."""
+    return out.weighted[..., 1:, :] * out.grid.nodes[1:, None] ** (alpha - 1.0)
+
+
 # ---------------------------------------------------------------- ensembles
 
 def test_brownian_moments():
@@ -117,7 +122,7 @@ def test_integral_form_zero_coefficients_zero_drift_exact():
     out = simulate_integral_form(system, grid, ens)
     t = grid.nodes[1:]
     expect = t ** (ORDER.alpha - 1.0) / gamma_fn(ORDER.alpha)
-    np.testing.assert_allclose(out.values[0, 1:, 0], expect, rtol=1e-13)
+    np.testing.assert_allclose(unweighted(out)[0, :, 0], expect, rtol=1e-13)
 
 
 def test_weighted_initialisation_and_consistency():
@@ -126,11 +131,6 @@ def test_weighted_initialisation_and_consistency():
     ens = brownian_increments(grid, 4, 3)
     for out in (simulate_mild(system, grid, ens), simulate_integral_form(system, grid, ens)):
         np.testing.assert_allclose(out.weighted[:, 0, 0], 1.0 / gamma_fn(0.75), rtol=1e-14)
-        assert np.all(np.isnan(out.values[:, 0, :]))
-        t = grid.nodes[1:]
-        np.testing.assert_allclose(
-            out.weighted[:, 1:, 0], t ** (1 - ORDER.alpha) * out.values[:, 1:, 0], rtol=1e-13
-        )
 
 
 SCHEMES = {
@@ -241,12 +241,11 @@ def test_scheme_determinism_and_chunk_independence(scheme, dim, n_steps):
     ens = brownian_increments(grid, 40, 123)
     base = simulate(system, grid, ens)
     again = simulate(system, grid, ens)
-    np.testing.assert_array_equal(np.nan_to_num(base.values), np.nan_to_num(again.values))
+    np.testing.assert_array_equal(base.weighted, again.weighted)
     # a path's states do not depend on the other paths marched with it
     for lo, hi in ((3, 4), (10, 17), (1, 40)):
         part = simulate(system, grid, row_slice(ens, lo, hi))
-        np.testing.assert_array_equal(np.nan_to_num(base.values[lo:hi]),
-                                      np.nan_to_num(part.values))
+        np.testing.assert_array_equal(base.weighted[lo:hi], part.weighted)
 
 
 # Decaying kernels at N = 256 and 300 (two and three block levels, the
@@ -270,6 +269,7 @@ def test_scheme_determinism_and_chunk_independence(scheme, dim, n_steps):
     pytest.param([[1.0]], 50.0, 512, id="one-rate"),
     pytest.param([[1.0, 0.0], [0.0, 0.3]], 50.0, 300, id="two-rates"),
     pytest.param([[0.5, 0.3], [-0.2, 0.2]], 50.0, 300, id="rotation"),
+    pytest.param([[0.5, 0.3], [-0.2, 0.2]], 50.0, 1088, id="rotation-1088"),
 ])
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_march_matches_direct_sum_reference(scheme, a_mat, T, n_steps):
@@ -283,7 +283,7 @@ def test_march_matches_direct_sum_reference(scheme, a_mat, T, n_steps):
     ref = direct_sum_march(system, grid, ens, scheme, c_g=0.2)
     # node by node, relative to the largest state of the path so far (the
     # node's own size, except where a component crosses zero)
-    gap = np.max(np.abs(out.values[:, 1:] - ref[:, 1:]), axis=2)
+    gap = np.max(np.abs(unweighted(out) - ref[:, 1:]), axis=2)
     scale = np.maximum.accumulate(np.max(np.abs(ref[:, 1:]), axis=2), axis=1)
     assert np.all(gap <= 1e-12 * scale), np.max(gap / scale)
 
@@ -315,7 +315,7 @@ def test_history_rings_keep_the_bits_of_full_histories(monkeypatch, scheme, n_st
     out = SCHEMES[scheme](system, grid, ens)
     monkeypatch.setattr(simulator, "_ring_rows", lambda n: n)
     full = SCHEMES[scheme](system, grid, ens)
-    assert out.values.tobytes() == full.values.tobytes()
+    assert out.weighted.tobytes() == full.weighted.tobytes()
 
 
 def test_lone_path_keeps_its_bits_on_a_long_grid():
@@ -326,7 +326,7 @@ def test_lone_path_keeps_its_bits_on_a_long_grid():
     ens = brownian_increments(grid, 2, 9)
     pair = simulate_mild(system, grid, ens)
     alone = simulate_mild(system, grid, row_slice(ens, 1, 2))
-    assert pair.values[1:].tobytes() == alone.values.tobytes()
+    assert pair.weighted[1:].tobytes() == alone.weighted.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -343,10 +343,31 @@ def test_march_allocates_about_two_ensembles(dim):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # the states and the weighted states, or the states and two rings of
-    # half the grid; full-length histories and a weighting temporary made 3.1
+    # the states, weighted in place, and two rings of half the grid;
+    # full-length histories and a weighting temporary made 3.1
     assert peak <= 2.6 * array_bytes, peak / array_bytes
     assert out.weighted.nbytes == array_bytes
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_package_weights_the_states_in_place(dim):
+    system = scalar_system() if dim == 1 else planar_system(make_bounded_smooth(0.2, 0.1, 0.1))
+    grid = TimeGrid(T=50.0, N=1024)
+    states = np.random.default_rng(dim).standard_normal((1000, grid.N + 1, dim))
+    expect = states[:, 1:] * grid.nodes[1:, None] ** (1.0 - ORDER.alpha)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = simulator._package(states, system, grid, "mild")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # a second weighted array made 1.0
+    assert peak <= 0.1 * states.nbytes, peak / states.nbytes
+    assert out.weighted is states
+    np.testing.assert_array_equal(out.weighted[:, 0], np.broadcast_to(
+        system.rho / gamma_fn(ORDER.alpha), (1000, dim)))
+    np.testing.assert_array_equal(out.weighted[:, 1:], expect)
 
 
 # Every target past its own base block is served by one far-field block
@@ -404,7 +425,8 @@ def test_builtin_families_solve_the_neutral_term_without_calling_g(coeffs):
     simulate_integral_form(system, grid, ens)
     assert not calls
     # a traced g leaves every byte of the march as it is
-    assert out.values.tobytes() == simulate_mild(planar_system(coeffs), grid, ens).values.tobytes()
+    assert (out.weighted.tobytes()
+            == simulate_mild(planar_system(coeffs), grid, ens).weighted.tobytes())
 
 
 def affine_neutral_coeffs(slope, shift, L_g):
@@ -433,10 +455,10 @@ def test_neutral_solve_falls_back_to_tested_sweeps(slope, shift, L_g):
     system = planar_system(coeffs)
     grid = TimeGrid(T=1.0, N=130)
     ens = brownian_increments(grid, 14, 3)
-    base = np.nan_to_num(simulate_mild(system, grid, ens).values)
+    base = simulate_mild(system, grid, ens).weighted
     for lo, hi in ((5, 6), (2, 9)):
         part = simulate_mild(system, grid, row_slice(ens, lo, hi))
-        np.testing.assert_array_equal(base[lo:hi], np.nan_to_num(part.values))
+        np.testing.assert_array_equal(base[lo:hi], part.weighted)
 
 
 def test_custom_neutral_term_near_one_converges_with_defaults():
@@ -449,7 +471,7 @@ def test_custom_neutral_term_near_one_converges_with_defaults():
     ens = brownian_increments(grid, 2, 0)
     out = simulate_mild(scalar_system(coeffs=custom), grid, ens)
     ref = simulate_mild(scalar_system(coeffs=lin), grid, ens)
-    np.testing.assert_allclose(out.values[:, 1:], ref.values[:, 1:], rtol=1e-10)
+    np.testing.assert_allclose(unweighted(out), unweighted(ref), rtol=1e-10)
 
 
 def test_expanding_neutral_term_raises_convergence_error():
@@ -474,7 +496,7 @@ def test_affine_scaling_in_initial_datum_and_noise():
     # linear (multiplicative) family: X is homogeneous in rho at fixed noise
     out1 = simulate_mild(scalar_system(rho=0.7), grid, ens)
     out2 = simulate_mild(scalar_system(rho=1.4), grid, ens)
-    np.testing.assert_allclose(out2.values[:, 1:], 2.0 * out1.values[:, 1:], rtol=1e-10)
+    np.testing.assert_allclose(unweighted(out2), 2.0 * unweighted(out1), rtol=1e-10)
     # additive diffusion: the map (rho, noise) -> X is jointly affine, so
     # doubling both doubles every nodal value
     doubled = BrownianEnsemble(increments=2.0 * ens.increments)
@@ -485,7 +507,7 @@ def test_affine_scaling_in_initial_datum_and_noise():
     sys_a2 = SystemSpec(A=np.array([[-1.0]]), rho=np.array([1.4]), coeffs=coeffs_add, order=ORDER)
     a1 = simulate_mild(sys_a1, grid, ens)
     a2 = simulate_mild(sys_a2, grid, doubled)
-    np.testing.assert_allclose(a2.values[:, 1:], 2.0 * a1.values[:, 1:], rtol=1e-10)
+    np.testing.assert_allclose(unweighted(a2), 2.0 * unweighted(a1), rtol=1e-10)
 
 
 def test_additive_noise_variance_matches_ito_isometry():
@@ -497,7 +519,7 @@ def test_additive_noise_variance_matches_ito_isometry():
     n_paths = 4000
     ens = brownian_increments(grid, n_paths, 99)
     out = simulate_mild(system, grid, ens)
-    emp = out.values[:, -1, 0].var(ddof=1)
+    emp = unweighted(out)[:, -1, 0].var(ddof=1)
     true = s**2 * grid.T ** (2 * alpha - 1) / ((2 * alpha - 1) * gamma_fn(alpha) ** 2)
     se = true * math.sqrt(2.0 / (n_paths - 1))
     assert abs(emp - true) <= 3.0 * se
@@ -529,7 +551,7 @@ def test_as_printed_variant_semantics():
     with_g = scalar_system(L=0.1)
     a = simulate_integral_form(with_g, grid, ens)
     b = simulate_integral_form(with_g, grid, ens, as_printed=True)
-    assert np.nanmax(np.abs(a.values - b.values)) > 1e-6
+    assert np.max(np.abs(unweighted(a) - unweighted(b))) > 1e-6
     assert b.scheme_tag == "integral_form_as_printed"
     # with all coefficients zero the literal form has no memory term at all:
     # it degenerates to the drift-free curve t^(a-1) rho / Gamma(a), while
@@ -539,7 +561,7 @@ def test_as_printed_variant_semantics():
     d = simulate_integral_form(system, grid, ens, as_printed=True)
     t = grid.nodes[1:]
     driftless = t ** (ORDER.alpha - 1.0) / gamma_fn(ORDER.alpha)
-    np.testing.assert_allclose(d.values[0, 1:, 0], driftless, rtol=1e-12)
+    np.testing.assert_allclose(unweighted(d)[0, :, 0], driftless, rtol=1e-12)
     reference = closed_form_homogeneous(system.A, system.rho, ORDER.alpha, grid)
     assert np.nanmax(np.abs(c.weighted - reference.weighted[0])) < 5e-3
 
@@ -634,9 +656,9 @@ def convolve_picard(system, grid, inc, c_g):
     raise ConvergenceError("reference Picard did not converge")
 
 
-def unbalanced_spectra(kernels, L, n_targets, M):
+def unbalanced_spectra(kernels, n_lags, M):
     """Kernel transforms of simulator._block_spectra without the balancing."""
-    return [(0.0, [(h, i, k, sp_fft.rfft(w[:L + n_targets], M))
+    return [(0.0, [(h, i, k, sp_fft.rfft(w[:n_lags], M))
                    for h, entries in enumerate(kernels) for i, k, w in entries])]
 
 
@@ -655,7 +677,7 @@ def picard_gap(a_mat, T, n_steps):
         res = picard_path_solve(system, grid, inc)
         ref, iterations = convolve_picard(system, grid, inc, 0.2)
         assert res.iterations == iterations
-        gap = np.max(np.abs(res.values[1:] - ref[1:]), axis=1)
+        gap = np.max(np.abs(unweighted(res) - ref[1:]), axis=1)
         scale = np.maximum.accumulate(np.max(np.abs(ref[1:]), axis=1))
         worst = max(worst, float(np.max(gap / scale)))
     return worst
@@ -726,7 +748,7 @@ def test_picard_calls_each_coefficient_once_per_sweep():
     hidden = picard_path_solve(planar_system(counted_coefficients(coeffs, calls, False)),
                                grid, ens.increments[0])
     assert calls["b"] == calls["sigma"] == hidden.iterations < calls["g"]
-    assert np.max(np.abs(hidden.values[1:] - res.values[1:])) <= 1e-13
+    assert np.max(np.abs(unweighted(hidden) - unweighted(res))) <= 1e-13
 
 
 def test_picard_solves_a_time_dependent_custom_neutral_term():
@@ -755,10 +777,9 @@ def test_picard_ensemble_freezes_each_path_at_its_own_sweep():
     for i, inc in enumerate(ens.increments):
         res = picard_path_solve(system, grid, inc)
         sweeps.add(res.iterations)
-        np.testing.assert_array_equal(out.values[i], res.values)
         np.testing.assert_array_equal(out.weighted[i], res.weighted)
     assert len(sweeps) > 1
-    assert out.scheme_tag == "picard" and out.values.shape == (7, 1025, 2)
+    assert out.scheme_tag == "picard" and out.weighted.shape == (7, 1025, 2)
 
 
 def test_multidimensional_system_runs_and_coincides():
@@ -782,7 +803,7 @@ def test_closed_form_classical_limit():
     order1 = FractionalOrder(1.0, 2)
     grid = TimeGrid(T=1.0, N=64)
     out = closed_form_homogeneous(np.array([[-0.5]]), np.array([2.0]), 1.0, grid)
-    np.testing.assert_allclose(out.values[0, 1:, 0],
+    np.testing.assert_allclose(unweighted(out, 1.0)[0, :, 0],
                                2.0 * np.exp(-0.5 * grid.nodes[1:]), rtol=1e-12)
     # weighted limit at the origin: rho / Gamma(1) = rho
     assert out.weighted[0, 0, 0] == pytest.approx(2.0)
@@ -792,7 +813,7 @@ def test_closed_form_classical_limit():
                         coeffs=make_linear(z, z, z), order=order1)
     ens = brownian_increments(grid, 1, 0)
     mild = simulate_mild(system, grid, ens)
-    np.testing.assert_allclose(mild.values[0, 1:, 0],
+    np.testing.assert_allclose(unweighted(mild, 1.0)[0, :, 0],
                                2.0 * np.exp(-0.5 * grid.nodes[1:]), rtol=1e-12)
 
 
