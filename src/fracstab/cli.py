@@ -18,9 +18,12 @@ build.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +33,11 @@ from .config import _SCHEMES, RunConfig, _integer, load_config
 from .criteria import certify, delta_for_epsilon
 from .errors import ConfigError, ConvergenceError, FracstabError, SimulationNumericError
 from .fraccalc import ML_TOL, ml_scalar
-from .moments import pth_moment_curve, stability_verdict
+from .moments import _MomentSums, stability_verdict
 from .simulator import (
     BrownianEnsemble,
     TimeGrid,
+    _ensemble_chunks,
     brownian_increments,
     simulate_integral_form,
     simulate_mild,
@@ -163,25 +167,59 @@ def _write_meta(path: Path, cfg: RunConfig, scheme: str) -> None:
     _write_kv(path, pairs)
 
 
+def _path_lines(first, weighted, nodes, alpha):
+    """The paths.csv lines of the weighted states (paths, N+1, dim) of the
+    paths first, first + 1, ...: the weighted and the plain state at every
+    node, the plain one left empty at t = 0."""
+    unweight = nodes[1:, None] ** (alpha - 1.0)
+    heads = [f"{j},{_fmt(t)}," for j, t in enumerate(nodes.tolist())]
+    blank = "," * weighted.shape[2]
+    for i, path in enumerate(weighted, start=first):
+        yield f"{i},{heads[0]}" + ",".join(map(_fmt, path[0].tolist())) + blank + "\n"
+        cells = np.concatenate([path[1:], path[1:] * unweight], axis=1).tolist()
+        for head, row in zip(heads[1:], cells):
+            yield f"{i},{head}" + ",".join(map(_fmt, row)) + "\n"
+
+
+def _ensemble_curve(cfg: RunConfig, scheme: str, paths):
+    """The weighted moment curve of the run's ensemble, which is drawn,
+    marched and reduced chunk by chunk; with a text file ``paths``, each
+    chunk's paths.csv lines are written to it."""
+    grid = cfg.grid()
+    sums = _MomentSums(grid.N + 1, cfg.p)
+    if paths:
+        dim = len(cfg.rho)
+        paths.write(",".join(["path", "node", "t"] + [f"weighted_{k}" for k in range(dim)]
+                             + [f"value_{k}" for k in range(dim)]) + "\n")
+    for first, weighted in _ensemble_chunks(cfg.system(), grid, cfg.n_paths, cfg.master_seed,
+                                            scheme):
+        sums.add(weighted)
+        if paths:
+            paths.writelines(_path_lines(first, weighted, grid.nodes, cfg.alpha))
+    return sums.curve(grid.nodes)
+
+
 def cmd_simulate(args) -> int:
     cfg, scheme, out = _run_config(args)
-    grid = cfg.grid()
-    ens = brownian_increments(grid, cfg.n_paths, cfg.master_seed)
-    ensemble = _simulate(cfg.system(), grid, ens, scheme)
-    # the run's peak memory is the march's: the states, which are then
-    # weighted in place, two history rings and the increments; the moment
-    # curve adds little
-    del ens
-    curve = pth_moment_curve(ensemble, cfg.p)
+    # the run holds one chunk of the ensemble at a time, so its peak memory
+    # does not grow with P past one chunk; paths.csv goes to a temporary
+    # file first, and a refused certificate or verdict leaves no files behind
+    emit = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") if cfg.emit_paths else None
+    with emit or contextlib.nullcontext():
+        curve = _ensemble_curve(cfg, scheme, emit)
+        # the flags are judged on the weighted (H-norm) curve
+        cert, delta, _ = _certificate(cfg)
+        verdict = stability_verdict(curve, cfg.epsilon, cfg.tail_tol, cfg.window_fraction)
+        if emit:
+            out.mkdir(parents=True, exist_ok=True)
+            emit.seek(0)
+            with open(out / "paths.csv", "w", encoding="utf-8", newline="\n") as fh:
+                shutil.copyfileobj(emit, fh)
     # ||X||^p = t^(p(a-1)) ||t^(1-a) X||^p on every path: the plain curve
     # is the weighted one rescaled, from node 1 as X diverges at t -> 0+
     t = curve.nodes[1:]
     scale = t ** (cfg.p * (cfg.alpha - 1.0))
     m_u = curve.m[1:] * scale
-    # a refused certificate or verdict leaves no files behind; the flags are
-    # judged on the weighted (H-norm) curve
-    cert, delta, _ = _certificate(cfg)
-    verdict = stability_verdict(curve, cfg.epsilon, cfg.tail_tol, cfg.window_fraction)
     _write_csv(out / "moments.csv", ("t", "m", "ci_half_width"),
                zip(t, m_u, curve.half_width[1:] * scale))
     _write_csv(out / "moments_weighted.csv", ("t", "m", "ci_half_width"),
@@ -189,7 +227,7 @@ def cmd_simulate(args) -> int:
 
     rho_norm = float(np.linalg.norm(cfg.rho))
     pairs = [
-        ("scheme", ensemble.scheme_tag),
+        ("scheme", scheme),
         ("p", cfg.p),
         ("epsilon", cfg.epsilon),
         ("delta", delta),
@@ -211,22 +249,6 @@ def cmd_simulate(args) -> int:
         ("k_stab", cert.k_stab),
     ]
     _write_kv(out / "verdict.txt", pairs)
-
-    if cfg.emit_paths:
-        dim = ensemble.weighted.shape[2]
-        header = (["path", "node", "t"]
-                  + [f"weighted_{k}" for k in range(dim)]
-                  + [f"value_{k}" for k in range(dim)])
-        nodes = ensemble.grid.nodes
-        unweight = nodes[1:, None] ** (cfg.alpha - 1.0)
-        rows = []
-        for i, path in enumerate(ensemble.weighted):
-            values = path[1:] * unweight
-            for j in range(ensemble.grid.N + 1):
-                vals = [""] * dim if j == 0 else values[j - 1]
-                rows.append([i, j, nodes[j], *path[j], *vals])
-        _write_csv(out / "paths.csv", header, rows)
-
     _write_meta(out / "meta.txt", cfg, scheme)
     return EXIT_OK
 

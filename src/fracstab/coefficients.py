@@ -204,8 +204,7 @@ def _linear_solver(G):
     inverse = np.linalg.inv(np.eye(G.shape[0]) + G)
 
     def solve(t, rhs):
-        with np.errstate(invalid="ignore", over="ignore"):
-            return _apply_matrix(inverse, rhs)
+        return _apply_matrix(inverse, rhs)
 
     return solve
 
@@ -251,9 +250,8 @@ def _sine_solver(c):
     def solve(t, rhs):
         x = rhs
         # each bisection halves a bracket around the root and keeps x at its middle
-        with np.errstate(invalid="ignore", over="ignore"):
-            for k in range(1, n_bisect + 1):
-                x = x - np.sign(x + c * np.sin(x) - rhs) * (a * 0.5**k)
+        for k in range(1, n_bisect + 1):
+            x = x - np.sign(x + c * np.sin(x) - rhs) * (a * 0.5**k)
         return _settle(newton, x, rhs, n_free, t, max_iter, note)
 
     return solve
@@ -264,7 +262,9 @@ def _neutral_solver(coeffs):
 
     The exact solve of a built-in family is kept on its ``g`` callable and
     found through ``functools.wraps`` wrappers; any other ``g`` is solved by
-    :func:`_solve_neutral`.  Requires L_g < 1.
+    :func:`_solve_neutral`.  Requires L_g < 1.  The exact solves set no
+    ``np.errstate`` of their own: their callers, the marches and the Picard
+    sweeps, let non-finite states through under one and refuse them by node.
     """
     exact = getattr(inspect.unwrap(coeffs.g), "neutral_solve", None)
     if exact is not None:

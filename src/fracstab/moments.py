@@ -14,14 +14,18 @@ is the one entry point: its :class:`DecayVerdict` reports the curve's
 supremum, its tail mean and the fit with the two flags.  Whether
 the curve's initial datum met ||rho|| < delta is the caller's to report.
 
-The mean and the variance of each node sum its paths in path order, one
-after the other: numpy reduces the path axis of a (paths, nodes) array that
-way when it holds at least two nodes, whereas a lone node would be summed
-pairwise.  :func:`pth_moment_curve` therefore reduces blocks of at least
-two nodes, sized from P * dim so that its temporaries stay near 2^16
-elements whatever N; each node keeps the bits of one whole-array reduction.
-Paths are summed in their ensemble order, so a curve is bit-reproducible for
-a given ensemble.
+Each node's mean and variance come from one streaming reduction,
+:class:`_MomentSums`.  It takes the values ||t^(1-a) X||^p shifted by the
+node's value on path 0, so a node where all paths are equal has a mean of
+exactly that value and a half-width of exactly 0.  It reduces fixed blocks
+of 64 paths to their count, mean and sum of squared deviations, and folds
+the blocks in path order by the pairwise update of Chan, Golub & LeVeque
+(1983).  A block takes its nodes in groups sized from dim alone, so the
+temporaries stay near 2^14 elements whatever N and P, and each block is
+reduced with the same shapes wherever the chunks of an ensemble start.
+The curve is therefore bit-reproducible for a given ensemble, and the same
+whether the ensemble is reduced whole (:func:`pth_moment_curve`) or chunk
+by chunk of whole blocks, as ``fracstab simulate`` does.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import PathEnsemble
+from .simulator import _PATH_BLOCK, PathEnsemble
 
 __all__ = [
     "MomentCurve",
@@ -65,24 +69,58 @@ def pth_moment_curve(ensemble: PathEnsemble, p: int) -> MomentCurve:
     weighted states, on every node from t = 0, for an integer p >= 1 (a
     bool or a non-integral number is refused with ``ValueError``).
     """
-    if isinstance(p, bool) or not (p >= 1 and float(p).is_integer()):
-        raise ValueError(f"p must be an integer >= 1, got {p!r}")
-    p = int(p)
-    states = ensemble.weighted
-    n_paths, n_nodes, dim = states.shape
-    mean = np.empty(n_nodes)
-    half = np.full(n_nodes, np.nan)
-    step = max(2, (1 << 16) // (n_paths * dim))
-    edges = list(range(0, n_nodes, step))
-    if n_nodes - edges[-1] == 1:
-        edges.pop()  # a last block of one node joins the one before it
-    edges.append(n_nodes)
-    for j0, j1 in zip(edges, edges[1:]):
-        powers = np.linalg.norm(states[:, j0:j1], axis=2) ** p  # (paths, nodes)
-        mean[j0:j1] = powers.mean(axis=0)
-        if n_paths >= 30:
-            half[j0:j1] = 1.959963984540054 * powers.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    return MomentCurve(nodes=ensemble.grid.nodes, m=mean, half_width=half)
+    sums = _MomentSums(ensemble.grid.N + 1, p)
+    sums.add(ensemble.weighted)
+    return sums.curve(ensemble.grid.nodes)
+
+
+class _MomentSums:
+    """Running per-node count, mean and sum of squared deviations (M2) of
+    ||w||^p, shifted by path 0's value, over the weighted states w of the
+    paths added so far."""
+
+    def __init__(self, n_nodes, p):
+        if isinstance(p, bool) or not (p >= 1 and float(p).is_integer()):
+            raise ValueError(f"p must be an integer >= 1, got {p!r}")
+        self.p = int(p)
+        self.count = 0
+        self.shift = np.empty(n_nodes)
+        self.mean = np.zeros(n_nodes)
+        self.m2 = np.zeros(n_nodes)
+
+    def add(self, weighted):
+        """Fold in the next paths, weighted states (paths, nodes, dim), in
+        blocks of ``_PATH_BLOCK`` paths from the first: every call but the
+        last must add a whole number of blocks."""
+        n_paths, n_nodes, dim = weighted.shape
+        step = max(2, (1 << 14) // (_PATH_BLOCK * dim))
+        # sums that overflow leave inf or NaN in the curve, without warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b0 in range(0, n_paths, _PATH_BLOCK):
+                block = weighted[b0:b0 + _PATH_BLOCK]
+                n_a, n_b = self.count, block.shape[0]
+                n = n_a + n_b
+                for j0 in range(0, n_nodes, step):
+                    j1 = min(j0 + step, n_nodes)
+                    values = np.linalg.norm(block[:, j0:j1], axis=2) ** self.p  # (paths, nodes)
+                    if not n_a:
+                        self.shift[j0:j1] = values[0]
+                    values -= self.shift[j0:j1]
+                    mean_b = values.sum(axis=0) / n_b
+                    values -= mean_b
+                    values *= values
+                    delta = mean_b - self.mean[j0:j1]
+                    self.mean[j0:j1] += delta * (n_b / n)
+                    self.m2[j0:j1] += values.sum(axis=0) + delta * delta * (n_a * n_b / n)
+                self.count = n
+
+    def curve(self, nodes):
+        """The :class:`MomentCurve` of the paths added, with normal 95%
+        half-widths from the unbiased variance, NaN below 30 paths."""
+        half = np.full(len(nodes), np.nan)
+        if self.count >= 30:
+            half = 1.959963984540054 * np.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
+        return MomentCurve(nodes=nodes, m=self.shift + self.mean, half_width=half)
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,11 @@ memory term shares the drift weight.  Each march thus keeps two history
 sums, drift and noise, each over rows that it keeps in a ring of the
 largest power of two below N (at least 64) rows: every block a sum reads
 is aligned to its own length, a power of two dividing the ring's, so it
-lies contiguous in the ring and is not yet overwritten.  A march thus
-holds the states and a history of about N/2 rows per sum, and every
-node's sums keep the bits of sums over a full-length history.
+lies contiguous in the ring and is not yet overwritten.  A ring row is
+component-major, (dim, paths), so each direct sum walks the paths
+contiguously.  A march thus holds the states and a history of about N/2
+rows per sum, and every node's sums keep the bits of sums over a
+full-length history.
 
 At each node the neutral term leaves the equation x + g(t_n, x) = rhs, in the
 marches and in every Picard sweep alike.  The built-in families solve it
@@ -71,7 +73,9 @@ is ``coefficients.NEUTRAL_TOL``.
 Paths are independent given their increments.  All reductions are per path
 (direct sums in a fixed order, per-path transforms, and fixed-order matrix
 products instead of BLAS), so a path's states do not depend on which other
-paths share its ensemble.
+paths share its ensemble.  ``_ensemble_chunks`` uses this to draw, march
+and weight an ensemble chunk by chunk of paths in one set of buffers of
+about ``_CHUNK_BYTES``, never holding it whole.
 """
 
 from __future__ import annotations
@@ -188,13 +192,19 @@ def brownian_increments(grid: TimeGrid, n_paths: int, master_seed: int) -> Brown
     """Draw the increment matrix (n_paths, N), path i keyed by (master_seed, i)."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    sqrt_dt = math.sqrt(grid.dt)
     out = np.empty((n_paths, grid.N))
-    for i in range(n_paths):
-        seq = np.random.SeedSequence(master_seed, spawn_key=(i,))
-        rng = np.random.Generator(np.random.Philox(seq))
-        out[i] = rng.standard_normal(grid.N) * sqrt_dt
+    _draw_increments(grid, master_seed, 0, out)
     return BrownianEnsemble(increments=out)
+
+
+def _draw_increments(grid, master_seed, first, out):
+    """Fill the rows of ``out`` (paths, N) with the increments of the paths
+    first, first + 1, ..., each from its own (master_seed, path) stream."""
+    sqrt_dt = math.sqrt(grid.dt)
+    for r in range(out.shape[0]):
+        seq = np.random.SeedSequence(master_seed, spawn_key=(first + r,))
+        rng = np.random.Generator(np.random.Philox(seq))
+        out[r] = rng.standard_normal(grid.N) * sqrt_dt
 
 
 def _cell_weights(alpha, grid):
@@ -279,15 +289,15 @@ def _ring_rows(n_steps):
 
 def _ring_block(ring, lo, hi):
     """The history rows lo .. hi - 1 of a ring, an L-aligned block (see
-    :func:`_ring_rows`), as a time-major view."""
+    :func:`_ring_rows`), as a view of shape (rows, dim, paths)."""
     start = lo % ring.shape[0]
     return ring[start:start + hi - lo]
 
 
 def _direct_sum(entries, block, lag, out):
-    """out[:, i] += sum_j w_ik[lag - 1 - j] block[j, :, k] over the entries:
-    the time-major rows of ``block`` lie lag, lag - 1, ... nodes before the
-    target.
+    """out[:, i] += sum_j w_ik[lag - 1 - j] block[j, k, :] over the entries:
+    the rows of ``block`` lie lag, lag - 1, ... nodes before the target, and
+    each row is component-major, so a component's paths are contiguous.
 
     einsum without BLAS: the reduction order depends only on the lag range,
     so every path gets the same sum whatever the batch it is marched in; a
@@ -295,7 +305,7 @@ def _direct_sum(entries, block, lag, out):
     would chunk a one-path sum past 8192).
     """
     for i, k, w in entries:
-        out[:, i] += np.einsum("m,mp->p", w[lag - block.shape[0]:lag][::-1], block[:, :, k])
+        out[:, i] += np.einsum("m,mp->p", w[lag - block.shape[0]:lag][::-1], block[:, k])
 
 
 def _block_spectra(kernels, n_lags, M):
@@ -360,33 +370,45 @@ def _far_field(kernels, rings, acc, c, spectra):
     for p0 in range(0, n_paths, batch):
         p1 = min(p0 + batch, n_paths)
         # path-major contiguous blocks (dim, paths, L)
-        blocks = [np.ascontiguousarray(_ring_block(ring, c - L, c)[:, p0:p1].transpose(2, 1, 0))
+        blocks = [np.ascontiguousarray(_ring_block(ring, c - L, c)[:, :, p0:p1].transpose(1, 2, 0))
                   for ring in rings]
         _causal_convolution(spectra[n_lags], blocks, M, L,
                             acc[p0:p1, c + 1:hi + 1].transpose(2, 0, 1))
 
 
-def _check_finite(x, n, scheme):
-    if np.all(np.isfinite(x)):
+def _check_finite(states, n0, n1, scheme, first):
+    """Refuse the first of the nodes n0 .. n1 - 1 where a state is not
+    finite, naming the paths (numbered from ``first``) that are not finite
+    there."""
+    block = states[:, n0:n1]
+    if np.all(np.isfinite(block)):
         return
-    bad = np.nonzero(~np.all(np.isfinite(x), axis=-1))[0]
+    finite = np.all(np.isfinite(block), axis=2)
+    n = int(np.argmin(finite.all(axis=0)))
+    bad = (first + np.flatnonzero(~finite[:, n])).tolist()
     raise SimulationNumericError(
-        f"{scheme}: non-finite state at node {n} for paths {bad[:8].tolist()}",
-        path_indices=bad.tolist(),
-        node=n,
+        f"{scheme}: non-finite state at node {n0 + n} for paths {bad[:8]}",
+        path_indices=bad,
+        node=n0 + n,
     )
+
+
+def _weight(states, system, grid):
+    """Weight the states (P, N+1, dim) in place: node 0 gets rho/Gamma(a),
+    nodes 1..N the factor t^(1-a)."""
+    alpha = system.order.alpha
+    states[:, 0, :] = system.rho / gamma_fn(alpha)
+    states[:, 1:, :] *= grid.nodes[None, 1:, None] ** (1.0 - alpha)
 
 
 def _package(states, system, grid, tag):
     """Assemble a PathEnsemble from the states (P, N+1, dim), weighted in
-    place: node 0 gets rho/Gamma(a), nodes 1..N the factor t^(1-a)."""
-    alpha = system.order.alpha
-    states[:, 0, :] = system.rho / gamma_fn(alpha)
-    states[:, 1:, :] *= grid.nodes[None, 1:, None] ** (1.0 - alpha)
+    place."""
+    _weight(states, system, grid)
     return PathEnsemble(weighted=states, grid=grid, scheme_tag=tag)
 
 
-def _march(system, grid, ensemble, scheme, scheme_tag):
+def _march(system, grid, increments, scheme, scheme_tag, states=None, rings=None, first=0):
     """Shared time-marching core of the mild and integral-form schemes:
 
         x_n = free[n] + sum_{j<n} w_f[n-j] f_j + sum_{j<n} w_s[n-j] s_j - g(t_n, x_n),
@@ -396,29 +418,38 @@ def _march(system, grid, ensemble, scheme, scheme_tag):
     the rows of the base block that holds row n - 1, at most 64; every other
     part of the two history sums is added ahead of time by
     :func:`_far_field`, into the nodes of the state array not yet marched.
-    All paths of the ensemble are marched together, and each coefficient is
-    called once per node.  The rows f_j and s_j are kept time-major in two
-    rings of :func:`_ring_rows` rows.  Returns the states (P, N+1, dim); the
-    rings are freed on return, before the caller packages the states.
+    All paths of ``increments`` (P, N) are marched together, and each
+    coefficient is called once per node.  The rows f_j and s_j are kept
+    component-major, (dim, P), in two rings of :func:`_ring_rows` rows.
+
+    Returns the states (P, N+1, dim), marched into ``states`` and ``rings``
+    when they are given (a chunk's buffers) and into new arrays otherwise;
+    new rings are freed on return, before the caller weights the states.
+    Each base block of nodes is checked for finiteness before the far field
+    reads it and after the last step: a non-finite state raises
+    :class:`SimulationNumericError` at its first node, naming its paths
+    numbered from ``first``.
     """
-    _check_inputs(system, grid, ensemble.increments)
+    _check_inputs(system, grid, increments)
     free, w_f, w_s, drift = scheme
     coeffs = system.coeffs
     solve = _neutral_solver(coeffs)
-    increments = ensemble.increments
     n_paths, n_steps, dim = increments.shape[0], grid.N, system.n
     times = grid.nodes
     kernels = (_kernel_entries(w_f), _kernel_entries(w_s))
     n_ring = _ring_rows(n_steps)
-    rings = (np.empty((n_ring, n_paths, dim)), np.empty((n_ring, n_paths, dim)))
-    states = np.zeros((n_paths, n_steps + 1, dim))
+    if states is None:
+        states = np.empty((n_paths, n_steps + 1, dim))
+        rings = (np.empty((n_ring, dim, n_paths)), np.empty((n_ring, dim, n_paths)))
+    states.fill(0.0)
     spectra = {}
 
     def record(j, x):
-        rings[0][j % n_ring] = drift(times[j], x)
-        rings[1][j % n_ring] = coeffs.sigma(times[j], x) * increments[:, j, None]
+        rings[0][j % n_ring] = drift(times[j], x).T
+        rings[1][j % n_ring] = (coeffs.sigma(times[j], x) * increments[:, j, None]).T
 
     record(0, np.zeros((n_paths, dim)))
+    checked = 1
     # an overflow reaches a later state, which _check_finite refuses by node
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
@@ -427,12 +458,14 @@ def _march(system, grid, ensemble, scheme, scheme_tag):
             for entries, ring in zip(kernels, rings):
                 _direct_sum(entries, _ring_block(ring, lo, n), n - lo, rhs)
             x = solve(times[n], rhs)
-            _check_finite(x, n, scheme_tag)
             states[:, n] = x
             if n < n_steps:
                 record(n, x)
                 if (n + 1) % _BASE_BLOCK == 0 and n + 1 < n_steps:
+                    _check_finite(states, checked, n + 1, scheme_tag, first)
+                    checked = n + 1
                     _far_field(kernels, rings, states, n + 1, spectra)
+    _check_finite(states, checked, n_steps + 1, scheme_tag, first)
     return states
 
 
@@ -457,18 +490,14 @@ def simulate_mild(system: SystemSpec, grid: TimeGrid,
     :class:`SimulationNumericError` before the first step if a kernel
     matrix is not finite (it overflowed).
     """
-    states = _march(system, grid, ensemble, _mild_scheme(system, grid), "mild")
+    states = _march(system, grid, ensemble.increments, _mild_scheme(system, grid), "mild")
     return _package(states, system, grid, "mild")
 
 
-def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble,
-                           as_printed=False) -> PathEnsemble:
-    """March the second-kind Volterra scheme (memory term A X).
-
-    ``as_printed=True`` switches the memory term to + A g(s, X(s)) for
-    side-by-side comparison with the self-consistent form.  The constant
-    kernel (t-s)^(a-1)/Gamma(a) needs no Mittag-Leffler evaluation.
-    """
+def _integral_scheme(system: SystemSpec, grid: TimeGrid, as_printed):
+    """The second-kind Volterra system as the (free, w_f, w_s, drift) of
+    :func:`_march`: kernel (t-s)^(a-1)/Gamma(a), memory term A X, or
+    A g(s, X(s)) with ``as_printed``."""
     alpha = system.order.alpha
     inv_gamma = 1.0 / gamma_fn(alpha)
     d, kappa = _cell_weights(alpha, grid)
@@ -489,10 +518,21 @@ def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: Brownia
         return b(t, x) + _apply_matrix(system.A, np.asarray(memory(t, x)))
 
     eye = np.eye(system.n)
-    scheme = (free, (inv_gamma * d)[:, None, None] * eye,
-              (inv_gamma * kappa)[:, None, None] * eye, drift)
+    return (free, (inv_gamma * d)[:, None, None] * eye,
+            (inv_gamma * kappa)[:, None, None] * eye, drift)
+
+
+def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble,
+                           as_printed=False) -> PathEnsemble:
+    """March the second-kind Volterra scheme (memory term A X).
+
+    ``as_printed=True`` switches the memory term to + A g(s, X(s)) for
+    side-by-side comparison with the self-consistent form.  The constant
+    kernel (t-s)^(a-1)/Gamma(a) needs no Mittag-Leffler evaluation.
+    """
     tag = "integral_form_as_printed" if as_printed else "integral_form"
-    states = _march(system, grid, ensemble, scheme, tag)
+    states = _march(system, grid, ensemble.increments,
+                    _integral_scheme(system, grid, as_printed), tag)
     return _package(states, system, grid, tag)
 
 
@@ -541,15 +581,18 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments) -> Pi
                         contraction_ratio=float(ratios[0]))
 
 
-def _picard(system, grid, increments):
+def _picard(system, grid, increments, scheme=None, states=None, first=0):
     """:func:`picard_path_solve` on the paths of ``increments`` (P, N): the
     states (P, N+1, dim) and each path's sweeps and last contraction ratio.
     Paths run in batches of ``_FFT_BATCH // (dim M)``, at least 1, as in the
     far field; a path is frozen in the sweep it converges, and only then is
     its batch gathered, so its bits do not depend on the other paths.  The
-    neutral solve takes the nodes 1..N of a batch as rows, t as a column."""
+    neutral solve takes the nodes 1..N of a batch as rows, t as a column.
+    ``scheme`` is the :func:`_mild_scheme` tuple and ``states`` the array to
+    solve into, both made here when not given; an error names its paths
+    numbered from ``first``."""
     _check_inputs(system, grid, increments)
-    free, w_f, w_s, drift = _mild_scheme(system, grid)
+    free, w_f, w_s, drift = scheme or _mild_scheme(system, grid)
     sigma, solve = system.coeffs.sigma, _neutral_solver(system.coeffs)
     n_paths, n_nodes, dim = increments.shape[0], grid.N + 1, system.n
     times = grid.nodes[:, None]
@@ -558,7 +601,8 @@ def _picard(system, grid, increments):
     # the whole path is one block
     M = _fast_len(2 * grid.N)
     spectra = _block_spectra(kernels, grid.N, M)
-    states = np.empty((n_paths, n_nodes, dim))
+    if states is None:
+        states = np.empty((n_paths, n_nodes, dim))
     iterations = np.zeros(n_paths, dtype=int)
     ratios = np.full(n_paths, math.nan)
     batch = max(1, _FFT_BATCH // (dim * M))
@@ -585,7 +629,7 @@ def _picard(system, grid, increments):
                 n = int(np.argmin(finite[bad[0]]))
                 raise SimulationNumericError(
                     f"picard: non-finite iterate at node {n} (t = {times[n, 0]:.6g}) "
-                    f"in sweep {sweep}", path_indices=paths[bad].tolist(), node=n)
+                    f"in sweep {sweep}", path_indices=(first + paths[bad]).tolist(), node=n)
             change = np.max(np.abs(w_time * (x_new[:, 1:] - x[:, 1:])), axis=(1, 2))
             np.divide(change, prev_change, out=ratio, where=prev_change > 0)
             prev_change = change
@@ -604,3 +648,67 @@ def _picard(system, grid, increments):
                 f"{_PICARD_MAX_SWEEPS} sweeps; last contraction ratio estimate {ratio[0]:.4g}"
             )
     return states, iterations, ratios
+
+
+# Bytes of the buffers of one chunk of :func:`_ensemble_chunks`: its
+# increments, states and two history rings
+_CHUNK_BYTES = 32 << 20
+# Paths per block of the moment reduction (moments._MomentSums): each chunk
+# but the last is a whole number of blocks
+_PATH_BLOCK = 64
+
+
+def _chunk_edges(n_paths, n_steps, dim):
+    """Path edges of the fewest balanced chunks of an ensemble whose buffers,
+    8 (N + (N+1) dim + 2 R dim) bytes per path with R = :func:`_ring_rows`
+    (N), fit in ``_CHUNK_BYTES``.  Each chunk but the last is a whole number
+    of ``_PATH_BLOCK`` paths, at least one block whatever the budget, and
+    no chunk is larger than the first."""
+    per_path = 8 * (n_steps + (n_steps + 1) * dim + 2 * _ring_rows(n_steps) * dim)
+    n_blocks = -(-n_paths // _PATH_BLOCK)
+    n_chunks = min(n_blocks, -(-n_paths * per_path // _CHUNK_BYTES))
+    return [min(n_paths, _PATH_BLOCK * -(-k * n_blocks // n_chunks))
+            for k in range(n_chunks + 1)]
+
+
+def _ensemble_chunks(system, grid, n_paths, master_seed, scheme):
+    """Yield (first path, weighted states (paths, N+1, dim)) chunk by chunk,
+    in path order, for the ``scheme`` (a scheme tag: mild, integral_form,
+    integral_form_as_printed or picard) over the ensemble
+    ``brownian_increments(grid, n_paths, master_seed)``, without building it.
+
+    The scheme is built once per run.  Each chunk of :func:`_chunk_edges`
+    draws its increments from the paths' own streams, is marched (or solved
+    by Picard iteration) and weighted in one set of buffers, sized for the
+    first chunk and reused by the others: a yielded array holds its chunk
+    only until the next one is requested.  As a path does not depend on the
+    paths marched with it, every path keeps the bits of the whole-ensemble
+    functions.  A chunk that fails stops the run with the error of the
+    whole-ensemble function on that chunk, its paths numbered in the
+    ensemble.
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    n_steps, dim = grid.N, system.n
+    picard = scheme == "picard"
+    if picard or scheme == "mild":
+        built = _mild_scheme(system, grid)
+    else:
+        built = _integral_scheme(system, grid, scheme == "integral_form_as_printed")
+    edges = _chunk_edges(n_paths, n_steps, dim)
+    size = edges[1]
+    n_ring = _ring_rows(n_steps)
+    flat_inc, flat_states = np.empty(size * n_steps), np.empty(size * (n_steps + 1) * dim)
+    flat_rings = () if picard else (np.empty(size * n_ring * dim), np.empty(size * n_ring * dim))
+    for p0, p1 in zip(edges, edges[1:]):
+        n = p1 - p0
+        increments = flat_inc[:n * n_steps].reshape(n, n_steps)
+        states = flat_states[:n * (n_steps + 1) * dim].reshape(n, n_steps + 1, dim)
+        _draw_increments(grid, master_seed, p0, increments)
+        if picard:
+            _picard(system, grid, increments, built, states, first=p0)
+        else:
+            rings = tuple(f[:n_ring * dim * n].reshape(n_ring, dim, n) for f in flat_rings)
+            _march(system, grid, increments, built, scheme, states, rings, first=p0)
+        _weight(states, system, grid)
+        yield p0, states

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -444,6 +445,40 @@ def test_simulate_picard_builds_the_scheme_once(tmp_path, monkeypatch):
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "p"),
                  "--scheme", "picard"]) == 0
     assert calls == {"_mild_scheme": 1, "_block_spectra": 1}
+
+
+# A budget of one 64-path block splits P = 200 into four chunks, the last of
+# 8 paths: every file keeps the bytes of the one-chunk run, and the run's
+# peak, without paths.csv, stays below two chunks' buffers (the whole
+# ensemble's are 3.1).  The far field's FFT scratch, about 0.9 MB whatever
+# N and P, is below one chunk's buffers from N = 1024 on, so the bound
+# holds there.
+@pytest.mark.parametrize("scheme", ["mild", "integral_form", "picard"])
+def test_simulate_in_chunks_keeps_the_bytes_of_one_chunk(tmp_path, monkeypatch, scheme):
+    doc = benchmark_doc(grid={"T": 1.0, "N": 1024})
+    doc["monte_carlo"]["n_paths"] = 200
+    doc["output"]["emit_paths"] = True
+    argv = ["simulate", "--config", write_doc(tmp_path, doc), "--scheme", scheme, "--out"]
+    names = ["moments.csv", "moments_weighted.csv", "verdict.txt", "meta.txt"]
+    assert simulator._chunk_edges(200, 1024, 1) == [0, 200]
+    assert main([*argv, str(tmp_path / "whole")]) == 0
+    # increments, states and two rings of 512 rows per path
+    chunk_bytes = 64 * 8 * (1024 + 1025 + 2 * 512)
+    monkeypatch.setattr(simulator, "_CHUNK_BYTES", chunk_bytes)
+    assert simulator._chunk_edges(200, 1024, 1) == [0, 64, 128, 192, 200]
+    assert main([*argv, str(tmp_path / "chunks")]) == 0
+    assert (digests(tmp_path / "chunks", [*names, "paths.csv"])
+            == digests(tmp_path / "whole", [*names, "paths.csv"]))
+    doc["output"]["emit_paths"] = False
+    argv[2] = write_doc(tmp_path, doc, "no_paths.json")
+    tracemalloc.start()
+    try:
+        assert main([*argv, str(tmp_path / "traced")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digests(tmp_path / "traced", names) == digests(tmp_path / "whole", names)
+    assert peak < 2 * chunk_bytes, peak / chunk_bytes
 
 
 def strong_neutral_doc(tmp_path):

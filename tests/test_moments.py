@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fracstab import (
     simulate_mild,
     stability_verdict,
 )
+from fracstab.moments import _MomentSums
 from fracstab.simulator import PathEnsemble
 
 from homogeneous import closed_form_homogeneous
@@ -64,15 +66,18 @@ def test_deterministic_replicated_paths_zero_half_width():
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([1.0]), 0.75, grid)
     stacked = PathEnsemble(weighted=np.repeat(single.weighted, 40, axis=0),
                            grid=grid, scheme_tag="closed_form")
+    # deviations are taken from path 0's value, so equal paths give exact zeros
+    assert not pth_moment_curve(stacked, 2).half_width.any()
     curve = plain_curve(stacked, 2)
-    assert np.all(curve.half_width <= 1e-12 * np.maximum(curve.m, 1e-300))
+    assert not curve.half_width.any()
     values = single.weighted[0, 1:] * curve.nodes[:, None] ** (ORDER.alpha - 1.0)
     np.testing.assert_allclose(curve.m, np.linalg.norm(values, axis=1) ** 2, rtol=1e-14)
 
 
-def whole_array_curve(ensemble, p):
-    """(mean, half-width) of the curve in one reduction over all nodes."""
-    powers = np.linalg.norm(ensemble.weighted, axis=2) ** p
+def two_pass_curve(weighted, p):
+    """(mean, half-width) of the curve by a two-pass ddof=1 reduction of the
+    whole array, each node's paths summed in path order."""
+    powers = np.linalg.norm(weighted, axis=2) ** p
     mean = powers.mean(axis=0)
     n_paths = powers.shape[0]
     if n_paths < 30:
@@ -80,23 +85,58 @@ def whole_array_curve(ensemble, p):
     return mean, 1.959963984540054 * powers.std(axis=0, ddof=1) / math.sqrt(n_paths)
 
 
-# blocks of nodes are sized from P * dim: one block below P = 30, 65, 32 or
-# 21 nodes at P = 1000; at dim 2 the 1025 weighted nodes leave a lone last
-# node, which joins the block before it
-@pytest.mark.parametrize("n_paths", [1, 29, 30, 1000])
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_node_blocked_curve_keeps_the_whole_array_bits(n_paths, dim):
+def ulps(got, want):
+    return float(np.max(np.abs(got - want) / np.spacing(np.abs(want))))
+
+
+def random_states(n_paths, dim, n_nodes=1025):
     rng = np.random.default_rng(n_paths * 10 + dim)
-    grid = TimeGrid(T=1.0, N=1024)
     # magnitudes over ten decades, so the order of every sum shows in its bits
     scale = 10.0 ** rng.uniform(-5, 5, (n_paths, 1, 1))
-    w = rng.standard_normal((n_paths, grid.N + 1, dim)) * scale
+    return rng.standard_normal((n_paths, n_nodes, dim)) * scale
+
+
+# The curve is folded from blocks of 64 paths, so any split of the ensemble
+# into chunks of whole blocks (16 blocks at P = 1000) gives the same bytes.
+# Against the two-pass reduction the curve differs by at most 35 ulps in m
+# and 162 ulps in the half-width on these ensembles (p = 3, P = 1000), most
+# of it the two-pass sums' own roundoff (see the exact test below).
+@pytest.mark.parametrize("n_paths", [1, 29, 30, 1000])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_moment_curve_is_chunk_invariant_and_near_the_two_pass_reduction(n_paths, dim):
+    grid = TimeGrid(T=1.0, N=1024)
+    w = random_states(n_paths, dim)
     ens = make_ensemble(w, grid)
+    n_blocks = -(-n_paths // 64)
     for p in (1, 2, 3):
         curve = pth_moment_curve(ens, p)
-        mean, half = whole_array_curve(ens, p)
-        assert curve.m.tobytes() == mean.tobytes()
-        assert curve.half_width.tobytes() == half.tobytes()
+        for n_chunks in (2, 7):
+            edges = np.minimum(64 * np.linspace(0, n_blocks, n_chunks + 1).round().astype(int),
+                               n_paths)
+            sums = _MomentSums(grid.N + 1, p)
+            for lo, hi in zip(edges, edges[1:]):
+                sums.add(w[lo:hi])
+            chunked = sums.curve(grid.nodes)
+            assert chunked.m.tobytes() == curve.m.tobytes()
+            assert chunked.half_width.tobytes() == curve.half_width.tobytes()
+        mean, half = two_pass_curve(w, p)
+        assert ulps(curve.m, mean) <= 40
+        if n_paths < 30:
+            assert np.isnan(curve.half_width).all()
+        else:
+            assert ulps(curve.half_width, half) <= 170
+
+
+def test_moment_curve_is_within_a_few_ulps_of_exact_sums():
+    w = random_states(1000, 1, n_nodes=64)
+    curve = pth_moment_curve(make_ensemble(w, TimeGrid(T=1.0, N=63)), 3)
+    powers = np.linalg.norm(w, axis=2) ** 3
+    mean = [sum(map(Fraction, col)) / len(col) for col in powers.T]
+    m2 = [sum((Fraction(v) - mu) ** 2 for v in col) for col, mu in zip(powers.T, mean)]
+    half = 1.959963984540054 * np.sqrt([float(v / 999) for v in m2]) / math.sqrt(1000)
+    # 6 and 7 ulps measured; the two-pass reduction misses them by 14 and 91
+    assert ulps(curve.m, np.array([float(v) for v in mean])) <= 8
+    assert ulps(curve.half_width, half) <= 8
 
 
 @pytest.mark.parametrize("dim", [1, 2])

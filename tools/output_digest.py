@@ -31,7 +31,11 @@ Covered outputs:
   configurations: linear, dim-2 sine, a neutral term too strong for the
   certificate, a neutral term near the solvable limit (G = 0.95, N = 16),
   an unstable matrix, a matrix whose states overflow (exit code 3) and an
-  invalid file.
+  invalid file.  ``simulate`` marches its ensemble in chunks of paths and
+  streams the moment curves over blocks of 64 paths; these configurations
+  have 20 paths, so each runs in one chunk, and the scheme lines above are
+  the states every chunk must reproduce (the tests check that a run split
+  into chunks writes the bytes of the one-chunk run).
 
 A failure (an exception of a library call) is printed as its type and
 message, and the warnings of a command as their categories and messages
