@@ -73,9 +73,12 @@ def _write_kv(path: Path, pairs) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Write the rows of Python strings, ints and floats (an array's taken
+    with ``.tolist()``), each number formatted as ``format(v, ".17g")``,
+    as :func:`_fmt` formats it."""
     out = [",".join(header) + "\n"]
-    for row in rows:
-        out.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) + "\n")
+    out += [",".join([v if isinstance(v, str) else format(v, ".17g") for v in row]) + "\n"
+            for row in rows]
     _write_text(path, "".join(out))
 
 
@@ -172,13 +175,14 @@ def _path_lines(first, weighted, nodes, alpha):
     paths first, first + 1, ...: the weighted and the plain state at every
     node, the plain one left empty at t = 0."""
     unweight = nodes[1:, None] ** (alpha - 1.0)
-    heads = [f"{j},{_fmt(t)}," for j, t in enumerate(nodes.tolist())]
+    heads = [f"{j},{format(t, '.17g')}," for j, t in enumerate(nodes.tolist())]
     blank = "," * weighted.shape[2]
     for i, path in enumerate(weighted, start=first):
-        yield f"{i},{heads[0]}" + ",".join(map(_fmt, path[0].tolist())) + blank + "\n"
+        yield (f"{i},{heads[0]}" + ",".join([format(v, ".17g") for v in path[0].tolist()])
+               + blank + "\n")
         cells = np.concatenate([path[1:], path[1:] * unweight], axis=1).tolist()
         for head, row in zip(heads[1:], cells):
-            yield f"{i},{head}" + ",".join(map(_fmt, row)) + "\n"
+            yield f"{i},{head}" + ",".join([format(v, ".17g") for v in row]) + "\n"
 
 
 def _ensemble_curve(cfg: RunConfig, scheme: str, paths):
@@ -221,9 +225,9 @@ def cmd_simulate(args) -> int:
     scale = t ** (cfg.p * (cfg.alpha - 1.0))
     m_u = curve.m[1:] * scale
     _write_csv(out / "moments.csv", ("t", "m", "ci_half_width"),
-               zip(t, m_u, curve.half_width[1:] * scale))
+               zip(t.tolist(), m_u.tolist(), (curve.half_width[1:] * scale).tolist()))
     _write_csv(out / "moments_weighted.csv", ("t", "m", "ci_half_width"),
-               zip(curve.nodes, curve.m, curve.half_width))
+               zip(curve.nodes.tolist(), curve.m.tolist(), curve.half_width.tolist()))
 
     rho_norm = float(np.linalg.norm(cfg.rho))
     pairs = [

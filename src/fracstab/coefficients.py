@@ -36,7 +36,9 @@ by fixed-point sweeps whose count comes from the declared L_g, capped at
 twice that count (at least 100).  The solve is looked up on the callable
 itself, so a ``functools.wraps`` wrapper of a built-in ``g`` (which declares
 it as ``__wrapped__`` and must compute the same values) keeps the exact
-solve, and any other callable gets the sweeps.
+solve, and any other callable gets the sweeps.  The maps of the linear
+family declare their matrix in the same way (:func:`_declared_matrix`), and
+the schemes fold a drift whose maps all declare one into one product.
 """
 
 from __future__ import annotations
@@ -77,25 +79,40 @@ class CoefficientSet:
                 raise ValueError(f"{name} must be nonnegative, got {val}")
 
 
-def _apply_matrix(mat, x):
+def _apply_matrix(mat, x, out=None):
     """x @ mat.T over the last axis of x, summed in a fixed order.
 
     BLAS picks its kernel (and with it the rounding) by the number of rows,
     which would make a path's value depend on the batch it is evaluated in.
+    With ``out`` (any view of the result's shape that does not overlap x,
+    such as the transposed ring row of a march) the product is written
+    there in place and ``out`` is returned; the bits do not depend on where
+    the result goes.
     """
-    out = x[..., :1] * mat[:, 0]
+    out = np.multiply(x[..., :1], mat[:, 0], out=out)
     for k in range(1, mat.shape[1]):
-        out = out + x[..., k:k + 1] * mat[:, k]
+        out += x[..., k:k + 1] * mat[:, k]
     return out
 
 
 def _matmap(mat):
+    """The map x -> mat x, declaring ``mat`` as its ``matrix`` (see
+    :func:`_declared_matrix`)."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
 
     def f(t, x):
         return _apply_matrix(mat, np.asarray(x))
 
+    f.matrix = mat
     return f
+
+
+def _declared_matrix(fn):
+    """The matrix that a coefficient of the linear family declares, found
+    through ``functools.wraps`` wrappers like its neutral solve, or None.
+    The schemes fold the drift of coefficients that all declare one into a
+    single fixed-order product."""
+    return getattr(inspect.unwrap(fn), "matrix", None)
 
 
 # ------------------------------------------------------------ neutral solves
@@ -274,7 +291,16 @@ def _neutral_solver(coeffs):
 
 def make_linear(G, B, S) -> CoefficientSet:
     """Linear family g = Gx, b = Bx, sigma = Sx with declared constants equal
-    to the max-row-sum norms (all-zero matrices give the zero family)."""
+    to the max-row-sum norms (all-zero matrices give the zero family).
+
+    Each map declares its matrix as its ``matrix`` attribute, and g its
+    exact neutral solve (I + G)^(-1) when L_g < 1.  The marches and Picard
+    fold the drift b - A g (or b + A x) of such maps into one matrix, and a
+    march step writes its drift and noise rows with one fixed-order
+    product; a wrapper that does not declare the map with
+    ``functools.wraps`` hides both, and its system takes the generic drift
+    and the fixed-point sweeps.
+    """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     S = np.atleast_2d(np.asarray(S, dtype=float))

@@ -46,14 +46,25 @@ decaying kernels (growth rate mu = 0) skip the balancing multiplies.  In
 the mild form A commutes with E_{a,a}(t^a A), so the neutral memory and
 the drift share one convolution of b - A g; in the integral form the
 memory term shares the drift weight.  Each march thus keeps two history
-sums, drift and noise, each over rows that it keeps in a ring of the
-largest power of two below N (at least 64) rows: every block a sum reads
-is aligned to its own length, a power of two dividing the ring's, so it
-lies contiguous in the ring and is not yet overwritten.  A ring row is
-component-major, (dim, paths), so each direct sum walks the paths
-contiguously.  A march thus holds the states and a history of about N/2
-rows per sum, and every node's sums keep the bits of sums over a
-full-length history.
+sums, drift and noise, over rows that it keeps in one ring of the largest
+power of two below N (at least 64) rows, a node's drift row beside its
+noise row: every block a sum reads is aligned to its own length, a power
+of two dividing the ring's, so it lies contiguous in the ring and is not
+yet overwritten.  A row is component-major, (dim, paths), so each direct
+sum walks the paths contiguously, and one einsum per kernel entry takes
+both sums of a step.  A march thus holds the states and a history of about
+N/2 rows, and every node's sums keep the bits of sums over a full-length
+history.
+
+A step writes its rows into the ring in place.  The linear family
+declares its matrices (:func:`~fracstab.coefficients.make_linear`), so its
+drift is folded into one matrix F once per run, and one fixed-order
+product with F and S stacked gives a node's drift row and, times the
+increment, its noise row: with the neutral solve, two products a step.
+The folded drift may round differently from b, g and A taken one by one,
+which every other family (or a wrapper hiding the matrices) does.  The
+increments are marched time-major, (N, P), so a step reads one contiguous
+row.
 
 At each node the neutral term leaves the equation x + g(t_n, x) = rhs, in the
 marches and in every Picard sweep alike.  The built-in families solve it
@@ -86,7 +97,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet, _apply_matrix, _neutral_solver
+from .coefficients import CoefficientSet, _apply_matrix, _declared_matrix, _neutral_solver
 from .errors import ConvergenceError, SimulationNumericError
 from .fraccalc import (FractionalOrder, _betainc_aa, _causal_convolution, _fast_len, beta_fn,
                        gamma_fn, ml_kernel)
@@ -193,18 +204,30 @@ def brownian_increments(grid: TimeGrid, n_paths: int, master_seed: int) -> Brown
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     out = np.empty((n_paths, grid.N))
-    _draw_increments(grid, master_seed, 0, out)
+    _draw_increments(grid, master_seed, 0, out.T)
     return BrownianEnsemble(increments=out)
 
 
+# Paths drawn into one scratch block by _draw_increments before it is
+# transposed into place
+_DRAW_PATHS = 16
+
+
 def _draw_increments(grid, master_seed, first, out):
-    """Fill the rows of ``out`` (paths, N) with the increments of the paths
-    first, first + 1, ..., each from its own (master_seed, path) stream."""
+    """Fill the columns of ``out`` (N, paths), time-major, with the
+    increments of the paths first, first + 1, ..., each from its own
+    (master_seed, path) stream.  Each path is drawn whole into a scratch of
+    at most ``_DRAW_PATHS`` paths, which is then transposed into place."""
     sqrt_dt = math.sqrt(grid.dt)
-    for r in range(out.shape[0]):
-        seq = np.random.SeedSequence(master_seed, spawn_key=(first + r,))
-        rng = np.random.Generator(np.random.Philox(seq))
-        out[r] = rng.standard_normal(grid.N) * sqrt_dt
+    n_paths = out.shape[1]
+    scratch = np.empty((min(_DRAW_PATHS, n_paths), grid.N))
+    for p0 in range(0, n_paths, scratch.shape[0]):
+        rows = scratch[:n_paths - p0]
+        for r, row in enumerate(rows):
+            seq = np.random.SeedSequence(master_seed, spawn_key=(first + p0 + r,))
+            np.random.Generator(np.random.Philox(seq)).standard_normal(out=row)
+            row *= sqrt_dt
+        out[:, p0:p0 + rows.shape[0]] = rows.T
 
 
 def _cell_weights(alpha, grid):
@@ -248,13 +271,67 @@ def _mild_scheme(system: SystemSpec, grid: TimeGrid):
             node=n)
     free = np.zeros((grid.N + 1, system.n))
     free[1:] = times[1:, None] ** (alpha - 1.0) * np.einsum("nij,j->ni", E[1:], system.rho)
-    g, b = system.coeffs.g, system.coeffs.b
-
-    def drift(t, x):
-        # A commutes with E(A): the neutral memory -A E g shares the weight d E with b
-        return b(t, x) - _apply_matrix(system.A, np.asarray(g(t, x)))
-
+    g = system.coeffs.g
+    # A commutes with E(A): the neutral memory -A E g shares the weight d E with b
+    drift = _drift(system, -1.0, g, _declared_matrix(g))
     return free, d[:, None, None] * E[1:], kappa[:, None, None] * E[1:], drift
+
+
+def _drift(system, sign, memory, memory_matrix):
+    """The drift row ``drift(t, x, out=None)`` = b(t, x) + sign A memory(t, x)
+    of a scheme (sign = -1, memory g in the mild form), written into ``out``
+    when it is given.
+
+    When b and the memory term both declare a matrix (the linear family,
+    :func:`~fracstab.coefficients.make_linear`), they are folded into
+    F = B + sign A M once, and a row is the one fixed-order product F x, as
+    batch-independent as the three it replaces; it may round differently
+    from them.  The folded drift declares F as its ``matrix``.  Any other
+    family takes b, the memory term and A x its product one by one.
+    """
+    A, b = system.A, system.coeffs.b
+    b_matrix = _declared_matrix(b)
+    if b_matrix is not None and memory_matrix is not None:
+        matrix = b_matrix + sign * (A @ memory_matrix)
+
+        def folded(t, x, out=None):
+            return _apply_matrix(matrix, x, out)
+
+        folded.matrix = matrix
+        return folded
+    combine = np.subtract if sign < 0 else np.add
+
+    def drift(t, x, out=None):
+        return combine(b(t, x), _apply_matrix(A, np.asarray(memory(t, x))), out=out)
+
+    return drift
+
+
+def _row_writer(drift, sigma):
+    """``write(t, x, dw, row)``: the drift row and the noise row sigma(t, x)
+    dW of the paths x (P, dim) with increments dw (P,), written in place
+    into a ring row (2, dim, P).
+
+    When the drift and sigma both declare a matrix (a folded drift of the
+    linear family, and its sigma), one fixed-order product with the two
+    stacked gives both rows, with the bits of two products, and the noise
+    row is then multiplied by dW.  Any other drift and sigma are called one
+    by one.
+    """
+    F, S = _declared_matrix(drift), _declared_matrix(sigma)
+    if F is None or S is None:
+        def write(t, x, dw, row):
+            drift(t, x, row[0].T)
+            np.multiply(sigma(t, x), dw[:, None], out=row[1].T)
+
+        return write
+    stacked = np.concatenate((F, S))
+
+    def write(t, x, dw, row):
+        _apply_matrix(stacked, x, row.reshape(len(stacked), -1).T)
+        row[1] *= dw
+
+    return write
 
 
 # History rows and targets (node n is target n - 1) inside one aligned block
@@ -274,8 +351,18 @@ def _kernel_entries(w):
             for i in range(dim) for k in range(dim) if np.any(w[:, i, k])]
 
 
+def _sum_entries(w_f, w_s):
+    """The (i, k, w) of the direct sums: the columns (i, k) that are not
+    identically zero in the drift kernel w_f, with w of shape (2, N)
+    stacking the column of w_f and of w_s.  Both schemes give their
+    kernels the same zero columns (d E and kappa E, or multiples of I)."""
+    entries = _kernel_entries(w_f)
+    assert [(i, k) for i, k, _ in _kernel_entries(w_s)] == [(i, k) for i, k, _ in entries]
+    return [(i, k, np.stack((w, w_s[:, i, k]))) for i, k, w in entries]
+
+
 def _ring_rows(n_steps):
-    """Rows R of a march's history rings: the largest power of two below N,
+    """Rows R of a march's history ring: the largest power of two below N,
     at least one base block, at most N.  History row j is kept in ring row
     j mod R until row j + R overwrites it.
 
@@ -287,25 +374,66 @@ def _ring_rows(n_steps):
     return min(n_steps, max(_BASE_BLOCK, 1 << ((n_steps - 1).bit_length() - 1)))
 
 
+def _ring_width(n_values):
+    """Doubles per ring row of n values: an odd number of 64-byte lines."""
+    return 8 * (-(-n_values // 8) | 1)
+
+
+def _ring(n_ring, dim, n_paths, flat=None):
+    """The history ring of a march, (R, 2, dim, P): row r holds the drift
+    row and the noise row of one node, each component-major.  It lies on
+    the flat buffer ``flat`` (a new one when not given).
+
+    A row is padded to an odd number of 64-byte lines: rows a multiple of
+    4 KiB apart all fall in one set of the CPU caches, and the far field
+    gathers a block one path at a time, down its rows.  With odd rows the
+    rows spread over all sets; gathering 1024 rows of 512 paths took 3.0 ms
+    with rows 4 KiB apart and 0.55 ms with the padding.
+    """
+    width = _ring_width(2 * dim * n_paths)
+    if flat is None:
+        flat = np.empty(n_ring * width)
+    return (flat[:n_ring * width].reshape(n_ring, width)[:, :2 * dim * n_paths]
+            .reshape(n_ring, 2, dim, n_paths))
+
+
 def _ring_block(ring, lo, hi):
-    """The history rows lo .. hi - 1 of a ring, an L-aligned block (see
-    :func:`_ring_rows`), as a view of shape (rows, dim, paths)."""
+    """The history rows lo .. hi - 1 of the ring, an L-aligned block (see
+    :func:`_ring_rows`), as a view of shape (rows, 2, dim, paths)."""
     start = lo % ring.shape[0]
     return ring[start:start + hi - lo]
 
 
 def _direct_sum(entries, block, lag, out):
-    """out[:, i] += sum_j w_ik[lag - 1 - j] block[j, k, :] over the entries:
-    the rows of ``block`` lie lag, lag - 1, ... nodes before the target, and
-    each row is component-major, so a component's paths are contiguous.
+    """out[:, i] += sum_j w[h, lag - 1 - j] block[j, h, k, :] over the
+    entries (i, k, w) of :func:`_sum_entries` and the drift and noise
+    histories h = 0, 1: the rows of ``block`` (rows, 2, dim, P) lie lag,
+    lag - 1, ... nodes before the target, and each row is component-major,
+    so a component's paths are contiguous.  One einsum takes the drift and
+    the noise sum of an entry, and the sums are added drift first, then
+    noise, each in the order of the entries.
 
     einsum without BLAS: the reduction order depends only on the lag range,
     so every path gets the same sum whatever the batch it is marched in; a
     lone path too, as the march sums at most a base block of lags (numpy
-    would chunk a one-path sum past 8192).
+    would chunk a one-path sum past 8192).  A lone path keeps the bits of a
+    batch only while einsum adds its lags one by one in order, as it does
+    for every path of a batch.  einsum switches to a SIMD reduction, which
+    adds in another order, when both operands are contiguous along the
+    lags; so the kernel operand must stay the negative-stride view
+    ``w[:, ...][:, ::-1]``, never a contiguous copy (the padded ring rows
+    of ``block`` are not contiguous either).  With a contiguous copy of the
+    reversed kernel, a one-history sum over contiguous rows
+    (``einsum("m,mp->p")`` for one component) changed the bits of 705 of
+    1000 random lone-path sums of 1 to 64 lags.
     """
-    for i, k, w in entries:
-        out[:, i] += np.einsum("m,mp->p", w[lag - block.shape[0]:lag][::-1], block[:, k])
+    rows = block.shape[0]
+    sums = [np.einsum("hm,mhp->hp", w[:, lag - rows:lag][:, ::-1], block[:, :, k])
+            for _, k, w in entries]
+    for h in (0, 1):
+        for (i, _, _), total in zip(entries, sums):
+            target = out[:, i]
+            target += total[h]
 
 
 def _block_spectra(kernels, n_lags, M):
@@ -329,9 +457,19 @@ def _block_spectra(kernels, n_lags, M):
     return sorted(groups.items())
 
 
-def _far_field(kernels, rings, acc, c, spectra):
+def _scratch(cache, name, shape, dtype=float):
+    """A contiguous array of ``shape`` on the march's buffer ``name``, kept
+    in ``cache`` and grown to the largest shape asked for."""
+    size = math.prod(shape)
+    buf = cache.get(name)
+    if buf is None or buf.size < size:
+        buf = cache[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _far_field(kernels, ring, acc, c, cache):
     """Add the finished history block [c - L, c) to the targets [c, c + L)
-    below N, read from the march's history rings; target t is node t + 1
+    below N, read from the march's history ring; target t is node t + 1
     of acc, shaped (P, N+1, dim).
 
     Blocked convolution (Hairer, Lubich & Schlichte 1985, in its
@@ -343,7 +481,7 @@ def _far_field(kernels, rings, acc, c, spectra):
     span 1 .. 2L - 1; with zero-padded transforms of length M >= L + R (R
     targets, fewer than L only in the block that the end of the grid cuts
     short) the circular product is exact on the target rows.  As L <= c < N,
-    every block lies in the rings.
+    every block lies in the ring.
 
     A transform's roundoff is bounded by the norms of the whole block, so a
     kernel that grows across the block (a matrix outside the stability
@@ -354,8 +492,11 @@ def _far_field(kernels, rings, acc, c, spectra):
     have mu = 0 and skip the balancing multiplies; the drift and noise
     products of each rate are summed in the frequency domain by
     :func:`~fracstab.fraccalc._causal_convolution`.  Transforms are per
-    path, so batching paths cannot change the result.  ``spectra`` holds
-    the kernel transforms of this march by block length L + R.
+    path, so batching paths cannot change the result.
+
+    ``cache`` is the march's: it holds the kernel transforms by block
+    length L + R, and the buffers that each batch of paths is gathered
+    and transformed in (:func:`_scratch`), reused by every batch and block.
     """
     L = _BASE_BLOCK
     while c % (2 * L) == 0:
@@ -363,17 +504,22 @@ def _far_field(kernels, rings, acc, c, spectra):
     hi = min(c + L, acc.shape[1] - 1)
     n_lags = L + hi - c
     M = _fast_len(n_lags)
-    if n_lags not in spectra:
-        spectra[n_lags] = _block_spectra(kernels, n_lags, M)
+    if n_lags not in cache:
+        cache[n_lags] = _block_spectra(kernels, n_lags, M)
     n_paths, dim = acc.shape[0], acc.shape[2]
     batch = max(1, _FFT_BATCH // (dim * M))
+    block = _ring_block(ring, c - L, c)
     for p0 in range(0, n_paths, batch):
         p1 = min(p0 + batch, n_paths)
-        # path-major contiguous blocks (dim, paths, L)
-        blocks = [np.ascontiguousarray(_ring_block(ring, c - L, c)[:, :, p0:p1].transpose(1, 2, 0))
-                  for ring in rings]
-        _causal_convolution(spectra[n_lags], blocks, M, L,
-                            acc[p0:p1, c + 1:hi + 1].transpose(2, 0, 1))
+        if p0 == 0 or p1 - p0 < batch:
+            # path-major histories (2, dim, paths, L) and the transforms'
+            # buffers, the same views for every full batch of the block
+            hists = _scratch(cache, "hists", (2, dim, p1 - p0, L))
+            work = _scratch(cache, "work", (4, dim, p1 - p0, M // 2 + 1), complex)
+            conv = _scratch(cache, "conv", (dim, p1 - p0, M))
+        np.copyto(hists, block[..., p0:p1].transpose(1, 2, 3, 0))
+        _causal_convolution(cache[n_lags], hists, M, L,
+                            acc[p0:p1, c + 1:hi + 1].transpose(2, 0, 1), work, conv)
 
 
 def _check_finite(states, n0, n1, scheme, first):
@@ -408,7 +554,7 @@ def _package(states, system, grid, tag):
     return PathEnsemble(weighted=states, grid=grid, scheme_tag=tag)
 
 
-def _march(system, grid, increments, scheme, scheme_tag, states=None, rings=None, first=0):
+def _march(system, grid, increments, scheme, scheme_tag, states=None, flat=None, first=0):
     """Shared time-marching core of the mild and integral-form schemes:
 
         x_n = free[n] + sum_{j<n} w_f[n-j] f_j + sum_{j<n} w_s[n-j] s_j - g(t_n, x_n),
@@ -418,65 +564,63 @@ def _march(system, grid, increments, scheme, scheme_tag, states=None, rings=None
     the rows of the base block that holds row n - 1, at most 64; every other
     part of the two history sums is added ahead of time by
     :func:`_far_field`, into the nodes of the state array not yet marched.
-    All paths of ``increments`` (P, N) are marched together, and each
-    coefficient is called once per node.  The rows f_j and s_j are kept
-    component-major, (dim, P), in two rings of :func:`_ring_rows` rows.
+    All paths of ``increments`` are marched together; it is time-major,
+    (N, P), so step j reads row j (the library schemes pass the transposed
+    view of their ensemble).  Each coefficient is called at most once per
+    node (the linear family's not at all, see :func:`_row_writer`), and the
+    rows f_j and s_j are written in place into one history ring of
+    :func:`_ring_rows` rows (:func:`_ring`), component-major (dim, P).
 
-    Returns the states (P, N+1, dim), marched into ``states`` and ``rings``
-    when they are given (a chunk's buffers) and into new arrays otherwise;
-    new rings are freed on return, before the caller weights the states.
+    Returns the states (P, N+1, dim), marched into ``states`` and the ring
+    buffer ``flat`` when they are given (a chunk's buffers) and into new
+    arrays otherwise; a new ring is freed on return, before the caller
+    weights the states.
     Each base block of nodes is checked for finiteness before the far field
     reads it and after the last step: a non-finite state raises
     :class:`SimulationNumericError` at its first node, naming its paths
     numbered from ``first``.
     """
-    _check_inputs(system, grid, increments)
+    _check_inputs(system, grid, increments.shape[0])
     free, w_f, w_s, drift = scheme
-    coeffs = system.coeffs
-    solve = _neutral_solver(coeffs)
-    n_paths, n_steps, dim = increments.shape[0], grid.N, system.n
+    write_rows, solve = _row_writer(drift, system.coeffs.sigma), _neutral_solver(system.coeffs)
+    n_steps, n_paths, dim = grid.N, increments.shape[1], system.n
     times = grid.nodes
     kernels = (_kernel_entries(w_f), _kernel_entries(w_s))
+    entries = _sum_entries(w_f, w_s)
     n_ring = _ring_rows(n_steps)
     if states is None:
         states = np.empty((n_paths, n_steps + 1, dim))
-        rings = (np.empty((n_ring, dim, n_paths)), np.empty((n_ring, dim, n_paths)))
+    ring = _ring(n_ring, dim, n_paths, flat)
     states.fill(0.0)
-    spectra = {}
-
-    def record(j, x):
-        rings[0][j % n_ring] = drift(times[j], x).T
-        rings[1][j % n_ring] = (coeffs.sigma(times[j], x) * increments[:, j, None]).T
-
-    record(0, np.zeros((n_paths, dim)))
+    cache = {}
+    x = np.zeros((n_paths, dim))
     checked = 1
     # an overflow reaches a later state, which _check_finite refuses by node
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_steps + 1):
-            rhs = free[n] + states[:, n]
-            lo = (n - 1) - (n - 1) % _BASE_BLOCK
-            for entries, ring in zip(kernels, rings):
-                _direct_sum(entries, _ring_block(ring, lo, n), n - lo, rhs)
-            x = solve(times[n], rhs)
-            states[:, n] = x
-            if n < n_steps:
-                record(n, x)
-                if (n + 1) % _BASE_BLOCK == 0 and n + 1 < n_steps:
-                    _check_finite(states, checked, n + 1, scheme_tag, first)
-                    checked = n + 1
-                    _far_field(kernels, rings, states, n + 1, spectra)
+        for n in range(n_steps):
+            # the history rows of node n, then the state of node n + 1
+            write_rows(times[n], x, increments[n], ring[n % n_ring])
+            if (n + 1) % _BASE_BLOCK == 0 and n + 1 < n_steps:
+                _check_finite(states, checked, n + 1, scheme_tag, first)
+                checked = n + 1
+                _far_field(kernels, ring, states, n + 1, cache)
+            rhs = free[n + 1] + states[:, n + 1]
+            lo = n - n % _BASE_BLOCK
+            _direct_sum(entries, _ring_block(ring, lo, n + 1), n + 1 - lo, rhs)
+            x = solve(times[n + 1], rhs)
+            states[:, n + 1] = x
     _check_finite(states, checked, n_steps + 1, scheme_tag, first)
     return states
 
 
-def _check_inputs(system, grid, increments):
+def _check_inputs(system, grid, n_increments):
     if system.coeffs.L_g >= 1.0:
         raise ValueError(
             f"the neutral fixed point requires L_g < 1, got L_g={system.coeffs.L_g}"
         )
-    if increments.shape[1] != grid.N:
+    if n_increments != grid.N:
         raise ValueError(
-            f"ensemble has {increments.shape[1]} increments per path, "
+            f"ensemble has {n_increments} increments per path, "
             f"grid expects {grid.N}"
         )
 
@@ -490,7 +634,7 @@ def simulate_mild(system: SystemSpec, grid: TimeGrid,
     :class:`SimulationNumericError` before the first step if a kernel
     matrix is not finite (it overflowed).
     """
-    states = _march(system, grid, ensemble.increments, _mild_scheme(system, grid), "mild")
+    states = _march(system, grid, ensemble.increments.T, _mild_scheme(system, grid), "mild")
     return _package(states, system, grid, "mild")
 
 
@@ -510,14 +654,13 @@ def _integral_scheme(system: SystemSpec, grid: TimeGrid, as_printed):
         cell0 = (beta_fn(alpha, alpha) * _betainc_aa(alpha, grid.dt / t)
                  * t ** (2.0 * alpha - 1.0))
         free[1:] += (inv_gamma * cell0)[:, None] * (system.A @ (system.rho / gamma_fn(alpha)))
-    memory = system.coeffs.g if as_printed else (lambda t, x: x)
-    b = system.coeffs.b
-
-    def drift(t, x):
-        # the memory term shares the weight d / Gamma(a) with b
-        return b(t, x) + _apply_matrix(system.A, np.asarray(memory(t, x)))
-
     eye = np.eye(system.n)
+    g = system.coeffs.g
+    # the memory term shares the weight d / Gamma(a) with b
+    if as_printed:
+        drift = _drift(system, 1.0, g, _declared_matrix(g))
+    else:
+        drift = _drift(system, 1.0, lambda t, x: x, eye)
     return (free, (inv_gamma * d)[:, None, None] * eye,
             (inv_gamma * kappa)[:, None, None] * eye, drift)
 
@@ -531,7 +674,7 @@ def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: Brownia
     kernel (t-s)^(a-1)/Gamma(a) needs no Mittag-Leffler evaluation.
     """
     tag = "integral_form_as_printed" if as_printed else "integral_form"
-    states = _march(system, grid, ensemble.increments,
+    states = _march(system, grid, ensemble.increments.T,
                     _integral_scheme(system, grid, as_printed), tag)
     return _package(states, system, grid, tag)
 
@@ -591,7 +734,7 @@ def _picard(system, grid, increments, scheme=None, states=None, first=0):
     ``scheme`` is the :func:`_mild_scheme` tuple and ``states`` the array to
     solve into, both made here when not given; an error names its paths
     numbered from ``first``."""
-    _check_inputs(system, grid, increments)
+    _check_inputs(system, grid, increments.shape[1])
     free, w_f, w_s, drift = scheme or _mild_scheme(system, grid)
     sigma, solve = system.coeffs.sigma, _neutral_solver(system.coeffs)
     n_paths, n_nodes, dim = increments.shape[0], grid.N + 1, system.n
@@ -651,7 +794,7 @@ def _picard(system, grid, increments, scheme=None, states=None, first=0):
 
 
 # Bytes of the buffers of one chunk of :func:`_ensemble_chunks`: its
-# increments, states and two history rings
+# increments, states and history ring
 _CHUNK_BYTES = 32 << 20
 # Paths per block of the moment reduction (moments._MomentSums): each chunk
 # but the last is a whole number of blocks
@@ -661,7 +804,8 @@ _PATH_BLOCK = 64
 def _chunk_edges(n_paths, n_steps, dim):
     """Path edges of the fewest balanced chunks of an ensemble whose buffers,
     8 (N + (N+1) dim + 2 R dim) bytes per path with R = :func:`_ring_rows`
-    (N), fit in ``_CHUNK_BYTES``.  Each chunk but the last is a whole number
+    (N), fit in ``_CHUNK_BYTES`` (the padding of the ring rows, at most 15
+    doubles a row, is left out).  Each chunk but the last is a whole number
     of ``_PATH_BLOCK`` paths, at least one block whatever the budget, and
     no chunk is larger than the first."""
     per_path = 8 * (n_steps + (n_steps + 1) * dim + 2 * _ring_rows(n_steps) * dim)
@@ -699,16 +843,16 @@ def _ensemble_chunks(system, grid, n_paths, master_seed, scheme):
     size = edges[1]
     n_ring = _ring_rows(n_steps)
     flat_inc, flat_states = np.empty(size * n_steps), np.empty(size * (n_steps + 1) * dim)
-    flat_rings = () if picard else (np.empty(size * n_ring * dim), np.empty(size * n_ring * dim))
+    flat = None if picard else np.empty(n_ring * _ring_width(2 * dim * size))
     for p0, p1 in zip(edges, edges[1:]):
         n = p1 - p0
-        increments = flat_inc[:n * n_steps].reshape(n, n_steps)
+        # time-major, so each step of a march reads one contiguous row
+        increments = flat_inc[:n * n_steps].reshape(n_steps, n)
         states = flat_states[:n * (n_steps + 1) * dim].reshape(n, n_steps + 1, dim)
         _draw_increments(grid, master_seed, p0, increments)
         if picard:
-            _picard(system, grid, increments, built, states, first=p0)
+            _picard(system, grid, increments.T, built, states, first=p0)
         else:
-            rings = tuple(f[:n_ring * dim * n].reshape(n_ring, dim, n) for f in flat_rings)
-            _march(system, grid, increments, built, scheme, states, rings, first=p0)
+            _march(system, grid, increments, built, scheme, states, flat, first=p0)
         _weight(states, system, grid)
         yield p0, states

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import fft as sp_fft
 from scipy.special import betainc
 
@@ -384,9 +386,9 @@ def test_march_blocks_fit_the_base_block_and_the_ring(monkeypatch, n_steps):
         sums.append(block.shape[0])
         return direct_sum(entries, block, lag, out)
 
-    def recording_convolution(spectra, hists, M, lo, out):
+    def recording_convolution(spectra, hists, M, lo, out, *buffers):
         blocks.append((lo, hists[0].shape[-1]))
-        return convolve(spectra, hists, M, lo, out)
+        return convolve(spectra, hists, M, lo, out, *buffers)
 
     monkeypatch.setattr(simulator, "_direct_sum", recording_sum)
     monkeypatch.setattr(simulator, "_causal_convolution", recording_convolution)
@@ -399,13 +401,116 @@ def test_march_blocks_fit_the_base_block_and_the_ring(monkeypatch, n_steps):
     assert all(lo == length <= simulator._ring_rows(n_steps) for lo, length in blocks)
 
 
+# The direct sum of a step gives a lone path the bits it gets in a batch, for
+# every lag count of a base block and 1 to 3 components
+@settings(max_examples=60, deadline=None)
+@given(lag=st.integers(1, simulator._BASE_BLOCK), dim=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_direct_sum_gives_a_lone_path_the_bits_of_a_batch(lag, dim, seed):
+    rng = np.random.default_rng(seed)
+    n_paths, n_ring = 9, 2 * simulator._BASE_BLOCK
+    w_f, w_s = rng.standard_normal((2, 200, dim, dim))
+    entries = simulator._sum_entries(w_f, w_s)
+    ring = simulator._ring(n_ring, dim, n_paths)
+    ring[...] = rng.standard_normal(ring.shape)
+    lo = simulator._BASE_BLOCK
+    batch = rng.standard_normal((n_paths, dim))
+    lone = batch.copy()
+    simulator._direct_sum(entries, simulator._ring_block(ring, lo, lo + lag), lag, batch)
+    for p in range(n_paths):
+        alone = simulator._ring(n_ring, dim, 1)
+        alone[...] = ring[..., p:p + 1]
+        simulator._direct_sum(entries, simulator._ring_block(alone, lo, lo + lag), lag,
+                              lone[p:p + 1])
+    assert lone.tobytes() == batch.tobytes()
+
+
+# The far field gathers and transforms every batch of paths in buffers that
+# it reuses across batches and blocks: batches of 2^10 and 2^16 real
+# elements, each ending on a partial batch at P = 301, give the bits of the
+# default batches
+@pytest.mark.parametrize("fft_batch", [1 << 10, 1 << 16])
+@pytest.mark.parametrize("scheme", ["mild", "integral_form"])
+def test_far_field_batches_keep_the_bits_of_the_march(monkeypatch, scheme, fft_batch):
+    system = planar_system(make_bounded_smooth(0.2, 0.3, 0.3))
+    grid = TimeGrid(T=4.0, N=300)
+    ens = brownian_increments(grid, 301, 12)
+    base = SCHEMES[scheme](system, grid, ens)
+    monkeypatch.setattr(simulator, "_FFT_BATCH", fft_batch)
+    # the transforms of 128 and 256 points (blocks of 64 and 128 rows) end
+    # on a partial batch of paths
+    for M in (128, 256):
+        assert 301 % max(1, fft_batch // (2 * M))
+    assert SCHEMES[scheme](system, grid, ens).weighted.tobytes() == base.weighted.tobytes()
+
+
+def plain(f, calls=None):
+    """A wrapper without functools.wraps: it hides the matrix and the
+    neutral solve that ``f`` declares."""
+
+    def call(t, x):
+        if calls is not None:
+            calls.append(np.ndim(t))
+        return f(t, x)
+
+    return call
+
+
+# The linear family folds its drift b - A g (b + A x, b + A g) into one
+# matrix; behind plain wrappers it takes b, g and A one by one, and the two
+# agree to roundoff.  A and G do not commute.
+@pytest.mark.parametrize("scheme", sorted(ENSEMBLE_SCHEMES))
+def test_linear_family_behind_plain_wrappers_takes_the_generic_drift(scheme):
+    G = np.array([[0.1, 0.05], [-0.05, 0.2]])
+    lin = make_linear(G, [[0.05, 0.1], [0.02, -0.1]], 0.1 * np.eye(2))
+    folded = planar_system(lin)
+    assert not np.allclose(folded.A @ G, G @ folded.A)
+    calls = []
+    wrapped = planar_system(dataclasses.replace(lin, b=plain(lin.b, calls),
+                                                sigma=plain(lin.sigma)))
+    grid = TimeGrid(T=4.0, N=300)
+    ens = brownian_increments(grid, 6, 17)
+    out = ENSEMBLE_SCHEMES[scheme](folded, grid, ens)
+    assert not calls
+    ref = ENSEMBLE_SCHEMES[scheme](wrapped, grid, ens)
+    # the generic drift calls b: once per step of a march, once per sweep
+    # of Picard, on the whole paths
+    assert calls == ([2] * len(calls) if scheme == "picard" else [0] * grid.N)
+    gap = np.max(np.abs(out.weighted - ref.weighted), axis=2)
+    scale = np.maximum.accumulate(np.max(np.abs(ref.weighted), axis=2), axis=1)
+    assert np.all(gap <= 1e-13 * scale), np.max(gap / scale)
+
+
+# Four chunks of a budget of one 64-path block, the last of 8 paths, give
+# each path the bits of the library schemes on the whole ensemble
+@pytest.mark.parametrize("tag,scheme", [("mild", "mild"), ("integral_form", "integral_form"),
+                                        ("integral_form_as_printed", "as_printed"),
+                                        ("picard", "picard")])
+def test_ensemble_chunks_keep_the_bits_of_the_library_schemes(monkeypatch, tag, scheme):
+    system = planar_system(make_bounded_smooth(0.2, 0.3, 0.3))
+    grid = TimeGrid(T=4.0, N=256)
+    per_path = 8 * (grid.N + (grid.N + 1) * 2 + 2 * simulator._ring_rows(grid.N) * 2)
+    monkeypatch.setattr(simulator, "_CHUNK_BYTES", 64 * per_path)
+    assert simulator._chunk_edges(200, grid.N, 2) == [0, 64, 128, 192, 200]
+    chunks = [(first, weighted.copy())
+              for first, weighted in simulator._ensemble_chunks(system, grid, 200, 23, tag)]
+    assert [first for first, _ in chunks] == [0, 64, 128, 192]
+    whole = ENSEMBLE_SCHEMES[scheme](system, grid, brownian_increments(grid, 200, 23))
+    assert np.concatenate([w for _, w in chunks]).tobytes() == whole.weighted.tobytes()
+
+
 # ------------------------------------------------------ neutral fixed point
 
-@pytest.mark.parametrize("coeffs", [
-    pytest.param(make_linear(0.05 * np.eye(2), 0.05 * np.eye(2), 0.05 * np.eye(2)), id="linear"),
-    pytest.param(make_bounded_smooth(0.2, 0.1, 0.1), id="bounded_smooth"),
+# the exact solve does not call g, nor does the integral form's memory term
+# A X; the mild march calls the sine g once per step, for the drift b - A g
+# recorded for the history (none at the last node), and folds the linear
+# family's drift into one matrix, found through the functools.wraps wrapper
+@pytest.mark.parametrize("coeffs,mild_calls", [
+    pytest.param(make_linear(0.05 * np.eye(2), 0.05 * np.eye(2), 0.05 * np.eye(2)), 0,
+                 id="linear"),
+    pytest.param(make_bounded_smooth(0.2, 0.1, 0.1), 1, id="bounded_smooth"),
 ])
-def test_builtin_families_solve_the_neutral_term_without_calling_g(coeffs):
+def test_builtin_families_solve_the_neutral_term_without_calling_g(coeffs, mild_calls):
     calls = collections.Counter()
 
     @functools.wraps(coeffs.g)
@@ -416,11 +521,8 @@ def test_builtin_families_solve_the_neutral_term_without_calling_g(coeffs):
     system = planar_system(dataclasses.replace(coeffs, g=g))
     grid = TimeGrid(T=4.0, N=100)
     ens = brownian_increments(grid, 20, 6)
-    # the exact solve does not call g: the mild march calls it once per
-    # step, for the drift b - A g recorded for the history (none at the
-    # last node), and the integral form's memory term A X does not need it
     out = simulate_mild(system, grid, ens)
-    assert calls == {t: 1 for t in grid.nodes[:-1]}
+    assert calls == ({t: mild_calls for t in grid.nodes[:-1]} if mild_calls else {})
     calls.clear()
     simulate_integral_form(system, grid, ens)
     assert not calls
