@@ -41,7 +41,6 @@ from .simulator import (
     brownian_increments,
     simulate_integral_form,
     simulate_mild,
-    simulate_picard,
 )
 
 EXIT_OK = 0
@@ -143,11 +142,12 @@ def cmd_check(args) -> int:
 
 
 def _simulate(system, grid, ens, scheme: str):
-    """One scheme of ``config._SCHEMES`` over the ensemble."""
-    if scheme == "integral_form_as_printed":
-        return simulate_integral_form(system, grid, ens, as_printed=True)
-    return {"mild": simulate_mild, "integral_form": simulate_integral_form,
-            "picard": simulate_picard}[scheme](system, grid, ens)
+    """One marching scheme of ``config._SCHEMES`` over the ensemble (its
+    one caller, ``convergence``, refuses Picard in :func:`_run_config`)."""
+    if scheme == "mild":
+        return simulate_mild(system, grid, ens)
+    return simulate_integral_form(system, grid, ens,
+                                  as_printed=scheme == "integral_form_as_printed")
 
 
 def _write_meta(path: Path, cfg: RunConfig, scheme: str) -> None:

@@ -38,7 +38,8 @@ itself, so a ``functools.wraps`` wrapper of a built-in ``g`` (which declares
 it as ``__wrapped__`` and must compute the same values) keeps the exact
 solve, and any other callable gets the sweeps.  The maps of the linear
 family declare their matrix in the same way (:func:`_declared_matrix`), and
-the schemes fold a drift whose maps all declare one into one product.
+the schemes fold a drift whose maps all declare one into one product; sigma
+is called as it is.
 """
 
 from __future__ import annotations
@@ -295,11 +296,11 @@ def make_linear(G, B, S) -> CoefficientSet:
 
     Each map declares its matrix as its ``matrix`` attribute, and g its
     exact neutral solve (I + G)^(-1) when L_g < 1.  The marches and Picard
-    fold the drift b - A g (or b + A x) of such maps into one matrix, and a
-    march step writes its drift and noise rows with one fixed-order
-    product; a wrapper that does not declare the map with
-    ``functools.wraps`` hides both, and its system takes the generic drift
-    and the fixed-point sweeps.
+    fold the drift b - A g (or b + A x) of such maps into one matrix, so a
+    march step makes three fixed-order products: the drift, sigma and the
+    neutral solve.  A wrapper that does not declare the map with
+    ``functools.wraps`` hides the matrix and the solve, and its system
+    takes the generic drift and the fixed-point sweeps.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))

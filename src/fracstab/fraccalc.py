@@ -480,7 +480,7 @@ def _fast_len(n):
     return best
 
 
-def _causal_convolution(spectra, hists, M, lo, out, work=None, conv=None):
+def _causal_convolution(spectra, hists, M, lo, out):
     """Add causal convolutions, taken by zero-padded real FFTs, into ``out``:
     out[i, ..., n - lo] += sum over the terms (h, i, k) of
     sum_m w_ik[m] hists[h][k, ..., n - m] for the rows n = lo .. lo + R - 1,
@@ -493,51 +493,31 @@ def _causal_convolution(spectra, hists, M, lo, out, work=None, conv=None):
     M >= H + K - 1 - lo keep the circular products exact on the output
     rows.  Per rate mu each history is balanced to e^(-mu j) h[j] and
     transformed once over all its components (at mu = 0 all histories in
-    one call, unbalanced), the products are summed in
-    the frequency domain, and one inverse transform is scaled back by
-    e^(mu n) and added into ``out``.  A decaying kernel (mu = 0) skips both
-    balancing multiplies, whose factors would all be exactly 1, so its
-    result is the same bits.  Transforms run along the last axis alone, so
-    each row of the middle axes gets the same result whatever else shares
-    the call.
-
-    The transforms are taken in place: into ``work``, of shape
-    (len(hists) + 2, dim, ..., M // 2 + 1) complex (the history spectra,
-    their sum and one product), and ``conv``, of shape (dim, ..., M); both
-    are made here when not given.  Each product is written into the sum or
-    added to it, and every buffer row is written before it is read, so a
-    caller may pass the same buffers to every call.
+    one call, unbalanced), the products are summed in the frequency domain
+    into zeros, so a component with no term of that rate gets zeros, and
+    one inverse transform is scaled back by e^(mu n) and added into
+    ``out``.  A decaying kernel (mu = 0) skips both balancing multiplies,
+    whose factors would all be exactly 1, so its result is the same bits.
+    Transforms run along the last axis alone, so each row of the middle
+    axes gets the same result whatever else shares the call.
 
     The marches' far field (``simulator._far_field``) calls this for each
-    batch of paths of each block of the blocked convolution; a march stays
-    O(N log^2 N) per path.
+    batch of paths of each block of the blocked convolution, so its
+    temporaries live for one batch; a march stays O(N log^2 N) per path.
     """
     hi = lo + out.shape[-1]
-    if work is None:
-        work = np.empty((len(hists) + 2,) + out.shape[:-1] + (M // 2 + 1,), dtype=complex)
-    if conv is None:
-        conv = np.empty(out.shape[:-1] + (M,))
-    h_hats, total, product = work[:-2], work[-2], work[-1, 0]
     if any(mu for mu, _ in spectra):
         src, dst = np.arange(hists[0].shape[-1]), np.arange(lo, hi)
     for mu, terms in spectra:
         if mu == 0:
-            np.fft.rfft(hists, M, axis=-1, out=h_hats)
+            h_hats = np.fft.rfft(hists, M, axis=-1)
         else:
-            for h in {term[0] for term in terms}:
-                np.fft.rfft(hists[h] * np.exp(-mu * src), M, axis=-1, out=h_hats[h])
-        unset = set(range(total.shape[0]))
+            h_hats = {h: np.fft.rfft(hists[h] * np.exp(-mu * src), M, axis=-1)
+                      for h in {term[0] for term in terms}}
+        total = np.zeros(out.shape[:-1] + (M // 2 + 1,), dtype=complex)
         for h, i, k, w_hat in terms:
-            if i in unset:
-                np.multiply(w_hat, h_hats[h][k], out=total[i])
-                unset.discard(i)
-            else:
-                np.multiply(w_hat, h_hats[h][k], out=product)
-                np.add(total[i], product, out=total[i])
-        for i in unset:
-            total[i] = 0.0
-        np.fft.irfft(total, M, axis=-1, out=conv)
-        part = conv[..., lo:hi]
+            total[i] += w_hat * h_hats[h][k]
+        part = np.fft.irfft(total, M, axis=-1)[..., lo:hi]
         if mu:
             part *= np.exp(mu * dst)
         out += part

@@ -67,7 +67,8 @@ class MomentCurve:
 def pth_moment_curve(ensemble: PathEnsemble, p: int) -> MomentCurve:
     """Per-node sample mean of ||t^(1-a) X(t)||^p over an ensemble's
     weighted states, on every node from t = 0, for an integer p >= 1 (a
-    bool or a non-integral number is refused with ``ValueError``).
+    bool or a non-integral number is refused with ``ValueError``, and so is
+    an ensemble of no paths).
     """
     sums = _MomentSums(ensemble.grid.N + 1, p)
     sums.add(ensemble.weighted)
@@ -116,7 +117,10 @@ class _MomentSums:
 
     def curve(self, nodes):
         """The :class:`MomentCurve` of the paths added, with normal 95%
-        half-widths from the unbiased variance, NaN below 30 paths."""
+        half-widths from the unbiased variance, NaN below 30 paths.  A sum
+        of no paths has no curve: it raises ``ValueError``."""
+        if not self.count:
+            raise ValueError("a moment curve needs at least one path, got 0")
         half = np.full(len(nodes), np.nan)
         if self.count >= 30:
             half = 1.959963984540054 * np.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)

@@ -56,15 +56,16 @@ both sums of a step.  A march thus holds the states and a history of about
 N/2 rows, and every node's sums keep the bits of sums over a full-length
 history.
 
-A step writes its rows into the ring in place.  The linear family
-declares its matrices (:func:`~fracstab.coefficients.make_linear`), so its
-drift is folded into one matrix F once per run, and one fixed-order
-product with F and S stacked gives a node's drift row and, times the
-increment, its noise row: with the neutral solve, two products a step.
-The folded drift may round differently from b, g and A taken one by one,
-which every other family (or a wrapper hiding the matrices) does.  The
-increments are marched time-major, (N, P), so a step reads one contiguous
-row.
+A step writes its drift row and its noise row sigma dW into the ring in
+place.  The linear family declares its matrices
+(:func:`~fracstab.coefficients.make_linear`), so its drift is folded into
+one matrix F once per run: a step makes three fixed-order products, F x,
+sigma's S x and the neutral solve.  The folded drift may round differently
+from b, g and A taken one by one, which every other family (or a wrapper
+hiding the matrices) does.  The increments are marched time-major, (N, P),
+so a step reads one contiguous row.  The far field transforms the paths
+in batches whose temporaries live for one batch, bounded by
+``_FFT_BATCH``.
 
 At each node the neutral term leaves the equation x + g(t_n, x) = rhs, in the
 marches and in every Picard sweep alike.  The built-in families solve it
@@ -188,7 +189,6 @@ class PathEnsemble:
 
     weighted: np.ndarray
     grid: TimeGrid
-    scheme_tag: str
 
 
 @dataclass(frozen=True)
@@ -286,8 +286,8 @@ def _drift(system, sign, memory, memory_matrix):
     :func:`~fracstab.coefficients.make_linear`), they are folded into
     F = B + sign A M once, and a row is the one fixed-order product F x, as
     batch-independent as the three it replaces; it may round differently
-    from them.  The folded drift declares F as its ``matrix``.  Any other
-    family takes b, the memory term and A x its product one by one.
+    from them.  Any other family takes b, the memory term and A x its
+    product one by one.
     """
     A, b = system.A, system.coeffs.b
     b_matrix = _declared_matrix(b)
@@ -297,7 +297,6 @@ def _drift(system, sign, memory, memory_matrix):
         def folded(t, x, out=None):
             return _apply_matrix(matrix, x, out)
 
-        folded.matrix = matrix
         return folded
     combine = np.subtract if sign < 0 else np.add
 
@@ -305,33 +304,6 @@ def _drift(system, sign, memory, memory_matrix):
         return combine(b(t, x), _apply_matrix(A, np.asarray(memory(t, x))), out=out)
 
     return drift
-
-
-def _row_writer(drift, sigma):
-    """``write(t, x, dw, row)``: the drift row and the noise row sigma(t, x)
-    dW of the paths x (P, dim) with increments dw (P,), written in place
-    into a ring row (2, dim, P).
-
-    When the drift and sigma both declare a matrix (a folded drift of the
-    linear family, and its sigma), one fixed-order product with the two
-    stacked gives both rows, with the bits of two products, and the noise
-    row is then multiplied by dW.  Any other drift and sigma are called one
-    by one.
-    """
-    F, S = _declared_matrix(drift), _declared_matrix(sigma)
-    if F is None or S is None:
-        def write(t, x, dw, row):
-            drift(t, x, row[0].T)
-            np.multiply(sigma(t, x), dw[:, None], out=row[1].T)
-
-        return write
-    stacked = np.concatenate((F, S))
-
-    def write(t, x, dw, row):
-        _apply_matrix(stacked, x, row.reshape(len(stacked), -1).T)
-        row[1] *= dw
-
-    return write
 
 
 # History rows and targets (node n is target n - 1) inside one aligned block
@@ -457,17 +429,7 @@ def _block_spectra(kernels, n_lags, M):
     return sorted(groups.items())
 
 
-def _scratch(cache, name, shape, dtype=float):
-    """A contiguous array of ``shape`` on the march's buffer ``name``, kept
-    in ``cache`` and grown to the largest shape asked for."""
-    size = math.prod(shape)
-    buf = cache.get(name)
-    if buf is None or buf.size < size:
-        buf = cache[name] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
-
-
-def _far_field(kernels, ring, acc, c, cache):
+def _far_field(kernels, ring, acc, c, spectra):
     """Add the finished history block [c - L, c) to the targets [c, c + L)
     below N, read from the march's history ring; target t is node t + 1
     of acc, shaped (P, N+1, dim).
@@ -494,9 +456,10 @@ def _far_field(kernels, ring, acc, c, cache):
     :func:`~fracstab.fraccalc._causal_convolution`.  Transforms are per
     path, so batching paths cannot change the result.
 
-    ``cache`` is the march's: it holds the kernel transforms by block
-    length L + R, and the buffers that each batch of paths is gathered
-    and transformed in (:func:`_scratch`), reused by every batch and block.
+    ``spectra`` holds the kernel transforms of the march by block length
+    L + R.  Each batch of paths is gathered path-major and transformed on
+    its own, so the temporaries of the transforms live for one batch,
+    bounded by ``_FFT_BATCH``.
     """
     L = _BASE_BLOCK
     while c % (2 * L) == 0:
@@ -504,22 +467,17 @@ def _far_field(kernels, ring, acc, c, cache):
     hi = min(c + L, acc.shape[1] - 1)
     n_lags = L + hi - c
     M = _fast_len(n_lags)
-    if n_lags not in cache:
-        cache[n_lags] = _block_spectra(kernels, n_lags, M)
+    if n_lags not in spectra:
+        spectra[n_lags] = _block_spectra(kernels, n_lags, M)
     n_paths, dim = acc.shape[0], acc.shape[2]
     batch = max(1, _FFT_BATCH // (dim * M))
     block = _ring_block(ring, c - L, c)
     for p0 in range(0, n_paths, batch):
         p1 = min(p0 + batch, n_paths)
-        if p0 == 0 or p1 - p0 < batch:
-            # path-major histories (2, dim, paths, L) and the transforms'
-            # buffers, the same views for every full batch of the block
-            hists = _scratch(cache, "hists", (2, dim, p1 - p0, L))
-            work = _scratch(cache, "work", (4, dim, p1 - p0, M // 2 + 1), complex)
-            conv = _scratch(cache, "conv", (dim, p1 - p0, M))
-        np.copyto(hists, block[..., p0:p1].transpose(1, 2, 3, 0))
-        _causal_convolution(cache[n_lags], hists, M, L,
-                            acc[p0:p1, c + 1:hi + 1].transpose(2, 0, 1), work, conv)
+        # path-major histories (2, dim, paths, L)
+        hists = np.ascontiguousarray(block[..., p0:p1].transpose(1, 2, 3, 0))
+        _causal_convolution(spectra[n_lags], hists, M, L,
+                            acc[p0:p1, c + 1:hi + 1].transpose(2, 0, 1))
 
 
 def _check_finite(states, n0, n1, scheme, first):
@@ -547,11 +505,11 @@ def _weight(states, system, grid):
     states[:, 1:, :] *= grid.nodes[None, 1:, None] ** (1.0 - alpha)
 
 
-def _package(states, system, grid, tag):
+def _package(states, system, grid):
     """Assemble a PathEnsemble from the states (P, N+1, dim), weighted in
     place."""
     _weight(states, system, grid)
-    return PathEnsemble(weighted=states, grid=grid, scheme_tag=tag)
+    return PathEnsemble(weighted=states, grid=grid)
 
 
 def _march(system, grid, increments, scheme, scheme_tag, states=None, flat=None, first=0):
@@ -567,8 +525,8 @@ def _march(system, grid, increments, scheme, scheme_tag, states=None, flat=None,
     All paths of ``increments`` are marched together; it is time-major,
     (N, P), so step j reads row j (the library schemes pass the transposed
     view of their ensemble).  Each coefficient is called at most once per
-    node (the linear family's not at all, see :func:`_row_writer`), and the
-    rows f_j and s_j are written in place into one history ring of
+    node (the linear family's b and g not at all, see :func:`_drift`), and
+    the rows f_j and s_j are written in place into one history ring of
     :func:`_ring_rows` rows (:func:`_ring`), component-major (dim, P).
 
     Returns the states (P, N+1, dim), marched into ``states`` and the ring
@@ -580,9 +538,9 @@ def _march(system, grid, increments, scheme, scheme_tag, states=None, flat=None,
     :class:`SimulationNumericError` at its first node, naming its paths
     numbered from ``first``.
     """
-    _check_inputs(system, grid, increments.shape[0])
+    _check_inputs(system, grid, increments.T)
     free, w_f, w_s, drift = scheme
-    write_rows, solve = _row_writer(drift, system.coeffs.sigma), _neutral_solver(system.coeffs)
+    sigma, solve = system.coeffs.sigma, _neutral_solver(system.coeffs)
     n_steps, n_paths, dim = grid.N, increments.shape[1], system.n
     times = grid.nodes
     kernels = (_kernel_entries(w_f), _kernel_entries(w_s))
@@ -592,18 +550,20 @@ def _march(system, grid, increments, scheme, scheme_tag, states=None, flat=None,
         states = np.empty((n_paths, n_steps + 1, dim))
     ring = _ring(n_ring, dim, n_paths, flat)
     states.fill(0.0)
-    cache = {}
+    spectra = {}
     x = np.zeros((n_paths, dim))
     checked = 1
     # an overflow reaches a later state, which _check_finite refuses by node
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             # the history rows of node n, then the state of node n + 1
-            write_rows(times[n], x, increments[n], ring[n % n_ring])
+            row = ring[n % n_ring]
+            drift(times[n], x, row[0].T)
+            np.multiply(sigma(times[n], x), increments[n][:, None], out=row[1].T)
             if (n + 1) % _BASE_BLOCK == 0 and n + 1 < n_steps:
                 _check_finite(states, checked, n + 1, scheme_tag, first)
                 checked = n + 1
-                _far_field(kernels, ring, states, n + 1, cache)
+                _far_field(kernels, ring, states, n + 1, spectra)
             rhs = free[n + 1] + states[:, n + 1]
             lo = n - n % _BASE_BLOCK
             _direct_sum(entries, _ring_block(ring, lo, n + 1), n + 1 - lo, rhs)
@@ -613,15 +573,18 @@ def _march(system, grid, increments, scheme, scheme_tag, states=None, flat=None,
     return states
 
 
-def _check_inputs(system, grid, n_increments):
+def _check_inputs(system, grid, increments):
+    """Refuse a neutral term that is not a contraction, and increments that
+    are not a 2-D array of (paths >= 1, N)."""
     if system.coeffs.L_g >= 1.0:
         raise ValueError(
             f"the neutral fixed point requires L_g < 1, got L_g={system.coeffs.L_g}"
         )
-    if n_increments != grid.N:
+    shape = increments.shape
+    if len(shape) != 2 or shape[0] < 1 or shape[1] != grid.N:
         raise ValueError(
-            f"ensemble has {n_increments} increments per path, "
-            f"grid expects {grid.N}"
+            f"ensemble increments must have shape (paths >= 1, {grid.N}) for the grid, "
+            f"got {shape}"
         )
 
 
@@ -635,7 +598,7 @@ def simulate_mild(system: SystemSpec, grid: TimeGrid,
     matrix is not finite (it overflowed).
     """
     states = _march(system, grid, ensemble.increments.T, _mild_scheme(system, grid), "mild")
-    return _package(states, system, grid, "mild")
+    return _package(states, system, grid)
 
 
 def _integral_scheme(system: SystemSpec, grid: TimeGrid, as_printed):
@@ -676,7 +639,7 @@ def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: Brownia
     tag = "integral_form_as_printed" if as_printed else "integral_form"
     states = _march(system, grid, ensemble.increments.T,
                     _integral_scheme(system, grid, as_printed), tag)
-    return _package(states, system, grid, tag)
+    return _package(states, system, grid)
 
 
 # Stopping rule of every Picard solve (see picard_path_solve)
@@ -694,7 +657,7 @@ def simulate_picard(system: SystemSpec, grid: TimeGrid,
     :class:`SimulationNumericError` naming its paths.
     """
     states, _, _ = _picard(system, grid, ensemble.increments)
-    return _package(states, system, grid, "picard")
+    return _package(states, system, grid)
 
 
 def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments) -> PicardResult:
@@ -719,7 +682,7 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments) -> Pi
     if inc.ndim != 1 or inc.shape[0] != grid.N:
         raise ValueError(f"path_increments must have shape ({grid.N},)")
     states, iterations, ratios = _picard(system, grid, inc[None])
-    ens = _package(states, system, grid, "picard")
+    ens = _package(states, system, grid)
     return PicardResult(weighted=ens.weighted[0], grid=grid, iterations=int(iterations[0]),
                         contraction_ratio=float(ratios[0]))
 
@@ -734,7 +697,7 @@ def _picard(system, grid, increments, scheme=None, states=None, first=0):
     ``scheme`` is the :func:`_mild_scheme` tuple and ``states`` the array to
     solve into, both made here when not given; an error names its paths
     numbered from ``first``."""
-    _check_inputs(system, grid, increments.shape[1])
+    _check_inputs(system, grid, increments)
     free, w_f, w_s, drift = scheme or _mild_scheme(system, grid)
     sigma, solve = system.coeffs.sigma, _neutral_solver(system.coeffs)
     n_paths, n_nodes, dim = increments.shape[0], grid.N + 1, system.n

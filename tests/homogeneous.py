@@ -17,4 +17,4 @@ def closed_form_homogeneous(a_mat, rho, alpha, grid: TimeGrid) -> PathEnsemble:
     weighted = np.empty((1, grid.N + 1, dim))
     weighted[0, 0] = rho / gamma_fn(alpha)
     weighted[0, 1:] = np.einsum("nij,j->ni", ml_kernel(alpha, alpha, a_mat, grid.nodes[1:]), rho)
-    return PathEnsemble(weighted=weighted, grid=grid, scheme_tag="closed_form")
+    return PathEnsemble(weighted=weighted, grid=grid)

@@ -47,7 +47,7 @@ def plain_curve(ensemble, p, alpha=ORDER.alpha):
 def make_ensemble(weighted_values, grid):
     """Build a PathEnsemble from given weighted values (paths, N+1, n)."""
     w = np.asarray(weighted_values, dtype=float)
-    return PathEnsemble(weighted=w, grid=grid, scheme_tag="synthetic")
+    return PathEnsemble(weighted=w, grid=grid)
 
 
 def test_zero_ensemble_gives_zero_curves():
@@ -64,8 +64,7 @@ def test_zero_ensemble_gives_zero_curves():
 def test_deterministic_replicated_paths_zero_half_width():
     grid = TimeGrid(T=1.0, N=16)
     single = closed_form_homogeneous(np.array([[-1.0]]), np.array([1.0]), 0.75, grid)
-    stacked = PathEnsemble(weighted=np.repeat(single.weighted, 40, axis=0),
-                           grid=grid, scheme_tag="closed_form")
+    stacked = PathEnsemble(weighted=np.repeat(single.weighted, 40, axis=0), grid=grid)
     # deviations are taken from path 0's value, so equal paths give exact zeros
     assert not pth_moment_curve(stacked, 2).half_width.any()
     curve = plain_curve(stacked, 2)
@@ -209,7 +208,7 @@ def test_weighted_sup_homogeneous_at_origin_and_scaling():
     curve = pth_moment_curve(single, 2)
     assert int(np.argmax(curve.m)) == 0  # monotone decay confirmed by scan
     for c in (0.0, 0.5, 3.0):
-        scaled = PathEnsemble(weighted=c * single.weighted, grid=grid, scheme_tag="closed_form")
+        scaled = PathEnsemble(weighted=c * single.weighted, grid=grid)
         assert weighted_sup(scaled) == pytest.approx(c**2 * val, rel=1e-12)
 
 
@@ -229,6 +228,16 @@ def test_moment_order_must_be_an_integer(p):
     ens = make_ensemble(np.full((3, 9, 1), 2.0), grid)
     with pytest.raises(ValueError, match="p must be an integer"):
         pth_moment_curve(ens, p)
+
+
+# A sum of no paths has no mean: the curve is refused, not read from the
+# uninitialised shift
+def test_moment_curve_of_no_paths_is_refused():
+    grid = TimeGrid(T=1.0, N=8)
+    with pytest.raises(ValueError, match="at least one path"):
+        pth_moment_curve(make_ensemble(np.zeros((0, 9, 1)), grid), 2)
+    with pytest.raises(ValueError, match="at least one path"):
+        _MomentSums(9, 2).curve(grid.nodes)
 
 
 def test_decay_fit_exact_power_law():

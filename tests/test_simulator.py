@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import fft as sp_fft
 from scipy.special import betainc
@@ -360,7 +360,7 @@ def test_package_weights_the_states_in_place(dim):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = simulator._package(states, system, grid, "mild")
+        out = simulator._package(states, system, grid)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -386,9 +386,9 @@ def test_march_blocks_fit_the_base_block_and_the_ring(monkeypatch, n_steps):
         sums.append(block.shape[0])
         return direct_sum(entries, block, lag, out)
 
-    def recording_convolution(spectra, hists, M, lo, out, *buffers):
+    def recording_convolution(spectra, hists, M, lo, out):
         blocks.append((lo, hists[0].shape[-1]))
-        return convolve(spectra, hists, M, lo, out, *buffers)
+        return convolve(spectra, hists, M, lo, out)
 
     monkeypatch.setattr(simulator, "_direct_sum", recording_sum)
     monkeypatch.setattr(simulator, "_causal_convolution", recording_convolution)
@@ -425,10 +425,69 @@ def test_direct_sum_gives_a_lone_path_the_bits_of_a_batch(lag, dim, seed):
     assert lone.tobytes() == batch.tobytes()
 
 
-# The far field gathers and transforms every batch of paths in buffers that
-# it reuses across batches and blocks: batches of 2^10 and 2^16 real
-# elements, each ending on a partial batch at P = 301, give the bits of the
-# default batches
+def toeplitz_convolution(kernels, hists, lo, n_out):
+    """The causal convolution of _causal_convolution as an O(N^2) sum:
+    out[i, :, n - lo] = sum over the kernel columns (h, i, k) of
+    sum_j w_ik[n - j] hists[h][k, :, j], rows n = lo .. lo + n_out - 1."""
+    dim, n_paths, n_hist = hists[0].shape
+    lags = np.arange(lo, lo + n_out)[:, None] - np.arange(n_hist)[None, :]
+    valid = (lags >= 0) & (lags < kernels[0].shape[0])
+    out = np.zeros((dim, n_paths, n_out))
+    for h, w in enumerate(kernels):
+        for i, k, column in simulator._kernel_entries(w):
+            toeplitz = np.where(valid, column[np.clip(lags, 0, len(column) - 1)], 0.0)
+            out[i] += hists[h][k] @ toeplitz.T
+    return out
+
+
+# The far field's convolution, fed the kernel transforms of _block_spectra,
+# against the O(N^2) sum, in the far field's layout (a block of history
+# rows, then targets past it) and in Picard's (the whole path, from row 0).
+# Each entry of the drift and noise kernels is zero, decaying or growing,
+# each growing entry at its own rate, so a component can have no term in
+# some rate's group, and one with no term at all gets exactly nothing.
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 3), n_hist=st.integers(3, 64), n_paths=st.integers(1, 3),
+       whole=st.booleans(),
+       kinds=st.lists(st.sampled_from(["zero", "decay", "grow"]), min_size=18, max_size=18),
+       seed=st.integers(0, 2**32 - 1))
+@example(dim=2, n_hist=64, n_paths=2, whole=False, kinds=["grow", "zero", "zero", "decay"] * 2,
+         seed=0)
+def test_causal_convolution_matches_the_direct_sum(dim, n_hist, n_paths, whole, kinds, seed):
+    rng = np.random.default_rng(seed)
+    if whole:
+        lo, n_out = 0, n_hist - 1
+        n_lags = n_out
+        M = simulator._fast_len(2 * n_lags)
+    else:
+        lo, n_out = n_hist, int(rng.integers(1, n_hist + 1))
+        n_lags = n_hist + n_out
+        M = simulator._fast_len(n_lags)
+    index = np.arange(n_lags)
+    kernels = np.zeros((2, n_lags, dim, dim))
+    for (h, i, k), kind in zip(np.ndindex(2, dim, dim), kinds):
+        rate = {"zero": 0.0, "decay": -1.0, "grow": 1.0}[kind] * rng.uniform(0.05, 0.3)
+        kernels[h, :, i, k] = ((kind != "zero") * rng.choice([-1.0, 1.0])
+                               * np.exp(rate * index) * (1.0 + 0.25 * np.cos(index)))
+    hists = rng.standard_normal((2, dim, n_paths, n_hist))
+    spectra = simulator._block_spectra([simulator._kernel_entries(w) for w in kernels],
+                                       n_lags, M)
+    out = np.zeros((dim, n_paths, n_out))
+    simulator._causal_convolution(spectra, tuple(hists) if whole else hists, M, lo, out)
+    ref = toeplitz_convolution(kernels, hists, lo, n_out)
+    # row by row, relative to the largest output of the path so far, as in
+    # test_march_matches_direct_sum_reference
+    gap = np.max(np.abs(out - ref), axis=0)
+    scale = np.maximum.accumulate(np.max(np.abs(ref), axis=0), axis=1)
+    assert np.all(gap <= 1e-12 * scale), np.max(gap / scale)
+    for i in range(dim):
+        if not kernels[:, :, i].any():
+            assert not out[i].any()
+
+
+# The far field transforms the paths in batches: batches of 2^10 and 2^16
+# real elements, each ending on a partial batch at P = 301, give the bits
+# of the default batches
 @pytest.mark.parametrize("fft_batch", [1 << 10, 1 << 16])
 @pytest.mark.parametrize("scheme", ["mild", "integral_form"])
 def test_far_field_batches_keep_the_bits_of_the_march(monkeypatch, scheme, fft_batch):
@@ -654,7 +713,6 @@ def test_as_printed_variant_semantics():
     a = simulate_integral_form(with_g, grid, ens)
     b = simulate_integral_form(with_g, grid, ens, as_printed=True)
     assert np.max(np.abs(unweighted(a) - unweighted(b))) > 1e-6
-    assert b.scheme_tag == "integral_form_as_printed"
     # with all coefficients zero the literal form has no memory term at all:
     # it degenerates to the drift-free curve t^(a-1) rho / Gamma(a), while
     # the self-consistent form tracks the Mittag-Leffler closed form
@@ -881,7 +939,7 @@ def test_picard_ensemble_freezes_each_path_at_its_own_sweep():
         sweeps.add(res.iterations)
         np.testing.assert_array_equal(out.weighted[i], res.weighted)
     assert len(sweeps) > 1
-    assert out.scheme_tag == "picard" and out.weighted.shape == (7, 1025, 2)
+    assert out.weighted.shape == (7, 1025, 2)
 
 
 def test_multidimensional_system_runs_and_coincides():
@@ -952,6 +1010,17 @@ def test_strong_neutral_coefficient_rejected():
     ens = brownian_increments(grid, 1, 0)
     with pytest.raises(ValueError):
         simulate_mild(system, grid, ens)
+
+
+# Increments that are not a (paths >= 1, N) array are refused, the error
+# naming their shape
+@pytest.mark.parametrize("shape", [(8,), (2, 8, 1), (0, 8), (2, 7), (8, 2)])
+@pytest.mark.parametrize("scheme", sorted(ENSEMBLE_SCHEMES))
+def test_schemes_refuse_increments_that_are_not_paths_by_steps(scheme, shape):
+    grid = TimeGrid(T=1.0, N=8)
+    ens = BrownianEnsemble(increments=np.zeros(shape))
+    with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+        ENSEMBLE_SCHEMES[scheme](scalar_system(), grid, ens)
 
 
 def test_self_convergence_toward_fine_reference():
