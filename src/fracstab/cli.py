@@ -29,19 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import _SCHEMES, RunConfig, _integer, load_config
+from .config import RunConfig, _integer, load_config
 from .criteria import certify, delta_for_epsilon
 from .errors import ConfigError, ConvergenceError, FracstabError, SimulationNumericError
 from .fraccalc import ML_TOL, ml_scalar
-from .moments import _MomentSums, stability_verdict
-from .simulator import (
-    BrownianEnsemble,
-    TimeGrid,
-    _ensemble_chunks,
-    brownian_increments,
-    simulate_integral_form,
-    simulate_mild,
-)
+from .moments import _MomentSums, _fit_window, stability_verdict
+from .simulator import _SCHEMES, TimeGrid, _ensemble_chunks, _solve, brownian_increments
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -141,15 +134,6 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _simulate(system, grid, ens, scheme: str):
-    """One marching scheme of ``config._SCHEMES`` over the ensemble (its
-    one caller, ``convergence``, refuses Picard in :func:`_run_config`)."""
-    if scheme == "mild":
-        return simulate_mild(system, grid, ens)
-    return simulate_integral_form(system, grid, ens,
-                                  as_printed=scheme == "integral_form_as_printed")
-
-
 def _write_meta(path: Path, cfg: RunConfig, scheme: str) -> None:
     grid = cfg.grid()
     pairs = [
@@ -205,6 +189,11 @@ def _ensemble_curve(cfg: RunConfig, scheme: str, paths):
 
 def cmd_simulate(args) -> int:
     cfg, scheme, out = _run_config(args)
+    # refuse a fit window the verdict cannot take before any path is marched
+    try:
+        _fit_window(cfg.window_fraction, cfg.N)
+    except ValueError as exc:
+        raise ConfigError("criteria.window_fraction", str(exc)) from None
     # the run holds one chunk of the ensemble at a time, so its peak memory
     # does not grow with P past one chunk; paths.csv goes to a temporary
     # file first, and a refused certificate or verdict leaves no files behind
@@ -280,9 +269,9 @@ def cmd_convergence(args) -> int:
     base_n = cfg.N
     fine_n = 16 * base_n
     fine_grid = TimeGrid(T=cfg.T, N=fine_n)
-    fine = brownian_increments(fine_grid, cfg.n_paths, cfg.master_seed)
+    fine = brownian_increments(fine_grid, cfg.n_paths, cfg.master_seed).increments
     # the reference is one ensemble-sized array, held with the fine increments
-    ref = _simulate(system, fine_grid, fine, scheme).weighted
+    ref = _solve(system, fine_grid, scheme, fine.T)
     scale = float(max(np.nanmax(ref), -np.nanmin(ref)))
     floor = 1e-11 * max(scale, 1.0)
     rows = []
@@ -290,17 +279,13 @@ def cmd_convergence(args) -> int:
     for n_steps in (base_n, 2 * base_n, 4 * base_n):
         factor = fine_n // n_steps
         grid = TimeGrid(T=cfg.T, N=n_steps)
-        coarse = BrownianEnsemble(
-            increments=fine.increments.reshape(cfg.n_paths, n_steps, factor).sum(axis=2))
-        ens = _simulate(system, grid, coarse, scheme)
-        ref_nodes = ref[:, ::factor, :]
-        err = float(np.mean(np.max(np.abs(ens.weighted - ref_nodes), axis=(1, 2))))
-        if err <= floor:
+        coarse = fine.reshape(cfg.n_paths, n_steps, factor).sum(axis=2)
+        weighted = _solve(system, grid, scheme, coarse.T)
+        err = float(np.mean(np.max(np.abs(weighted - ref[:, ::factor]), axis=(1, 2))))
+        if err <= floor or (prev_err is not None and prev_err <= floor):
             order = "saturated"
         elif prev_err is None:
             order = ""
-        elif prev_err <= floor:
-            order = "saturated"
         else:
             order = math.log2(prev_err / err)
         rows.append([n_steps, err, order])

@@ -18,11 +18,10 @@ import numpy as np
 from .coefficients import CoefficientSet, make_additive_noise, make_bounded_smooth, make_linear
 from .errors import ConfigError
 from .fraccalc import FractionalOrder
-from .simulator import SystemSpec, TimeGrid
+from .simulator import _SCHEMES, SystemSpec, TimeGrid
 
 __all__ = ["RunConfig", "load_config", "parse_config"]
 
-_SCHEMES = ("mild", "integral_form", "integral_form_as_printed", "picard")
 # each family with the parameters it reads
 _FAMILIES = {"zero": (), "linear": ("G", "B", "S"), "bounded_smooth": ("c_g", "c_b", "c_s"),
              "additive": ("sigma",)}

@@ -147,22 +147,29 @@ class DecayVerdict:
             raise ValueError("asymptotic stability requires plain stability")
 
 
-def _decay_fit(curve: MomentCurve, window_fraction: float):
-    """(slope, slope_ci, window) of the least-squares fit of log m against
-    log t over the trailing window.
-
-    Zeros are floored at 1e-300 before taking logs; the CI is the normal
-    95% band from the standard regression error.  Requires at least four
-    window nodes with positive times.
-    """
+def _fit_window(window_fraction: float, n_times: int) -> int:
+    """Nodes of the trailing fit window over ``n_times`` positive times,
+    ceil(window_fraction n_times); a window of fewer than four nodes, or a
+    fraction outside (0, 1), raises ``ValueError``."""
     if not 0.0 < window_fraction < 1.0:
         raise ValueError(f"window_fraction must lie in (0, 1), got {window_fraction}")
+    n_window = int(math.ceil(window_fraction * n_times))
+    if n_window < 4:
+        raise ValueError(f"degenerate fit: only {n_window} window nodes")
+    return n_window
+
+
+def _decay_fit(curve: MomentCurve, window_fraction: float):
+    """(slope, slope_ci, window) of the least-squares fit of log m against
+    log t over the trailing window of :func:`_fit_window`.
+
+    Zeros are floored at 1e-300 before taking logs; the CI is the normal
+    95% band from the standard regression error.
+    """
     pos = curve.nodes > 0.0
     t = curve.nodes[pos]
     m = np.maximum(curve.m[pos], _MOMENT_FLOOR)
-    n_window = int(math.ceil(window_fraction * len(t)))
-    if n_window < 4:
-        raise ValueError(f"degenerate fit: only {n_window} window nodes")
+    n_window = _fit_window(window_fraction, len(t))
     t = t[-n_window:]
     m = m[-n_window:]
     x = np.log(t)

@@ -85,9 +85,10 @@ is ``coefficients.NEUTRAL_TOL``.
 Paths are independent given their increments.  All reductions are per path
 (direct sums in a fixed order, per-path transforms, and fixed-order matrix
 products instead of BLAS), so a path's states do not depend on which other
-paths share its ensemble.  ``_ensemble_chunks`` uses this to draw, march
-and weight an ensemble chunk by chunk of paths in one set of buffers of
-about ``_CHUNK_BYTES``, never holding it whole.
+paths share its ensemble.  Every caller runs a scheme tag through
+``_solve``: the library schemes on their ensemble, ``fracstab convergence``
+on each grid, and ``_ensemble_chunks`` (``fracstab simulate``) chunk by
+chunk of paths in one set of buffers, never holding the ensemble whole.
 """
 
 from __future__ import annotations
@@ -277,6 +278,46 @@ def _mild_scheme(system: SystemSpec, grid: TimeGrid):
     return free, d[:, None, None] * E[1:], kappa[:, None, None] * E[1:], drift
 
 
+def _integral_scheme(system: SystemSpec, grid: TimeGrid, as_printed):
+    """The second-kind Volterra system as the (free, w_f, w_s, drift) of
+    :func:`_march`: kernel (t-s)^(a-1)/Gamma(a), memory term A X, or
+    A g(s, X(s)) with ``as_printed``."""
+    alpha = system.order.alpha
+    inv_gamma = 1.0 / gamma_fn(alpha)
+    d, kappa = _cell_weights(alpha, grid)
+    t = grid.nodes[1:]
+    free = np.zeros((grid.N + 1, system.n))
+    free[1:] = (t ** (alpha - 1.0) * inv_gamma)[:, None] * system.rho
+    if not as_printed:
+        # exact first-cell weight for the singular memory cell:
+        # int_0^dt s^(a-1) (t_n - s)^(a-1) ds, applied to A rho / Gamma(a)
+        cell0 = (beta_fn(alpha, alpha) * _betainc_aa(alpha, grid.dt / t)
+                 * t ** (2.0 * alpha - 1.0))
+        free[1:] += (inv_gamma * cell0)[:, None] * (system.A @ (system.rho / gamma_fn(alpha)))
+    eye = np.eye(system.n)
+    g = system.coeffs.g
+    # the memory term shares the weight d / Gamma(a) with b
+    if as_printed:
+        drift = _drift(system, 1.0, g, _declared_matrix(g))
+    else:
+        drift = _drift(system, 1.0, lambda t, x: x, eye)
+    return (free, (inv_gamma * d)[:, None, None] * eye,
+            (inv_gamma * kappa)[:, None, None] * eye, drift)
+
+
+# The scheme tags, each resolved by _scheme and run by _solve
+_SCHEMES = ("mild", "integral_form", "integral_form_as_printed", "picard")
+
+
+def _scheme(system: SystemSpec, grid: TimeGrid, tag):
+    """The (free, w_f, w_s, drift) system of the scheme ``tag`` of
+    ``_SCHEMES``: the mild march and Picard solve :func:`_mild_scheme`,
+    the integral forms :func:`_integral_scheme`."""
+    if tag in ("mild", "picard"):
+        return _mild_scheme(system, grid)
+    return _integral_scheme(system, grid, as_printed=tag == "integral_form_as_printed")
+
+
 def _drift(system, sign, memory, memory_matrix):
     """The drift row ``drift(t, x, out=None)`` = b(t, x) + sign A memory(t, x)
     of a scheme (sign = -1, memory g in the mild form), written into ``out``
@@ -315,22 +356,14 @@ _BASE_BLOCK = 64
 _FFT_BATCH = 1 << 14
 
 
-def _kernel_entries(w):
-    """The (i, k, w[:, i, k]) columns of a kernel w of shape (N, dim, dim),
-    indexed by lag - 1, that are not identically zero."""
-    dim = w.shape[1]
-    return [(i, k, np.ascontiguousarray(w[:, i, k]))
-            for i in range(dim) for k in range(dim) if np.any(w[:, i, k])]
-
-
-def _sum_entries(w_f, w_s):
-    """The (i, k, w) of the direct sums: the columns (i, k) that are not
-    identically zero in the drift kernel w_f, with w of shape (2, N)
-    stacking the column of w_f and of w_s.  Both schemes give their
-    kernels the same zero columns (d E and kappa E, or multiples of I)."""
-    entries = _kernel_entries(w_f)
-    assert [(i, k) for i, k, _ in _kernel_entries(w_s)] == [(i, k) for i, k, _ in entries]
-    return [(i, k, np.stack((w, w_s[:, i, k]))) for i, k, w in entries]
+def _kernel_entries(w_f, w_s):
+    """The (i, k, w) that every history sum reads: the columns (i, k) not
+    identically zero in the drift or noise kernel, (N, dim, dim) indexed by
+    lag - 1, with w (2, N) stacking the column of w_f on that of w_s."""
+    dim = w_f.shape[1]
+    return [(i, k, np.stack((w_f[:, i, k], w_s[:, i, k])))
+            for i in range(dim) for k in range(dim)
+            if np.any(w_f[:, i, k]) or np.any(w_s[:, i, k])]
 
 
 def _ring_rows(n_steps):
@@ -378,7 +411,7 @@ def _ring_block(ring, lo, hi):
 
 def _direct_sum(entries, block, lag, out):
     """out[:, i] += sum_j w[h, lag - 1 - j] block[j, h, k, :] over the
-    entries (i, k, w) of :func:`_sum_entries` and the drift and noise
+    entries (i, k, w) of :func:`_kernel_entries` and the drift and noise
     histories h = 0, 1: the rows of ``block`` (rows, 2, dim, P) lie lag,
     lag - 1, ... nodes before the target, and each row is component-major,
     so a component's paths are contiguous.  One einsum takes the drift and
@@ -408,28 +441,29 @@ def _direct_sum(entries, block, lag, out):
             target += total[h]
 
 
-def _block_spectra(kernels, n_lags, M):
+def _block_spectra(entries, n_lags, M):
     """Kernel transforms of one far-field block shape (or of a whole path),
-    grouped by balancing rate: a list of (mu, [(history index, i, k, rfft of
-    the balanced e^(-mu m) w_ik[m] over the indices m = lag - 1 = 0 ..
-    n_lags - 1)]).  Each entry's rate is taken between the two halves of
+    grouped by balancing rate: a list of (mu, [(history index h, i, k, rfft
+    of the balanced e^(-mu m) w[h, m] over the indices m = lag - 1 = 0 ..
+    n_lags - 1)]) over the :func:`_kernel_entries` (i, k, w), the drift
+    terms first.  Each term's rate is taken between the two halves of
     those indices, so it sees as many lags late as early in a block that
     the end of the grid cuts short too."""
     groups = {}
     half = n_lags // 2
     index = np.arange(float(n_lags))
-    for h, entries in enumerate(kernels):
+    for h in (0, 1):
         for i, k, w in entries:
-            early = np.abs(w[:half]).max()
-            late = np.abs(w[half:n_lags]).max()
+            early = np.abs(w[h, :half]).max()
+            late = np.abs(w[h, half:n_lags]).max()
             # growth per node from the indices [0, half) to [half, n_lags)
             mu = math.log(late / early) / (n_lags - half) if late > early > 0 else 0.0
-            w_hat = np.fft.rfft(w[:n_lags] * np.exp(-mu * index), M)
+            w_hat = np.fft.rfft(w[h, :n_lags] * np.exp(-mu * index), M)
             groups.setdefault(mu, []).append((h, i, k, w_hat))
     return sorted(groups.items())
 
 
-def _far_field(kernels, ring, acc, c, spectra):
+def _far_field(entries, ring, acc, c, spectra):
     """Add the finished history block [c - L, c) to the targets [c, c + L)
     below N, read from the march's history ring; target t is node t + 1
     of acc, shaped (P, N+1, dim).
@@ -468,7 +502,7 @@ def _far_field(kernels, ring, acc, c, spectra):
     n_lags = L + hi - c
     M = _fast_len(n_lags)
     if n_lags not in spectra:
-        spectra[n_lags] = _block_spectra(kernels, n_lags, M)
+        spectra[n_lags] = _block_spectra(entries, n_lags, M)
     n_paths, dim = acc.shape[0], acc.shape[2]
     batch = max(1, _FFT_BATCH // (dim * M))
     block = _ring_block(ring, c - L, c)
@@ -505,14 +539,7 @@ def _weight(states, system, grid):
     states[:, 1:, :] *= grid.nodes[None, 1:, None] ** (1.0 - alpha)
 
 
-def _package(states, system, grid):
-    """Assemble a PathEnsemble from the states (P, N+1, dim), weighted in
-    place."""
-    _weight(states, system, grid)
-    return PathEnsemble(weighted=states, grid=grid)
-
-
-def _march(system, grid, increments, scheme, scheme_tag, states=None, flat=None, first=0):
+def _march(system, grid, increments, scheme, scheme_tag, states, flat=None, first=0):
     """Shared time-marching core of the mild and integral-form schemes:
 
         x_n = free[n] + sum_{j<n} w_f[n-j] f_j + sum_{j<n} w_s[n-j] s_j - g(t_n, x_n),
@@ -529,25 +556,20 @@ def _march(system, grid, increments, scheme, scheme_tag, states=None, flat=None,
     the rows f_j and s_j are written in place into one history ring of
     :func:`_ring_rows` rows (:func:`_ring`), component-major (dim, P).
 
-    Returns the states (P, N+1, dim), marched into ``states`` and the ring
-    buffer ``flat`` when they are given (a chunk's buffers) and into new
-    arrays otherwise; a new ring is freed on return, before the caller
-    weights the states.
+    Marches into the states (P, N+1, dim) and into the ring buffer
+    ``flat`` when it is given (a chunk's buffers); a new ring is freed on
+    return, before the caller weights the states.
     Each base block of nodes is checked for finiteness before the far field
     reads it and after the last step: a non-finite state raises
     :class:`SimulationNumericError` at its first node, naming its paths
     numbered from ``first``.
     """
-    _check_inputs(system, grid, increments.T)
     free, w_f, w_s, drift = scheme
     sigma, solve = system.coeffs.sigma, _neutral_solver(system.coeffs)
     n_steps, n_paths, dim = grid.N, increments.shape[1], system.n
     times = grid.nodes
-    kernels = (_kernel_entries(w_f), _kernel_entries(w_s))
-    entries = _sum_entries(w_f, w_s)
+    entries = _kernel_entries(w_f, w_s)
     n_ring = _ring_rows(n_steps)
-    if states is None:
-        states = np.empty((n_paths, n_steps + 1, dim))
     ring = _ring(n_ring, dim, n_paths, flat)
     states.fill(0.0)
     spectra = {}
@@ -563,14 +585,13 @@ def _march(system, grid, increments, scheme, scheme_tag, states=None, flat=None,
             if (n + 1) % _BASE_BLOCK == 0 and n + 1 < n_steps:
                 _check_finite(states, checked, n + 1, scheme_tag, first)
                 checked = n + 1
-                _far_field(kernels, ring, states, n + 1, spectra)
+                _far_field(entries, ring, states, n + 1, spectra)
             rhs = free[n + 1] + states[:, n + 1]
             lo = n - n % _BASE_BLOCK
             _direct_sum(entries, _ring_block(ring, lo, n + 1), n + 1 - lo, rhs)
             x = solve(times[n + 1], rhs)
             states[:, n + 1] = x
     _check_finite(states, checked, n_steps + 1, scheme_tag, first)
-    return states
 
 
 def _check_inputs(system, grid, increments):
@@ -588,6 +609,26 @@ def _check_inputs(system, grid, increments):
         )
 
 
+def _solve(system, grid, tag, increments, built=None, states=None, flat=None, first=0):
+    """The weighted states (P, N+1, dim) of the scheme ``tag`` of
+    ``_SCHEMES`` on the time-major increments (N, P): the inputs checked,
+    the :func:`_scheme` built unless ``built`` is given, the paths marched
+    (:func:`_march`) or solved by Picard iteration (:func:`_picard`) into
+    ``states`` and the ring buffer ``flat`` when they are given and into new
+    arrays otherwise, and the states weighted in place (:func:`_weight`).
+    An error names its paths numbered from ``first``."""
+    _check_inputs(system, grid, increments.T)
+    built = built or _scheme(system, grid, tag)
+    if states is None:
+        states = np.empty((increments.shape[1], grid.N + 1, system.n))
+    if tag == "picard":
+        _picard(system, grid, increments.T, built, states, first)
+    else:
+        _march(system, grid, increments, built, tag, states, flat, first)
+    _weight(states, system, grid)
+    return states
+
+
 def simulate_mild(system: SystemSpec, grid: TimeGrid,
                   ensemble: BrownianEnsemble) -> PathEnsemble:
     """March the variation-of-constants scheme over the ensemble.
@@ -597,35 +638,7 @@ def simulate_mild(system: SystemSpec, grid: TimeGrid,
     :class:`SimulationNumericError` before the first step if a kernel
     matrix is not finite (it overflowed).
     """
-    states = _march(system, grid, ensemble.increments.T, _mild_scheme(system, grid), "mild")
-    return _package(states, system, grid)
-
-
-def _integral_scheme(system: SystemSpec, grid: TimeGrid, as_printed):
-    """The second-kind Volterra system as the (free, w_f, w_s, drift) of
-    :func:`_march`: kernel (t-s)^(a-1)/Gamma(a), memory term A X, or
-    A g(s, X(s)) with ``as_printed``."""
-    alpha = system.order.alpha
-    inv_gamma = 1.0 / gamma_fn(alpha)
-    d, kappa = _cell_weights(alpha, grid)
-    t = grid.nodes[1:]
-    free = np.zeros((grid.N + 1, system.n))
-    free[1:] = (t ** (alpha - 1.0) * inv_gamma)[:, None] * system.rho
-    if not as_printed:
-        # exact first-cell weight for the singular memory cell:
-        # int_0^dt s^(a-1) (t_n - s)^(a-1) ds, applied to A rho / Gamma(a)
-        cell0 = (beta_fn(alpha, alpha) * _betainc_aa(alpha, grid.dt / t)
-                 * t ** (2.0 * alpha - 1.0))
-        free[1:] += (inv_gamma * cell0)[:, None] * (system.A @ (system.rho / gamma_fn(alpha)))
-    eye = np.eye(system.n)
-    g = system.coeffs.g
-    # the memory term shares the weight d / Gamma(a) with b
-    if as_printed:
-        drift = _drift(system, 1.0, g, _declared_matrix(g))
-    else:
-        drift = _drift(system, 1.0, lambda t, x: x, eye)
-    return (free, (inv_gamma * d)[:, None, None] * eye,
-            (inv_gamma * kappa)[:, None, None] * eye, drift)
+    return PathEnsemble(_solve(system, grid, "mild", ensemble.increments.T), grid)
 
 
 def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble,
@@ -637,9 +650,7 @@ def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: Brownia
     kernel (t-s)^(a-1)/Gamma(a) needs no Mittag-Leffler evaluation.
     """
     tag = "integral_form_as_printed" if as_printed else "integral_form"
-    states = _march(system, grid, ensemble.increments.T,
-                    _integral_scheme(system, grid, as_printed), tag)
-    return _package(states, system, grid)
+    return PathEnsemble(_solve(system, grid, tag, ensemble.increments.T), grid)
 
 
 # Stopping rule of every Picard solve (see picard_path_solve)
@@ -656,8 +667,7 @@ def simulate_picard(system: SystemSpec, grid: TimeGrid,
     tolerance raises :class:`ConvergenceError`, and a non-finite iterate
     :class:`SimulationNumericError` naming its paths.
     """
-    states, _, _ = _picard(system, grid, ensemble.increments)
-    return _package(states, system, grid)
+    return PathEnsemble(_solve(system, grid, "picard", ensemble.increments.T), grid)
 
 
 def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments) -> PicardResult:
@@ -681,34 +691,31 @@ def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments) -> Pi
     inc = np.atleast_1d(np.asarray(path_increments, dtype=float))
     if inc.ndim != 1 or inc.shape[0] != grid.N:
         raise ValueError(f"path_increments must have shape ({grid.N},)")
-    states, iterations, ratios = _picard(system, grid, inc[None])
-    ens = _package(states, system, grid)
-    return PicardResult(weighted=ens.weighted[0], grid=grid, iterations=int(iterations[0]),
+    _check_inputs(system, grid, inc[None])
+    states = np.empty((1, grid.N + 1, system.n))
+    iterations, ratios = _picard(system, grid, inc[None], _mild_scheme(system, grid), states)
+    _weight(states, system, grid)
+    return PicardResult(weighted=states[0], grid=grid, iterations=int(iterations[0]),
                         contraction_ratio=float(ratios[0]))
 
 
-def _picard(system, grid, increments, scheme=None, states=None, first=0):
-    """:func:`picard_path_solve` on the paths of ``increments`` (P, N): the
-    states (P, N+1, dim) and each path's sweeps and last contraction ratio.
+def _picard(system, grid, increments, scheme, states, first=0):
+    """:func:`picard_path_solve` on the paths of ``increments`` (P, N) for
+    the :func:`_mild_scheme` tuple ``scheme``, solved into the states
+    (P, N+1, dim): each path's sweeps and last contraction ratio.
     Paths run in batches of ``_FFT_BATCH // (dim M)``, at least 1, as in the
     far field; a path is frozen in the sweep it converges, and only then is
     its batch gathered, so its bits do not depend on the other paths.  The
     neutral solve takes the nodes 1..N of a batch as rows, t as a column.
-    ``scheme`` is the :func:`_mild_scheme` tuple and ``states`` the array to
-    solve into, both made here when not given; an error names its paths
-    numbered from ``first``."""
-    _check_inputs(system, grid, increments)
-    free, w_f, w_s, drift = scheme or _mild_scheme(system, grid)
+    An error names its paths numbered from ``first``."""
+    free, w_f, w_s, drift = scheme
     sigma, solve = system.coeffs.sigma, _neutral_solver(system.coeffs)
     n_paths, n_nodes, dim = increments.shape[0], grid.N + 1, system.n
     times = grid.nodes[:, None]
     w_time = times[1:] ** (1.0 - system.order.alpha)
-    kernels = (_kernel_entries(w_f), _kernel_entries(w_s))
     # the whole path is one block
     M = _fast_len(2 * grid.N)
-    spectra = _block_spectra(kernels, grid.N, M)
-    if states is None:
-        states = np.empty((n_paths, n_nodes, dim))
+    spectra = _block_spectra(_kernel_entries(w_f, w_s), grid.N, M)
     iterations = np.zeros(n_paths, dtype=int)
     ratios = np.full(n_paths, math.nan)
     batch = max(1, _FFT_BATCH // (dim * M))
@@ -753,7 +760,7 @@ def _picard(system, grid, increments, scheme=None, states=None, first=0):
                 f"Picard iteration did not reach tol={_PICARD_TOL} (relative) in "
                 f"{_PICARD_MAX_SWEEPS} sweeps; last contraction ratio estimate {ratio[0]:.4g}"
             )
-    return states, iterations, ratios
+    return iterations, ratios
 
 
 # Bytes of the buffers of one chunk of :func:`_ensemble_chunks`: its
@@ -764,58 +771,54 @@ _CHUNK_BYTES = 32 << 20
 _PATH_BLOCK = 64
 
 
-def _chunk_edges(n_paths, n_steps, dim):
-    """Path edges of the fewest balanced chunks of an ensemble whose buffers,
-    8 (N + (N+1) dim + 2 R dim) bytes per path with R = :func:`_ring_rows`
-    (N), fit in ``_CHUNK_BYTES`` (the padding of the ring rows, at most 15
-    doubles a row, is left out).  Each chunk but the last is a whole number
-    of ``_PATH_BLOCK`` paths, at least one block whatever the budget, and
-    no chunk is larger than the first."""
-    per_path = 8 * (n_steps + (n_steps + 1) * dim + 2 * _ring_rows(n_steps) * dim)
-    n_blocks = -(-n_paths // _PATH_BLOCK)
-    n_chunks = min(n_blocks, -(-n_paths * per_path // _CHUNK_BYTES))
+def _chunk_doubles(n_paths, n_steps, dim, ring):
+    """Doubles of the buffers :func:`_ensemble_chunks` allocates for a
+    chunk of P paths: increments (N, P), states (P, N+1, dim) and, for a
+    march (``ring``), the padded rows of its history ring (:func:`_ring`)."""
+    n_ring = _ring_rows(n_steps) * _ring_width(2 * dim * n_paths) if ring else 0
+    return n_paths * n_steps, n_paths * (n_steps + 1) * dim, n_ring
+
+
+def _chunk_edges(n_paths, n_steps, dim, ring=True):
+    """Path edges of the fewest balanced chunks of an ensemble whose first
+    chunk's buffers (:func:`_chunk_doubles`) fit in ``_CHUNK_BYTES``.  Each
+    chunk but the last is a whole number of ``_PATH_BLOCK`` paths, at least
+    one block whatever the budget, and no chunk is larger than the
+    first."""
+    n_blocks, n_chunks = -(-n_paths // _PATH_BLOCK), 1
+    while n_chunks < n_blocks and _CHUNK_BYTES < 8 * sum(_chunk_doubles(
+            min(n_paths, _PATH_BLOCK * -(-n_blocks // n_chunks)), n_steps, dim, ring)):
+        n_chunks += 1
     return [min(n_paths, _PATH_BLOCK * -(-k * n_blocks // n_chunks))
             for k in range(n_chunks + 1)]
 
 
-def _ensemble_chunks(system, grid, n_paths, master_seed, scheme):
+def _ensemble_chunks(system, grid, n_paths, master_seed, tag):
     """Yield (first path, weighted states (paths, N+1, dim)) chunk by chunk,
-    in path order, for the ``scheme`` (a scheme tag: mild, integral_form,
-    integral_form_as_printed or picard) over the ensemble
+    in path order, for the scheme ``tag`` of ``_SCHEMES`` over the ensemble
     ``brownian_increments(grid, n_paths, master_seed)``, without building it.
 
-    The scheme is built once per run.  Each chunk of :func:`_chunk_edges`
-    draws its increments from the paths' own streams, is marched (or solved
-    by Picard iteration) and weighted in one set of buffers, sized for the
-    first chunk and reused by the others: a yielded array holds its chunk
-    only until the next one is requested.  As a path does not depend on the
-    paths marched with it, every path keeps the bits of the whole-ensemble
-    functions.  A chunk that fails stops the run with the error of the
-    whole-ensemble function on that chunk, its paths numbered in the
-    ensemble.
+    The scheme is built once per run (:func:`_scheme`).  Each chunk of
+    :func:`_chunk_edges` draws its increments from the paths' own streams
+    and is solved and weighted by :func:`_solve` in one set of buffers
+    (:func:`_chunk_doubles`), sized for the first chunk and reused by the
+    others: a yielded array holds its chunk only until the next one is
+    requested.  As a path does not depend on the paths solved with it,
+    every path keeps the bits of the whole-ensemble functions.  A chunk
+    that fails stops the run with the error of the whole-ensemble function
+    on that chunk, its paths numbered in the ensemble.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    n_steps, dim = grid.N, system.n
-    picard = scheme == "picard"
-    if picard or scheme == "mild":
-        built = _mild_scheme(system, grid)
-    else:
-        built = _integral_scheme(system, grid, scheme == "integral_form_as_printed")
-    edges = _chunk_edges(n_paths, n_steps, dim)
-    size = edges[1]
-    n_ring = _ring_rows(n_steps)
-    flat_inc, flat_states = np.empty(size * n_steps), np.empty(size * (n_steps + 1) * dim)
-    flat = None if picard else np.empty(n_ring * _ring_width(2 * dim * size))
+    n_steps, dim, ring = grid.N, system.n, tag != "picard"
+    built = _scheme(system, grid, tag)
+    edges = _chunk_edges(n_paths, n_steps, dim, ring)
+    flat_inc, flat_states, flat = (np.empty(n)
+                                   for n in _chunk_doubles(edges[1], n_steps, dim, ring))
     for p0, p1 in zip(edges, edges[1:]):
         n = p1 - p0
         # time-major, so each step of a march reads one contiguous row
         increments = flat_inc[:n * n_steps].reshape(n_steps, n)
         states = flat_states[:n * (n_steps + 1) * dim].reshape(n, n_steps + 1, dim)
         _draw_increments(grid, master_seed, p0, increments)
-        if picard:
-            _picard(system, grid, increments.T, built, states, first=p0)
-        else:
-            _march(system, grid, increments, built, scheme, states, flat, first=p0)
-        _weight(states, system, grid)
-        yield p0, states
+        yield p0, _solve(system, grid, tag, increments, built, states, flat, p0)

@@ -525,14 +525,36 @@ def test_overflowed_kernel_is_refused_before_any_output(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-# four steps leave two nodes in the decay-fit window: the verdict refuses
-# before any file is written
+# four steps leave two nodes in the decay-fit window: the run refuses the
+# window before any file is written
 def test_refused_verdict_leaves_no_output(tmp_path, capsys):
     doc = benchmark_doc(grid={"T": 1.0, "N": 4})
     out = tmp_path / "out"
     assert main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: degenerate fit: only 2 window nodes\n"
+    assert capsys.readouterr().err == ("config error: criteria.window_fraction: "
+                                       "degenerate fit: only 2 window nodes\n")
     assert not out.exists()
+
+
+# six steps at window_fraction 0.5 leave three window nodes: simulate names
+# the field and refuses before the march, while check and convergence, which
+# fit no window, still run
+def test_degenerate_fit_window_is_refused_before_the_march(tmp_path, capsys, monkeypatch):
+    def unreached(*args):
+        raise AssertionError("the march ran")
+
+    doc = benchmark_doc(grid={"T": 1.0, "N": 6})
+    doc["criteria"]["window_fraction"] = 0.5
+    path = write_doc(tmp_path, doc)
+    monkeypatch.setattr(simulator, "_march", unreached)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: criteria.window_fraction: "), err
+    assert "3 window nodes" in err
+    assert not (tmp_path / "out").exists()
+    monkeypatch.undo()
+    assert main(["check", "--config", path, "--out", str(tmp_path / "check")]) == 0
+    assert main(["convergence", "--config", path, "--out", str(tmp_path / "conv")]) == 0
 
 
 # C_p = (p(p-1)/2)^(p/2) overflows a double at p = 200: a one-line refusal

@@ -38,6 +38,7 @@ from fracstab.coefficients import NEUTRAL_TOL, _solve_neutral
 from fracstab.errors import ConvergenceError, SimulationNumericError
 
 from homogeneous import closed_form_homogeneous
+from mean_square import mild_second_moment
 
 ORDER = FractionalOrder(0.75, 2)
 
@@ -351,25 +352,30 @@ def test_march_allocates_about_two_ensembles(dim):
     assert out.weighted.nbytes == array_bytes
 
 
+# _solve weights the states it is given in place; the march is stubbed to
+# leave them as they are
 @pytest.mark.parametrize("dim", [1, 2])
-def test_package_weights_the_states_in_place(dim):
+def test_solve_weights_the_states_in_place(monkeypatch, dim):
     system = scalar_system() if dim == 1 else planar_system(make_bounded_smooth(0.2, 0.1, 0.1))
     grid = TimeGrid(T=50.0, N=1024)
     states = np.random.default_rng(dim).standard_normal((1000, grid.N + 1, dim))
     expect = states[:, 1:] * grid.nodes[1:, None] ** (1.0 - ORDER.alpha)
+    increments = np.zeros((grid.N, 1000))
+    built = simulator._scheme(system, grid, "mild")
+    monkeypatch.setattr(simulator, "_march", lambda *args: None)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = simulator._package(states, system, grid)
+        out = simulator._solve(system, grid, "mild", increments, built, states)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     # a second weighted array made 1.0
     assert peak <= 0.1 * states.nbytes, peak / states.nbytes
-    assert out.weighted is states
-    np.testing.assert_array_equal(out.weighted[:, 0], np.broadcast_to(
+    assert out is states
+    np.testing.assert_array_equal(out[:, 0], np.broadcast_to(
         system.rho / gamma_fn(ORDER.alpha), (1000, dim)))
-    np.testing.assert_array_equal(out.weighted[:, 1:], expect)
+    np.testing.assert_array_equal(out[:, 1:], expect)
 
 
 # Every target past its own base block is served by one far-field block
@@ -410,7 +416,7 @@ def test_direct_sum_gives_a_lone_path_the_bits_of_a_batch(lag, dim, seed):
     rng = np.random.default_rng(seed)
     n_paths, n_ring = 9, 2 * simulator._BASE_BLOCK
     w_f, w_s = rng.standard_normal((2, 200, dim, dim))
-    entries = simulator._sum_entries(w_f, w_s)
+    entries = simulator._kernel_entries(w_f, w_s)
     ring = simulator._ring(n_ring, dim, n_paths)
     ring[...] = rng.standard_normal(ring.shape)
     lo = simulator._BASE_BLOCK
@@ -433,10 +439,10 @@ def toeplitz_convolution(kernels, hists, lo, n_out):
     lags = np.arange(lo, lo + n_out)[:, None] - np.arange(n_hist)[None, :]
     valid = (lags >= 0) & (lags < kernels[0].shape[0])
     out = np.zeros((dim, n_paths, n_out))
-    for h, w in enumerate(kernels):
-        for i, k, column in simulator._kernel_entries(w):
-            toeplitz = np.where(valid, column[np.clip(lags, 0, len(column) - 1)], 0.0)
-            out[i] += hists[h][k] @ toeplitz.T
+    for h, i, k in np.ndindex(2, dim, dim):
+        column = kernels[h][:, i, k]
+        toeplitz = np.where(valid, column[np.clip(lags, 0, len(column) - 1)], 0.0)
+        out[i] += hists[h][k] @ toeplitz.T
     return out
 
 
@@ -470,8 +476,7 @@ def test_causal_convolution_matches_the_direct_sum(dim, n_hist, n_paths, whole, 
         kernels[h, :, i, k] = ((kind != "zero") * rng.choice([-1.0, 1.0])
                                * np.exp(rate * index) * (1.0 + 0.25 * np.cos(index)))
     hists = rng.standard_normal((2, dim, n_paths, n_hist))
-    spectra = simulator._block_spectra([simulator._kernel_entries(w) for w in kernels],
-                                       n_lags, M)
+    spectra = simulator._block_spectra(simulator._kernel_entries(*kernels), n_lags, M)
     out = np.zeros((dim, n_paths, n_out))
     simulator._causal_convolution(spectra, tuple(hists) if whole else hists, M, lo, out)
     ref = toeplitz_convolution(kernels, hists, lo, n_out)
@@ -556,6 +561,81 @@ def test_ensemble_chunks_keep_the_bits_of_the_library_schemes(monkeypatch, tag, 
     assert [first for first, _ in chunks] == [0, 64, 128, 192]
     whole = ENSEMBLE_SCHEMES[scheme](system, grid, brownian_increments(grid, 200, 23))
     assert np.concatenate([w for _, w in chunks]).tobytes() == whole.weighted.tobytes()
+
+
+def chunk_buffers(monkeypatch, system, grid, n_paths, tag):
+    """(first path, paths, bytes of the buffers it is solved in) of each
+    chunk of _ensemble_chunks, with _solve stubbed to hand back the states
+    unsolved."""
+    seen = []
+
+    def recording(system, grid, tag, increments, built, states, flat, first):
+        seen.append((first, states.shape[0],
+                     increments.base.nbytes + states.base.nbytes + flat.nbytes))
+        return states
+
+    monkeypatch.setattr(simulator, "_solve", recording)
+    for _ in simulator._ensemble_chunks(system, grid, n_paths, 1, tag):
+        pass
+    return seen
+
+
+# Picard holds no history ring: on the scalar_long shape (N = 2048, 1000
+# paths) its increments and states, 32.8 MB, fit one chunk, while the
+# marches' rings of 1024 rows make them take two
+def test_picard_chunks_hold_no_ring(monkeypatch):
+    grid = TimeGrid(T=50.0, N=2048)
+    picard = chunk_buffers(monkeypatch, scalar_system(), grid, 1000, "picard")
+    assert [(first, n) for first, n, _ in picard] == [(0, 1000)]
+    mild = chunk_buffers(monkeypatch, scalar_system(), grid, 1000, "mild")
+    assert [(first, n) for first, n, _ in mild] == [(0, 512), (512, 488)]
+
+
+# The buffers of the first chunk, padded ring rows included, stay within the
+# budget unless the chunk is a single 64-path block; every chunk reuses them.
+# The budgets of 128 and 64 paths leave the padding out.
+@pytest.mark.parametrize("tag,dim,n_steps,n_paths,budget_paths", [
+    ("mild", 1, 2048, 1000, None), ("picard", 1, 2048, 1000, None),
+    ("mild", 1, 1024, 1000, 128), ("integral_form", 2, 256, 300, 64),
+    ("picard", 2, 256, 300, 64)])
+def test_first_chunk_buffers_fit_the_budget(monkeypatch, tag, dim, n_steps, n_paths,
+                                            budget_paths):
+    if budget_paths:
+        per_path = 8 * (n_steps + (n_steps + 1) * dim + 2 * simulator._ring_rows(n_steps) * dim)
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", budget_paths * per_path)
+    system = scalar_system() if dim == 1 else planar_system(make_bounded_smooth(0.2, 0.3, 0.3))
+    seen = chunk_buffers(monkeypatch, system, TimeGrid(T=4.0, N=n_steps), n_paths, tag)
+    _, first_paths, nbytes = seen[0]
+    assert nbytes <= simulator._CHUNK_BYTES or first_paths == simulator._PATH_BLOCK
+    assert {b for _, _, b in seen} == {nbytes}
+    assert sum(n for _, n, _ in seen) == n_paths
+
+
+# ----------------------------------------------------------- second moment
+
+# With G = B = 0 the mild scheme's second moment follows an exact recursion
+# (tests/mean_square.py).  Node 1 does not depend on the noise, so every
+# path matches it to roundoff; at the other nodes the sample mean of |w|^2
+# lies within 4.5 standard errors of it (max |z| 1.7-2.5 here, 9-13 for the
+# marches with kappa scaled by 1.1).  Picard solves the same system on the
+# first 2000 paths.
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("scheme,n_paths", [("mild", 20000), ("picard", 2000)])
+def test_second_moment_matches_the_exact_recursion(scheme, n_paths, alpha):
+    a_mat = np.array([[-1.0, 3.0], [-0.5, -2.0]])
+    s_mat = np.array([[0.6, 0.2], [-0.3, 0.5]])
+    rho = np.array([1.0, -0.5])
+    zero = np.zeros((2, 2))
+    system = SystemSpec(A=a_mat, rho=rho, coeffs=make_linear(zero, zero, s_mat),
+                        order=FractionalOrder(alpha, 2))
+    grid = TimeGrid(T=2.0, N=64)
+    out = ENSEMBLE_SCHEMES[scheme](system, grid, brownian_increments(grid, n_paths, 1))
+    values = np.sum(out.weighted[:, 1:] ** 2, axis=2)
+    exact = mild_second_moment(a_mat, s_mat, rho, alpha, grid)
+    assert np.max(np.abs(values[:, 0] - exact[0])) <= 1e-12 * exact[0]
+    z = ((values[:, 1:].mean(axis=0) - exact[1:])
+         / (values[:, 1:].std(axis=0, ddof=1) / math.sqrt(n_paths)))
+    assert np.max(np.abs(z)) <= 4.5, np.max(np.abs(z))
 
 
 # ------------------------------------------------------ neutral fixed point
@@ -816,10 +896,10 @@ def convolve_picard(system, grid, inc, c_g):
     raise ConvergenceError("reference Picard did not converge")
 
 
-def unbalanced_spectra(kernels, n_lags, M):
+def unbalanced_spectra(entries, n_lags, M):
     """Kernel transforms of simulator._block_spectra without the balancing."""
-    return [(0.0, [(h, i, k, sp_fft.rfft(w[:n_lags], M))
-                   for h, entries in enumerate(kernels) for i, k, w in entries])]
+    return [(0.0, [(h, i, k, sp_fft.rfft(w[h, :n_lags], M))
+                   for h in (0, 1) for i, k, w in entries])]
 
 
 def picard_gap(a_mat, T, n_steps):

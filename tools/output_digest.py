@@ -27,15 +27,16 @@ Covered outputs:
   differ in other fields still compare, and ``ml_norm_sup``, at alpha in
   {0.6, 0.75, 0.9} and T = 50 on the same matrices;
 * exit code, stderr and every written file of ``check``, ``simulate`` (all
-  four schemes, one with ``--seed``), ``convergence`` and ``ml`` on seven
-  configurations: linear, dim-2 sine, a neutral term too strong for the
-  certificate, a neutral term near the solvable limit (G = 0.95, N = 16),
-  an unstable matrix, a matrix whose states overflow (exit code 3) and an
-  invalid file.  ``simulate`` marches its ensemble in chunks of paths and
-  streams the moment curves over blocks of 64 paths; these configurations
-  have 20 paths, so each runs in one chunk, and the scheme lines above are
-  the states every chunk must reproduce (the tests check that a run split
-  into chunks writes the bytes of the one-chunk run).
+  four schemes, one with ``--seed``), ``convergence`` (all four schemes,
+  Picard refused) and ``ml`` on seven configurations: linear, dim-2 sine,
+  a neutral term too strong for the certificate, a neutral term near the
+  solvable limit (G = 0.95, N = 16), an unstable matrix, a matrix whose
+  states overflow (exit code 3) and an invalid file.  ``simulate`` marches
+  its ensemble in chunks of paths and streams the moment curves over
+  blocks of 64 paths; these configurations have 20 paths, so each runs in
+  one chunk, and the scheme lines above are the states every chunk must
+  reproduce (the tests check that a run split into chunks writes the
+  bytes of the one-chunk run).
 
 A failure (an exception of a library call) is printed as its type and
 message, and the warnings of a command as their categories and messages
@@ -235,6 +236,8 @@ COMMANDS = [
     ["simulate", "--scheme", "integral_form_as_printed"],
     ["simulate", "--scheme", "picard", "--seed", "7"],
     ["convergence"],
+    ["convergence", "--scheme", "integral_form"],
+    ["convergence", "--scheme", "integral_form_as_printed"],
     ["convergence", "--scheme", "picard"],
 ]
 
