@@ -55,7 +55,6 @@ from .simulator import (
     picard_path_solve,
     simulate_integral_form,
     simulate_mild,
-    simulate_picard,
 )
 from .spectral import (
     KernelBoundsReport,

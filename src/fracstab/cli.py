@@ -80,16 +80,13 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 
 def _run_config(args):
     """(config with the ``--seed`` override, scheme, output directory) of
-    ``simulate`` and ``convergence``; a negative seed and a convergence
-    study of the Picard scheme are refused here.  The directory is made
-    with the first file written, so a run refused before then leaves none."""
+    ``simulate`` and ``convergence``; a negative seed is refused here.  The
+    directory is made with the first file written, so a run refused before
+    then leaves none."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=_integer(args.seed, "--seed", minimum=0))
-    scheme = args.scheme or cfg.scheme
-    if scheme == "picard" and args.command == "convergence":
-        raise ConfigError("monte_carlo.scheme", "convergence studies use the marching schemes")
-    return cfg, scheme, _out_dir(args, cfg)
+    return cfg, args.scheme or cfg.scheme, _out_dir(args, cfg)
 
 
 def _certificate(cfg: RunConfig):

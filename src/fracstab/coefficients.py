@@ -16,9 +16,9 @@ Callables must be pure, re-entrant, and vectorised over leading axes:
 ``f(t, x)`` with ``x`` of shape (..., n) returns the same shape.  ``t`` is a
 float or an array that broadcasts against the leading axes of ``x``: the
 marches call with one time and a batch of paths, a Picard sweep calls once
-with the column ``times[:, None]`` and a batch of whole paths, (P, N+1, n),
-and its neutral solve takes the nodes of those paths as rows, (P N, n), with
-a column of their times, (P N, 1).
+with the column ``times[:, None]`` and the whole path, (N+1, n), and its
+neutral solve takes the nodes of the path as rows, (N, n), with a column of
+their times, (N, 1).
 Callables must therefore not branch on a scalar ``t`` (``if t > 1``); use
 array operations such as ``np.where``.  The built-in families ignore ``t``
 and act row by row, so a whole-path call gives the node-by-node values bit

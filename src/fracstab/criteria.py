@@ -68,6 +68,10 @@ class CriterionInputs:
     M: float
 
     def __post_init__(self):
+        for name in ("T", "L_g", "L_b", "L_sigma", "A_norm", "M"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
         for name, val in (("L_g", self.L_g), ("L_b", self.L_b), ("L_sigma", self.L_sigma)):

@@ -109,7 +109,7 @@ class FractionalOrder:
     def __post_init__(self):
         if not 0.5 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (1/2, 1], got {self.alpha}")
-        if int(self.p) != self.p or self.p < 2:
+        if not (self.p >= 2 and float(self.p).is_integer()):
             raise ValueError(f"p must be an integer >= 2, got {self.p}")
         object.__setattr__(self, "p", int(self.p))
 
@@ -534,8 +534,8 @@ def rl_integral_grid(samples, alpha, dt):
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"rl_integral_grid requires alpha in (0, 1], got {alpha}")
-    if not dt > 0:
-        raise ValueError("grid step must be positive")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"grid step must be finite and positive, got {dt}")
     f = np.asarray(samples, dtype=float)
     squeeze = f.ndim == 1
     if squeeze:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SimulationNumericError
 from .simulator import _PATH_BLOCK, PathEnsemble
 
 __all__ = [
@@ -68,7 +69,8 @@ def pth_moment_curve(ensemble: PathEnsemble, p: int) -> MomentCurve:
     """Per-node sample mean of ||t^(1-a) X(t)||^p over an ensemble's
     weighted states, on every node from t = 0, for an integer p >= 1 (a
     bool or a non-integral number is refused with ``ValueError``, and so is
-    an ensemble of no paths).
+    an ensemble of no paths).  A moment that overflows a double raises
+    :class:`SimulationNumericError` (see :meth:`_MomentSums.curve`).
     """
     sums = _MomentSums(ensemble.grid.N + 1, p)
     sums.add(ensemble.weighted)
@@ -118,13 +120,27 @@ class _MomentSums:
     def curve(self, nodes):
         """The :class:`MomentCurve` of the paths added, with normal 95%
         half-widths from the unbiased variance, NaN below 30 paths.  A sum
-        of no paths has no curve: it raises ``ValueError``."""
+        of no paths has no curve: it raises ``ValueError``.  The first node
+        whose mean, or whose variance where a half-width is given, is not
+        finite (||w||^p overflowed) raises :class:`SimulationNumericError`
+        naming p and the node."""
         if not self.count:
             raise ValueError("a moment curve needs at least one path, got 0")
+        m = self.shift + self.mean
         half = np.full(len(nodes), np.nan)
+        checks = [("mean", m)]
         if self.count >= 30:
-            half = 1.959963984540054 * np.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
-        return MomentCurve(nodes=nodes, m=self.shift + self.mean, half_width=half)
+            var = self.m2 / (self.count - 1)
+            half = 1.959963984540054 * np.sqrt(var) / math.sqrt(self.count)
+            checks.append(("variance", var))
+        for name, values in checks:
+            finite = np.isfinite(values)
+            if not finite.all():
+                n = int(np.argmin(finite))
+                raise SimulationNumericError(
+                    f"the p-th moment (p = {self.p}) overflows a double: its {name} is not "
+                    f"finite at node {n} (t = {nodes[n]:.6g})", node=n)
+        return MomentCurve(nodes=nodes, m=m, half_width=half)
 
 
 @dataclass(frozen=True)

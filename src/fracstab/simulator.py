@@ -16,14 +16,14 @@ discretised:
   constant kernel (t-s)^(a-1)/Gamma(a) and the linear memory term A X(s)
   (the self-consistent form; a literal variant with A g(s, X(s)) under the
   integral is available behind ``as_printed=True`` for comparison).
-* ``simulate_picard``  iterates the whole-path solution operator of the
-  discrete mild system to its fixed point, each path to its own;
-  ``picard_path_solve`` is its one-path view.  It sweeps on whole paths
-  (Jacobi) the equations the mild march solves node by node (Gauss-Seidel):
-  both take them from ``_mild_scheme`` and share one neutral solve.  A
-  sweep calls the drift and sigma once on a batch of whole paths and takes
-  both history integrals with one zero-padded FFT convolution, O(N log N)
-  per path.
+* ``picard_path_solve``  iterates the whole-path solution operator of the
+  discrete mild system on one path to its fixed point (Banach's contraction
+  principle), reporting the sweeps and the contraction ratio.  It sweeps on
+  the whole path (Jacobi) the equations the mild march solves node by node
+  (Gauss-Seidel): both take them from ``_mild_scheme`` and share one neutral
+  solve.  A sweep calls the drift and sigma once on the whole path and
+  takes both history integrals with one zero-padded FFT convolution,
+  O(N log N).
 
 Quadrature conventions (shared): on each cell the singular scalar factor
 (t_n - s)^(a-1) is integrated exactly and multiplies the left-point values
@@ -76,7 +76,7 @@ g(t_n, x): if g vanishes at 0 and is L_g-Lipschitz in the max norm, Banach's
 a-priori estimate bounds the step after k sweeps by L_g^k (1 + L_g)/(1 - L_g)
 |x_k|, so the sweep count follows from L_g and the tolerance alone.  Either
 count of steps runs without a convergence test and only the last step is
-tested, per path (per node of each path in a Picard sweep).  A path that fails
+tested, per path (per node of the path in a Picard sweep).  A path that fails
 that test (g not vanishing at 0, or a declared L_g below the true contraction
 rate) keeps iterating with a test on every step until it converges or the cap
 (twice the sweep count, at least 100) raises ConvergenceError.  The tolerance
@@ -85,7 +85,7 @@ is ``coefficients.NEUTRAL_TOL``.
 Paths are independent given their increments.  All reductions are per path
 (direct sums in a fixed order, per-path transforms, and fixed-order matrix
 products instead of BLAS), so a path's states do not depend on which other
-paths share its ensemble.  Every caller runs a scheme tag through
+paths share its ensemble.  Every caller runs a march's scheme tag through
 ``_solve``: the library schemes on their ensemble, ``fracstab convergence``
 on each grid, and ``_ensemble_chunks`` (``fracstab simulate``) chunk by
 chunk of paths in one set of buffers, never holding the ensemble whole.
@@ -113,7 +113,6 @@ __all__ = [
     "brownian_increments",
     "simulate_mild",
     "simulate_integral_form",
-    "simulate_picard",
     "picard_path_solve",
 ]
 
@@ -253,8 +252,8 @@ def _mild_scheme(system: SystemSpec, grid: TimeGrid):
         drift = b - A g,
 
     d, kappa the cell weights of :func:`_cell_weights`.  The march solves
-    this system node by node and :func:`_picard` iterates it on whole
-    paths; each builds it once per call.  E comes from one
+    this system node by node and :func:`_picard` iterates it on a whole
+    path; each builds it once per call.  E comes from one
     :func:`~fracstab.fraccalc.ml_kernel` call for the whole grid.  Raises
     :class:`SimulationNumericError` at the first node where E is not finite
     (it overflowed), before any step is taken.
@@ -305,15 +304,15 @@ def _integral_scheme(system: SystemSpec, grid: TimeGrid, as_printed):
             (inv_gamma * kappa)[:, None, None] * eye, drift)
 
 
-# The scheme tags, each resolved by _scheme and run by _solve
-_SCHEMES = ("mild", "integral_form", "integral_form_as_printed", "picard")
+# The scheme tags of the marches, each resolved by _scheme and run by _solve
+_SCHEMES = ("mild", "integral_form", "integral_form_as_printed")
 
 
 def _scheme(system: SystemSpec, grid: TimeGrid, tag):
     """The (free, w_f, w_s, drift) system of the scheme ``tag`` of
-    ``_SCHEMES``: the mild march and Picard solve :func:`_mild_scheme`,
-    the integral forms :func:`_integral_scheme`."""
-    if tag in ("mild", "picard"):
+    ``_SCHEMES``: the mild march solves :func:`_mild_scheme`, the integral
+    forms :func:`_integral_scheme`."""
+    if tag == "mild":
         return _mild_scheme(system, grid)
     return _integral_scheme(system, grid, as_printed=tag == "integral_form_as_printed")
 
@@ -613,18 +612,15 @@ def _solve(system, grid, tag, increments, built=None, states=None, flat=None, fi
     """The weighted states (P, N+1, dim) of the scheme ``tag`` of
     ``_SCHEMES`` on the time-major increments (N, P): the inputs checked,
     the :func:`_scheme` built unless ``built`` is given, the paths marched
-    (:func:`_march`) or solved by Picard iteration (:func:`_picard`) into
-    ``states`` and the ring buffer ``flat`` when they are given and into new
-    arrays otherwise, and the states weighted in place (:func:`_weight`).
-    An error names its paths numbered from ``first``."""
+    (:func:`_march`) into ``states`` and the ring buffer ``flat`` when they
+    are given and into new arrays otherwise, and the states weighted in
+    place (:func:`_weight`).  An error names its paths numbered from
+    ``first``."""
     _check_inputs(system, grid, increments.T)
     built = built or _scheme(system, grid, tag)
     if states is None:
         states = np.empty((increments.shape[1], grid.N + 1, system.n))
-    if tag == "picard":
-        _picard(system, grid, increments.T, built, states, first)
-    else:
-        _march(system, grid, increments, built, tag, states, flat, first)
+    _march(system, grid, increments, built, tag, states, flat, first)
     _weight(states, system, grid)
     return states
 
@@ -653,114 +649,78 @@ def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: Brownia
     return PathEnsemble(_solve(system, grid, tag, ensemble.increments.T), grid)
 
 
-# Stopping rule of every Picard solve (see picard_path_solve)
+# Stopping rule of the Picard solve (see picard_path_solve)
 _PICARD_TOL = 1e-10
 _PICARD_MAX_SWEEPS = 200
 
 
-def simulate_picard(system: SystemSpec, grid: TimeGrid,
-                    ensemble: BrownianEnsemble) -> PathEnsemble:
-    """Solve the variation-of-constants scheme over the ensemble by Picard
-    iteration: :func:`picard_path_solve` on every path, with the scheme and
-    the kernel transforms built once.  Each path stops in its own sweep, so
-    its states are the bits of its one-path solve.  A path that misses the
-    tolerance raises :class:`ConvergenceError`, and a non-finite iterate
-    :class:`SimulationNumericError` naming its paths.
-    """
-    return PathEnsemble(_solve(system, grid, "picard", ensemble.increments.T), grid)
-
-
 def picard_path_solve(system: SystemSpec, grid: TimeGrid, path_increments) -> PicardResult:
     """Whole-path fixed-point iteration of the solution operator on the
-    increments (N,) of one path: the one-path view of
-    :func:`simulate_picard`, with the sweep count in the result.
+    increments (N,) of one path, with the sweep count and the last
+    contraction-ratio estimate in the result.
 
     Starts from the zero path.  A sweep takes the drift b - A g and the
     noise at the previous iterate into one FFT convolution, each kernel
     entry balanced by its growth rate over the path as in the far field,
     and solves x + g(t_n, x) = free + history at every node with the
-    march's neutral solve.  A path stops when the weighted sup-norm change
-    drops to ``_PICARD_TOL`` (1 + the weighted sup norm of the iterate);
-    past ``_PICARD_MAX_SWEEPS`` sweeps it raises :class:`ConvergenceError`
-    with the last contraction-ratio estimate, and a non-finite iterate
-    raises :class:`SimulationNumericError` naming its first bad node.  The
-    fixed point is the march's solution of the same discrete system
-    (:func:`_mild_scheme`), which refuses a non-finite kernel matrix up
-    front with :class:`SimulationNumericError`.
+    march's neutral solve.  The path stops when the weighted sup-norm
+    change drops to ``_PICARD_TOL`` (1 + the weighted sup norm of the
+    iterate); past ``_PICARD_MAX_SWEEPS`` sweeps it raises
+    :class:`ConvergenceError` with the last contraction-ratio estimate, and
+    a non-finite iterate raises :class:`SimulationNumericError` naming its
+    first bad node and path 0.  The fixed point is the march's solution of
+    the same discrete system (:func:`_mild_scheme`), which refuses a
+    non-finite kernel matrix up front with :class:`SimulationNumericError`.
     """
     inc = np.atleast_1d(np.asarray(path_increments, dtype=float))
     if inc.ndim != 1 or inc.shape[0] != grid.N:
         raise ValueError(f"path_increments must have shape ({grid.N},)")
     _check_inputs(system, grid, inc[None])
-    states = np.empty((1, grid.N + 1, system.n))
-    iterations, ratios = _picard(system, grid, inc[None], _mild_scheme(system, grid), states)
-    _weight(states, system, grid)
-    return PicardResult(weighted=states[0], grid=grid, iterations=int(iterations[0]),
-                        contraction_ratio=float(ratios[0]))
+    states, iterations, ratio = _picard(system, grid, inc, _mild_scheme(system, grid))
+    _weight(states[None], system, grid)
+    return PicardResult(weighted=states, grid=grid, iterations=iterations,
+                        contraction_ratio=float(ratio))
 
 
-def _picard(system, grid, increments, scheme, states, first=0):
-    """:func:`picard_path_solve` on the paths of ``increments`` (P, N) for
-    the :func:`_mild_scheme` tuple ``scheme``, solved into the states
-    (P, N+1, dim): each path's sweeps and last contraction ratio.
-    Paths run in batches of ``_FFT_BATCH // (dim M)``, at least 1, as in the
-    far field; a path is frozen in the sweep it converges, and only then is
-    its batch gathered, so its bits do not depend on the other paths.  The
-    neutral solve takes the nodes 1..N of a batch as rows, t as a column.
-    An error names its paths numbered from ``first``."""
+def _picard(system, grid, increments, scheme):
+    """(states (N+1, dim), sweeps, last contraction ratio) of the Picard
+    iteration of :func:`picard_path_solve` on the increments (N,) of one
+    path, for the :func:`_mild_scheme` tuple ``scheme``.  The neutral solve
+    takes the nodes 1..N as rows, t as a column."""
     free, w_f, w_s, drift = scheme
     sigma, solve = system.coeffs.sigma, _neutral_solver(system.coeffs)
-    n_paths, n_nodes, dim = increments.shape[0], grid.N + 1, system.n
     times = grid.nodes[:, None]
     w_time = times[1:] ** (1.0 - system.order.alpha)
     # the whole path is one block
     M = _fast_len(2 * grid.N)
     spectra = _block_spectra(_kernel_entries(w_f, w_s), grid.N, M)
-    iterations = np.zeros(n_paths, dtype=int)
-    ratios = np.full(n_paths, math.nan)
-    batch = max(1, _FFT_BATCH // (dim * M))
-    for p0 in range(0, n_paths, batch):
-        paths = np.arange(p0, min(p0 + batch, n_paths))
-        dw = np.zeros((paths.size, n_nodes, 1))  # no increment after the last node
-        dw[:, :-1, 0] = increments[paths]
-        x = np.zeros((paths.size, n_nodes, dim))
-        prev_change, ratio = np.zeros(paths.size), np.full(paths.size, math.nan)
-        for sweep in range(1, _PICARD_MAX_SWEEPS + 1):
-            # an overflow leaves a non-finite node, refused below by its index
-            with np.errstate(over="ignore", invalid="ignore"):
-                # left-point coefficient values on the whole paths; x[:, 0] = 0 is X_0 := 0
-                f, s = drift(times, x), np.asarray(sigma(times, x)) * dw
-                rhs = np.repeat(free[None, 1:], paths.size, axis=0)
-                _causal_convolution(spectra, (f.transpose(2, 0, 1), s.transpose(2, 0, 1)),
-                                    M, 0, rhs.transpose(2, 0, 1))
-                x_new = np.zeros_like(x)
-                x_new[:, 1:] = solve(np.tile(times[1:], (paths.size, 1)),
-                                     rhs.reshape(-1, dim)).reshape(rhs.shape)
-            finite = np.isfinite(x_new).all(axis=2)
-            bad = np.flatnonzero(~finite.all(axis=1))
-            if bad.size:
-                n = int(np.argmin(finite[bad[0]]))
-                raise SimulationNumericError(
-                    f"picard: non-finite iterate at node {n} (t = {times[n, 0]:.6g}) "
-                    f"in sweep {sweep}", path_indices=(first + paths[bad]).tolist(), node=n)
-            change = np.max(np.abs(w_time * (x_new[:, 1:] - x[:, 1:])), axis=(1, 2))
-            np.divide(change, prev_change, out=ratio, where=prev_change > 0)
-            prev_change = change
-            x = x_new
-            done = change <= _PICARD_TOL * (1.0 + np.max(np.abs(w_time * x[:, 1:]), axis=(1, 2)))
-            if done.any():
-                frozen = paths[done]
-                states[frozen], iterations[frozen], ratios[frozen] = x[done], sweep, ratio[done]
-                paths, x, dw, prev_change, ratio = (
-                    a[~done] for a in (paths, x, dw, prev_change, ratio))
-                if not paths.size:
-                    break
-        else:
-            raise ConvergenceError(
-                f"Picard iteration did not reach tol={_PICARD_TOL} (relative) in "
-                f"{_PICARD_MAX_SWEEPS} sweeps; last contraction ratio estimate {ratio[0]:.4g}"
-            )
-    return iterations, ratios
+    dw = np.append(increments, 0.0)[:, None]  # no increment after the last node
+    x = np.zeros((grid.N + 1, system.n))
+    prev_change, ratio = 0.0, math.nan
+    for sweep in range(1, _PICARD_MAX_SWEEPS + 1):
+        # an overflow leaves a non-finite node, refused below by its index
+        with np.errstate(over="ignore", invalid="ignore"):
+            # left-point coefficient values on the whole path; x[0] = 0 is X_0 := 0
+            f, s = drift(times, x), np.asarray(sigma(times, x)) * dw
+            rhs = free[1:].copy()
+            _causal_convolution(spectra, (f.T, s.T), M, 0, rhs.T)
+            x_new = np.zeros_like(x)
+            x_new[1:] = solve(times[1:], rhs)
+        finite = np.isfinite(x_new).all(axis=1)
+        if not finite.all():
+            n = int(np.argmin(finite))
+            raise SimulationNumericError(
+                f"picard: non-finite iterate at node {n} (t = {times[n, 0]:.6g}) "
+                f"in sweep {sweep}", path_indices=[0], node=n)
+        change = np.max(np.abs(w_time * (x_new[1:] - x[1:])))
+        if prev_change > 0:
+            ratio = change / prev_change
+        prev_change, x = change, x_new
+        if change <= _PICARD_TOL * (1.0 + np.max(np.abs(w_time * x[1:]))):
+            return x, sweep, ratio
+    raise ConvergenceError(
+        f"Picard iteration did not reach tol={_PICARD_TOL} (relative) in "
+        f"{_PICARD_MAX_SWEEPS} sweeps; last contraction ratio estimate {ratio:.4g}")
 
 
 # Bytes of the buffers of one chunk of :func:`_ensemble_chunks`: its
@@ -771,15 +731,15 @@ _CHUNK_BYTES = 32 << 20
 _PATH_BLOCK = 64
 
 
-def _chunk_doubles(n_paths, n_steps, dim, ring):
+def _chunk_doubles(n_paths, n_steps, dim):
     """Doubles of the buffers :func:`_ensemble_chunks` allocates for a
-    chunk of P paths: increments (N, P), states (P, N+1, dim) and, for a
-    march (``ring``), the padded rows of its history ring (:func:`_ring`)."""
-    n_ring = _ring_rows(n_steps) * _ring_width(2 * dim * n_paths) if ring else 0
-    return n_paths * n_steps, n_paths * (n_steps + 1) * dim, n_ring
+    chunk of P paths: increments (N, P), states (P, N+1, dim) and the
+    padded rows of the march's history ring (:func:`_ring`)."""
+    return (n_paths * n_steps, n_paths * (n_steps + 1) * dim,
+            _ring_rows(n_steps) * _ring_width(2 * dim * n_paths))
 
 
-def _chunk_edges(n_paths, n_steps, dim, ring=True):
+def _chunk_edges(n_paths, n_steps, dim):
     """Path edges of the fewest balanced chunks of an ensemble whose first
     chunk's buffers (:func:`_chunk_doubles`) fit in ``_CHUNK_BYTES``.  Each
     chunk but the last is a whole number of ``_PATH_BLOCK`` paths, at least
@@ -787,7 +747,7 @@ def _chunk_edges(n_paths, n_steps, dim, ring=True):
     first."""
     n_blocks, n_chunks = -(-n_paths // _PATH_BLOCK), 1
     while n_chunks < n_blocks and _CHUNK_BYTES < 8 * sum(_chunk_doubles(
-            min(n_paths, _PATH_BLOCK * -(-n_blocks // n_chunks)), n_steps, dim, ring)):
+            min(n_paths, _PATH_BLOCK * -(-n_blocks // n_chunks)), n_steps, dim)):
         n_chunks += 1
     return [min(n_paths, _PATH_BLOCK * -(-k * n_blocks // n_chunks))
             for k in range(n_chunks + 1)]
@@ -795,7 +755,7 @@ def _chunk_edges(n_paths, n_steps, dim, ring=True):
 
 def _ensemble_chunks(system, grid, n_paths, master_seed, tag):
     """Yield (first path, weighted states (paths, N+1, dim)) chunk by chunk,
-    in path order, for the scheme ``tag`` of ``_SCHEMES`` over the ensemble
+    in path order, for the march ``tag`` of ``_SCHEMES`` over the ensemble
     ``brownian_increments(grid, n_paths, master_seed)``, without building it.
 
     The scheme is built once per run (:func:`_scheme`).  Each chunk of
@@ -810,11 +770,10 @@ def _ensemble_chunks(system, grid, n_paths, master_seed, tag):
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    n_steps, dim, ring = grid.N, system.n, tag != "picard"
+    n_steps, dim = grid.N, system.n
     built = _scheme(system, grid, tag)
-    edges = _chunk_edges(n_paths, n_steps, dim, ring)
-    flat_inc, flat_states, flat = (np.empty(n)
-                                   for n in _chunk_doubles(edges[1], n_steps, dim, ring))
+    edges = _chunk_edges(n_paths, n_steps, dim)
+    flat_inc, flat_states, flat = (np.empty(n) for n in _chunk_doubles(edges[1], n_steps, dim))
     for p0, p1 in zip(edges, edges[1:]):
         n = p1 - p0
         # time-major, so each step of a march reads one contiguous row

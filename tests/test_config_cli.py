@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracstab import gamma_fn, ml_scalar, simulator
+from fracstab import brownian_increments, gamma_fn, ml_scalar, picard_path_solve, simulator
 from fracstab.cli import main
 from fracstab.config import load_config, parse_config
-from fracstab.errors import ConfigError, ConvergenceError
+from fracstab.errors import ConfigError, ConvergenceError, SimulationNumericError
 from fracstab.simulator import TimeGrid
 
 from homogeneous import closed_form_homogeneous
@@ -397,7 +397,7 @@ def test_as_printed_is_a_scheme_value(tmp_path):
     doc["monte_carlo"]["n_paths"] = 3
     path = write_doc(tmp_path, doc)
     # the flag is gone, also beside the other schemes
-    for scheme in ("integral_form", "mild", "picard"):
+    for scheme in ("integral_form", "mild"):
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "flag"),
                      "--scheme", scheme, "--as-printed"]) == 1
     out = tmp_path / "printed"
@@ -411,40 +411,19 @@ def test_as_printed_is_a_scheme_value(tmp_path):
     assert (tmp_path / "conv" / "convergence.csv").exists()
 
 
-def test_simulate_picard_scheme_matches_mild(tmp_path):
+# Picard solves one path (picard_path_solve) and is no scheme of an ensemble:
+# the flag and the config both name it in a configuration error
+@pytest.mark.parametrize("command", ["simulate", "convergence"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_picard_scheme_is_refused(tmp_path, capsys, command, source):
     doc = benchmark_doc()
-    doc["grid"]["N"] = 64
-    doc["monte_carlo"]["n_paths"] = 3
-    path = write_doc(tmp_path, doc)
-    out_m = tmp_path / "m"
-    out_p = tmp_path / "p"
-    assert main(["simulate", "--config", path, "--out", str(out_m)]) == 0
-    assert main(["simulate", "--config", path, "--out", str(out_p),
-                 "--scheme", "picard"]) == 0
-    m = np.loadtxt(out_m / "moments_weighted.csv", delimiter=",", skiprows=1)
-    p = np.loadtxt(out_p / "moments_weighted.csv", delimiter=",", skiprows=1)
-    np.testing.assert_allclose(p[:, 1], m[:, 1], rtol=1e-6, atol=1e-12)
-
-
-def test_simulate_picard_builds_the_scheme_once(tmp_path, monkeypatch):
-    calls = {"_mild_scheme": 0, "_block_spectra": 0}
-
-    def counted(name):
-        fn = getattr(simulator, name)
-
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
-
-    for name in calls:
-        monkeypatch.setattr(simulator, name, counted(name))
-    doc = benchmark_doc()
-    doc["monte_carlo"]["n_paths"] = 5
-    path = write_doc(tmp_path, doc)
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "p"),
-                 "--scheme", "picard"]) == 0
-    assert calls == {"_mild_scheme": 1, "_block_spectra": 1}
+    if source == "config":
+        doc["monte_carlo"]["scheme"] = "picard"
+    argv = [command, "--config", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]
+    assert main(argv + (["--scheme", "picard"] if source == "flag" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'picard'" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 # A budget of one 64-path block splits P = 200 into four chunks, the last of
@@ -453,7 +432,7 @@ def test_simulate_picard_builds_the_scheme_once(tmp_path, monkeypatch):
 # ensemble's are 3.1).  The far field's FFT scratch, about 0.9 MB whatever
 # N and P, is below one chunk's buffers from N = 1024 on, so the bound
 # holds there.
-@pytest.mark.parametrize("scheme", ["mild", "integral_form", "picard"])
+@pytest.mark.parametrize("scheme", ["mild", "integral_form"])
 def test_simulate_in_chunks_keeps_the_bytes_of_one_chunk(tmp_path, monkeypatch, scheme):
     doc = benchmark_doc(grid={"T": 1.0, "N": 1024})
     doc["monte_carlo"]["n_paths"] = 200
@@ -493,21 +472,35 @@ def strong_neutral_doc(tmp_path):
 # linear neutral term exactly
 @pytest.mark.parametrize("argv", [["simulate", "--scheme", "mild"],
                                   ["convergence", "--scheme", "mild"],
-                                  ["simulate", "--scheme", "picard"]])
+                                  ["simulate", "--scheme", "integral_form"]])
 def test_strong_neutral_term_runs(tmp_path, argv):
     path = strong_neutral_doc(tmp_path)
     assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
-# a scheme that fails to converge is forced, since the exact solves always do
+def picard_on_path_0(path):
+    """picard_path_solve on path 0 of the ensemble of the config ``path``."""
+    cfg = load_config(path)
+    grid = cfg.grid()
+    return picard_path_solve(cfg.system(), grid,
+                             brownian_increments(grid, 1, cfg.master_seed).increments[0])
+
+
+def test_strong_neutral_term_converges_by_picard(tmp_path):
+    res = picard_on_path_0(strong_neutral_doc(tmp_path))
+    assert res.contraction_ratio < 1.0
+    assert np.all(np.isfinite(res.weighted))
+
+
+# a march that fails to converge is forced, since the exact solves always do
 @pytest.mark.parametrize("argv", [["simulate", "--scheme", "mild"],
-                                  ["simulate", "--scheme", "picard"],
+                                  ["simulate", "--scheme", "integral_form"],
                                   ["convergence", "--scheme", "mild"]])
 def test_convergence_failure_is_a_numeric_failure(tmp_path, capsys, monkeypatch, argv):
     def stalled(*args, **kwargs):
         raise ConvergenceError("neutral-term fixed point did not converge")
 
-    monkeypatch.setattr(simulator, "_picard" if "picard" in argv else "_march", stalled)
+    monkeypatch.setattr(simulator, "_march", stalled)
     path = strong_neutral_doc(tmp_path)
     assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith("numeric failure:")
@@ -567,51 +560,72 @@ def test_check_refuses_an_overflowing_moment_order(tmp_path, capsys):
     assert not out.exists()
 
 
-# the kernel overflows from node 7 on: the Picard run stops before its first
-# sweep, with no numpy warning, and writes nothing
-def test_overflowed_kernel_stops_picard_before_any_sweep(tmp_path, capsys):
+# the kernel overflows from node 7 on: Picard stops before its first sweep,
+# with no numpy warning
+def test_overflowed_kernel_stops_picard_before_any_sweep(tmp_path, monkeypatch):
+    def unreached(*args):
+        raise AssertionError("a Picard sweep ran")
+
     doc = benchmark_doc(grid={"T": 50.0, "N": 64})
     doc["system"]["matrix"] = [[40.0]]
-    out = tmp_path / "out"
-    argv = ["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out),
-            "--scheme", "picard"]
+    path = write_doc(tmp_path, doc)
+    monkeypatch.setattr(simulator, "_picard", unreached)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv) == 3
-    assert "numeric failure: the mild kernel" in capsys.readouterr().err
-    assert not out.exists()
+        with pytest.raises(SimulationNumericError, match="^the mild kernel .* at node 7 "):
+            picard_on_path_0(path)
 
 
-# a huge drift overflows the iterates within a few sweeps: the Picard run
-# stops at the first non-finite one, not at its sweep cap
-def test_non_finite_picard_iterate_is_a_numeric_failure(tmp_path, capsys):
+def overflowing_doc(tmp_path):
+    """A drift so large that the states overflow within a few steps or sweeps."""
     doc = benchmark_doc()
     doc["system"]["coefficients"]["B"] = [[1e200]]
     doc["grid"]["N"] = 16
     doc["monte_carlo"]["n_paths"] = 2
-    argv = ["simulate", "--config", write_doc(tmp_path, doc), "--out", str(tmp_path / "out"),
-            "--scheme", "picard"]
+    return write_doc(tmp_path, doc)
+
+
+# Picard stops at the first non-finite iterate, not at its sweep cap
+def test_non_finite_picard_iterate_is_a_numeric_failure(tmp_path):
     with np.errstate(all="ignore"):
-        assert main(argv) == 3
-    assert "numeric failure: picard: non-finite iterate at node 1 " in capsys.readouterr().err
+        with pytest.raises(SimulationNumericError,
+                           match="^picard: non-finite iterate at node 1 ") as info:
+            picard_on_path_0(overflowing_doc(tmp_path))
+    assert info.value.path_indices == (0,)
 
 
 # the same overflow under warnings turned into errors: a numpy warning would
 # raise before the refusal, so the run must reach it with none
 @pytest.mark.parametrize("scheme", ["picard", "mild"])
 def test_overflowing_run_refuses_without_numpy_warnings(tmp_path, capsys, scheme):
-    doc = benchmark_doc()
-    doc["system"]["coefficients"]["B"] = [[1e200]]
-    doc["grid"]["N"] = 16
-    doc["monte_carlo"]["n_paths"] = 2
-    argv = ["simulate", "--config", write_doc(tmp_path, doc), "--out", str(tmp_path / "out"),
-            "--scheme", scheme]
+    path = overflowing_doc(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if scheme == "picard":
+            with pytest.raises(SimulationNumericError, match="^picard: non-finite "):
+                picard_on_path_0(path)
+            return
+        argv = ["simulate", "--config", path, "--out", str(tmp_path / "out"), "--scheme", scheme]
         assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"numeric failure: {scheme}: non-finite ")
     assert err.count("\n") == 1
+
+
+# ||t^(1-a) X||^150 ~ 816^150 overflows a double: simulate refuses the
+# moment curve with exit 3 and writes nothing, instead of NaN curves
+def test_overflowing_moment_curve_is_a_numeric_failure(tmp_path, capsys):
+    doc = benchmark_doc()
+    doc["system"]["rho"] = [1000.0]
+    doc["system"]["p"] = 150
+    doc["monte_carlo"]["n_paths"] = 40
+    doc["output"]["emit_paths"] = True
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: the p-th moment (p = 150) overflows a double: its mean is not "
+        "finite at node 0 (t = 0)\n")
+    assert not out.exists()
 
 
 COLD_START = """
@@ -635,7 +649,6 @@ def test_cold_start_loads_no_scipy(tmp_path):
     path = write_doc(tmp_path, doc)
     runs = [["check", "--config", path, "--out", str(tmp_path / "c")],
             ["simulate", "--config", path, "--out", str(tmp_path / "m")],
-            ["simulate", "--config", path, "--out", str(tmp_path / "p"), "--scheme", "picard"],
             ["simulate", "--config", path, "--out", str(tmp_path / "i"),
              "--scheme", "integral_form"],
             ["simulate", "--config", path, "--out", str(tmp_path / "a"),

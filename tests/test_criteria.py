@@ -187,10 +187,11 @@ def test_delta_requires_subunit_stability_constant():
 
 
 def test_non_finite_inputs_are_refused():
-    # a NaN stability constant (0 * inf in the noise term) is not below 1, so
-    # it admits no delta
-    with pytest.raises(CriterionError):
-        delta_for_epsilon(bench_inputs(M=math.inf, L_sigma=0.0), 1.0)
+    # an infinite input is refused by name, not built on: with M = inf a
+    # certificate passed, and delta fell back to epsilon through inf - inf
+    for field in ("T", "L_g", "L_b", "L_sigma", "A_norm", "M"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+            bench_inputs(**{field: math.inf})
     for g in ([[math.nan]], [[math.inf]]):
         with pytest.raises(ValueError, match="finite"):
             make_linear(g, [[0.0]], [[0.0]])
@@ -225,6 +226,13 @@ NAN_CASES = {
 def test_nan_fails_the_range_checks(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_certificate_refuses_an_infinite_kernel_bound():
+    zero = np.zeros((1, 1))
+    with pytest.raises(ValueError, match="^M must be finite"):
+        certify(np.array([[-1.0]]), make_linear(zero, zero, zero), FractionalOrder(0.75, 2),
+                5.0, m_override=math.inf)
 
 
 def test_delta_never_exceeds_epsilon():

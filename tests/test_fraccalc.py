@@ -246,6 +246,11 @@ def test_fractional_order_validation():
         FractionalOrder(1.2, 2)
     with pytest.raises(ValueError):
         FractionalOrder(0.75, 1)
+    # a p that is no finite number gets the package's refusal, not an
+    # OverflowError or the conversion error of int()
+    for p in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^p must be an integer >= 2, got "):
+            FractionalOrder(0.75, p)
 
 
 # ------------------------------------- matrix function: ml_kernel at t = 1
@@ -642,6 +647,9 @@ def test_rl_operator_validation():
         rl_integral_grid(np.ones(8), 1.5, 0.1)
     with pytest.raises(ValueError):
         rl_integral_grid(np.ones(8), 0.5, 0.0)
+    # an infinite step gave [0, inf, inf, ...]
+    with pytest.raises(ValueError, match="^grid step must be finite and positive, got inf$"):
+        rl_integral_grid(np.ones(8), 0.5, math.inf)
 
 
 def test_rl_integral_vector_valued():

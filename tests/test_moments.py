@@ -21,6 +21,7 @@ from fracstab import (
     simulate_mild,
     stability_verdict,
 )
+from fracstab.errors import SimulationNumericError
 from fracstab.moments import _MomentSums
 from fracstab.simulator import PathEnsemble
 
@@ -228,6 +229,31 @@ def test_moment_order_must_be_an_integer(p):
     ens = make_ensemble(np.full((3, 9, 1), 2.0), grid)
     with pytest.raises(ValueError, match="p must be an integer"):
         pth_moment_curve(ens, p)
+
+
+# ||w||^p past the doubles: a mean that overflows to inf is refused at its
+# first node, not printed as a NaN curve (inf minus path 0's shift)
+def test_overflowing_moment_mean_is_refused():
+    grid = TimeGrid(T=1.0, N=8)
+    values = np.full((40, 9, 1), 1.0)
+    values[:, 3:] = 816.0  # 816^150 ~ 1e437
+    with pytest.raises(SimulationNumericError,
+                       match=r"^the p-th moment \(p = 150\) .* mean is not finite at node 3 "):
+        pth_moment_curve(make_ensemble(values, grid), 150)
+    assert np.all(np.isfinite(pth_moment_curve(make_ensemble(values, grid), 100).m))
+
+
+# a finite mean whose squared deviations overflow: refused where a
+# half-width is printed (30 paths or more), kept below 30 paths
+def test_overflowing_moment_variance_is_refused_where_a_half_width_is_given():
+    grid = TimeGrid(T=1.0, N=8)
+    values = np.zeros((30, 9, 1))
+    values[1, 5:] = 1e100  # ||w||^2 = 1e200, its squared deviation 1e400
+    with pytest.raises(SimulationNumericError, match="variance is not finite at node 5 ") as info:
+        pth_moment_curve(make_ensemble(values, grid), 2)
+    assert info.value.node == 5
+    curve = pth_moment_curve(make_ensemble(values[:29], grid), 2)
+    assert np.all(np.isfinite(curve.m)) and np.all(np.isnan(curve.half_width))
 
 
 # A sum of no paths has no mean: the curve is refused, not read from the

@@ -19,6 +19,7 @@ from fracstab import (
     CoefficientSet,
     BrownianEnsemble,
     FractionalOrder,
+    PathEnsemble,
     SystemSpec,
     TimeGrid,
     brownian_increments,
@@ -31,7 +32,6 @@ from fracstab import (
     picard_path_solve,
     simulate_integral_form,
     simulate_mild,
-    simulate_picard,
 )
 from fracstab import simulator
 from fracstab.coefficients import NEUTRAL_TOL, _solve_neutral
@@ -136,6 +136,7 @@ def test_weighted_initialisation_and_consistency():
         np.testing.assert_allclose(out.weighted[:, 0, 0], 1.0 / gamma_fn(0.75), rtol=1e-14)
 
 
+# the marches, whose paths are independent of each other
 SCHEMES = {
     "mild": simulate_mild,
     "integral_form": simulate_integral_form,
@@ -143,8 +144,14 @@ SCHEMES = {
 }
 
 
-# the marches and Picard, whose paths are independent of each other
-ENSEMBLE_SCHEMES = {**SCHEMES, "picard": simulate_picard}
+def picard_paths(system, grid, ens):
+    """picard_path_solve on every path of an ensemble, stacked as one."""
+    return PathEnsemble(np.stack([picard_path_solve(system, grid, inc).weighted
+                                  for inc in ens.increments]), grid)
+
+
+# the marches and Picard, path by path
+SOLVERS = {**SCHEMES, "picard": picard_paths}
 
 
 def row_slice(ens, lo, hi):
@@ -235,11 +242,11 @@ def direct_sum_march(system, grid, ens, scheme, c_g):
 # block of a ring of 1024 rows
 @pytest.mark.parametrize("dim,n_steps", [(1, 256), (2, 300), (1, 64), (2, 65), (1, 1024),
                                          (2, 1088)])
-@pytest.mark.parametrize("scheme", sorted(ENSEMBLE_SCHEMES))
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_scheme_determinism_and_chunk_independence(scheme, dim, n_steps):
     coeffs = make_bounded_smooth(0.2, 0.1, 0.1)
     system = scalar_system(coeffs=coeffs) if dim == 1 else planar_system(coeffs)
-    simulate = ENSEMBLE_SCHEMES[scheme]
+    simulate = SCHEMES[scheme]
     grid = TimeGrid(T=1.0, N=n_steps)
     ens = brownian_increments(grid, 40, 123)
     base = simulate(system, grid, ens)
@@ -523,7 +530,7 @@ def plain(f, calls=None):
 # The linear family folds its drift b - A g (b + A x, b + A g) into one
 # matrix; behind plain wrappers it takes b, g and A one by one, and the two
 # agree to roundoff.  A and G do not commute.
-@pytest.mark.parametrize("scheme", sorted(ENSEMBLE_SCHEMES))
+@pytest.mark.parametrize("scheme", sorted(SOLVERS))
 def test_linear_family_behind_plain_wrappers_takes_the_generic_drift(scheme):
     G = np.array([[0.1, 0.05], [-0.05, 0.2]])
     lin = make_linear(G, [[0.05, 0.1], [0.02, -0.1]], 0.1 * np.eye(2))
@@ -534,11 +541,11 @@ def test_linear_family_behind_plain_wrappers_takes_the_generic_drift(scheme):
                                                 sigma=plain(lin.sigma)))
     grid = TimeGrid(T=4.0, N=300)
     ens = brownian_increments(grid, 6, 17)
-    out = ENSEMBLE_SCHEMES[scheme](folded, grid, ens)
+    out = SOLVERS[scheme](folded, grid, ens)
     assert not calls
-    ref = ENSEMBLE_SCHEMES[scheme](wrapped, grid, ens)
+    ref = SOLVERS[scheme](wrapped, grid, ens)
     # the generic drift calls b: once per step of a march, once per sweep
-    # of Picard, on the whole paths
+    # of Picard, on the whole path
     assert calls == ([2] * len(calls) if scheme == "picard" else [0] * grid.N)
     gap = np.max(np.abs(out.weighted - ref.weighted), axis=2)
     scale = np.maximum.accumulate(np.max(np.abs(ref.weighted), axis=2), axis=1)
@@ -548,9 +555,11 @@ def test_linear_family_behind_plain_wrappers_takes_the_generic_drift(scheme):
 # Four chunks of a budget of one 64-path block, the last of 8 paths, give
 # each path the bits of the library schemes on the whole ensemble
 @pytest.mark.parametrize("tag,scheme", [("mild", "mild"), ("integral_form", "integral_form"),
-                                        ("integral_form_as_printed", "as_printed"),
-                                        ("picard", "picard")])
+                                        ("integral_form_as_printed", "as_printed")])
 def test_ensemble_chunks_keep_the_bits_of_the_library_schemes(monkeypatch, tag, scheme):
+    # the default budget marches the scalar_long shape (N = 2048, 1000 paths)
+    # in two chunks, as its rings of 1024 rows leave no room for one
+    assert simulator._chunk_edges(1000, 2048, 1) == [0, 512, 1000]
     system = planar_system(make_bounded_smooth(0.2, 0.3, 0.3))
     grid = TimeGrid(T=4.0, N=256)
     per_path = 8 * (grid.N + (grid.N + 1) * 2 + 2 * simulator._ring_rows(grid.N) * 2)
@@ -559,7 +568,7 @@ def test_ensemble_chunks_keep_the_bits_of_the_library_schemes(monkeypatch, tag, 
     chunks = [(first, weighted.copy())
               for first, weighted in simulator._ensemble_chunks(system, grid, 200, 23, tag)]
     assert [first for first, _ in chunks] == [0, 64, 128, 192]
-    whole = ENSEMBLE_SCHEMES[scheme](system, grid, brownian_increments(grid, 200, 23))
+    whole = SCHEMES[scheme](system, grid, brownian_increments(grid, 200, 23))
     assert np.concatenate([w for _, w in chunks]).tobytes() == whole.weighted.tobytes()
 
 
@@ -580,24 +589,12 @@ def chunk_buffers(monkeypatch, system, grid, n_paths, tag):
     return seen
 
 
-# Picard holds no history ring: on the scalar_long shape (N = 2048, 1000
-# paths) its increments and states, 32.8 MB, fit one chunk, while the
-# marches' rings of 1024 rows make them take two
-def test_picard_chunks_hold_no_ring(monkeypatch):
-    grid = TimeGrid(T=50.0, N=2048)
-    picard = chunk_buffers(monkeypatch, scalar_system(), grid, 1000, "picard")
-    assert [(first, n) for first, n, _ in picard] == [(0, 1000)]
-    mild = chunk_buffers(monkeypatch, scalar_system(), grid, 1000, "mild")
-    assert [(first, n) for first, n, _ in mild] == [(0, 512), (512, 488)]
-
-
 # The buffers of the first chunk, padded ring rows included, stay within the
 # budget unless the chunk is a single 64-path block; every chunk reuses them.
 # The budgets of 128 and 64 paths leave the padding out.
 @pytest.mark.parametrize("tag,dim,n_steps,n_paths,budget_paths", [
-    ("mild", 1, 2048, 1000, None), ("picard", 1, 2048, 1000, None),
-    ("mild", 1, 1024, 1000, 128), ("integral_form", 2, 256, 300, 64),
-    ("picard", 2, 256, 300, 64)])
+    ("mild", 1, 2048, 1000, None), ("mild", 1, 1024, 1000, 128),
+    ("integral_form", 2, 256, 300, 64)])
 def test_first_chunk_buffers_fit_the_budget(monkeypatch, tag, dim, n_steps, n_paths,
                                             budget_paths):
     if budget_paths:
@@ -617,10 +614,10 @@ def test_first_chunk_buffers_fit_the_budget(monkeypatch, tag, dim, n_steps, n_pa
 # (tests/mean_square.py).  Node 1 does not depend on the noise, so every
 # path matches it to roundoff; at the other nodes the sample mean of |w|^2
 # lies within 4.5 standard errors of it (max |z| 1.7-2.5 here, 9-13 for the
-# marches with kappa scaled by 1.1).  Picard solves the same system on the
-# first 2000 paths.
+# marches with kappa scaled by 1.1).  Picard solves the same system: on its
+# first 8 paths it gives the march's weighted states to 1e-9.
 @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
-@pytest.mark.parametrize("scheme,n_paths", [("mild", 20000), ("picard", 2000)])
+@pytest.mark.parametrize("scheme,n_paths", [("mild", 20000), ("picard", 8)])
 def test_second_moment_matches_the_exact_recursion(scheme, n_paths, alpha):
     a_mat = np.array([[-1.0, 3.0], [-0.5, -2.0]])
     s_mat = np.array([[0.6, 0.2], [-0.3, 0.5]])
@@ -629,7 +626,11 @@ def test_second_moment_matches_the_exact_recursion(scheme, n_paths, alpha):
     system = SystemSpec(A=a_mat, rho=rho, coeffs=make_linear(zero, zero, s_mat),
                         order=FractionalOrder(alpha, 2))
     grid = TimeGrid(T=2.0, N=64)
-    out = ENSEMBLE_SCHEMES[scheme](system, grid, brownian_increments(grid, n_paths, 1))
+    ens = brownian_increments(grid, n_paths, 1)
+    out = simulate_mild(system, grid, ens)
+    if scheme == "picard":
+        assert np.max(np.abs(picard_paths(system, grid, ens).weighted - out.weighted)) <= 1e-9
+        return
     values = np.sum(out.weighted[:, 1:] ** 2, axis=2)
     exact = mild_second_moment(a_mat, s_mat, rho, alpha, grid)
     assert np.max(np.abs(values[:, 0] - exact[0])) <= 1e-12 * exact[0]
@@ -726,9 +727,9 @@ def test_expanding_neutral_term_raises_convergence_error():
     assert "4 of 4 paths" in message
     worst = re.search(r"largest step/\(1\+\|x\|\) = (\S+) ", message)
     assert worst is not None and float(worst.group(1)) > 1.0
-    # a Picard sweep solves all 16 nodes of each path at once
-    with pytest.raises(ConvergenceError, match=r"at t=0.0625: 64 of 64 path nodes in the batch "):
-        simulate_picard(system, grid, brownian_increments(grid, 4, 0))
+    # a Picard sweep solves all 16 nodes of the path at once
+    with pytest.raises(ConvergenceError, match=r"at t=0.0625: 16 of 16 path nodes in the batch "):
+        picard_path_solve(system, grid, brownian_increments(grid, 1, 0).increments[0])
 
 
 def test_affine_scaling_in_initial_datum_and_noise():
@@ -842,14 +843,18 @@ def test_picard_stops_at_the_first_non_finite_sweep():
     assert info.value.node == 1
 
 
+# a huge drift overflows the iterates within a few sweeps: the solve stops
+# at the first non-finite one, not at its sweep cap, and names its one path
 def test_non_finite_picard_iterate_names_its_paths():
-    system = scalar_system()
-    grid = TimeGrid(T=1.0, N=32)
-    inc = brownian_increments(grid, 3, 1).increments.copy()
-    inc[1, 0] = np.nan
-    with pytest.raises(SimulationNumericError, match="node 1 .* in sweep 1$") as info:
-        simulate_picard(system, grid, BrownianEnsemble(increments=inc))
-    assert info.value.path_indices == (1,)
+    system = scalar_system(coeffs=make_linear([[0.05]], [[1e200]], [[0.05]]))
+    grid = TimeGrid(T=1.0, N=16)
+    inc = brownian_increments(grid, 1, 1).increments[0]
+    refusal = r"^picard: non-finite iterate at node 1 .* in sweep \d+$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationNumericError, match=refusal) as info:
+            picard_path_solve(system, grid, inc)
+    assert info.value.path_indices == (0,)
     assert info.value.node == 1
 
 
@@ -971,22 +976,16 @@ def test_picard_calls_each_coefficient_once_per_sweep():
     # the declared built-in g keeps its exact neutral solve, which does not call it
     system = planar_system(counted_coefficients(coeffs, calls))
     grid = TimeGrid(T=1.0, N=128)
-    ens = brownian_increments(grid, 3, 4)
-    res = picard_path_solve(system, grid, ens.increments[0])
+    inc = brownian_increments(grid, 1, 4).increments[0]
+    res = picard_path_solve(system, grid, inc)
     assert res.iterations > 2
     assert calls == {"g": res.iterations, "b": res.iterations, "sigma": res.iterations}
-    # an ensemble's sweep serves all its unfinished paths with one call
-    sweeps = [picard_path_solve(planar_system(coeffs), grid, inc).iterations
-              for inc in ens.increments]
-    calls.clear()
-    simulate_picard(system, grid, ens)
-    assert calls == {"g": max(sweeps), "b": max(sweeps), "sigma": max(sweeps)}
     # an undeclared g is a custom one: the march's tested sweeps solve its
     # neutral term, calling it more than once per Picard sweep, to the same
     # states at the neutral tolerance
     calls.clear()
     hidden = picard_path_solve(planar_system(counted_coefficients(coeffs, calls, False)),
-                               grid, ens.increments[0])
+                               grid, inc)
     assert calls["b"] == calls["sigma"] == hidden.iterations < calls["g"]
     assert np.max(np.abs(unweighted(hidden) - unweighted(res))) <= 1e-13
 
@@ -1002,24 +1001,8 @@ def test_picard_solves_a_time_dependent_custom_neutral_term():
     grid = TimeGrid(T=4.0, N=64)
     ens = brownian_increments(grid, 3, 2)
     mild = simulate_mild(system, grid, ens)
-    out = simulate_picard(system, grid, ens)
+    out = picard_paths(system, grid, ens)
     assert np.max(np.abs(out.weighted[:, 1:] - mild.weighted[:, 1:])) <= 1e-9
-
-
-def test_picard_ensemble_freezes_each_path_at_its_own_sweep():
-    system = planar_system(make_bounded_smooth(0.2, 0.3, 0.3))
-    grid = TimeGrid(T=4.0, N=1024)
-    ens = brownian_increments(grid, 7, 31)
-    # batches of 3 paths: a path freezes while others of its batch go on
-    assert simulator._FFT_BATCH // (2 * simulator._fast_len(2 * 1025)) == 3
-    out = simulate_picard(system, grid, ens)
-    sweeps = set()
-    for i, inc in enumerate(ens.increments):
-        res = picard_path_solve(system, grid, inc)
-        sweeps.add(res.iterations)
-        np.testing.assert_array_equal(out.weighted[i], res.weighted)
-    assert len(sweeps) > 1
-    assert out.weighted.shape == (7, 1025, 2)
 
 
 def test_multidimensional_system_runs_and_coincides():
@@ -1095,12 +1078,12 @@ def test_strong_neutral_coefficient_rejected():
 # Increments that are not a (paths >= 1, N) array are refused, the error
 # naming their shape
 @pytest.mark.parametrize("shape", [(8,), (2, 8, 1), (0, 8), (2, 7), (8, 2)])
-@pytest.mark.parametrize("scheme", sorted(ENSEMBLE_SCHEMES))
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_schemes_refuse_increments_that_are_not_paths_by_steps(scheme, shape):
     grid = TimeGrid(T=1.0, N=8)
     ens = BrownianEnsemble(increments=np.zeros(shape))
     with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
-        ENSEMBLE_SCHEMES[scheme](scalar_system(), grid, ens)
+        SCHEMES[scheme](scalar_system(), grid, ens)
 
 
 def test_self_convergence_toward_fine_reference():

@@ -6,8 +6,8 @@ compared for byte identity with ``diff``.
 
 Covered outputs:
 
-* the weighted states of the mild, integral-form, as-printed and Picard
-  schemes (two one-path solves and the whole ensemble) on four systems:
+* the weighted states of the mild, integral-form and as-printed schemes,
+  and of two one-path Picard solves, on four systems:
   the dim-4 non-normal matrix of the ``vector_neutral`` benchmark (seed 1,
   N = 300), the ``scalar_long`` system (N = 2048), the rotation
   [[0.5, 0.3], [-0.2, 0.2]] and diag(1, 0.3), all at alpha = 0.75 and
@@ -27,9 +27,9 @@ Covered outputs:
   differ in other fields still compare, and ``ml_norm_sup``, at alpha in
   {0.6, 0.75, 0.9} and T = 50 on the same matrices;
 * exit code, stderr and every written file of ``check``, ``simulate`` (all
-  four schemes, one with ``--seed``), ``convergence`` (all four schemes,
-  Picard refused) and ``ml`` on seven configurations: linear, dim-2 sine,
-  a neutral term too strong for the certificate, a neutral term near the
+  three schemes, and ``--seed``), ``convergence`` (all three schemes) and
+  ``ml`` on seven configurations: linear, dim-2 sine, a neutral term too
+  strong for the certificate, a neutral term near the
   solvable limit (G = 0.95, N = 16), an unstable matrix, a matrix whose
   states overflow (exit code 3) and an invalid file.  ``simulate`` marches
   its ensemble in chunks of paths and streams the moment curves over
@@ -62,7 +62,7 @@ import numpy as np
 from fracstab import (FractionalOrder, SystemSpec, TimeGrid, brownian_increments, certify,
                       kernel_bounds_profile, make_bounded_smooth, make_linear, ml_norm_sup,
                       picard_path_solve, rl_integral_grid, simulate_integral_form,
-                      simulate_mild, simulate_picard)
+                      simulate_mild)
 from fracstab.cli import main
 
 ORDER = FractionalOrder(0.75, 2)
@@ -118,7 +118,6 @@ def scheme_lines():
         for i in range(2):
             yield f"{name} picard[{i}]", outcome(picard_path_solve, system, grid,
                                                  ens.increments[i])
-        yield f"{name} simulate_picard", outcome(simulate_picard, system, grid, ens)
 
 
 def ring_lines():
@@ -234,11 +233,10 @@ COMMANDS = [
     ["simulate"],
     ["simulate", "--scheme", "integral_form"],
     ["simulate", "--scheme", "integral_form_as_printed"],
-    ["simulate", "--scheme", "picard", "--seed", "7"],
+    ["simulate", "--seed", "7"],
     ["convergence"],
     ["convergence", "--scheme", "integral_form"],
     ["convergence", "--scheme", "integral_form_as_printed"],
-    ["convergence", "--scheme", "picard"],
 ]
 
 
