@@ -307,9 +307,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=None,
                            help="master seed override (a non-negative integer)")
         if scheme:
-            p.add_argument("--scheme", choices=_SCHEMES, default=None,
-                           help="scheme override; integral_form_as_printed takes the "
-                                "literal memory term A g(s, X(s))")
+            p.add_argument("--scheme", choices=_SCHEMES, default=None, help="scheme override")
 
     add_common(sub.add_parser("check", help="evaluate the stability certificate"))
     add_common(sub.add_parser("simulate", help="run a Monte Carlo ensemble"),

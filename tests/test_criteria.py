@@ -305,8 +305,10 @@ def _order_inputs(p, **kw):
     return bench_inputs(order=FractionalOrder(0.75, p), **kw)
 
 
-# C_p = (p(p-1)/2)^(p/2) leaves the doubles at p = 152 and 4^(p-1) at p = 513;
-# M = 1e3 takes M^p out at p = 103 and T = 1e-9 takes T^(p(a-1)) out at p = 151
+# C_p = (p(p-1)/2)^(p/2) leaves the doubles at p = 152, and is refused as it
+# is reported; M = 1e3 takes M^p out at p = 103, and there Theta and k_stab
+# themselves are past the largest double; with L_g = 1 the gate is 4^512 =
+# 2^1024 at p = 513, just past it
 @pytest.mark.parametrize("call, message", [
     (lambda: c_p(152), "C_p overflows a double at p = 152"),
     (lambda: theta(_order_inputs(200)), "C_p overflows a double at p = 200"),
@@ -314,9 +316,8 @@ def _order_inputs(p, **kw):
     (lambda: theta(_order_inputs(103, M=1e3)), "Theta overflows a double at p = 103"),
     (lambda: stability_constant(_order_inputs(103, M=1e3)),
      "k_stab overflows a double at p = 103"),
-    (lambda: neutral_gate(_order_inputs(513)), "the neutral gate overflows a double at p = 513"),
-    (lambda: delta_for_epsilon(_order_inputs(151, T=1e-9, L_g=0.0, L_b=0.0, L_sigma=0.0), 1.0),
-     "delta overflows a double at p = 151"),
+    (lambda: neutral_gate(_order_inputs(513, L_g=1.0)),
+     "the neutral gate overflows a double at p = 513"),
     (lambda: certify(np.array([[-1.0]]), make_linear([[0.05]], [[0.05]], [[0.05]]),
                      FractionalOrder(0.75, 200), T=1.0), "C_p overflows a double at p = 200"),
 ])
@@ -357,7 +358,7 @@ def _decimal_theta_and_k(inputs):
                              * d(beta_fn(2 * alpha - 1, 2 * alpha - 1)) ** (p // 2))
         k = 6 ** (p - 1) * (lg**p + lg**p * a**p * m**p * r ** (p - 1) * drift
                             + lb**p * m**p * r ** (p - 1) * drift
-                            + d(c_p(p)) * ls**p * m**p * (2 * t.sqrt()) ** p)
+                            + d(c_p(p)) * ls**p * m**p * (2 * t.sqrt()) ** (d(p) / 2))
         return float(th), float(k)
 
 
@@ -380,6 +381,25 @@ def test_constants_whose_plain_products_fail_are_taken_in_logarithms():
     # the Caputo value past the doubles (+inf before)
     with pytest.raises(CriterionError, match="^the Caputo criterion overflows a double at p = 2$"):
         caputo_ms_criterion(bench_inputs(A_norm=1e10, M=1e154))
+
+
+# A power past the doubles is taken in logarithms, as a product past them
+# is: only a value past the largest double is refused
+def test_constants_whose_powers_overflow_are_taken_in_logarithms():
+    # M^2 = 1e320 and L^2 = 1e-322 leave the doubles, but only L M = 0.1 enters
+    inputs = bench_inputs(M=1e160, L_g=1e-161, L_b=1e-161, L_sigma=1e-161)
+    want_theta, want_k = _decimal_theta_and_k(inputs)
+    assert theta(inputs) == pytest.approx(want_theta, rel=1e-12)
+    assert stability_constant(inputs) == pytest.approx(want_k, rel=1e-12)
+    # 4 (3 L^2 M^2) T^(2a-1)/(2a-1) at T = 1
+    assert caputo_ms_criterion(inputs) == pytest.approx(0.24, rel=1e-12)
+    # 4^512 leaves the doubles: 4^512 0.25^513 is 0.25, and 4^512 0.05^513
+    # (about 1e-359) underflows to 0
+    assert neutral_gate(_order_inputs(513, L_g=0.25)) == pytest.approx(0.25, rel=1e-12)
+    assert neutral_gate(_order_inputs(513)) == 0.0
+    # T^(p(a-1)) = 1e340 leaves the doubles, so the bound, about e^-1051, is 0
+    inputs = _order_inputs(151, T=1e-9, L_g=0.0, L_b=0.0, L_sigma=0.0)
+    assert delta_for_epsilon(inputs, 1.0) == 0.0
 
 
 def test_delta_survives_an_underflowing_denominator():

@@ -243,6 +243,21 @@ def test_overflowing_moment_mean_is_refused():
     assert np.all(np.isfinite(pth_moment_curve(make_ensemble(values, grid), 100).m))
 
 
+# ||w|| past 1.3e154, where the squared components overflow, is still
+# finite: p = 1 takes it in every dim, and only p = 2, whose ||w||^2 leaves
+# the doubles, is refused.  Norms that fit keep the bits of the plain norm.
+@pytest.mark.parametrize("dim", [1, 2])
+def test_moment_of_a_norm_whose_squares_overflow_is_taken(dim):
+    grid = TimeGrid(T=1.0, N=8)
+    values = np.full((3, 9, dim), 0.5)
+    values[:, 2:] = 1e160
+    curve = pth_moment_curve(make_ensemble(values, grid), 1)
+    np.testing.assert_array_equal(curve.m[:2], np.linalg.norm(values[0, :2], axis=1))
+    np.testing.assert_allclose(curve.m[2:], 1e160 * math.sqrt(dim), rtol=1e-15)
+    with pytest.raises(SimulationNumericError, match=r"\(p = 2\) .* at node 2 "):
+        pth_moment_curve(make_ensemble(values, grid), 2)
+
+
 # a finite mean whose squared deviations overflow: refused where a
 # half-width is printed (30 paths or more), kept below 30 paths
 def test_overflowing_moment_variance_is_refused_where_a_half_width_is_given():

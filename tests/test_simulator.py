@@ -140,7 +140,6 @@ def test_weighted_initialisation_and_consistency():
 SCHEMES = {
     "mild": simulate_mild,
     "integral_form": simulate_integral_form,
-    "as_printed": lambda *args: simulate_integral_form(*args, as_printed=True),
 }
 
 
@@ -211,13 +210,10 @@ def direct_sum_march(system, grid, ens, scheme, c_g):
         t = times[1:]
         free = np.zeros((n_steps + 1, dim))
         free[1:] = (t ** (alpha - 1) * inv_gamma)[:, None] * rho
-        if scheme == "as_printed":
-            memory = lambda t, x: coeffs.g(t, x) @ a_mat.T
-        else:
-            memory = lambda t, x: x @ a_mat.T
-            cell0 = (math.gamma(alpha) ** 2 / math.gamma(2 * alpha)
-                     * betainc(alpha, alpha, grid.dt / t) * t ** (2 * alpha - 1))
-            free[1:] += (inv_gamma * cell0)[:, None] * (a_mat @ rho) * inv_gamma
+        memory = lambda t, x: x @ a_mat.T
+        cell0 = (math.gamma(alpha) ** 2 / math.gamma(2 * alpha)
+                 * betainc(alpha, alpha, grid.dt / t) * t ** (2 * alpha - 1))
+        free[1:] += (inv_gamma * cell0)[:, None] * (a_mat @ rho) * inv_gamma
     n_paths = ens.increments.shape[0]
     x_hist = np.zeros((n_steps + 1, n_paths, dim))
     mem, b, s = (np.zeros((n_steps, n_paths, dim)) for _ in range(3))
@@ -554,8 +550,7 @@ def test_linear_family_behind_plain_wrappers_takes_the_generic_drift(scheme):
 
 # Four chunks of a budget of one 64-path block, the last of 8 paths, give
 # each path the bits of the library schemes on the whole ensemble
-@pytest.mark.parametrize("tag,scheme", [("mild", "mild"), ("integral_form", "integral_form"),
-                                        ("integral_form_as_printed", "as_printed")])
+@pytest.mark.parametrize("tag,scheme", [("mild", "mild"), ("integral_form", "integral_form")])
 def test_ensemble_chunks_keep_the_bits_of_the_library_schemes(monkeypatch, tag, scheme):
     # the default budget marches the scalar_long shape (N = 2048, 1000 paths)
     # in two chunks, as its rings of 1024 rows leave no room for one
@@ -785,26 +780,6 @@ def test_scheme_coincidence_shrinks_with_resolution():
         rel[n_steps] = np.sqrt(np.mean(diff**2)) / signal
     assert rel[512] <= 0.05
     assert rel[1024] < rel[512]
-
-
-def test_as_printed_variant_semantics():
-    grid = TimeGrid(T=1.0, N=256)
-    ens = brownian_increments(grid, 3, 5)
-    with_g = scalar_system(L=0.1)
-    a = simulate_integral_form(with_g, grid, ens)
-    b = simulate_integral_form(with_g, grid, ens, as_printed=True)
-    assert np.max(np.abs(unweighted(a) - unweighted(b))) > 1e-6
-    # with all coefficients zero the literal form has no memory term at all:
-    # it degenerates to the drift-free curve t^(a-1) rho / Gamma(a), while
-    # the self-consistent form tracks the Mittag-Leffler closed form
-    system = zero_system()
-    c = simulate_integral_form(system, grid, ens)
-    d = simulate_integral_form(system, grid, ens, as_printed=True)
-    t = grid.nodes[1:]
-    driftless = t ** (ORDER.alpha - 1.0) / gamma_fn(ORDER.alpha)
-    np.testing.assert_allclose(unweighted(d)[0, :, 0], driftless, rtol=1e-12)
-    reference = closed_form_homogeneous(system.A, system.rho, ORDER.alpha, grid)
-    assert np.nanmax(np.abs(c.weighted - reference.weighted[0])) < 5e-3
 
 
 def test_picard_agrees_with_marching():

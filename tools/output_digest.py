@@ -6,8 +6,8 @@ compared for byte identity with ``diff``.
 
 Covered outputs:
 
-* the weighted states of the mild, integral-form and as-printed schemes,
-  and of two one-path Picard solves, on four systems:
+* the weighted states of the mild and integral-form schemes, and of two
+  one-path Picard solves, on four systems:
   the dim-4 non-normal matrix of the ``vector_neutral`` benchmark (seed 1,
   N = 300), the ``scalar_long`` system (N = 2048), the rotation
   [[0.5, 0.3], [-0.2, 0.2]] and diag(1, 0.3), all at alpha = 0.75 and
@@ -26,8 +26,8 @@ Covered outputs:
   p = 2), each field hashed by name so that builds whose certificates
   differ in other fields still compare, and ``ml_norm_sup``, at alpha in
   {0.6, 0.75, 0.9} and T = 50 on the same matrices;
-* exit code, stderr and every written file of ``check``, ``simulate`` (all
-  three schemes, and ``--seed``), ``convergence`` (all three schemes) and
+* exit code, stderr and every written file of ``check``, ``simulate`` (both
+  schemes, and ``--seed``), ``convergence`` (both schemes) and
   ``ml`` on seven configurations: linear, dim-2 sine, a neutral term too
   strong for the certificate, a neutral term near the
   solvable limit (G = 0.95, N = 16), an unstable matrix, a matrix whose
@@ -113,8 +113,6 @@ def scheme_lines():
         ens = brownian_increments(grid, n_paths, 1)
         yield f"{name} mild", outcome(simulate_mild, system, grid, ens)
         yield f"{name} integral_form", outcome(simulate_integral_form, system, grid, ens)
-        yield f"{name} as_printed", outcome(simulate_integral_form, system, grid, ens,
-                                            as_printed=True)
         for i in range(2):
             yield f"{name} picard[{i}]", outcome(picard_path_solve, system, grid,
                                                  ens.increments[i])
@@ -232,11 +230,9 @@ COMMANDS = [
     ["check"],
     ["simulate"],
     ["simulate", "--scheme", "integral_form"],
-    ["simulate", "--scheme", "integral_form_as_printed"],
     ["simulate", "--seed", "7"],
     ["convergence"],
     ["convergence", "--scheme", "integral_form"],
-    ["convergence", "--scheme", "integral_form_as_printed"],
 ]
 
 
