@@ -43,14 +43,17 @@ evaluator, and the matrix function E_{a,b}(M) is the one-node kernel
 Gamma and Beta are taken from ``math.gamma`` (``math.lgamma`` only where a
 Gamma factor of B overflows), the incomplete beta I_x(a, a) of the singular
 cell weights from its power series (:func:`_betainc_aa`), and the FFT
-convolutions from ``numpy.fft``, so this module needs nothing beyond numpy
-and the standard library.
+product of :func:`rl_integral_grid` from ``numpy.fft``, so this module
+needs nothing beyond numpy and the standard library.
 
 The Riemann-Liouville integral I^a f(t) = (1/Gamma(a)) int_0^t (t-r)^(a-1) f(r) dr
 is discretised by product integration: the kernel factor is integrated
 exactly against a piecewise-constant left-value interpolant of f, matching
 the Ito (left-point) convention of the stochastic quadrature elsewhere in
-the package.
+the package.  Its weights decay with the lag, so the whole grid is one
+product of real FFTs zero-padded to a power of two.  The history
+convolutions of the marches, whose kernels may grow and are balanced
+first, live in :mod:`fracstab.simulator`.
 """
 
 from __future__ import annotations
@@ -465,90 +468,36 @@ def ml_kernel(alpha, beta, mat, times):
     return _ml_stack(alpha, beta, mat, times**alpha)
 
 
-def _fast_len(n):
-    """The smallest 5-smooth length 2^i 3^j 5^k >= n (n >= 1), a length the
-    real FFT factors into its fastest radices."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the smallest power-of-two multiple of p35 that reaches n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _causal_convolution(spectra, hists, M, lo, out):
-    """Add causal convolutions, taken by zero-padded real FFTs, into ``out``:
-    out[i, ..., n - lo] += sum over the terms (h, i, k) of
-    sum_m w_ik[m] hists[h][k, ..., n - m] for the rows n = lo .. lo + R - 1,
-    with time-last histories of shape (dim, ..., length) and ``out`` of
-    shape (dim, ..., R).
-
-    ``spectra`` lists (mu, [(h, i, k, w_hat)]) with w_hat the length-M rfft of
-    the balanced kernel e^(-mu m) w_ik[m] over K indices m = 0 .. K - 1.
-    With histories of length H, M >= lo + R and
-    M >= H + K - 1 - lo keep the circular products exact on the output
-    rows.  Per rate mu each history is balanced to e^(-mu j) h[j] and
-    transformed once over all its components (at mu = 0 all histories in
-    one call, unbalanced), the products are summed in the frequency domain
-    into zeros, so a component with no term of that rate gets zeros, and
-    one inverse transform is scaled back by e^(mu n) and added into
-    ``out``.  A decaying kernel (mu = 0) skips both balancing multiplies,
-    whose factors would all be exactly 1, so its result is the same bits.
-    Transforms run along the last axis alone, so each row of the middle
-    axes gets the same result whatever else shares the call.
-
-    The marches' far field (``simulator._far_field``) calls this for each
-    batch of paths of each block of the blocked convolution, so its
-    temporaries live for one batch; a march stays O(N log^2 N) per path.
-    """
-    hi = lo + out.shape[-1]
-    if any(mu for mu, _ in spectra):
-        src, dst = np.arange(hists[0].shape[-1]), np.arange(lo, hi)
-    for mu, terms in spectra:
-        if mu == 0:
-            h_hats = np.fft.rfft(hists, M, axis=-1)
-        else:
-            h_hats = {h: np.fft.rfft(hists[h] * np.exp(-mu * src), M, axis=-1)
-                      for h in {term[0] for term in terms}}
-        total = np.zeros(out.shape[:-1] + (M // 2 + 1,), dtype=complex)
-        for h, i, k, w_hat in terms:
-            total[i] += w_hat * h_hats[h][k]
-        part = np.fft.irfft(total, M, axis=-1)[..., lo:hi]
-        if mu:
-            part *= np.exp(mu * dst)
-        out += part
-
-
 def rl_integral_grid(samples, alpha, dt):
     """Riemann-Liouville integral I^a on a uniform grid, left-value product
     integration.
 
-    ``samples`` has shape (N+1,) or (N+1, n) :  values f(t_j) at t_j = j*dt.
-    Node 0 of the output is zero.  Exact for constant f:
-    I^a 1 = t^a / Gamma(a+1).  The weights decay with the lag, so one
-    unbalanced FFT convolution takes the whole grid in O(N log N).
+    ``samples`` has shape (N+1,) or (N+1, n) :  finite values f(t_j) at
+    t_j = j*dt.  Any other shape raises ``ValueError``, and so does a NaN
+    or infinite sample, naming its first node.  Node 0 of the output is
+    zero.  Exact for constant f: I^a 1 = t^a / Gamma(a+1).  The weights
+    decay with the lag, so one product of real FFTs, zero-padded to the
+    power of two M >= 2 (N+1), takes the whole grid in O(N log N).
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"rl_integral_grid requires alpha in (0, 1], got {alpha}")
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"grid step must be finite and positive, got {dt}")
     f = np.asarray(samples, dtype=float)
-    squeeze = f.ndim == 1
-    if squeeze:
-        f = f[:, None]
+    if f.ndim not in (1, 2):
+        raise ValueError(f"rl_integral_grid requires samples of shape (N+1,) or (N+1, n), "
+                         f"got {f.shape}")
+    cols = f[:, None] if f.ndim == 1 else f
+    finite = np.isfinite(cols).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"rl_integral_grid requires finite samples, got a non-finite one "
+                         f"at node {int(np.argmin(finite))}")
     n_nodes = f.shape[0]
     m = np.arange(n_nodes, dtype=float)
     # integral of the kernel over the cell with lag m, none at lag 0
     coeff = np.concatenate(([0.0], m[1:] ** alpha - m[:-1] ** alpha))
-    M = _fast_len(max(2 * n_nodes, 1))
-    w_hat = np.fft.rfft(coeff, M)
-    out = np.zeros(f.shape)
-    _causal_convolution([(0.0, [(0, k, k, w_hat) for k in range(f.shape[1])])], (f.T,), M,
-                        0, out.T)
-    out *= dt**alpha / gamma_fn(alpha + 1.0)
+    M = 1 << (2 * n_nodes - 1).bit_length()
+    out = np.fft.irfft(np.fft.rfft(coeff, M) * np.fft.rfft(cols.T, M), M)[:, :n_nodes].T
+    out = out * (dt**alpha / gamma_fn(alpha + 1.0))
     out[:1] = 0.0
-    return out[:, 0] if squeeze else out
+    return out.reshape(f.shape)

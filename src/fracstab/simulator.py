@@ -21,8 +21,8 @@ discretised:
   the whole path (Jacobi) the equations the mild march solves node by node
   (Gauss-Seidel): both take them from ``_mild_scheme`` and share one neutral
   solve.  A sweep calls the drift and sigma once on the whole path and
-  takes both history integrals with one zero-padded FFT convolution,
-  O(N log N).
+  takes both history integrals with one FFT convolution, zero-padded to
+  the power of two M >= 2N, O(N log N).
 
 Quadrature conventions (shared): on each cell the singular scalar factor
 (t_n - s)^(a-1) is integrated exactly and multiplies the left-point values
@@ -36,11 +36,12 @@ finite on all of [0, T]: its limit at t = 0 is rho / Gamma(a).
 
 The marches take each history integral as a discrete convolution over the
 lags.  Lags inside a base block of 64 nodes are summed directly at every
-step; the rest is added block by block with zero-padded real FFTs
-(Hairer, Lubich & Schlichte 1985), so a march costs O(N log^2 N) per path
-instead of O(N^2).  A kernel that grows across a block (A outside the
-stability sector) is balanced by its growth rate before the transform, so
-the far field keeps the node-wise relative accuracy of a direct sum;
+step; the rest is added block by block with real FFTs zero-padded to
+the power of two 2L for a block of L history rows (Hairer, Lubich &
+Schlichte 1985), so a march costs O(N log^2 N) per path instead of
+O(N^2).  A kernel that grows across a block (A outside the stability
+sector) is balanced by its growth rate before the transform, so the far
+field keeps the node-wise relative accuracy of a direct sum;
 decaying kernels (growth rate mu = 0) skip the balancing multiplies.  In
 the mild form A commutes with E_{a,a}(t^a A), so the neutral memory and
 the drift share one convolution of b - A g; in the integral form the
@@ -100,8 +101,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, _apply_matrix, _declared_matrix, _neutral_solver
 from .errors import ConvergenceError, SimulationNumericError
-from .fraccalc import (FractionalOrder, _betainc_aa, _causal_convolution, _fast_len, beta_fn,
-                       gamma_fn, ml_kernel)
+from .fraccalc import FractionalOrder, _betainc_aa, beta_fn, gamma_fn, ml_kernel
 
 __all__ = [
     "TimeGrid",
@@ -452,6 +452,51 @@ def _block_spectra(entries, n_lags, M):
     return sorted(groups.items())
 
 
+def _causal_convolution(spectra, hists, M, lo, out):
+    """Add causal convolutions, taken by zero-padded real FFTs, into ``out``:
+    out[i, ..., n - lo] += sum over the terms (h, i, k) of
+    sum_m w_ik[m] hists[h][k, ..., n - m] for the rows n = lo .. lo + R - 1,
+    with time-last histories of shape (dim, ..., length) and ``out`` of
+    shape (dim, ..., R).
+
+    ``spectra`` lists (mu, [(h, i, k, w_hat)]) with w_hat the length-M rfft of
+    the balanced kernel e^(-mu m) w_ik[m] over K indices m = 0 .. K - 1.
+    With histories of length H, M >= lo + R and
+    M >= H + K - 1 - lo keep the circular products exact on the output
+    rows.  Per rate mu each history is balanced to e^(-mu j) h[j] and
+    transformed once over all its components (at mu = 0 all histories in
+    one call, unbalanced), the products are summed in the frequency domain
+    into zeros, so a component with no term of that rate gets zeros, and
+    one inverse transform is scaled back by e^(mu n) and added into
+    ``out``.  A decaying kernel (mu = 0) skips both balancing multiplies,
+    whose factors would all be exactly 1, so its result is the same bits.
+    Transforms run along the last axis alone, so each row of the middle
+    axes gets the same result whatever else shares the call.
+
+    Its callers are the marches' far field (:func:`_far_field`), for each
+    batch of paths of each block of the blocked convolution at M = 2L, so
+    its temporaries live for one batch and a march stays O(N log^2 N) per
+    path, and the Picard sweep (:func:`_picard`), on the whole path at the
+    power of two M >= 2N.
+    """
+    hi = lo + out.shape[-1]
+    if any(mu for mu, _ in spectra):
+        src, dst = np.arange(hists[0].shape[-1]), np.arange(lo, hi)
+    for mu, terms in spectra:
+        if mu == 0:
+            h_hats = np.fft.rfft(hists, M, axis=-1)
+        else:
+            h_hats = {h: np.fft.rfft(hists[h] * np.exp(-mu * src), M, axis=-1)
+                      for h in {term[0] for term in terms}}
+        total = np.zeros(out.shape[:-1] + (M // 2 + 1,), dtype=complex)
+        for h, i, k, w_hat in terms:
+            total[i] += w_hat * h_hats[h][k]
+        part = np.fft.irfft(total, M, axis=-1)[..., lo:hi]
+        if mu:
+            part *= np.exp(mu * dst)
+        out += part
+
+
 def _far_field(entries, ring, acc, c, spectra):
     """Add the finished history block [c - L, c) to the targets [c, c + L)
     below N, read from the march's history ring; target t is node t + 1
@@ -463,10 +508,10 @@ def _far_field(entries, ring, acc, c, spectra):
     half of an aligned dyadic block of length 2L, so every pair (history j,
     target t >= j) in different base blocks is added exactly once, by the
     left half that closes first.  A block's kernel indices t - j = lag - 1
-    span 1 .. 2L - 1; with zero-padded transforms of length M >= L + R (R
-    targets, fewer than L only in the block that the end of the grid cuts
-    short) the circular product is exact on the target rows.  As L <= c < N,
-    every block lies in the ring.
+    span 1 .. 2L - 1; with zero-padded transforms of length M = 2L >= L + R
+    (R targets, fewer than L only in the block that the end of the grid
+    cuts short) the circular product is exact on the target rows.  As
+    L <= c < N, every block lies in the ring.
 
     A transform's roundoff is bounded by the norms of the whole block, so a
     kernel that grows across the block (a matrix outside the stability
@@ -476,8 +521,8 @@ def _far_field(entries, ring, acc, c, spectra):
     target keeps the relative accuracy of a direct sum.  Decaying kernels
     have mu = 0 and skip the balancing multiplies; the drift and noise
     products of each rate are summed in the frequency domain by
-    :func:`~fracstab.fraccalc._causal_convolution`.  Transforms are per
-    path, so batching paths cannot change the result.
+    :func:`_causal_convolution`.  Transforms are per path, so batching
+    paths cannot change the result.
 
     ``spectra`` holds the kernel transforms of the march by block length
     L + R.  Each batch of paths is gathered path-major and transformed on
@@ -489,7 +534,7 @@ def _far_field(entries, ring, acc, c, spectra):
         L *= 2
     hi = min(c + L, acc.shape[1] - 1)
     n_lags = L + hi - c
-    M = _fast_len(n_lags)
+    M = 2 * L
     if n_lags not in spectra:
         spectra[n_lags] = _block_spectra(entries, n_lags, M)
     n_paths, dim = acc.shape[0], acc.shape[2]
@@ -677,7 +722,7 @@ def _picard(system, grid, increments, scheme):
     times = grid.nodes[:, None]
     w_time = times[1:] ** (1.0 - system.order.alpha)
     # the whole path is one block
-    M = _fast_len(2 * grid.N)
+    M = 1 << (2 * grid.N - 1).bit_length()
     spectra = _block_spectra(_kernel_entries(w_f, w_s), grid.N, M)
     dw = np.append(increments, 0.0)[:, None]  # no increment after the last node
     x = np.zeros((grid.N + 1, system.n))

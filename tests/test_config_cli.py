@@ -44,6 +44,16 @@ def benchmark_doc(**over):
     return doc
 
 
+def doc_with(keys, value):
+    """A benchmark document with the field at ``keys`` set to ``value``."""
+    doc = benchmark_doc()
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    return doc
+
+
 def write_doc(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -90,13 +100,8 @@ def test_config_field_paths_in_errors():
     pytest.param(("seed",), 1, "<root>.seed", id="root"),
 ])
 def test_unknown_keys_are_refused(keys, value, field):
-    doc = benchmark_doc()
-    block = doc
-    for key in keys[:-1]:
-        block = block[key]
-    block[keys[-1]] = value
     with pytest.raises(ConfigError) as err:
-        parse_config(doc)
+        parse_config(doc_with(keys, value))
     assert str(err.value) == f"{field}: unknown key"
 
 
@@ -126,6 +131,38 @@ def test_unknown_key_exits_1_without_output(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([command, "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "config error: criteria.epsilom: unknown key\n"
+    assert not out.exists()
+
+
+# each refusal of a malformed field names it, and the run writes nothing
+@pytest.mark.parametrize("doc,error", [
+    pytest.param(doc_with(("system", "alpha"), "0.75"),
+                 "system.alpha: expected a number, got '0.75'", id="not-a-number"),
+    pytest.param(doc_with(("grid", "T"), 0.0), "grid.T: must be positive, got 0.0", id="T"),
+    pytest.param(doc_with(("grid", "N"), 64.0), "grid.N: expected an integer, got 64.0", id="N"),
+    pytest.param(doc_with(("system", "matrix"), []),
+                 "system.matrix: expected a non-empty list of rows", id="empty-matrix"),
+    pytest.param(doc_with(("system", "matrix"), [-1.0]),
+                 "system.matrix[0]: expected a list of numbers", id="matrix-row"),
+    pytest.param(doc_with(("system", "matrix"), [[-1.0, 0.0], [0.0, -1.0]]),
+                 "system.matrix: dimension 2 does not match rho length 1", id="matrix-size"),
+    pytest.param([benchmark_doc()], "<root>: top level must be an object", id="top-level"),
+    pytest.param(doc_with(("system", "rho"), []),
+                 "system.rho: expected a non-empty list of numbers", id="empty-rho"),
+    pytest.param(doc_with(("system", "coefficients", "family"), "cubic"),
+                 "system.coefficients.family: unknown family 'cubic'; expected one of "
+                 "('zero', 'linear', 'bounded_smooth', 'additive')", id="family"),
+    pytest.param(doc_with(("criteria", "window_fraction"), 1.0),
+                 "criteria.window_fraction: must lie in (0, 1), got 1.0", id="window_fraction"),
+    pytest.param(doc_with(("output", "directory"), 3),
+                 "output.directory: expected a string path", id="directory"),
+    pytest.param(doc_with(("output", "emit_paths"), "yes"),
+                 "output.emit_paths: expected a boolean", id="emit_paths"),
+])
+def test_malformed_fields_exit_1_without_output(tmp_path, capsys, doc, error):
+    out = tmp_path / "out"
+    assert main(["check", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {error}\n"
     assert not out.exists()
 
 
@@ -232,12 +269,7 @@ def test_check_malformed_config_exits_1(tmp_path, capsys):
                  id="G"),
 ])
 def test_non_finite_numbers_exit_1(tmp_path, capsys, command, keys, value, field):
-    doc = benchmark_doc()
-    block = doc
-    for key in keys[:-1]:
-        block = block[key]
-    block[keys[-1]] = value
-    path = write_doc(tmp_path, doc)
+    path = write_doc(tmp_path, doc_with(keys, value))
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert field in capsys.readouterr().err
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,8 +20,7 @@ from fracstab import (
     rl_integral_grid,
 )
 from fracstab.errors import AccuracyWarning
-from fracstab.fraccalc import (_CONTOURS, _betainc_aa, _contour_choice, _contour_rule,
-                               _fast_len, _poles)
+from fracstab.fraccalc import _CONTOURS, _betainc_aa, _contour_choice, _contour_rule, _poles
 
 from oracle_fixtures import (
     BETA_0625_0625,
@@ -128,13 +128,6 @@ def test_gamma_overflow_and_beta_fallback():
     assert math.isfinite(value)
     assert value == math.exp(math.lgamma(300.0) + math.lgamma(0.5) - math.lgamma(300.5))
     assert value == pytest.approx(BETA_300_05, rel=1e-12)
-
-
-def test_fast_len_matches_scipy_next_fast_len():
-    from scipy.fft import next_fast_len
-
-    sizes = range(1, 2**15 + 1)
-    assert [_fast_len(n) for n in sizes] == [next_fast_len(n, real=True) for n in sizes]
 
 
 # ------------------------------------------------------- incomplete beta
@@ -650,6 +643,37 @@ def test_rl_operator_validation():
     # an infinite step gave [0, inf, inf, ...]
     with pytest.raises(ValueError, match="^grid step must be finite and positive, got inf$"):
         rl_integral_grid(np.ones(8), 0.5, math.inf)
+
+
+def _samples_with(node, value, shape=(9,)):
+    f = np.ones(shape)
+    f[node] = value
+    return f
+
+
+# a non-finite sample gave NaN at every later node (and an infinite one two
+# RuntimeWarnings), although the nodes up to it do not depend on it
+@pytest.mark.parametrize("samples,node", [
+    pytest.param(_samples_with(6, math.nan), 6, id="nan"),
+    pytest.param(_samples_with(3, math.inf), 3, id="inf"),
+    pytest.param(_samples_with(0, -math.inf), 0, id="first-node"),
+    pytest.param(_samples_with((8, 1), math.nan, (9, 2)), 8, id="column"),
+])
+def test_rl_integral_refuses_non_finite_samples(samples, node):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^rl_integral_grid requires finite samples, "
+                                             f"got a non-finite one at node {node}$"):
+            rl_integral_grid(samples, 0.75, 0.1)
+
+
+# a (6, 2, 3) array was convolved along its last axis, up to 0.37 off the
+# per-column results, and a 0-D sample raised IndexError
+@pytest.mark.parametrize("shape", [(6, 2, 3), ()], ids=["3-D", "0-D"])
+def test_rl_integral_refuses_samples_of_another_shape(shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"rl_integral_grid requires samples of shape (N+1,) or (N+1, n), got {shape}")):
+        rl_integral_grid(np.ones(shape), 0.75, 0.1)
 
 
 def test_rl_integral_vector_valued():

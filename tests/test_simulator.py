@@ -94,6 +94,31 @@ def test_time_grid_refuses_non_finite_T_and_non_integer_N(T, N, message):
         TimeGrid(T=T, N=N)
 
 
+def _linear_spec(A, rho):
+    zero = np.zeros((1, 1))
+    return SystemSpec(A=np.array(A), rho=np.array(rho), coeffs=make_linear(zero, zero, zero),
+                      order=ORDER)
+
+
+# each malformed input of the simulator's entry points is refused by name
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: TimeGrid(T=1.0, N=1), "N must be >= 2, got 1", id="N=1"),
+    pytest.param(lambda: _linear_spec([[-1.0, 0.0]], [1.0]),
+                 "A must be square, got (1, 2)", id="non-square-A"),
+    pytest.param(lambda: _linear_spec([[-1.0]], [1.0, 2.0]),
+                 "rho shape (2,) does not match A (1, 1)", id="rho"),
+    pytest.param(lambda: _linear_spec([[math.nan]], [1.0]),
+                 "A and rho must be finite", id="non-finite"),
+    pytest.param(lambda: brownian_increments(TimeGrid(T=1.0, N=8), 0, 1),
+                 "n_paths must be >= 1", id="no-paths"),
+    pytest.param(lambda: picard_path_solve(scalar_system(), TimeGrid(T=1.0, N=8), np.zeros(7)),
+                 "path_increments must have shape (8,)", id="picard-increments"),
+])
+def test_malformed_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # ------------------------------------------------------- degenerate collapse
 
 def test_all_schemes_collapse_to_closed_form():
@@ -382,10 +407,11 @@ def test_solve_weights_the_states_in_place(monkeypatch, dim):
 
 
 # Every target past its own base block is served by one far-field block
-# per block level, taken by transforms and read whole from the rings;
-# direct sums read at most one base block.  N = 300, 1029 and 2049 end on a
-# partial block of 44, 5 and 1 targets, the last two against 1024 and 2048
-# history rows.
+# per block level, taken by transforms of length 2L and read whole from the
+# rings; direct sums read at most one base block.  N = 300, 1029 and 2049
+# end on a partial block of 44, 5 and 1 targets, the last two against 1024
+# and 2048 history rows.  Picard transforms the whole path at the power of
+# two M >= 2N.
 @pytest.mark.parametrize("n_steps", [256, 300, 1029, 2049])
 def test_march_blocks_fit_the_base_block_and_the_ring(monkeypatch, n_steps):
     sums, blocks = [], []
@@ -396,18 +422,26 @@ def test_march_blocks_fit_the_base_block_and_the_ring(monkeypatch, n_steps):
         return direct_sum(entries, block, lag, out)
 
     def recording_convolution(spectra, hists, M, lo, out):
-        blocks.append((lo, hists[0].shape[-1]))
+        blocks.append((lo, hists[0].shape[-1], M))
         return convolve(spectra, hists, M, lo, out)
 
     monkeypatch.setattr(simulator, "_direct_sum", recording_sum)
     monkeypatch.setattr(simulator, "_causal_convolution", recording_convolution)
     system = scalar_system(coeffs=make_bounded_smooth(0.2, 0.3, 0.3))
     grid = TimeGrid(T=4.0, N=n_steps)
-    simulate_mild(system, grid, brownian_increments(grid, 3, 5))
+    ens = brownian_increments(grid, 3, 5)
+    simulate_mild(system, grid, ens)
     assert max(sums) <= simulator._BASE_BLOCK
     # one block [c - L, c) per far-field point c = 64, 128, ... below N
     assert len(blocks) == len(range(simulator._BASE_BLOCK, n_steps, simulator._BASE_BLOCK))
-    assert all(lo == length <= simulator._ring_rows(n_steps) for lo, length in blocks)
+    assert all(lo == length <= simulator._ring_rows(n_steps) for lo, length, _ in blocks)
+    assert all(M == 2 * lo for lo, _, M in blocks)
+    blocks.clear()
+    result = picard_path_solve(system, grid, ens.increments[0])
+    assert len(blocks) == result.iterations
+    for lo, length, M in blocks:
+        assert (lo, length) == (0, n_steps + 1)
+        assert M & (M - 1) == 0 and M // 2 < 2 * n_steps <= M
 
 
 # The direct sum of a step gives a lone path the bits it gets in a batch, for
@@ -467,11 +501,13 @@ def test_causal_convolution_matches_the_direct_sum(dim, n_hist, n_paths, whole, 
     if whole:
         lo, n_out = 0, n_hist - 1
         n_lags = n_out
-        M = simulator._fast_len(2 * n_lags)
+        # Picard's length: the power of two >= 2N
+        M = 1 << (2 * n_lags - 1).bit_length()
     else:
         lo, n_out = n_hist, int(rng.integers(1, n_hist + 1))
         n_lags = n_hist + n_out
-        M = simulator._fast_len(n_lags)
+        # the far field's length: 2L for a block of L history rows
+        M = 2 * n_hist
     index = np.arange(n_lags)
     kernels = np.zeros((2, n_lags, dim, dim))
     for (h, i, k), kind in zip(np.ndindex(2, dim, dim), kinds):

@@ -1,6 +1,7 @@
 """Spectra, sector membership, and long-horizon kernel profiles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,22 @@ def test_ml_norm_sup_validation():
 def test_ml_norm_sup_refuses_non_finite_T(T):
     with pytest.raises(ValueError, match="ml_norm_sup requires a finite T"):
         ml_norm_sup(np.eye(2), 0.75, T=T)
+
+
+# each malformed matrix or order is refused by name
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: eigenvalues(np.ones((2, 3))),
+                 "eigenvalues requires a square matrix, got (2, 3)", id="non-square"),
+    pytest.param(lambda: eigenvalues(np.array([[-1.0, math.inf], [0.0, -1.0]])),
+                 "eigenvalues requires finite entries", id="non-finite"),
+    pytest.param(lambda: sector_check(eigenvalues(-np.eye(2)), 0.5),
+                 "sector_check requires alpha in (1/2, 1], got 0.5", id="alpha=0.5"),
+    pytest.param(lambda: sector_check(eigenvalues(-np.eye(2)), 1.5),
+                 "sector_check requires alpha in (1/2, 1], got 1.5", id="alpha=1.5"),
+])
+def test_malformed_spectral_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_kernel_bounds_profile_stable_scalar():

@@ -16,7 +16,8 @@ Covered outputs:
   systems at N = 64 (one base block) and N = 1088 (a history ring of
   1024 rows, ending on a partial far-field block);
 * ``rl_integral_grid`` on 1-D and three-column samples of several lengths
-  for a in {0.3, 0.75, 1};
+  for a in {0.3, 0.75, 1}, and its refusals of a sample with a NaN and of
+  a 3-D array of samples;
 * every field of ``kernel_bounds_profile``'s report, ``conv_running``
   included, with its grid (t_max = 100, n_nodes = 1000), at alpha = 0.75 on
   the ``certify_sweep`` benchmark's matrices: -1, -10, an upper-triangular
@@ -136,6 +137,9 @@ def rl_lines():
                 f = rng.standard_normal(shape)
                 out = rl_integral_grid(f, alpha, 0.01)
                 yield f"rl_integral_grid a={alpha} shape={shape}", sha(out.tobytes())
+    nan_at_6 = np.where(np.arange(9) == 6, np.nan, 1.0)
+    for name, f in (("nan sample", nan_at_6), ("3-D samples", np.ones((6, 2, 3)))):
+        yield f"rl_integral_grid {name}", outcome_repr(rl_integral_grid, f, 0.75, 0.01)
 
 
 PROFILE_MATRICES = {
